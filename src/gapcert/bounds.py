@@ -10,7 +10,7 @@ bit-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 JOINT_DRAW = "joint_draw"
 POSTERIOR_EXPECTATION = "posterior_expectation"

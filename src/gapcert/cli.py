@@ -1,7 +1,8 @@
 """Batch front end.
 
 Subcommands:
-    certify  - compute the configured certificates for one seeded draw
+    certify  - compute the configured certificates for one seeded draw,
+               the draw of trial 0 of `verify`
     verify   - enumeration oracles (when in budget) plus violation-rate trials
     compare  - tightness grids against the closed-form baselines
     accept   - the full acceptance suite
@@ -24,19 +25,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-from scipy.special import logsumexp
-
 from . import acceptance
 from . import bounds as bd
 from . import verify as vf
 from .config import ConfigError, ScenarioConfig, parse_config
-from .hamiltonian import (
-    GaussianKernel,
-    Gibbs,
-    algorithm_variance,
-    hypothesis_sensitivity,
-)
+from .hamiltonian import Gibbs
 from .model import BudgetExceeded, generalization_gap
 
 EXIT_OK = 0
@@ -73,69 +66,19 @@ def _cert_inputs_str(cert: bd.Certificate) -> str:
     return ";".join(f"{k}={cert.inputs[k]!r}" for k in sorted(cert.inputs))
 
 
-def _certificates_for_draw(config: ScenarioConfig) -> list[bd.Certificate]:
-    """Concrete certificates for one seeded (sample, hypothesis) draw.
-
-    Every returned certificate is recomputable bit-identically from its
-    recorded inputs by the certificates module.
-    """
-    rng = vf.substream(config.master_seed, 0)
-    sample = vf.draw_sample(config.space, config.n, rng)
-    certs: list[bd.Certificate] = []
-    n, delta = config.n, config.delta
-    if isinstance(config.spec, Gibbs):
-        loss = config.loss
-        b = loss.bound_b
-        beta = config.spec.beta
-        c = beta * b / n
-        table = loss.values
-        idx = np.array(sample.entries)
-        L_hat = table[:, idx].mean(axis=1)
-        logw = -beta * L_hat + np.log(config.prior.weights)
-        logw -= logsumexp(logw)
-        w = np.exp(logw)
-        h = int(np.searchsorted(np.cumsum(w / w.sum()), rng.random(), side="right")
-                .clip(0, len(w) - 1))
-        true_L = table @ config.space.probs
-        v_h = float(((table[h] - true_L[h]) ** 2) @ config.space.probs)
-        rho = (table.max(axis=1) - table.min(axis=1)) / 2.0
-        sigma_h = float(rho.max()) * beta / n
-        for m in config.methods:
-            if m == "bounded_differences":
-                certs.append(bd.bound_bounded_differences(b, c, n, delta))
-            elif m == "bernstein":
-                certs.append(bd.bound_bernstein(v_h, b, c, n, delta))
-            elif m == "empirical_bernstein":
-                certs.append(bd.bound_empirical_bernstein(float(L_hat[h]), b, c, n, delta))
-            elif m in ("subgaussian_sup", "subgaussian_h"):
-                pair = bd.bound_subgaussian(float(rho.max()), float(rho[h]),
-                                            sigma_h, n, delta)
-                certs.append(pair[0] if m == "subgaussian_sup" else pair[1])
-    elif isinstance(config.spec, GaussianKernel):
-        algorithm = config.spec.algorithm
-        sigma = config.spec.sigma
-        c_A = hypothesis_sensitivity(algorithm, config.space, n, mode="declared")
-        V, _ = algorithm_variance(algorithm, config.space, n)
-        center = algorithm(sample)
-        h = center + sigma * rng.standard_normal(algorithm.dim_d)
-        pl = np.array([config.loss.value(h, i) for i in range(config.space.size)])
-        L = float(pl @ config.space.probs)
-        for m in config.methods:
-            if m == "gaussian_gap":
-                certs.append(bd.bound_gaussian_randomization(
-                    V, sigma, n, delta, variant="gap_joint", c_A=c_A))
-            elif m == "gaussian_gap_bernstein":
-                v_h = float(config.space.probs @ (pl - L) ** 2)
-                certs.append(bd.bound_gaussian_randomization(
-                    V, sigma, n, delta, variant="gap_bernstein", c_A=c_A, v_h=v_h))
-            elif m == "gaussian_kl_expectation":
-                certs.append(bd.bound_gaussian_randomization(
-                    V, sigma, n, delta, variant="kl_expectation", c_A=c_A))
-    return certs
+def _scenario_run(config: ScenarioConfig) -> vf.GibbsRun | vf.GaussianRun:
+    spec = config.spec
+    if isinstance(spec, Gibbs):
+        return vf.GibbsRun(config.space, config.loss, config.prior, spec.beta, config.n,
+                           config.delta)
+    return vf.GaussianRun(config.space, config.loss, spec.algorithm, spec.sigma, config.n,
+                          config.delta, config.posterior_draws)
 
 
 def cmd_certify(config: ScenarioConfig, out_dir: Path) -> int:
-    certs = _certificates_for_draw(config)
+    """Certificates for one seeded draw: trial 0 of `verify`. Every one is
+    recomputable bit-identically from its recorded inputs."""
+    certs = vf.certificates(_scenario_run(config), config.methods, config.master_seed)
     rows = []
     lines = []
     for cert in certs:

@@ -27,6 +27,7 @@ from .model import (
     PriorWeights,
     load_loss_table,
 )
+from .verify import SCENARIO_METHODS
 
 
 class ConfigError(ValueError):
@@ -36,14 +37,6 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
 
-
-GIBBS_METHODS = frozenset({
-    "bounded_differences", "bernstein", "empirical_bernstein",
-    "subgaussian_sup", "subgaussian_h",
-})
-GAUSSIAN_METHODS = frozenset({
-    "gaussian_gap", "gaussian_gap_bernstein", "gaussian_kl_expectation",
-})
 
 _KNOWN_KEYS = {
     "scenario_id",
@@ -224,12 +217,12 @@ def parse_config(path) -> ScenarioConfig:
 
     methods = tuple(m.strip() for m in merged.get("methods", "").split(",") if m.strip())
     if not methods:
-        methods = (("bounded_differences",) if variant == "gibbs" else ("gaussian_gap",))
-    allowed = GIBBS_METHODS if variant == "gibbs" else GAUSSIAN_METHODS
+        # the default is the variant's first method in the registry
+        methods = tuple(m for m, s in SCENARIO_METHODS.items() if s.variant == variant)[:1]
     for m in methods:
-        if m not in GIBBS_METHODS | GAUSSIAN_METHODS:
+        if m not in SCENARIO_METHODS:
             errors.append(f"methods: unknown method {m!r}")
-        elif m not in allowed:
+        elif SCENARIO_METHODS[m].variant != variant:
             errors.append(
                 f"methods: {m!r} is incompatible with hamiltonian.variant={variant!r}")
 
@@ -237,7 +230,10 @@ def parse_config(path) -> ScenarioConfig:
     if not errors and n is not None:
         if variant == "gibbs":
             if "instance.file" in merged:
-                space, loss = load_loss_table(merged["instance.file"])
+                try:
+                    space, loss = load_loss_table(merged["instance.file"])
+                except (OSError, ValueError) as exc:
+                    errors.append(f"instance.file: {exc}")
             else:
                 gen = merged["instance.generator"]
                 if gen != "gibbs_random":
@@ -251,21 +247,37 @@ def parse_config(path) -> ScenarioConfig:
                     spec = Gibbs(beta=beta)
         else:
             sigma = get_float("hamiltonian.sigma", lo=0.0, open_interval=True)
-            space, loss, algorithm = _gaussian_instance(
-                seed, num_points, dim, n, merged["hamiltonian.algorithm"])
-            prior = PriorWeights(lebesgue_reference=True)
-            if sigma is not None:
-                spec = GaussianKernel(sigma=sigma, algorithm=algorithm)
-                c_A = algorithm.declared_c_A or 0.0
-                if 12.0 * n * c_A**2 > sigma**2:
-                    errors.append(
-                        "hamiltonian.sigma: stability precondition 12 n c_A^2 <= sigma^2 "
-                        f"fails (c_A={c_A}, sigma={sigma}, n={n})")
+            try:
+                space, loss, algorithm = _gaussian_instance(
+                    seed, num_points, dim, n, merged["hamiltonian.algorithm"])
+            except KeyError as exc:
+                errors.append(f"hamiltonian.algorithm: {exc.args[0]}")
+            else:
+                prior = PriorWeights(lebesgue_reference=True)
+                if sigma is not None:
+                    spec = GaussianKernel(sigma=sigma, algorithm=algorithm)
+                    c_A = algorithm.declared_c_A
+                    if 12.0 * n * c_A**2 > sigma**2:
+                        errors.append(
+                            "hamiltonian.sigma: stability precondition 12 n c_A^2 <= "
+                            f"sigma^2 fails (c_A={c_A}, sigma={sigma}, n={n})")
 
-    compare_ns = tuple(int(x) for x in merged["compare.ns"].split(","))
-    compare_betas = tuple(x.strip() for x in merged["compare.betas"].split(","))
-    compare_deltas = tuple(float(x) for x in merged["compare.deltas"].split(","))
-    compare_l_hats = tuple(float(x) for x in merged["compare.l_hats"].split(","))
+    def get_list(key, convert):
+        try:
+            return tuple(convert(x.strip()) for x in merged[key].split(","))
+        except ValueError:
+            errors.append(f"{key}: malformed list {merged[key]!r}")
+            return ()
+
+    def beta_tag(tag):
+        if tag not in ("sqrt_n", "n_over_10"):
+            float(tag)  # a malformed tag fails here rather than in `compare`
+        return tag
+
+    compare_ns = get_list("compare.ns", int)
+    compare_betas = get_list("compare.betas", beta_tag)
+    compare_deltas = get_list("compare.deltas", float)
+    compare_l_hats = get_list("compare.l_hats", float)
 
     if errors:
         raise ConfigError(errors)

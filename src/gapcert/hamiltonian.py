@@ -18,7 +18,6 @@ from scipy.special import logsumexp
 
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
-    BudgetExceeded,
     ContractViolation,
     FiniteDataSpace,
     FiniteTable,
@@ -135,19 +134,7 @@ class GaussianPosterior:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
 
 
-@dataclass(frozen=True)
-class McmcChain:
-    """Random-walk Metropolis target; sampling advances burn-in plus thinning steps."""
-
-    log_density: Callable[[np.ndarray], float]
-    dim_d: int
-    initial: np.ndarray
-    proposal_scale: float
-    burn_in: int = 1000
-    thinning: int = 10
-
-
-PosteriorDistribution = FiniteWeights | GaussianPosterior | McmcChain
+PosteriorDistribution = FiniteWeights | GaussianPosterior
 
 
 def _check_variant(spec: HamiltonianSpec, loss: LossModel) -> None:
@@ -234,23 +221,7 @@ def sample_posterior(dist: PosteriorDistribution, rng: np.random.Generator):
         return int(np.searchsorted(np.cumsum(dist.weights), u, side="right").clip(0, len(dist.weights) - 1))
     if isinstance(dist, GaussianPosterior):
         return dist.mean + dist.sigma * rng.standard_normal(dist.mean.shape)
-    if isinstance(dist, McmcChain):
-        return _advance_chain(dist, rng)
     raise TypeError(f"cannot sample from {type(dist).__name__}")
-
-
-def _advance_chain(chain: McmcChain, rng: np.random.Generator) -> np.ndarray:
-    state = np.asarray(chain.initial, dtype=float).copy()
-    logp = chain.log_density(state)
-    if not math.isfinite(logp):
-        raise ValueError("MCMC log density is not finite at the initial state")
-    steps = chain.burn_in + chain.thinning
-    for _ in range(steps):
-        prop = state + chain.proposal_scale * rng.standard_normal(chain.dim_d)
-        logp_prop = chain.log_density(prop)
-        if math.log(rng.random()) < logp_prop - logp:
-            state, logp = prop, logp_prop
-    return state
 
 
 def _sample_grid(space: FiniteDataSpace, n: int, budget: int):
@@ -387,10 +358,6 @@ def mean_embedding_algorithm(features: np.ndarray) -> StableAlgorithm:
     phi = np.asarray(features, dtype=float)
     if phi.ndim != 2:
         raise ValueError("feature table must be (num_points, d)")
-    diam = 0.0
-    for i in range(phi.shape[0]):
-        for j in range(i + 1, phi.shape[0]):
-            diam = max(diam, float(np.linalg.norm(phi[i] - phi[j])))
 
     def amap(sample: Sample) -> np.ndarray:
         return phi[list(sample.entries)].mean(axis=0)
@@ -417,39 +384,15 @@ def mean_embedding_with_declared(features: np.ndarray, n: int) -> StableAlgorith
                            variance_fn=base.variance_fn, name="mean_embedding")
 
 
-def ridge_algorithm(design: np.ndarray, targets: np.ndarray, reg: float) -> StableAlgorithm:
-    """Regularized least squares on a fixed synthetic design.
-
-    Point index i selects row i of the design and target; A(x) solves the
-    ridge problem on the multiset of selected rows.
-    """
-    X = np.asarray(design, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if reg <= 0:
-        raise ValueError("ridge regularization must be positive")
-    d = X.shape[1]
-
-    def amap(sample: Sample) -> np.ndarray:
-        idx = list(sample.entries)
-        Xi, ti = X[idx], t[idx]
-        n = len(idx)
-        gram = Xi.T @ Xi / n + reg * np.eye(d)
-        return np.linalg.solve(gram, Xi.T @ ti / n)
-
-    return StableAlgorithm(map=amap, dim_d=d, name="ridge")
-
-
 def builtin_algorithm(name: str, space: FiniteDataSpace, n: int, dim_d: int = 2,
                       seed: int = 0) -> StableAlgorithm:
-    """Registry lookup used by scenario configs."""
+    """Registry lookup used by scenario configs. Every built-in algorithm
+    declares its sensitivity coefficient c_A, on which the Gaussian-kernel
+    certificates rest."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     if name == "constant":
         return constant_algorithm(np.zeros(dim_d))
     if name == "mean_embedding":
         phi = rng.uniform(-0.5, 0.5, size=(space.size, dim_d))
         return mean_embedding_with_declared(phi, n)
-    if name == "ridge":
-        design = rng.standard_normal((space.size, dim_d))
-        targets = rng.standard_normal(space.size)
-        return ridge_algorithm(design, targets, reg=1.0)
     raise KeyError(f"unknown stable algorithm {name!r}")

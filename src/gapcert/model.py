@@ -3,14 +3,14 @@
 Everything downstream (posteriors, certificates, enumeration oracles) is
 built on the handful of quantities defined here: true and empirical loss,
 the generalization gap, per-hypothesis variance and the one-coordinate
-substitution / difference operators.
+substitution operator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -204,52 +204,11 @@ def loss_variance(h, space: FiniteDataSpace, loss: LossModel) -> float:
     return float(np.dot(space.probs, (vals - mean) ** 2))
 
 
-def partial_difference(f: Callable[[Sample], float], sample: Sample, k: int, y: int, yp: int) -> float:
-    """f after substituting y at coordinate k, minus f after substituting yp.
-
-    Antisymmetric in (y, yp) and zero when y == yp.
-    """
-    if y == yp:
-        return 0.0
-    return f(sample.substitute(k, y)) - f(sample.substitute(k, yp))
-
-
-# geometric grid used by the certified subgaussian search; recorded in outputs
-_CERT_GRID_FACTOR = 1.02
-_CERT_LAMBDA_GRID = tuple(float(x) for x in np.concatenate([
-    -np.geomspace(1e-2, 50.0, 60)[::-1], np.geomspace(1e-2, 50.0, 60)]))
-
-
-def subgaussian_parameter(h, space: FiniteDataSpace, loss: LossModel, mode: str = "hoeffding_proxy") -> float:
-    """Subgaussian scale of the loss of h under the data distribution.
-
-    hoeffding_proxy: half the range of the loss values (always valid).
-    certified_grid: smallest rho on a geometric grid such that the centered
-    MGF inequality holds on a fixed symmetric lambda grid. Tighter but
-    heuristic; certificates built on it are labeled accordingly.
-    """
+def subgaussian_parameter(h, space: FiniteDataSpace, loss: LossModel) -> float:
+    """Subgaussian scale of the loss of h under the data distribution: half
+    the range of its loss values (Hoeffding's lemma), always valid."""
     vals = _losses_at(loss, h, range(space.size))
-    if mode == "hoeffding_proxy":
-        return float(vals.max() - vals.min()) / 2.0
-    if mode != "certified_grid":
-        raise ValueError(f"unknown mode {mode!r}")
-    proxy = float(vals.max() - vals.min()) / 2.0
-    if proxy == 0.0:
-        return 0.0
-    mean = float(np.dot(space.probs, vals))
-    centered = vals - mean
-    lam = np.array(_CERT_LAMBDA_GRID)
-    # log E[e^{lam * (h - Eh)}] for every grid lambda, in one shot
-    log_mgf = np.log(np.dot(np.exp(np.outer(lam, centered)), space.probs))
-    rho = proxy
-    candidate = proxy
-    while candidate > 1e-12:
-        candidate /= _CERT_GRID_FACTOR
-        if np.all(log_mgf <= lam**2 * candidate**2 / 2.0 + 1e-12):
-            rho = candidate
-        else:
-            break
-    return rho
+    return float(vals.max() - vals.min()) / 2.0
 
 
 def enumerate_samples(space: FiniteDataSpace, n: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -20,9 +20,6 @@ from scipy.stats import beta as beta_dist
 
 from . import bounds as bd
 from .hamiltonian import (
-    FiniteWeights,
-    GaussianKernel,
-    Gibbs,
     HamiltonianSpec,
     StableAlgorithm,
     algorithm_variance,
@@ -35,21 +32,21 @@ from .hamiltonian import (
 )
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
+    BudgetExceeded,
     FiniteDataSpace,
     FiniteTable,
-    LossModel,
     ParametricLoss,
     PriorWeights,
     Sample,
-    empirical_loss,
     enumerate_samples,
     generalization_gap,
     loss_variance,
-    subgaussian_parameter,
-    true_loss,
 )
 
 EXACT_MARGIN_TOL = -1e-9
+# a Monte Carlo estimate passes within 1% relative or 4 standard errors
+MC_RELATIVE_TOL = 0.01
+MC_STDERR_TOL = 4.0
 CP_LEVEL = 0.999
 
 
@@ -61,11 +58,14 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(master_seed & (2**64 - 1), index)))
 
 
+def _draw_indices(space: FiniteDataSpace, n: int, rng: np.random.Generator) -> np.ndarray:
+    cdf = np.cumsum(space.probs)
+    return np.searchsorted(cdf, rng.random(n), side="right").clip(0, space.size - 1)
+
+
 def draw_sample(space: FiniteDataSpace, n: int, rng: np.random.Generator) -> Sample:
     """n iid categorical draws by inverse CDF."""
-    cdf = np.cumsum(space.probs)
-    idx = np.searchsorted(cdf, rng.random(n), side="right").clip(0, space.size - 1)
-    return Sample(tuple(int(i) for i in idx))
+    return Sample(tuple(int(i) for i in _draw_indices(space, n, rng)))
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ class MomentCheckReport:
     def passed(self) -> bool:
         if self.regime == "exact_enumeration":
             return self.margin >= EXACT_MARGIN_TOL
-        return True  # MC reports carry error bars instead of a hard verdict
+        err = abs(self.lhs - self.rhs)
+        return err <= MC_RELATIVE_TOL * abs(self.rhs) or err <= MC_STDERR_TOL * self.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def exact_mixed_log_mgf(spec: HamiltonianSpec, space: FiniteDataSpace, loss: Fin
     """ln E_X E_{h ~ Q_X}[e^{F(h, X)}] by exact double enumeration in log space."""
     m = loss.num_hypotheses
     if space.size**n * m > budget:
-        raise bd.DomainError(
+        raise BudgetExceeded(
             f"{space.size}^{n} x {m} states exceed the enumeration budget {budget}")
     terms = []
     for sample, w in enumerate_samples(space, n, budget):
@@ -447,6 +448,10 @@ def check_phi_lemma(grid: Sequence[float] | None = None) -> dict:
 
 # ---------------------------------------------------------------------------
 # Monte Carlo violation rates
+#
+# Trial t is one joint draw X ~ mu^n, h ~ Q_X from substream(master_seed, t).
+# `certify` reports the certificates of trial 0; `verify` scores the same
+# certificates, built by the same registry, over trials 0..T-1.
 
 @dataclass(frozen=True)
 class MethodStats:
@@ -481,48 +486,167 @@ class TrialReport:
         return max((s.violations for s in self.per_method.values()), default=0)
 
 
-def violation_rate_gibbs(space: FiniteDataSpace, loss: FiniteTable, prior: PriorWeights,
-                         beta: float, n: int, delta: float, methods: Sequence[str],
-                         trials: int, master_seed: int) -> TrialReport:
-    """Joint-draw violation rates for the Gibbs certificates.
+class Draw(NamedTuple):
+    """One trial's draw: the sample indices, the hypothesis h, h's empirical
+    and true loss, its loss variance under mu, and h's half loss range
+    (Gibbs) or the posterior mean A(X) (Gaussian kernel)."""
 
-    Per trial: X ~ mu^n, h ~ Q_X by exact categorical draw, gap and each
-    requested certificate; a violation is a strict exceedance gap > bound.
-    """
-    b = loss.bound_b
-    c = beta * b / n
-    cdf = np.cumsum(space.probs)
-    table = loss.values
-    true_L = table @ space.probs
-    variances = (table - true_L[:, None]) ** 2 @ space.probs
-    rho = np.array([(table[h].max() - table[h].min()) / 2.0
-                    for h in range(loss.num_hypotheses)])
-    rho_sup = float(rho.max())
-    sigma_h = rho_sup * beta / n  # subgaussian scale of the Gibbs Hamiltonian steps
-    log_prior = np.where(prior.weights > 0, np.log(np.where(prior.weights > 0,
-                                                            prior.weights, 1.0)), -np.inf)
-    counts = {m: 0 for m in methods}
-    bound_sums = {m: 0.0 for m in methods}
-    slack_sums = {m: 0.0 for m in methods}
-    gap_sum = 0.0
-    for t in range(trials):
-        rng = substream(master_seed, t)
-        idx = np.searchsorted(cdf, rng.random(n), side="right").clip(0, space.size - 1)
-        L_hat = table[:, idx].mean(axis=1)
-        logw = -beta * L_hat + log_prior
+    idx: np.ndarray
+    h: object
+    L_hat: float
+    L: float
+    v: float
+    rho: float | None = None
+    center: np.ndarray | None = None
+
+
+class GibbsRun:
+    """Per-run constants of a Gibbs scenario, and its draw: n uniforms for X,
+    then one uniform for h ~ Q_X by exact categorical draw."""
+
+    variant = "gibbs"
+
+    def __init__(self, space: FiniteDataSpace, loss: FiniteTable, prior: PriorWeights,
+                 beta: float, n: int, delta: float):
+        self.space, self.n, self.delta, self.beta = space, n, delta, beta
+        self.b, self.table = loss.bound_b, loss.values
+        self.c = beta * self.b / n
+        self.true_L = self.table @ space.probs
+        self.variances = (self.table - self.true_L[:, None]) ** 2 @ space.probs
+        self.rho = (self.table.max(axis=1) - self.table.min(axis=1)) / 2.0
+        self.rho_sup = float(self.rho.max())
+        self.sigma_h = self.rho_sup * beta / n  # subgaussian scale of the Hamiltonian steps
+        w = prior.weights
+        self.log_prior = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
+
+    def draw(self, rng: np.random.Generator) -> Draw:
+        idx = _draw_indices(self.space, self.n, rng)
+        L_hat = self.table[:, idx].mean(axis=1)
+        logw = -self.beta * L_hat + self.log_prior
         logw -= logsumexp(logw)
         w = np.exp(logw)
         w /= w.sum()
         h = int(np.searchsorted(np.cumsum(w), rng.random(), side="right")
                 .clip(0, len(w) - 1))
-        gap = float(true_L[h] - L_hat[h])
+        return Draw(idx, h, float(L_hat[h]), float(self.true_L[h]),
+                    float(self.variances[h]), rho=float(self.rho[h]))
+
+
+class GaussianRun:
+    """Per-run constants of a Gaussian-kernel scenario, and its draw: n
+    uniforms for X, then d normals for h = A(X) + sigma z."""
+
+    variant = "gaussian_kernel"
+
+    def __init__(self, space: FiniteDataSpace, loss: ParametricLoss,
+                 algorithm: StableAlgorithm, sigma: float, n: int, delta: float,
+                 posterior_draws: int):
+        self.space, self.n, self.delta, self.sigma = space, n, delta, sigma
+        self.loss, self.algorithm, self.posterior_draws = loss, algorithm, posterior_draws
+        self.c_A = hypothesis_sensitivity(algorithm, space, n, mode="declared")
+        self.V, _ = algorithm_variance(algorithm, space, n)
+
+    def draw(self, rng: np.random.Generator) -> Draw:
+        idx = _draw_indices(self.space, self.n, rng)
+        center = self.algorithm(Sample(tuple(int(i) for i in idx)))
+        h = center + self.sigma * rng.standard_normal(self.algorithm.dim_d)
+        pl = np.array([self.loss.value(h, i) for i in range(self.space.size)])
+        L = float(pl @ self.space.probs)
+        return Draw(idx, h, float(pl[idx].mean()), L,
+                    float(self.space.probs @ (pl - L) ** 2), center=center)
+
+    def posterior_kl(self, draw: Draw, rng: np.random.Generator) -> float:
+        """The posterior average of kl(L_hat, L) over posterior_draws further
+        draws from Q_X."""
+        hs = draw.center + self.sigma * rng.standard_normal(
+            (self.posterior_draws, len(draw.center)))
+        # vectorized only when the loss exposes a batch path; fall back otherwise
+        batch = getattr(self.loss, "batch_evaluator", None)
+        if batch is not None:
+            pl = batch(hs)  # (draws, num_points)
+        else:
+            pl = np.array([[self.loss.value(h, i) for i in range(self.space.size)]
+                           for h in hs])
+        L_hat = pl[:, draw.idx].mean(axis=1)
+        return float(np.mean(kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0),
+                                              pl @ self.space.probs)))
+
+
+GAP = "gap"
+POSTERIOR_KL = "posterior_kl"
+
+
+class ScenarioMethod(NamedTuple):
+    """A method a scenario may name: its variant, the target its certificate
+    bounds (GAP, the draw's gap, or POSTERIOR_KL, the posterior-expected kl)
+    and the builder of its certificate from a run and one draw."""
+
+    variant: str
+    target: str
+    build: Callable[[GibbsRun | GaussianRun, Draw], bd.Certificate]
+
+
+# The builders look the bound functions up on `bd` when called, so a caller
+# that replaces a `bd` attribute (a tracer, a test double) sees every call.
+SCENARIO_METHODS = {
+    "bounded_differences": ScenarioMethod("gibbs", GAP, lambda r, d:
+        bd.bound_bounded_differences(r.b, r.c, r.n, r.delta)),
+    "bernstein": ScenarioMethod("gibbs", GAP, lambda r, d:
+        bd.bound_bernstein(d.v, r.b, r.c, r.n, r.delta)),
+    "empirical_bernstein": ScenarioMethod("gibbs", GAP, lambda r, d:
+        bd.bound_empirical_bernstein(d.L_hat, r.b, r.c, r.n, r.delta)),
+    "subgaussian_sup": ScenarioMethod("gibbs", GAP, lambda r, d:
+        bd.bound_subgaussian(r.rho_sup, d.rho, r.sigma_h, r.n, r.delta)[0]),
+    "subgaussian_h": ScenarioMethod("gibbs", GAP, lambda r, d:
+        bd.bound_subgaussian(r.rho_sup, d.rho, r.sigma_h, r.n, r.delta)[1]),
+    "gaussian_gap": ScenarioMethod("gaussian_kernel", GAP, lambda r, d:
+        bd.bound_gaussian_randomization(r.V, r.sigma, r.n, r.delta, "gap_joint", r.c_A)),
+    "gaussian_gap_bernstein": ScenarioMethod("gaussian_kernel", GAP, lambda r, d:
+        bd.bound_gaussian_randomization(r.V, r.sigma, r.n, r.delta, "gap_bernstein",
+                                        r.c_A, v_h=d.v)),
+    "gaussian_kl_expectation": ScenarioMethod("gaussian_kernel", POSTERIOR_KL, lambda r, d:
+        bd.bound_gaussian_randomization(r.V, r.sigma, r.n, r.delta, "kl_expectation",
+                                        r.c_A)),
+}
+
+
+def _trials(run: GibbsRun | GaussianRun, methods: Sequence[str], trials: int,
+            master_seed: int):
+    """Per trial t: the draw from substream(master_seed, t), that substream
+    (the posterior-kl estimator draws from it next), and each method's
+    registry entry with its certificate. KeyError for another variant's method."""
+    chosen = [SCENARIO_METHODS[m] for m in methods]
+    for m, method in zip(methods, chosen):
+        if method.variant != run.variant:
+            raise KeyError(f"method {m!r} is not a {run.variant} certificate")
+    for t in range(trials):
+        rng = substream(master_seed, t)
+        draw = run.draw(rng)
+        yield draw, rng, [(method, method.build(run, draw)) for method in chosen]
+
+
+def certificates(run: GibbsRun | GaussianRun, methods: Sequence[str],
+                 master_seed: int) -> list[bd.Certificate]:
+    """The certificates for the draw of trial 0, the ones `certify` reports."""
+    _, _, built = next(_trials(run, methods, 1, master_seed))
+    return [cert for _, cert in built]
+
+
+def _violation_rates(run: GibbsRun | GaussianRun, methods: Sequence[str], trials: int,
+                     master_seed: int) -> TrialReport:
+    """A violation is a strict exceedance of a certificate by its target."""
+    counts = {m: 0 for m in methods}
+    bound_sums = {m: 0.0 for m in methods}
+    slack_sums = {m: 0.0 for m in methods}
+    gap_sum = 0.0
+    for draw, rng, built in _trials(run, methods, trials, master_seed):
+        gap = draw.L - draw.L_hat
         gap_sum += gap
-        for m in methods:
-            value = _gibbs_bound_value(m, b, c, n, delta, float(variances[h]),
-                                       float(L_hat[h]), rho_sup, float(rho[h]), sigma_h)
-            bound_sums[m] += value
-            slack_sums[m] += value - gap
-            if gap > value:
+        for m, (method, cert) in zip(methods, built):
+            target = gap if method.target == GAP else run.posterior_kl(draw, rng)
+            bound_sums[m] += cert.value
+            slack_sums[m] += cert.value - target
+            if target > cert.value:
                 counts[m] += 1
     per_method = {m: MethodStats(m, counts[m], trials, bound_sums[m] / trials,
                                  slack_sums[m] / trials) for m in methods}
@@ -530,90 +654,24 @@ def violation_rate_gibbs(space: FiniteDataSpace, loss: FiniteTable, prior: Prior
                        per_method=per_method)
 
 
-def _gibbs_bound_value(method: str, b, c, n, delta, v_h, L_hat_h, rho_sup, rho_h,
-                       sigma_h) -> float:
-    if method == "bounded_differences":
-        return bd.bound_bounded_differences(b, c, n, delta).value
-    if method == "bernstein":
-        return bd.bound_bernstein(v_h, b, c, n, delta).value
-    if method == "empirical_bernstein":
-        return bd.bound_empirical_bernstein(L_hat_h, b, c, n, delta).value
-    if method == "subgaussian_sup":
-        return bd.bound_subgaussian(rho_sup, rho_h, sigma_h, n, delta)[0].value
-    if method == "subgaussian_h":
-        return bd.bound_subgaussian(rho_sup, rho_h, sigma_h, n, delta)[1].value
-    raise KeyError(f"method {method!r} is not a Gibbs joint-draw certificate")
+def violation_rate_gibbs(space: FiniteDataSpace, loss: FiniteTable, prior: PriorWeights,
+                         beta: float, n: int, delta: float, methods: Sequence[str],
+                         trials: int, master_seed: int) -> TrialReport:
+    """Joint-draw violation rates for the Gibbs certificates: per trial,
+    X ~ mu^n, h ~ Q_X, and each certificate against the gap of h."""
+    return _violation_rates(GibbsRun(space, loss, prior, beta, n, delta), methods,
+                            trials, master_seed)
 
 
 def violation_rate_gaussian(space: FiniteDataSpace, loss: ParametricLoss,
                             algorithm: StableAlgorithm, sigma: float, n: int,
                             delta: float, methods: Sequence[str], trials: int,
                             master_seed: int, posterior_draws: int = 10_000) -> TrialReport:
-    """Violation rates for the Gaussian-kernel certificates.
-
-    gap_joint / gap_bernstein use the single (X, h) draw; kl_expectation is a
-    posterior-expectation statement and is compared per trial against the
-    posterior average of kl(L_hat, L) estimated from posterior_draws Gaussian
-    draws.
-    """
-    c_A = hypothesis_sensitivity(algorithm, space, n, mode="declared")
-    V, _ = algorithm_variance(algorithm, space, n)
-    cdf = np.cumsum(space.probs)
-    d = algorithm.dim_d
-    counts = {m: 0 for m in methods}
-    bound_sums = {m: 0.0 for m in methods}
-    slack_sums = {m: 0.0 for m in methods}
-    gap_sum = 0.0
-    point_losses = lambda h: np.array([loss.value(h, i) for i in range(space.size)])
-    for t in range(trials):
-        rng = substream(master_seed, t)
-        idx = np.searchsorted(cdf, rng.random(n), side="right").clip(0, space.size - 1)
-        s = Sample(tuple(int(i) for i in idx))
-        center = algorithm(s)
-        h = center + sigma * rng.standard_normal(d)
-        pl = point_losses(h)
-        L = float(pl @ space.probs)
-        L_hat = float(pl[idx].mean())
-        gap = L - L_hat
-        gap_sum += gap
-        for m in methods:
-            if m in ("gaussian_gap", "gaussian_gap_bernstein"):
-                v_h = float(space.probs @ (pl - L) ** 2) if m == "gaussian_gap_bernstein" else None
-                cert = bd.bound_gaussian_randomization(V, sigma, n, delta, c_A=c_A,
-                                                       variant="gap_joint" if m == "gaussian_gap"
-                                                       else "gap_bernstein", v_h=v_h)
-                bound_sums[m] += cert.value
-                slack_sums[m] += cert.value - gap
-                if gap > cert.value:
-                    counts[m] += 1
-            elif m == "gaussian_kl_expectation":
-                cert = bd.bound_gaussian_randomization(V, sigma, n, delta, c_A=c_A,
-                                                       variant="kl_expectation")
-                est = _posterior_mean_kl(center, sigma, space, loss, idx,
-                                         posterior_draws, rng)
-                bound_sums[m] += cert.value
-                slack_sums[m] += cert.value - est
-                if est > cert.value:
-                    counts[m] += 1
-            else:
-                raise KeyError(f"method {m!r} is not a Gaussian-kernel certificate")
-    per_method = {m: MethodStats(m, counts[m], trials, bound_sums[m] / trials,
-                                 slack_sums[m] / trials) for m in methods}
-    return TrialReport(trials=trials, seed=master_seed, mean_gap=gap_sum / trials,
-                       per_method=per_method)
-
-
-def _posterior_mean_kl(center, sigma, space, loss, idx, draws, rng) -> float:
-    hs = center + sigma * rng.standard_normal((draws, len(center)))
-    # vectorized only when the loss exposes a batch path; fall back otherwise
-    batch = getattr(loss, "batch_evaluator", None)
-    if batch is not None:
-        pl = batch(hs)  # (draws, num_points)
-    else:
-        pl = np.array([[loss.value(h, i) for i in range(space.size)] for h in hs])
-    L = pl @ space.probs
-    L_hat = pl[:, idx].mean(axis=1)
-    return float(np.mean(kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0), L)))
+    """Violation rates for the Gaussian-kernel certificates: the gap methods
+    against the gap of the single (X, h) draw, kl_expectation against the
+    posterior average of kl(L_hat, L) over posterior_draws draws."""
+    run = GaussianRun(space, loss, algorithm, sigma, n, delta, posterior_draws)
+    return _violation_rates(run, methods, trials, master_seed)
 
 
 def kl_bernoulli_vec(s: np.ndarray, t: np.ndarray) -> np.ndarray:

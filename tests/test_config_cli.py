@@ -1,7 +1,10 @@
 """Scenario-file parsing, validation, and the command-line front end."""
 
+import csv
+import dataclasses
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +12,13 @@ from gapcert.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_OK,
+    cmd_certify,
+    cmd_verify,
     emit_plot_script,
     main,
 )
 from gapcert.config import ConfigError, parse_config
+from gapcert.verify import SCENARIO_METHODS
 from gapcert.hamiltonian import GaussianKernel, Gibbs
 
 
@@ -43,6 +49,18 @@ methods = gaussian_gap
 trials = 200
 posterior_draws = 200
 """
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# scenario files that parse_config must reject; {table} is a loss-table file
+# in the README's old, unparsable `# mu =` form
+BAD_SCENARIOS = {
+    "malformed_compare_list": GIBBS_SMALL + "compare.ns = 10,abc\n",
+    "malformed_beta_tag": GIBBS_SMALL + "compare.betas = 0,sqrtn\n",
+    "rejected_loss_table": GIBBS_SMALL + "instance.file = {table}\n",
+    "unknown_algorithm": GAUSSIAN_SMALL + "hamiltonian.algorithm = foo\n",
+    "ridge_declares_no_c_A": GAUSSIAN_SMALL + "hamiltonian.algorithm = ridge\n",
+}
 
 
 class TestParse:
@@ -107,6 +125,33 @@ class TestParse:
 
 
 class TestCli:
+    @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+    def test_bad_scenario_exits_3(self, tmp_path, capsys, case):
+        table = tmp_path / "table.txt"
+        table.write_text("points a b\n# mu = 0.5 0.5\n# b = 1.0\nh0 0.1 0.2\n")
+        cfg = write_config(tmp_path, "bad.txt", BAD_SCENARIOS[case].format(table=table))
+        assert main(["certify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["gibbs_exact", "gibbs_small",
+                                      "gaussian_mean_embedding"])
+    def test_certify_is_trial_zero_of_verify(self, tmp_path, name):
+        cfg = parse_config(CONFIGS / f"{name}.txt")
+        variant = cfg.raw["hamiltonian.variant"]
+        methods = tuple(m for m, s in SCENARIO_METHODS.items() if s.variant == variant)
+        cfg = dataclasses.replace(cfg, methods=methods, trials=1, verify_exact="skip")
+        cmd_certify(cfg, tmp_path)
+        cmd_verify(cfg, tmp_path)
+
+        def values(command):
+            with open(tmp_path / f"{cfg.scenario_id}_{command}.csv") as fh:
+                return {row["method"]: row["value"] for row in csv.DictReader(fh)}
+
+        # values are repr() floats, so equal strings are bit-identical values
+        assert sorted(values("certify")) == sorted(methods)
+        assert values("certify") == values("verify")
+
     def test_certify_writes_outputs(self, tmp_path):
         cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)
         out = tmp_path / "out"

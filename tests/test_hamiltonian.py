@@ -13,7 +13,6 @@ from gapcert.hamiltonian import (
     Gibbs,
     IncompatibleSpec,
     LipschitzKernel,
-    McmcChain,
     NotBoundedDifference,
     Shifted,
     algorithm_variance,
@@ -212,24 +211,6 @@ class TestSampling:
         dist = FiniteWeights(weights=np.array([0.5, 0.5]))
         draws = [sample_posterior(dist, rng) for _ in range(100_000)]
         assert np.mean(draws) == pytest.approx(0.5, abs=0.01)
-
-    def test_mcmc_recovers_gaussian_mean(self):
-        target_mean = 1.5
-        chain = McmcChain(
-            log_density=lambda h: -0.5 * float((h[0] - target_mean) ** 2),
-            dim_d=1, initial=np.zeros(1), proposal_scale=0.5,
-            burn_in=500, thinning=5)
-        rng = np.random.Generator(np.random.Philox(key=4))
-        draws = [sample_posterior(chain, rng)[0] for _ in range(400)]
-        assert np.mean(draws) == pytest.approx(target_mean, abs=0.25)
-
-    def test_mcmc_nonfinite_initial_rejected(self):
-        chain = McmcChain(log_density=lambda h: -math.inf, dim_d=1,
-                          initial=np.zeros(1), proposal_scale=0.5,
-                          burn_in=10, thinning=1)
-        rng = np.random.Generator(np.random.Philox(key=6))
-        with pytest.raises(ValueError):
-            sample_posterior(chain, rng)
 
 
 class TestBoundedDifferenceCoefficient:

@@ -1,11 +1,11 @@
-"""Core data model: losses, gaps, variances, partial differences."""
-
-import math
+"""Core data model: losses, gaps, variances, enumeration, loss-table files."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from pathlib import Path
 
 from gapcert.model import (
     BudgetExceeded,
@@ -20,7 +20,6 @@ from gapcert.model import (
     generalization_gap,
     load_loss_table,
     loss_variance,
-    partial_difference,
     subgaussian_parameter,
     true_loss,
 )
@@ -116,61 +115,12 @@ class TestVariance:
             assert second_moment <= b * L + 1e-12
 
 
-class TestPartialDifference:
-    def setup_method(self):
-        self.space = space2(0.3)
-        self.loss = table([[0.1, 0.9]])
-        self.sample = Sample((0, 1, 0))
-
-    def test_equal_points_zero(self):
-        f = lambda s: empirical_loss(0, s, self.loss)
-        assert partial_difference(f, self.sample, 1, 1, 1) == 0.0
-
-    def test_empirical_loss_linearity(self):
-        n = len(self.sample)
-        f = lambda s: empirical_loss(0, s, self.loss)
-        got = partial_difference(f, self.sample, 2, 1, 0)
-        assert got == pytest.approx((0.9 - 0.1) / n)
-
-    def test_gap_sign_flipped(self):
-        n = len(self.sample)
-        f = lambda s: generalization_gap(0, s, self.space, self.loss)
-        got = partial_difference(f, self.sample, 0, 1, 0)
-        assert got == pytest.approx((0.1 - 0.9) / n)
-
-    @given(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))
-    @settings(max_examples=20, deadline=None)
-    def test_antisymmetry(self, k, y, yp):
-        f = lambda s: empirical_loss(0, s, self.loss)
-        a = partial_difference(f, self.sample, k, y, yp)
-        b = partial_difference(f, self.sample, k, yp, y)
-        assert a == pytest.approx(-b)
-
-
 class TestSubgaussian:
     def test_constant_zero(self):
         assert subgaussian_parameter(0, space2(), table([[0.4, 0.4]])) == 0.0
 
     def test_binary_half(self):
         assert subgaussian_parameter(0, space2(), table([[0.0, 1.0]])) == pytest.approx(0.5)
-
-    @given(random_instance())
-    @settings(max_examples=30, deadline=None)
-    def test_certified_at_most_proxy(self, inst):
-        space, loss = inst
-        for h in range(loss.num_hypotheses):
-            proxy = subgaussian_parameter(h, space, loss, mode="hoeffding_proxy")
-            cert = subgaussian_parameter(h, space, loss, mode="certified_grid")
-            assert cert <= proxy + 1e-12
-
-    def test_certified_valid_on_grid(self):
-        space, loss = space2(0.3), table([[0.0, 1.0]])
-        rho = subgaussian_parameter(0, space, loss, mode="certified_grid")
-        vals = loss.values[0]
-        mean = float(space.probs @ vals)
-        for lam in (-5.0, -1.0, 0.5, 2.0, 10.0):
-            mgf = float(space.probs @ np.exp(lam * (vals - mean)))
-            assert math.log(mgf) <= lam**2 * rho**2 / 2.0 + 1e-9
 
 
 class TestEnumeration:
@@ -232,3 +182,15 @@ class TestLossTableFile:
         assert loss.bound_b == 2.0
         assert loss.num_hypotheses == 2
         assert true_loss(0, space, loss) == pytest.approx(1.3)
+
+    def test_readme_example(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = next(block for block in readme.split("```")[1::2]
+                       if "\npoints " in block)
+        path = tmp_path / "readme_table.txt"
+        path.write_text(example)
+        space, loss = load_loss_table(path)
+        assert space.points == ("x1", "x2", "x3")
+        assert np.allclose(space.probs, [0.2, 0.3, 0.5])
+        assert loss.bound_b == 2.0
+        assert loss.num_hypotheses == 2

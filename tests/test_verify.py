@@ -8,9 +8,10 @@ import pytest
 from gapcert import verify as vf
 from gapcert.config import cosine_parametric_loss, random_gibbs_instance
 from gapcert.hamiltonian import Gibbs, constant_algorithm, mean_embedding_with_declared
-from gapcert.model import FiniteDataSpace, FiniteTable, PriorWeights
+from gapcert.model import BudgetExceeded, FiniteDataSpace, FiniteTable, PriorWeights
 from gapcert.verify import (
     MethodStats,
+    MomentCheckReport,
     check_bernstein_unit_mgf,
     check_gaussian_identity,
     check_logZ_bounded_differences,
@@ -80,6 +81,23 @@ class TestMixedMgf:
         assert len(reports) == loss.num_hypotheses
         assert all(r.passed for r in reports)
         assert all(r.rhs == 0.0 for r in reports)
+
+
+class TestVerdicts:
+    def test_mixed_mgf_over_budget_is_a_budget_refusal(self):
+        space, loss, prior = small_instance()
+        with pytest.raises(BudgetExceeded):
+            exact_mixed_mgf(Gibbs(beta=1.0), space, loss, prior, n=5, lam=1.0, budget=100)
+
+    def test_monte_carlo_rule(self):
+        def report(lhs, stderr):
+            return MomentCheckReport("mc", lhs=lhs, rhs=2.0, regime="monte_carlo",
+                                     stderr=stderr)
+
+        assert report(2.019, 0.0).passed  # within 1% relative
+        assert report(2.2, 0.06).passed  # within 4 standard errors
+        assert not report(2.2, 0.04).passed
+        assert not report(math.inf, 0.1).passed
 
 
 class TestMartingaleAndLogZ:
