@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bd
+from . import hamiltonian as ham
 from . import verify as vf
 from .config import cosine_parametric_loss, random_gibbs_instance
 from .hamiltonian import Gibbs, mean_embedding_with_declared
@@ -52,8 +53,8 @@ def criterion_mgf_vs_bounded_differences() -> CriterionResult:
     worst = math.inf
     for space, loss, spec, _ in _gibbs_instances(betas=(0.0, 1.0, 5.0, float(n))):
         prior = PriorWeights.uniform(loss.num_hypotheses)
-        c, regime = vf.bounded_difference_coefficient(spec, space, loss, n,
-                                                      mode="brute_force")
+        c, regime = ham.bounded_difference_coefficient(spec, space, loss, n,
+                                                       mode="brute_force")
         assert regime == "exhaustive"
         for lam in (0.1 * n, 0.5 * n, float(n), 2.0 * n):
             lhs = vf.exact_mixed_mgf(spec, space, loss, prior, n, lam)

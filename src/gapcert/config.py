@@ -49,6 +49,12 @@ _KNOWN_KEYS = {
     "compare.ns", "compare.betas", "compare.deltas", "compare.l_hats",
 }
 
+# keys that a variant never reads: naming one is an error, as an unknown key is
+_VARIANT_IGNORES = {
+    "gibbs": ("hamiltonian.sigma", "hamiltonian.algorithm"),
+    "gaussian_kernel": ("instance.file", "hamiltonian.beta"),
+}
+
 _DEFAULTS = {
     "instance.generator": "gibbs_random",
     "instance.seed": "0",
@@ -212,8 +218,11 @@ def parse_config(path) -> ScenarioConfig:
         errors.append(f"verify.exact: must be auto, require or skip, got {verify_exact!r}")
 
     variant = merged["hamiltonian.variant"]
-    if variant not in ("gibbs", "gaussian_kernel"):
+    if variant not in _VARIANT_IGNORES:
         errors.append(f"hamiltonian.variant: unknown variant {variant!r}")
+    for key in _VARIANT_IGNORES.get(variant, ()):
+        if key in kv:
+            errors.append(f"{key}: not used by hamiltonian.variant={variant!r}")
 
     methods = tuple(m.strip() for m in merged.get("methods", "").split(",") if m.strip())
     if not methods:

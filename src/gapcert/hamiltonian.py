@@ -26,7 +26,10 @@ from .model import (
     PriorWeights,
     Sample,
     empirical_loss,
-    enumerate_samples,
+    empirical_losses,
+    enumerate_indices,
+    row_blocks,
+    substitutions,
 )
 
 
@@ -165,22 +168,44 @@ def hamiltonian_value(spec: HamiltonianSpec, h, sample: Sample, loss: LossModel)
     raise IncompatibleSpec(f"unknown Hamiltonian variant {type(spec).__name__}")
 
 
+def hamiltonian_matrix(spec: HamiltonianSpec, idx: np.ndarray, loss: LossModel) -> np.ndarray:
+    """H(h, x) for every hypothesis h of a finite table and every sample row x
+    of the (S, n) index array idx, shape (m, S). Covers Gibbs, composites of
+    Gibbs parts, and shifts, whose shift is called once per row."""
+    _check_variant(spec, loss)
+    if not isinstance(loss, FiniteTable):
+        raise IncompatibleSpec("Hamiltonian matrices need a finite loss table")
+    if isinstance(spec, Gibbs):
+        return -spec.beta * empirical_losses(loss, idx)
+    if isinstance(spec, Composite):
+        return sum(hamiltonian_matrix(p, idx, loss) for p in spec.parts)
+    if isinstance(spec, Shifted):
+        shifts = np.array([float(spec.shift(Sample(tuple(row)))) for row in idx.tolist()])
+        return hamiltonian_matrix(spec.base, idx, loss) + shifts
+    raise IncompatibleSpec(f"unknown Hamiltonian variant {type(spec).__name__}")
+
+
+def log_weight_rows(H: np.ndarray, prior: PriorWeights) -> np.ndarray:
+    """The unnormalized posterior log weights H(h, x) + ln pi(h) of an (m, S)
+    Hamiltonian matrix, -inf where pi(h) = 0, as (S, m): one C-contiguous row
+    per sample, so a reduction over a row's hypotheses sums in the same order
+    as on that sample's own weight vector."""
+    if prior.lebesgue_reference:
+        raise IncompatibleSpec("finite class needs explicit prior weights")
+    log_prior = np.array([math.log(w) if w > 0 else -math.inf for w in prior.weights])
+    return np.ascontiguousarray(H.T) + log_prior
+
+
 def _finite_log_weights(spec: HamiltonianSpec, sample: Sample, loss: FiniteTable,
                         prior: PriorWeights) -> np.ndarray:
-    w = prior.weights
-    out = np.full(loss.num_hypotheses, -np.inf)
-    for h in range(loss.num_hypotheses):
-        if w[h] > 0:
-            out[h] = hamiltonian_value(spec, h, sample, loss) + math.log(w[h])
-    return out
+    H = hamiltonian_matrix(spec, np.array([sample.entries]), loss)
+    return log_weight_rows(H, prior)[0]
 
 
 def log_partition(spec: HamiltonianSpec, sample: Sample, loss: LossModel,
                   prior: PriorWeights) -> float:
     """ln Z(sample) via log-sum-exp (finite class) or the Gaussian closed form."""
     if isinstance(loss, FiniteTable):
-        if prior.lebesgue_reference:
-            raise IncompatibleSpec("finite class needs explicit prior weights")
         return float(logsumexp(_finite_log_weights(spec, sample, loss, prior)))
     if isinstance(spec, GaussianKernel):
         d = spec.algorithm.dim_d
@@ -226,15 +251,14 @@ def sample_posterior(dist: PosteriorDistribution, rng: np.random.Generator):
 
 def _sample_grid(space: FiniteDataSpace, n: int, budget: int):
     """Full enumeration of X^n when it fits the budget, else a deterministic
-    stride of repeated/staircase samples. Returns (samples, regime_label)."""
+    stride of repeated/staircase samples. Returns ((rows, n) index array,
+    regime_label)."""
     if space.size**n <= budget:
-        return [s for s, _ in enumerate_samples(space, n, budget)], "exhaustive"
-    base = []
-    for i in range(space.size):
-        base.append(Sample((i,) * n))
+        return enumerate_indices(space, n, budget)[0], "exhaustive"
+    base = [np.full(n, i) for i in range(space.size)]
     for shift in range(min(space.size, max(2, budget // max(space.size, 1)))):
-        base.append(Sample(tuple((j + shift) % space.size for j in range(n))))
-    return base, "deterministic_sample"
+        base.append((np.arange(n) + shift) % space.size)
+    return np.array(base), "deterministic_sample"
 
 
 def bounded_difference_coefficient(spec: HamiltonianSpec, space: FiniteDataSpace,
@@ -253,16 +277,13 @@ def bounded_difference_coefficient(spec: HamiltonianSpec, space: FiniteDataSpace
         raise ValueError(f"unknown mode {mode!r}")
     if not isinstance(loss, FiniteTable):
         raise IncompatibleSpec("brute-force coefficients need a finite hypothesis class")
-    samples, regime = _sample_grid(space, n, budget)
+    grid, regime = _sample_grid(space, n, budget)
     c = 0.0
-    for h in range(loss.num_hypotheses):
-        for s in samples:
-            for k in range(n):
-                for y in range(space.size):
-                    hy = hamiltonian_value(spec, h, s.substitute(k, y), loss)
-                    for yp in range(space.size):
-                        hyp = hamiltonian_value(spec, h, s.substitute(k, yp), loss)
-                        c = max(c, hy - hyp)
+    for rows in row_blocks(len(grid), n * space.size):
+        sub = substitutions(grid[rows], space.size)
+        H = hamiltonian_matrix(spec, sub.reshape(-1, n), loss)
+        H = H.reshape(loss.num_hypotheses, *sub.shape[:3])  # (m, rows, k, y)
+        c = max(c, float((H.max(axis=-1) - H.min(axis=-1)).max()))
     return c, regime
 
 
@@ -301,11 +322,11 @@ def hypothesis_sensitivity(algorithm: StableAlgorithm, space: FiniteDataSpace, n
         return algorithm.declared_c_A
     if mode != "brute_force":
         raise ValueError(f"unknown mode {mode!r}")
-    samples, _ = _sample_grid(space, n, budget)
+    grid, _ = _sample_grid(space, n, budget)
     c = 0.0
-    for s in samples:
-        for k in range(n):
-            outs = [algorithm(s.substitute(k, y)) for y in range(space.size)]
+    for rows in row_blocks(len(grid), n * space.size):
+        for subs in substitutions(grid[rows], space.size).reshape(-1, space.size, n).tolist():
+            outs = [algorithm(Sample(tuple(row))) for row in subs]
             for i in range(space.size):
                 for j in range(i + 1, space.size):
                     c = max(c, float(np.linalg.norm(outs[i] - outs[j])))
@@ -327,9 +348,8 @@ def algorithm_variance(algorithm: StableAlgorithm, space: FiniteDataSpace, n: in
     if algorithm.variance_fn is not None:
         return float(algorithm.variance_fn(space, n)), 0.0
     if space.size**n <= budget:
-        pairs = list(enumerate_samples(space, n, budget))
-        outs = np.array([algorithm(s) for s, _ in pairs])
-        w = np.array([p for _, p in pairs])
+        idx, w = enumerate_indices(space, n, budget)
+        outs = np.array([algorithm(Sample(tuple(row))) for row in idx.tolist()])
         mean = w @ outs
         sq = np.einsum("ij,ij->i", outs - mean, outs - mean)
         return float(w @ sq), 0.0

@@ -8,7 +8,6 @@ substitution operator.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -211,24 +210,77 @@ def subgaussian_parameter(h, space: FiniteDataSpace, loss: LossModel) -> float:
     return float(vals.max() - vals.min()) / 2.0
 
 
-def enumerate_samples(space: FiniteDataSpace, n: int,
-                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> Iterator[tuple[Sample, float]]:
-    """Yield every sample in the n-fold product space with its mu^n weight.
+# Sample rows handled at once by the array engine. It bounds the
+# (m, rows, n) loss gathers and the (rows, n, |X|, n) substitution arrays to a
+# few MB, whatever the enumeration budget.
+BLOCK_ROWS = 1 << 12
 
-    Refuses (rather than silently sampling) when |X|^n exceeds the budget.
+
+def row_blocks(num_rows: int, expansion: int = 1) -> list[slice]:
+    """Slices covering num_rows rows, each of at most BLOCK_ROWS // expansion
+    rows, so that a block expanded `expansion`-fold stays within BLOCK_ROWS."""
+    step = max(1, BLOCK_ROWS // expansion)
+    return [slice(start, start + step) for start in range(0, num_rows, step)]
+
+
+def empirical_losses(loss: FiniteTable, idx: np.ndarray) -> np.ndarray:
+    """The empirical loss of every hypothesis on every sample row, (m, S)."""
+    out = np.empty((loss.num_hypotheses, len(idx)))
+    for rows in row_blocks(len(idx)):
+        # np.take returns C-contiguous rows, so each mean sums in np.mean's
+        # order and equals empirical_loss on that sample bit for bit
+        out[:, rows] = np.take(loss.values, idx[rows], axis=1).mean(axis=-1)
+    return out
+
+
+def enumerate_indices(space: FiniteDataSpace, n: int,
+                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[np.ndarray, np.ndarray]:
+    """Every sample in the n-fold product space as one (S, n) index array, in
+    itertools.product order, with its mu^n weight vector (S,).
+
+    Rows that contain a zero-probability point are dropped. Refuses (rather
+    than silently sampling) when |X|^n exceeds the budget.
     """
     states = space.size**n
     if states > budget:
         raise BudgetExceeded(
             f"enumeration of {space.size}^{n} = {states} states exceeds budget {budget}"
         )
-    log_probs = np.log(np.where(space.probs > 0, space.probs, 1.0))
     support = space.probs > 0
-    for combo in itertools.product(range(space.size), repeat=n):
-        if not all(support[i] for i in combo):
-            continue
-        w = math.exp(sum(log_probs[i] for i in combo))
-        yield Sample(combo), w
+    idx = np.indices((space.size,) * n).reshape(n, -1).T
+    if not support.all():
+        idx = idx[support[idx].all(axis=1)]
+    log_probs = np.log(np.where(support, space.probs, 1.0))
+    # left-to-right sums and math.exp keep every weight bit-identical to the
+    # per-sample definition exp(sum_k ln mu(x_k))
+    log_w = log_probs[idx[:, 0]]
+    for k in range(1, n):
+        log_w = log_w + log_probs[idx[:, k]]
+    return idx, math_map(math.exp, log_w)
+
+
+def enumerate_samples(space: FiniteDataSpace, n: int,
+                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> Iterator[tuple[Sample, float]]:
+    """Yield every sample of enumerate_indices as a Sample with its weight."""
+    idx, w = enumerate_indices(space, n, budget)
+    for row, weight in zip(idx.tolist(), w.tolist()):
+        yield Sample(tuple(row)), weight
+
+
+def substitutions(idx: np.ndarray, space_size: int) -> np.ndarray:
+    """The one-coordinate substitutions of every row: out[s, k, y] is row s
+    with coordinate k replaced by point index y, shape (S, n, |X|, n)."""
+    rows, n = idx.shape
+    out = np.broadcast_to(idx[:, None, None, :], (rows, n, space_size, n)).copy()
+    k = np.arange(n)
+    out[:, k, :, k] = np.arange(space_size)
+    return out
+
+
+def math_map(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """fn over a vector with Python floats: math.exp and math.log, which
+    numpy's vectorized exp and log do not match bit for bit."""
+    return np.fromiter(map(fn, values.tolist()), dtype=float, count=len(values))
 
 
 def load_loss_table(path) -> tuple[FiniteDataSpace, FiniteTable]:

@@ -19,16 +19,14 @@ from scipy.special import logsumexp
 from scipy.stats import beta as beta_dist
 
 from . import bounds as bd
+from . import hamiltonian as ham
 from .hamiltonian import (
     HamiltonianSpec,
     StableAlgorithm,
     algorithm_variance,
-    bounded_difference_coefficient,
-    canonical_hamiltonian,
-    hamiltonian_value,
+    hamiltonian_matrix,
     hypothesis_sensitivity,
-    log_partition,
-    posterior,
+    log_weight_rows,
 )
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -38,9 +36,14 @@ from .model import (
     ParametricLoss,
     PriorWeights,
     Sample,
-    enumerate_samples,
+    empirical_losses,
+    enumerate_indices,
     generalization_gap,
     loss_variance,
+    math_map,
+    row_blocks,
+    substitutions,
+    true_loss,
 )
 
 EXACT_MARGIN_TOL = -1e-9
@@ -92,47 +95,74 @@ class MomentCheckReport:
 
 # ---------------------------------------------------------------------------
 # exact mixed MGF and the main proposition
+#
+# The exact oracles enumerate X^n once as an (S, n) index array and reduce
+# over (m, S) arrays. The mixed-MGF, psi_F and log Z values equal their
+# per-sample definitions bit for bit: weights and logs go through math.exp and
+# math.log, per-hypothesis sums are per-hypothesis dot products, and every
+# other reduction runs along a C-contiguous last axis, where numpy sums in the
+# same order as on a lone vector.
 
-def exact_mixed_log_mgf(spec: HamiltonianSpec, space: FiniteDataSpace, loss: FiniteTable,
-                        prior: PriorWeights, n: int, F: Callable[[int, Sample], float],
-                        budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
-    """ln E_X E_{h ~ Q_X}[e^{F(h, X)}] by exact double enumeration in log space."""
+def _enumerate_posteriors(spec: HamiltonianSpec, space: FiniteDataSpace, loss: FiniteTable,
+                          prior: PriorWeights, n: int, budget: int):
+    """Sample rows (S, n), their mu^n weights (S,), H over (m, S), the
+    posterior log weights (S, m) and ln Z per row (S,)."""
     m = loss.num_hypotheses
     if space.size**n * m > budget:
         raise BudgetExceeded(
             f"{space.size}^{n} x {m} states exceed the enumeration budget {budget}")
-    terms = []
-    for sample, w in enumerate_samples(space, n, budget):
-        q = posterior(spec, sample, loss, prior).weights
-        for h in range(m):
-            if q[h] > 0:
-                terms.append(math.log(w) + math.log(q[h]) + F(h, sample))
-    return float(logsumexp(terms))
+    idx, w = enumerate_indices(space, n, budget)
+    H = hamiltonian_matrix(spec, idx, loss)
+    log_w = log_weight_rows(H, prior)
+    return idx, w, H, log_w, logsumexp(log_w, axis=-1)
+
+
+def _log_mixed_mgf(w: np.ndarray, log_w: np.ndarray, log_z: np.ndarray,
+                   F: np.ndarray) -> float:
+    """ln sum_x w(x) sum_h Q_x(h) e^{F(h, x)} for F over (m, S), with the terms
+    in sample-major order and those of Q_x(h) = 0 left out."""
+    q = np.exp(log_w - log_z[:, None])
+    q = (q / q.sum(axis=-1, keepdims=True)).ravel()
+    keep = q > 0
+    terms = (np.repeat(math_map(math.log, w), log_w.shape[1])[keep]
+             + math_map(math.log, q[keep]))
+    return float(logsumexp(terms + F.T.ravel()[keep]))
+
+
+def _gap_matrix(space: FiniteDataSpace, loss: FiniteTable, idx: np.ndarray) -> np.ndarray:
+    """The generalization gap of every hypothesis on every sample row, (m, S)."""
+    true_L = np.array([true_loss(h, space, loss) for h in range(loss.num_hypotheses)])
+    return true_L[:, None] - empirical_losses(loss, idx)
 
 
 def exact_mixed_mgf(spec: HamiltonianSpec, space: FiniteDataSpace, loss: FiniteTable,
                     prior: PriorWeights, n: int, lam: float,
                     budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
     """The mixed log-MGF of the generalization gap at parameter lam."""
-    return exact_mixed_log_mgf(
-        spec, space, loss, prior, n,
-        lambda h, s: lam * generalization_gap(h, s, space, loss), budget)
+    idx, w, _, log_w, log_z = _enumerate_posteriors(spec, space, loss, prior, n, budget)
+    return _log_mixed_mgf(w, log_w, log_z, lam * _gap_matrix(space, loss, idx))
 
 
-def _psi_values(spec: HamiltonianSpec, space: FiniteDataSpace, loss: FiniteTable,
-                prior: PriorWeights, n: int, F: Callable[[int, Sample], float],
-                budget: int) -> np.ndarray:
+def _psi_values(F: np.ndarray, H: np.ndarray, log_z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """psi_F(h) = ln E[e^{F + H_Q - E H_Q}] for every hypothesis, exactly."""
-    pairs = list(enumerate_samples(space, n, budget))
-    m = loss.num_hypotheses
-    psi = np.empty(m)
-    for h in range(m):
-        hq = np.array([canonical_hamiltonian(spec, h, s, loss, prior) for s, _ in pairs])
-        w = np.array([p for _, p in pairs])
-        mean_hq = float(w @ hq)
-        exps = np.array([F(h, s) for s, _ in pairs]) + hq - mean_hq
-        psi[h] = logsumexp(exps, b=w)
-    return psi
+    hq = H - log_z
+    mean_hq = np.array([w @ row for row in hq])
+    return logsumexp(F + hq - mean_hq[:, None], axis=-1, b=w)
+
+
+def _bernstein_constants(space: FiniteDataSpace, loss: FiniteTable, n: int, c: float,
+                         delta: float) -> tuple[list[float], list[float]]:
+    """lam(h) and the compensator lam(h)^2 / (1 - b lam(h)/n) * v(h)/n of
+    every hypothesis."""
+    b = loss.bound_b
+    root = math.sqrt(n * c**2 + math.log(1.0 / delta))
+    lams, comps = [], []
+    for h in range(loss.num_hypotheses):
+        v = loss_variance(h, space, loss)
+        lam = root / ((b / n) * root + math.sqrt(v / n))
+        lams.append(lam)
+        comps.append(lam**2 / (1.0 - b * lam / n) * v / n)
+    return lams, comps
 
 
 def bernstein_f_factory(space: FiniteDataSpace, loss: FiniteTable, n: int, c: float,
@@ -143,14 +173,10 @@ def bernstein_f_factory(space: FiniteDataSpace, loss: FiniteTable, n: int, c: fl
              ((b/n) sqrt(n c^2 + ln(1/delta)) + sqrt(v(h)/n))
     F(h, x) = lam(h) gap(h, x) - lam(h)^2 / (1 - b lam(h)/n) * v(h)/n
     """
-    b = loss.bound_b
-    root = math.sqrt(n * c**2 + math.log(1.0 / delta))
+    lams, comps = _bernstein_constants(space, loss, n, c, delta)
 
     def F(h: int, sample: Sample) -> float:
-        v = loss_variance(h, space, loss)
-        lam = root / ((b / n) * root + math.sqrt(v / n))
-        comp = lam**2 / (1.0 - b * lam / n) * v / n
-        return lam * generalization_gap(h, sample, space, loss) - comp
+        return lams[h] * generalization_gap(h, sample, space, loss) - comps[h]
 
     return F
 
@@ -160,8 +186,11 @@ def check_proposition_main(spec: HamiltonianSpec, space: FiniteDataSpace, loss: 
                            name: str = "main_proposition",
                            budget: int = DEFAULT_ENUMERATION_BUDGET) -> MomentCheckReport:
     """Enumerated mixed log-MGF of F against the enumerated sup_h psi_F(h)."""
-    lhs = exact_mixed_log_mgf(spec, space, loss, prior, n, F, budget)
-    psi = _psi_values(spec, space, loss, prior, n, F, budget)
+    idx, w, H, log_w, log_z = _enumerate_posteriors(spec, space, loss, prior, n, budget)
+    samples = [Sample(tuple(row)) for row in idx.tolist()]
+    F_values = np.array([[F(h, s) for s in samples] for h in range(loss.num_hypotheses)])
+    lhs = _log_mixed_mgf(w, log_w, log_z, F_values)
+    psi = _psi_values(F_values, H, log_z, w)
     return MomentCheckReport(name=name, lhs=lhs, rhs=float(psi.max()),
                              regime="exact_enumeration",
                              details={"psi_per_hypothesis": psi.tolist()})
@@ -171,35 +200,23 @@ def check_bernstein_unit_mgf(space: FiniteDataSpace, loss: FiniteTable, n: int, 
                              delta: float,
                              budget: int = DEFAULT_ENUMERATION_BUDGET) -> list[MomentCheckReport]:
     """E[e^{2 F_lam(h, X)}] <= 1 for every hypothesis, by enumeration."""
-    F = bernstein_f_factory(space, loss, n, c, delta)
-    pairs = list(enumerate_samples(space, n, budget))
-    w = np.array([p for _, p in pairs])
-    out = []
-    for h in range(loss.num_hypotheses):
-        vals = np.array([2.0 * F(h, s) for s, _ in pairs])
-        lhs = float(logsumexp(vals, b=w))  # log E e^{2F}
-        out.append(MomentCheckReport(name=f"bernstein_unit_mgf_h{h}", lhs=lhs, rhs=0.0,
-                                     regime="exact_enumeration"))
-    return out
+    lams, comps = _bernstein_constants(space, loss, n, c, delta)
+    idx, w = enumerate_indices(space, n, budget)
+    F = np.array(lams)[:, None] * _gap_matrix(space, loss, idx) - np.array(comps)[:, None]
+    lhs = logsumexp(2.0 * F, axis=-1, b=w)  # log E e^{2F}
+    return [MomentCheckReport(name=f"bernstein_unit_mgf_h{h}", lhs=float(v), rhs=0.0,
+                              regime="exact_enumeration") for h, v in enumerate(lhs)]
 
 
 # ---------------------------------------------------------------------------
 # martingale MGF bounds for random functions on X^n
+#
+# A random function f: X^n -> R is a flat table indexed by base-|X| digits,
+# so table.reshape((|X|,) * n) puts coordinate k on axis k and every
+# one-coordinate quantity below is a reduction along one axis.
 
-def _table_lookup(table: np.ndarray, space_size: int, n: int):
-    """Random functions f: X^n -> R are flat tables indexed by base-|X| digits."""
-    powers = space_size ** np.arange(n - 1, -1, -1)
-
-    def f(sample: Sample) -> float:
-        return float(table[int(np.dot(powers, sample.entries))])
-
-    return f
-
-
-def _exact_centered_mgf(space: FiniteDataSpace, n: int, f, budget: int) -> float:
-    pairs = list(enumerate_samples(space, n, budget))
-    w = np.array([p for _, p in pairs])
-    vals = np.array([f(s) for s, _ in pairs])
+def _exact_centered_mgf(table: np.ndarray, flat: np.ndarray, w: np.ndarray) -> float:
+    vals = table[flat]
     mean = float(w @ vals)
     return float(logsumexp(vals - mean, b=w))
 
@@ -218,20 +235,19 @@ def check_martingale_mgf(space: FiniteDataSpace, n: int, case: str, num_trials: 
     if case not in ("i", "ii", "iii"):
         raise ValueError(f"unknown case {case!r}")
     reports = []
-    pairs = list(enumerate_samples(space, n, budget))
+    idx, w = enumerate_indices(space, n, budget)
+    flat = np.ravel_multi_index(idx.T, (space.size,) * n)
     for t in range(num_trials):
         rng = substream(seed, t)
         table = rng.uniform(-1.0, 1.0, size=space.size**n)
-        f = _table_lookup(table, space.size, n)
 
         if case == "ii":
-            raw_c = _max_partial_difference(space, n, f, pairs)
+            raw_c = _max_partial_difference(space, n, table)
             target_c = float(rng.uniform(0.1, 1.0))
             if raw_c > 0:
                 table = table * (target_c / raw_c)
-            f = _table_lookup(table, space.size, n)
             c = target_c if raw_c > 0 else 0.0
-            lhs = _exact_centered_mgf(space, n, f, budget)
+            lhs = _exact_centered_mgf(table, flat, w)
             rhs = n * c**2 / 8.0
             reports.append(MomentCheckReport(name=f"martingale_ii_{t}", lhs=lhs, rhs=rhs,
                                              regime="exact_enumeration",
@@ -239,14 +255,13 @@ def check_martingale_mgf(space: FiniteDataSpace, n: int, case: str, num_trials: 
             continue
 
         if case == "iii":
-            raw_b = _max_one_sided_excess(space, n, f, pairs)
+            raw_b = _max_one_sided_excess(space, n, table)
             target_b = float(rng.uniform(0.2, 1.5))
             if raw_b > 0:
                 table = table * (target_b / raw_b)
-            f = _table_lookup(table, space.size, n)
             b = target_b if raw_b > 0 else 1.0
-            vks = _coordinate_variances(space, n, f, pairs)
-            lhs = _exact_centered_mgf(space, n, f, budget)
+            vks = _coordinate_variances(space, n, table)
+            lhs = _exact_centered_mgf(table, flat, w)
             rhs = sum(vks) / (2.0 - b)
             reports.append(MomentCheckReport(name=f"martingale_iii_{t}", lhs=lhs, rhs=rhs,
                                              regime="exact_enumeration",
@@ -254,52 +269,51 @@ def check_martingale_mgf(space: FiniteDataSpace, n: int, case: str, num_trials: 
             continue
 
         # case i: exact per-coordinate log-MGF constant r^2
-        r2 = _subgaussian_step_constant(space, n, f, pairs)
-        lhs = _exact_centered_mgf(space, n, f, budget)
+        r2 = _subgaussian_step_constant(space, n, table)
+        lhs = _exact_centered_mgf(table, flat, w)
         reports.append(MomentCheckReport(name=f"martingale_i_{t}", lhs=lhs, rhs=n * r2,
                                          regime="exact_enumeration",
                                          details={"r2": r2}))
     return reports
 
 
-def _max_partial_difference(space, n, f, pairs) -> float:
-    c = 0.0
-    for s, _ in pairs:
-        for k in range(n):
-            vals = [f(s.substitute(k, y)) for y in range(space.size)]
-            c = max(c, max(vals) - min(vals))
-    return c
-
-
-def _max_one_sided_excess(space, n, f, pairs) -> float:
-    b = -math.inf
-    for s, _ in pairs:
-        fs = f(s)
-        for k in range(n):
-            mean = sum(space.probs[y] * f(s.substitute(k, y)) for y in range(space.size))
-            b = max(b, fs - mean)
-    return b
-
-
-def _coordinate_variances(space, n, f, pairs) -> list[float]:
-    vks = []
+def _fibres(space: FiniteDataSpace, n: int, table: np.ndarray):
+    """Per coordinate k, f along k at every base sample in the support: an
+    array with one axis per other coordinate (its support points) and the
+    substituted point y, over all of X, on the last axis."""
+    grid = table.reshape((space.size,) * n)
+    support = np.flatnonzero(space.probs > 0)
+    every = np.arange(space.size)
     for k in range(n):
-        vk = 0.0
-        for s, _ in pairs:
-            vals = np.array([f(s.substitute(k, y)) for y in range(space.size)])
-            mean = float(space.probs @ vals)
-            vk = max(vk, float(space.probs @ (vals - mean) ** 2))
-        vks.append(vk)
+        axes = np.ix_(*[every if j == k else support for j in range(n)])
+        yield np.moveaxis(grid[axes], k, -1)
+
+
+def _max_partial_difference(space, n, table) -> float:
+    return max(0.0, *(float((g.max(-1) - g.min(-1)).max())
+                      for g in _fibres(space, n, table)))
+
+
+def _max_one_sided_excess(space, n, table) -> float:
+    """max over base samples x and coordinates k of f(x) - E_y f(x_k <- y)."""
+    support = space.probs > 0
+    return max(float((g[..., support] - (g @ space.probs)[..., None]).max())
+               for g in _fibres(space, n, table))
+
+
+def _coordinate_variances(space, n, table) -> list[float]:
+    vks = []
+    for g in _fibres(space, n, table):
+        dev = g - (g @ space.probs)[..., None]
+        vks.append(max(0.0, float((dev**2 @ space.probs).max())))
     return vks
 
 
-def _subgaussian_step_constant(space, n, f, pairs) -> float:
+def _subgaussian_step_constant(space, n, table) -> float:
     r2 = 0.0
-    for s, _ in pairs:
-        for k in range(n):
-            vals = np.array([f(s.substitute(k, y)) for y in range(space.size)])
-            mean = float(space.probs @ vals)
-            r2 = max(r2, float(logsumexp(vals - mean, b=space.probs)))
+    for g in _fibres(space, n, table):
+        dev = g - (g @ space.probs)[..., None]
+        r2 = max(r2, float(logsumexp(dev, axis=-1, b=space.probs).max()))
     return r2
 
 
@@ -311,20 +325,19 @@ def check_logZ_bounded_differences(spec: HamiltonianSpec, space: FiniteDataSpace
                                    budget: int = DEFAULT_ENUMERATION_BUDGET
                                    ) -> list[MomentCheckReport]:
     """|D ln Z| <= c and |D H_Q| <= 2c for the brute-force c of H."""
-    c, _ = bounded_difference_coefficient(spec, space, loss, n, mode="brute_force",
-                                          budget=budget)
-    pairs = list(enumerate_samples(space, n, budget))
+    c, _ = ham.bounded_difference_coefficient(spec, space, loss, n, mode="brute_force",
+                                              budget=budget)
+    idx, _ = enumerate_indices(space, n, budget)
     max_dlnz = 0.0
     max_dhq = 0.0
-    for s, _ in pairs:
-        for k in range(n):
-            lz = [log_partition(spec, s.substitute(k, y), loss, prior)
-                  for y in range(space.size)]
-            max_dlnz = max(max_dlnz, max(lz) - min(lz))
-            for h in range(loss.num_hypotheses):
-                hq = [hamiltonian_value(spec, h, s.substitute(k, y), loss) - lz[y]
-                      for y in range(space.size)]
-                max_dhq = max(max_dhq, max(hq) - min(hq))
+    for rows in row_blocks(len(idx), n * space.size):
+        sub = substitutions(idx[rows], space.size)  # (rows, k, y, n)
+        H = hamiltonian_matrix(spec, sub.reshape(-1, n), loss)
+        log_z = logsumexp(log_weight_rows(H, prior), axis=-1)
+        hq = (H - log_z).reshape(loss.num_hypotheses, *sub.shape[:3])
+        log_z = log_z.reshape(sub.shape[:3])
+        max_dlnz = max(max_dlnz, float((log_z.max(-1) - log_z.min(-1)).max()))
+        max_dhq = max(max_dhq, float((hq.max(-1) - hq.min(-1)).max()))
     return [
         MomentCheckReport(name="logZ_bounded_differences", lhs=max_dlnz, rhs=c,
                           regime="exact_enumeration"),
@@ -393,24 +406,26 @@ def check_self_bounding(space: FiniteDataSpace, n: int, algorithm: StableAlgorit
     enumerated instance before asserting the MGF inequality on a lambda grid
     in (0, 2/a).
     """
-    pairs = list(enumerate_samples(space, n, budget))
-    wts = np.array([p for _, p in pairs])
-    outs = np.array([algorithm(s) for s, _ in pairs])
+    idx, wts = enumerate_indices(space, n, budget)
+    outs = np.array([algorithm(Sample(tuple(row))) for row in idx.tolist()])
     mean_out = wts @ outs
     f_vals = np.einsum("ij,ij->i", outs - mean_out, outs - mean_out)
     c_A = hypothesis_sensitivity(algorithm, space, n, mode="brute_force", budget=budget)
     a = 4.0 * n * c_A**2
-    # guard: D^2 f <= a f on every enumerated sample
-    f_of = {s.entries: fv for (s, _), fv in zip(pairs, f_vals)}
-    for (s, _), fv in zip(pairs, f_vals):
-        d2 = 0.0
-        for k in range(n):
-            inf_k = min(f_of[s.substitute(k, y).entries] for y in range(space.size))
-            d2 += (fv - inf_k) ** 2
-        if d2 > a * fv + 1e-9:
+    # guard: D^2 f <= a f on every enumerated sample, with the infimum over the
+    # substitutions of each coordinate by every point of X
+    for rows in row_blocks(len(idx), n * space.size):
+        sub = substitutions(idx[rows], space.size)
+        dev = np.array([algorithm(Sample(tuple(row)))
+                        for row in sub.reshape(-1, n).tolist()]) - mean_out
+        f_sub = np.einsum("ij,ij->i", dev, dev).reshape(sub.shape[:3])
+        fv = f_vals[rows]
+        d2 = ((fv[:, None] - f_sub.min(axis=-1)) ** 2).sum(axis=-1)
+        worst = int(np.argmax(d2 - a * fv))
+        if d2[worst] > a * fv[worst] + 1e-9:
             raise AssertionError(
-                f"constructed f violates the self-bounding hypothesis: D^2 f = {d2} "
-                f"> a f = {a * fv}")
+                f"constructed f violates the self-bounding hypothesis: D^2 f = {d2[worst]} "
+                f"> a f = {a * fv[worst]}")
     mean_f = float(wts @ f_vals)
     reports = []
     if a == 0.0:

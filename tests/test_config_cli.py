@@ -60,6 +60,11 @@ BAD_SCENARIOS = {
     "rejected_loss_table": GIBBS_SMALL + "instance.file = {table}\n",
     "unknown_algorithm": GAUSSIAN_SMALL + "hamiltonian.algorithm = foo\n",
     "ridge_declares_no_c_A": GAUSSIAN_SMALL + "hamiltonian.algorithm = ridge\n",
+    # keys the scenario's variant does not read
+    "gaussian_with_instance_file": GAUSSIAN_SMALL + "instance.file = {table}\n",
+    "gaussian_with_beta": GAUSSIAN_SMALL + "hamiltonian.beta = 3.0\n",
+    "gibbs_with_sigma": GIBBS_SMALL + "hamiltonian.sigma = 0.5\n",
+    "gibbs_with_algorithm": GIBBS_SMALL + "hamiltonian.algorithm = mean_embedding\n",
 }
 
 

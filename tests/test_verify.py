@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gapcert import hamiltonian as ham
 from gapcert import verify as vf
 from gapcert.config import cosine_parametric_loss, random_gibbs_instance
 from gapcert.hamiltonian import Gibbs, constant_algorithm, mean_embedding_with_declared
@@ -120,6 +121,21 @@ class TestMartingaleAndLogZ:
         assert names == {"logZ_bounded_differences", "canonical_bounded_differences"}
         assert all(r.passed for r in reports)
 
+    def test_log_partition_coefficient_called_through_hamiltonian(self, monkeypatch):
+        """A wrapper on gapcert.hamiltonian (a tracer, a test double) sees the
+        coefficient call of check_logZ_bounded_differences."""
+        calls = []
+        original = ham.bounded_difference_coefficient
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ham, "bounded_difference_coefficient", counted)
+        space, loss, prior = small_instance()
+        check_logZ_bounded_differences(Gibbs(beta=2.0), space, loss, prior, n=2)
+        assert len(calls) == 1
+
 
 class TestGaussianIdentity:
     def test_degenerate_shift_is_exactly_one(self):
@@ -154,6 +170,15 @@ class TestSelfBoundingAndPhi:
         reports = check_self_bounding(space, n=4, algorithm=algo)
         assert len(reports) == 4
         assert all(r.passed for r in reports)
+
+    def test_zero_probability_point(self):
+        """Substituting a zero-probability point reaches a sample outside the
+        enumerated support; its f is evaluated, not looked up."""
+        space = FiniteDataSpace(points=("a", "b", "c"), probs=np.array([0.4, 0.0, 0.6]))
+        algo = mean_embedding_with_declared(
+            np.array([[0.0, 0.0], [1.0, 0.25], [0.5, 0.5]]), n=3)
+        reports = check_self_bounding(space, n=3, algorithm=algo)
+        assert reports and all(r.passed for r in reports)
 
     def test_constant_algorithm_degenerate(self):
         space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
