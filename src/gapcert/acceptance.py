@@ -18,7 +18,7 @@ from . import bounds as bd
 from . import hamiltonian as ham
 from . import verify as vf
 from .config import cosine_parametric_loss, random_gibbs_instance
-from .hamiltonian import Gibbs, mean_embedding_with_declared
+from .hamiltonian import Gibbs, mean_embedding_algorithm
 from .model import FiniteDataSpace, PriorWeights, generalization_gap
 
 
@@ -152,7 +152,7 @@ def _gaussian_scenario(n=100, num_points=8, dim=2, sigma=0.5, seed=21):
     space = FiniteDataSpace(points=tuple(f"x{i}" for i in range(num_points)),
                             probs=probs)
     phi = rng.uniform(-0.5, 0.5, size=(num_points, dim))
-    algorithm = mean_embedding_with_declared(phi, n)
+    algorithm = mean_embedding_algorithm(phi, n)
     feats = rng.uniform(-1.0, 1.0, size=(num_points, dim))
     loss = cosine_parametric_loss(feats)
     c_A = algorithm.declared_c_A
@@ -283,7 +283,7 @@ def criterion_self_bounding_and_phi() -> CriterionResult:
     n = 4
     space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.4, 0.6]))
     phi_feats = np.array([[0.0, 0.0], [1.0, 0.25]])
-    algorithm = mean_embedding_with_declared(phi_feats, n)
+    algorithm = mean_embedding_algorithm(phi_feats, n)
     reports = vf.check_self_bounding(space, n, algorithm,
                                      lam_fractions=(0.05, 0.1, 0.25, 0.5, 0.9))
     sb_ok = all(r.passed for r in reports)
@@ -310,26 +310,12 @@ ALL_CRITERIA = (
 )
 
 
-def _run_indexed(args) -> CriterionResult:
-    index, fast = args
-    fn = ALL_CRITERIA[index]
-    if fast and fn is criterion_gibbs_violation_rates:
-        return fn(trials=500)
-    if fast and fn is criterion_gaussian_randomization:
-        return fn(trials=500, kl_trials=50, posterior_draws=2000)
-    if fast and fn is criterion_gaussian_identity:
-        return fn(mc_samples=100_000)
-    return fn()
-
-
-def run_all(fast: bool = False, jobs: int = 1) -> list[CriterionResult]:
-    """Run every criterion; fast mode shrinks the Monte Carlo budgets (for
-    smoke testing only; the acceptance gate runs the full budgets). All
-    randomness is seeded per criterion, so jobs > 1 changes nothing but
-    wall-clock time."""
-    work = [(i, fast) for i in range(len(ALL_CRITERIA))]
+def run_all(jobs: int = 1) -> list[CriterionResult]:
+    """Run every criterion at its full budgets. All randomness is seeded per
+    criterion, so jobs > 1 changes nothing but wall-clock time."""
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_indexed, work))
-    return [_run_indexed(w) for w in work]
+            futures = [pool.submit(fn) for fn in ALL_CRITERIA]
+            return [f.result() for f in futures]
+    return [fn() for fn in ALL_CRITERIA]

@@ -8,8 +8,8 @@ Subcommands:
     accept   - the full acceptance suite
 
 Exit codes: 0 success, 2 invariant violation (a failed exact-regime margin or
-a violation rate above the configured confidence), 3 configuration error,
-4 enumeration-budget refusal.
+a violation rate above the configured confidence), 3 configuration or usage
+error, 4 enumeration-budget refusal.
 
 All output is deterministic in (config, seed): the CSV files are
 byte-identical across reruns. Wall-clock timings therefore live in the
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 import time
@@ -294,32 +295,60 @@ def emit_plot_script(results_path, output_path) -> None:
     Path(output_path).write_text(PLOT_SCRIPT_TEMPLATE.format(results_path=results_path))
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an integer no less than lo. For --seed and --budget,
+    lo is the bound parse_config puts on the scenario key they override."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return integer
+
+
+FLAGS = {
+    "--config": dict(required=True, help="scenario file"),
+    "--seed": dict(type=_int_at_least(0), help="override the master seed"),
+    "--out": dict(help="output directory (overrides config and the GAPCERT_OUT "
+                       "environment variable)"),
+    "--budget": dict(type=_int_at_least(1), help="override the enumeration budget"),
+    "--plot-script": dict(help="also emit a plotting script here"),
+    "--jobs": dict(type=_int_at_least(1), default=1, help="parallel workers"),
+}
+
+# each subcommand accepts only the flags it reads
+SUBCOMMANDS = (
+    ("certify", "compute certificates only", ("--config", "--seed", "--out")),
+    ("verify", "enumeration oracles and violation-rate trials",
+     ("--config", "--seed", "--out", "--budget")),
+    ("compare", "tightness grids against the baselines",
+     ("--config", "--out", "--plot-script")),
+    ("accept", "run the full acceptance suite", ("--out", "--jobs")),
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gapcert",
         description="Generalization-gap certificates for Hamiltonian "
                     "stochastic learners: computation, verification, comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("certify", "compute certificates only"),
-            ("verify", "enumeration oracles and violation-rate trials"),
-            ("compare", "tightness grids against the baselines"),
-            ("accept", "run the full acceptance suite")):
+    for name, helptext, flags in SUBCOMMANDS:
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="scenario file (required except for accept)")
-        p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--out", help="output directory (overrides config and "
-                                     "the GAPCERT_OUT environment variable)")
-        p.add_argument("--budget", type=int, help="override the enumeration budget")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-        p.add_argument("--plot-script", help="also emit a plotting script here")
-    args = parser.parse_args(argv)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage; its exit code 2 for a usage error
+        # would read as an invariant violation here
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    opts = vars(args)
 
     config = None
-    if args.command != "accept" or args.config:
-        if not args.config:
-            print(f"{args.command}: --config is required", file=sys.stderr)
-            return EXIT_CONFIG
+    if args.command != "accept":
         try:
             config = parse_config(args.config)
         except FileNotFoundError as exc:
@@ -329,34 +358,27 @@ def main(argv=None) -> int:
             for e in exc.errors:
                 print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
-        if args.seed is not None or args.budget is not None:
-            import dataclasses
-            changes = {}
-            if args.seed is not None:
-                changes["master_seed"] = args.seed
-            if args.budget is not None:
-                changes["enumeration_budget"] = args.budget
-            config = dataclasses.replace(config, **changes)
+        changes = {field: opts[flag]
+                   for flag, field in (("seed", "master_seed"), ("budget", "enumeration_budget"))
+                   if opts.get(flag) is not None}
+        config = dataclasses.replace(config, **changes)
 
     out_dir = Path(args.out or os.environ.get("GAPCERT_OUT")
                    or (config.out_dir if config else "out"))
 
     try:
         if args.command == "certify":
-            code = cmd_certify(config, out_dir)
-        elif args.command == "verify":
-            code = cmd_verify(config, out_dir)
-        elif args.command == "compare":
-            code = cmd_compare(config, out_dir)
-        else:
-            code = cmd_accept(out_dir, jobs=args.jobs)
+            return cmd_certify(config, out_dir)
+        if args.command == "verify":
+            return cmd_verify(config, out_dir)
+        if args.command == "accept":
+            return cmd_accept(out_dir, jobs=args.jobs)
+        code = cmd_compare(config, out_dir)
     except BudgetExceeded as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-
-    if args.plot_script and code == EXIT_OK and args.command == "compare":
-        emit_plot_script(out_dir / f"{config.scenario_id}_compare.csv",
-                         args.plot_script)
+    if args.plot_script and code == EXIT_OK:
+        emit_plot_script(out_dir / f"{config.scenario_id}_compare.csv", args.plot_script)
     return code
 
 

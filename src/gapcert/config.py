@@ -51,9 +51,13 @@ _KNOWN_KEYS = {
 
 # keys that a variant never reads: naming one is an error, as an unknown key is
 _VARIANT_IGNORES = {
-    "gibbs": ("hamiltonian.sigma", "hamiltonian.algorithm"),
-    "gaussian_kernel": ("instance.file", "hamiltonian.beta"),
+    "gibbs": ("hamiltonian.sigma", "hamiltonian.algorithm", "instance.dim"),
+    "gaussian_kernel": ("instance.file", "hamiltonian.beta", "instance.num_hypotheses",
+                        "instance.generator"),
 }
+# the random-instance keys, which an instance.file replaces
+_FILE_IGNORES = ("instance.generator", "instance.seed", "instance.num_points",
+                 "instance.num_hypotheses")
 
 _DEFAULTS = {
     "instance.generator": "gibbs_random",
@@ -223,6 +227,10 @@ def parse_config(path) -> ScenarioConfig:
     for key in _VARIANT_IGNORES.get(variant, ()):
         if key in kv:
             errors.append(f"{key}: not used by hamiltonian.variant={variant!r}")
+    if "instance.file" in kv:
+        for key in _FILE_IGNORES:
+            if key in kv:
+                errors.append(f"{key}: not used next to instance.file")
 
     methods = tuple(m.strip() for m in merged.get("methods", "").split(",") if m.strip())
     if not methods:

@@ -24,7 +24,6 @@ from .model import (
     LossModel,
     ParametricLoss,
     PriorWeights,
-    Sample,
     empirical_loss,
     empirical_losses,
     enumerate_indices,
@@ -44,21 +43,20 @@ class NotBoundedDifference(ValueError):
 
 @dataclass(frozen=True)
 class StableAlgorithm:
-    """Deterministic map from samples to parameter vectors in R^d.
+    """Deterministic map from samples to parameter vectors in R^d, with the
+    two constants the Gaussian-kernel certificates rest on.
 
-    declared_c_A, when present, is an upper bound on the one-point
-    substitution displacement; brute-force checks must never exceed it.
-    variance_fn, when present, computes the exact variance
-    E||A(X) - E A(X')||^2 for a given (space, n) without enumeration.
+    declared_c_A is an upper bound on the one-point substitution
+    displacement; brute-force checks must never exceed it. variance_fn gives
+    the exact variance E||A(X) - E A(X')||^2 for a given (space, n).
     """
 
-    map: Callable[[Sample], np.ndarray]
+    map: Callable[[np.ndarray], np.ndarray]
     dim_d: int
-    declared_c_A: float | None = None
-    variance_fn: Callable[[FiniteDataSpace, int], float] | None = None
-    name: str = "custom"
+    declared_c_A: float
+    variance_fn: Callable[[FiniteDataSpace, int], float]
 
-    def __call__(self, sample: Sample) -> np.ndarray:
+    def __call__(self, sample: np.ndarray) -> np.ndarray:
         return np.asarray(self.map(sample), dtype=float)
 
 
@@ -104,7 +102,7 @@ class Composite:
 @dataclass(frozen=True)
 class Shifted:
     base: "HamiltonianSpec"
-    shift: Callable[[Sample], float]
+    shift: Callable[[np.ndarray], float]
 
 
 HamiltonianSpec = Gibbs | GaussianKernel | LipschitzKernel | Composite | Shifted
@@ -147,7 +145,7 @@ def _check_variant(spec: HamiltonianSpec, loss: LossModel) -> None:
         raise IncompatibleSpec("kernel Hamiltonians require a parametric loss")
 
 
-def hamiltonian_value(spec: HamiltonianSpec, h, sample: Sample, loss: LossModel) -> float:
+def hamiltonian_value(spec: HamiltonianSpec, h, sample: np.ndarray, loss: LossModel) -> float:
     """Evaluate H(h, sample) for the given variant."""
     _check_variant(spec, loss)
     if isinstance(spec, Gibbs):
@@ -180,7 +178,7 @@ def hamiltonian_matrix(spec: HamiltonianSpec, idx: np.ndarray, loss: LossModel) 
     if isinstance(spec, Composite):
         return sum(hamiltonian_matrix(p, idx, loss) for p in spec.parts)
     if isinstance(spec, Shifted):
-        shifts = np.array([float(spec.shift(Sample(tuple(row)))) for row in idx.tolist()])
+        shifts = np.array([float(spec.shift(row)) for row in idx])
         return hamiltonian_matrix(spec.base, idx, loss) + shifts
     raise IncompatibleSpec(f"unknown Hamiltonian variant {type(spec).__name__}")
 
@@ -196,13 +194,13 @@ def log_weight_rows(H: np.ndarray, prior: PriorWeights) -> np.ndarray:
     return np.ascontiguousarray(H.T) + log_prior
 
 
-def _finite_log_weights(spec: HamiltonianSpec, sample: Sample, loss: FiniteTable,
+def _finite_log_weights(spec: HamiltonianSpec, sample: np.ndarray, loss: FiniteTable,
                         prior: PriorWeights) -> np.ndarray:
-    H = hamiltonian_matrix(spec, np.array([sample.entries]), loss)
+    H = hamiltonian_matrix(spec, np.asarray(sample)[None, :], loss)
     return log_weight_rows(H, prior)[0]
 
 
-def log_partition(spec: HamiltonianSpec, sample: Sample, loss: LossModel,
+def log_partition(spec: HamiltonianSpec, sample: np.ndarray, loss: LossModel,
                   prior: PriorWeights) -> float:
     """ln Z(sample) via log-sum-exp (finite class) or the Gaussian closed form."""
     if isinstance(loss, FiniteTable):
@@ -218,7 +216,7 @@ def log_partition(spec: HamiltonianSpec, sample: Sample, loss: LossModel,
     )
 
 
-def posterior(spec: HamiltonianSpec, sample: Sample, loss: LossModel,
+def posterior(spec: HamiltonianSpec, sample: np.ndarray, loss: LossModel,
               prior: PriorWeights) -> PosteriorDistribution:
     """The distribution proportional to e^{H(h, sample)} dpi(h)."""
     if isinstance(loss, FiniteTable):
@@ -233,7 +231,7 @@ def posterior(spec: HamiltonianSpec, sample: Sample, loss: LossModel,
     raise IncompatibleSpec("no sampler for this spec/loss combination")
 
 
-def canonical_hamiltonian(spec: HamiltonianSpec, h, sample: Sample, loss: LossModel,
+def canonical_hamiltonian(spec: HamiltonianSpec, h, sample: np.ndarray, loss: LossModel,
                           prior: PriorWeights) -> float:
     """H(h, sample) - ln Z(sample): the log density of the posterior w.r.t. pi."""
     return hamiltonian_value(spec, h, sample, loss) - log_partition(spec, sample, loss, prior)
@@ -249,18 +247,6 @@ def sample_posterior(dist: PosteriorDistribution, rng: np.random.Generator):
     raise TypeError(f"cannot sample from {type(dist).__name__}")
 
 
-def _sample_grid(space: FiniteDataSpace, n: int, budget: int):
-    """Full enumeration of X^n when it fits the budget, else a deterministic
-    stride of repeated/staircase samples. Returns ((rows, n) index array,
-    regime_label)."""
-    if space.size**n <= budget:
-        return enumerate_indices(space, n, budget)[0], "exhaustive"
-    base = [np.full(n, i) for i in range(space.size)]
-    for shift in range(min(space.size, max(2, budget // max(space.size, 1)))):
-        base.append((np.arange(n) + shift) % space.size)
-    return np.array(base), "deterministic_sample"
-
-
 def bounded_difference_coefficient(spec: HamiltonianSpec, space: FiniteDataSpace,
                                    loss: LossModel, n: int, mode: str = "analytic",
                                    budget: int = DEFAULT_ENUMERATION_BUDGET):
@@ -268,8 +254,9 @@ def bounded_difference_coefficient(spec: HamiltonianSpec, space: FiniteDataSpace
 
     analytic mode returns the closed form per variant; brute_force maximizes
     the partial difference of H over hypotheses, coordinates and point pairs,
-    with the base sample ranging over an exhaustive or documented
-    deterministic grid. brute_force returns (c, regime_label).
+    with the base sample ranging over all of X^n, and returns
+    (c, "exhaustive"). A search beyond the budget raises BudgetExceeded: a
+    maximum over part of X^n only bounds the supremum from below.
     """
     if mode == "analytic":
         return _analytic_bd(spec, loss, n)
@@ -277,14 +264,14 @@ def bounded_difference_coefficient(spec: HamiltonianSpec, space: FiniteDataSpace
         raise ValueError(f"unknown mode {mode!r}")
     if not isinstance(loss, FiniteTable):
         raise IncompatibleSpec("brute-force coefficients need a finite hypothesis class")
-    grid, regime = _sample_grid(space, n, budget)
+    idx, _ = enumerate_indices(space, n, budget)
     c = 0.0
-    for rows in row_blocks(len(grid), n * space.size):
-        sub = substitutions(grid[rows], space.size)
+    for rows in row_blocks(len(idx), n * space.size):
+        sub = substitutions(idx[rows], space.size)
         H = hamiltonian_matrix(spec, sub.reshape(-1, n), loss)
         H = H.reshape(loss.num_hypotheses, *sub.shape[:3])  # (m, rows, k, y)
         c = max(c, float((H.max(axis=-1) - H.min(axis=-1)).max()))
-    return c, regime
+    return c, "exhaustive"
 
 
 def _analytic_bd(spec: HamiltonianSpec, loss: LossModel, n: int) -> float:
@@ -296,10 +283,7 @@ def _analytic_bd(spec: HamiltonianSpec, loss: LossModel, n: int) -> float:
             "use the variance-based bounds instead"
         )
     if isinstance(spec, LipschitzKernel):
-        c_A = spec.algorithm.declared_c_A
-        if c_A is None:
-            raise ValueError("Lipschitz kernel needs a declared sensitivity coefficient")
-        return spec.lip_constant * c_A
+        return spec.lip_constant * spec.algorithm.declared_c_A
     if isinstance(spec, Composite):
         return sum(_analytic_bd(p, loss, n) for p in spec.parts)
     if isinstance(spec, Shifted):
@@ -309,56 +293,23 @@ def _analytic_bd(spec: HamiltonianSpec, loss: LossModel, n: int) -> float:
 
 
 def hypothesis_sensitivity(algorithm: StableAlgorithm, space: FiniteDataSpace, n: int,
-                           mode: str = "brute_force",
                            budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
-    """Max displacement ||A(S_y^k x) - A(S_y'^k x)|| over substitutions.
-
-    declared mode echoes the declared coefficient; brute_force maximizes over
-    the enumeration grid and raises if a declared value is exceeded.
-    """
-    if mode == "declared":
-        if algorithm.declared_c_A is None:
-            raise ValueError(f"algorithm {algorithm.name!r} declares no sensitivity coefficient")
-        return algorithm.declared_c_A
-    if mode != "brute_force":
-        raise ValueError(f"unknown mode {mode!r}")
-    grid, _ = _sample_grid(space, n, budget)
+    """Max displacement ||A(S_y^k x) - A(S_y'^k x)|| over the substitutions of
+    every sample of X^n; raises BudgetExceeded beyond the budget and
+    ContractViolation if the declared coefficient is exceeded."""
+    idx, _ = enumerate_indices(space, n, budget)
     c = 0.0
-    for rows in row_blocks(len(grid), n * space.size):
-        for subs in substitutions(grid[rows], space.size).reshape(-1, space.size, n).tolist():
-            outs = [algorithm(Sample(tuple(row))) for row in subs]
+    for rows in row_blocks(len(idx), n * space.size):
+        for subs in substitutions(idx[rows], space.size).reshape(-1, space.size, n):
+            outs = [algorithm(row) for row in subs]
             for i in range(space.size):
                 for j in range(i + 1, space.size):
                     c = max(c, float(np.linalg.norm(outs[i] - outs[j])))
-    if algorithm.declared_c_A is not None and c > algorithm.declared_c_A + 1e-9:
+    if c > algorithm.declared_c_A + 1e-9:
         raise ContractViolation(
             f"brute-force sensitivity {c} exceeds declared {algorithm.declared_c_A}"
         )
     return c
-
-
-def algorithm_variance(algorithm: StableAlgorithm, space: FiniteDataSpace, n: int,
-                       budget: int = DEFAULT_ENUMERATION_BUDGET,
-                       mc_samples: int = 200_000, seed: int = 0):
-    """E||A(X) - E A(X')||^2, exact when enumeration is feasible.
-
-    Returns (value, standard_error); standard_error is 0.0 in the exact regime
-    (closed form or enumeration) and the Monte Carlo standard error otherwise.
-    """
-    if algorithm.variance_fn is not None:
-        return float(algorithm.variance_fn(space, n)), 0.0
-    if space.size**n <= budget:
-        idx, w = enumerate_indices(space, n, budget)
-        outs = np.array([algorithm(Sample(tuple(row))) for row in idx.tolist()])
-        mean = w @ outs
-        sq = np.einsum("ij,ij->i", outs - mean, outs - mean)
-        return float(w @ sq), 0.0
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    idx = rng.choice(space.size, size=(mc_samples, n), p=space.probs)
-    outs = np.array([algorithm(Sample(tuple(row))) for row in idx])
-    mean = outs.mean(axis=0)
-    sq = np.einsum("ij,ij->i", outs - mean, outs - mean)
-    return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(mc_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -367,41 +318,32 @@ def algorithm_variance(algorithm: StableAlgorithm, space: FiniteDataSpace, n: in
 def constant_algorithm(vector) -> StableAlgorithm:
     v = np.asarray(vector, dtype=float)
     return StableAlgorithm(map=lambda s: v, dim_d=len(v), declared_c_A=0.0,
-                           variance_fn=lambda space, n: 0.0, name="constant")
+                           variance_fn=lambda space, n: 0.0)
 
-def mean_embedding_algorithm(features: np.ndarray) -> StableAlgorithm:
-    """A(x) = (1/n) sum_i phi(x_i) for a fixed per-point feature table phi.
 
-    Sensitivity is diam(phi)/n for each n; the variance has the closed form
-    tr Cov(phi(X)) / n, recorded via variance_fn.
+def mean_embedding_algorithm(features: np.ndarray, n: int) -> StableAlgorithm:
+    """A(x) = (1/n) sum_i phi(x_i) for a fixed per-point feature table phi,
+    at sample size n.
+
+    Its sensitivity is diam(phi)/n; its variance has the closed form
+    tr Cov(phi(X)) / n.
     """
     phi = np.asarray(features, dtype=float)
     if phi.ndim != 2:
         raise ValueError("feature table must be (num_points, d)")
-
-    def amap(sample: Sample) -> np.ndarray:
-        return phi[list(sample.entries)].mean(axis=0)
+    diam = max(
+        (float(np.linalg.norm(phi[i] - phi[j]))
+         for i in range(phi.shape[0]) for j in range(phi.shape[0])),
+        default=0.0,
+    )
 
     def variance(space: FiniteDataSpace, n: int) -> float:
         mean = space.probs @ phi
         sq = np.einsum("ij,ij->i", phi - mean, phi - mean)
         return float(space.probs @ sq) / n
 
-    return StableAlgorithm(map=amap, dim_d=phi.shape[1], declared_c_A=None,
-                           variance_fn=variance, name="mean_embedding")
-
-
-def mean_embedding_with_declared(features: np.ndarray, n: int) -> StableAlgorithm:
-    """Mean embedding with its diam/n sensitivity declared for a fixed n."""
-    base = mean_embedding_algorithm(features)
-    phi = np.asarray(features, dtype=float)
-    diam = max(
-        (float(np.linalg.norm(phi[i] - phi[j]))
-         for i in range(phi.shape[0]) for j in range(phi.shape[0])),
-        default=0.0,
-    )
-    return StableAlgorithm(map=base.map, dim_d=base.dim_d, declared_c_A=diam / n,
-                           variance_fn=base.variance_fn, name="mean_embedding")
+    return StableAlgorithm(map=lambda sample: phi[sample].mean(axis=0), dim_d=phi.shape[1],
+                           declared_c_A=diam / n, variance_fn=variance)
 
 
 def builtin_algorithm(name: str, space: FiniteDataSpace, n: int, dim_d: int = 2,
@@ -414,5 +356,5 @@ def builtin_algorithm(name: str, space: FiniteDataSpace, n: int, dim_d: int = 2,
         return constant_algorithm(np.zeros(dim_d))
     if name == "mean_embedding":
         phi = rng.uniform(-0.5, 0.5, size=(space.size, dim_d))
-        return mean_embedding_with_declared(phi, n)
+        return mean_embedding_algorithm(phi, n)
     raise KeyError(f"unknown stable algorithm {name!r}")

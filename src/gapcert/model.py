@@ -3,14 +3,15 @@
 Everything downstream (posteriors, certificates, enumeration oracles) is
 built on the handful of quantities defined here: true and empirical loss,
 the generalization gap, per-hypothesis variance and the one-coordinate
-substitution operator.
+substitution operator. A sample is a 1-D int array of point indices; the
+exact engine holds every sample of X^n as one row of an (S, n) index array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,34 +55,6 @@ class FiniteDataSpace:
     @property
     def size(self) -> int:
         return len(self.points)
-
-
-@dataclass(frozen=True)
-class Sample:
-    """A vector of point indices into a data space."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) < 1:
-            raise ValueError("sample must be nonempty")
-        object.__setattr__(self, "entries", tuple(int(i) for i in self.entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def validate(self, space: FiniteDataSpace) -> None:
-        for i in self.entries:
-            if not 0 <= i < space.size:
-                raise IndexError(f"sample index {i} out of range for space of size {space.size}")
-
-    def substitute(self, k: int, y: int) -> "Sample":
-        """Replace coordinate k (0-based) by point index y."""
-        if not 0 <= k < len(self.entries):
-            raise IndexError(f"coordinate {k} out of range")
-        e = list(self.entries)
-        e[k] = int(y)
-        return Sample(tuple(e))
 
 
 @dataclass(frozen=True)
@@ -174,9 +147,9 @@ class PriorWeights:
         return cls(weights=np.ones(m))
 
 
-def _losses_at(loss: LossModel, h, indices: Sequence[int]) -> np.ndarray:
+def _losses_at(loss: LossModel, h, indices) -> np.ndarray:
     if isinstance(loss, FiniteTable):
-        return loss.row(int(h))[list(indices)]
+        return loss.row(int(h))[np.asarray(indices)]
     return np.array([loss.value(h, i) for i in indices])
 
 
@@ -186,12 +159,12 @@ def true_loss(h, space: FiniteDataSpace, loss: LossModel) -> float:
     return float(np.dot(space.probs, vals))
 
 
-def empirical_loss(h, sample: Sample, loss: LossModel) -> float:
-    """Mean loss of h over the sample."""
-    return float(np.mean(_losses_at(loss, h, sample.entries)))
+def empirical_loss(h, sample: np.ndarray, loss: LossModel) -> float:
+    """Mean loss of h over the sample, a 1-D array of point indices."""
+    return float(np.mean(_losses_at(loss, h, sample)))
 
 
-def generalization_gap(h, sample: Sample, space: FiniteDataSpace, loss: LossModel) -> float:
+def generalization_gap(h, sample: np.ndarray, space: FiniteDataSpace, loss: LossModel) -> float:
     """True loss minus empirical loss; lies in [-b, b]."""
     return true_loss(h, space, loss) - empirical_loss(h, sample, loss)
 
@@ -260,11 +233,10 @@ def enumerate_indices(space: FiniteDataSpace, n: int,
 
 
 def enumerate_samples(space: FiniteDataSpace, n: int,
-                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> Iterator[tuple[Sample, float]]:
-    """Yield every sample of enumerate_indices as a Sample with its weight."""
+                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> Iterator[tuple[np.ndarray, float]]:
+    """Yield every row of enumerate_indices with its weight."""
     idx, w = enumerate_indices(space, n, budget)
-    for row, weight in zip(idx.tolist(), w.tolist()):
-        yield Sample(tuple(row)), weight
+    yield from zip(idx, w.tolist())
 
 
 def substitutions(idx: np.ndarray, space_size: int) -> np.ndarray:

@@ -23,7 +23,6 @@ from . import hamiltonian as ham
 from .hamiltonian import (
     HamiltonianSpec,
     StableAlgorithm,
-    algorithm_variance,
     hamiltonian_matrix,
     hypothesis_sensitivity,
     log_weight_rows,
@@ -35,7 +34,6 @@ from .model import (
     FiniteTable,
     ParametricLoss,
     PriorWeights,
-    Sample,
     empirical_losses,
     enumerate_indices,
     generalization_gap,
@@ -61,14 +59,10 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(master_seed & (2**64 - 1), index)))
 
 
-def _draw_indices(space: FiniteDataSpace, n: int, rng: np.random.Generator) -> np.ndarray:
+def draw_sample(space: FiniteDataSpace, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n iid categorical draws by inverse CDF, as point indices."""
     cdf = np.cumsum(space.probs)
     return np.searchsorted(cdf, rng.random(n), side="right").clip(0, space.size - 1)
-
-
-def draw_sample(space: FiniteDataSpace, n: int, rng: np.random.Generator) -> Sample:
-    """n iid categorical draws by inverse CDF."""
-    return Sample(tuple(int(i) for i in _draw_indices(space, n, rng)))
 
 
 @dataclass(frozen=True)
@@ -166,7 +160,7 @@ def _bernstein_constants(space: FiniteDataSpace, loss: FiniteTable, n: int, c: f
 
 
 def bernstein_f_factory(space: FiniteDataSpace, loss: FiniteTable, n: int, c: float,
-                        delta: float) -> Callable[[int, Sample], float]:
+                        delta: float) -> Callable[[int, np.ndarray], float]:
     """The hypothesis-dependent compensated gap used by the Bernstein bound.
 
     lam(h) = sqrt(n c^2 + ln(1/delta)) /
@@ -175,20 +169,19 @@ def bernstein_f_factory(space: FiniteDataSpace, loss: FiniteTable, n: int, c: fl
     """
     lams, comps = _bernstein_constants(space, loss, n, c, delta)
 
-    def F(h: int, sample: Sample) -> float:
+    def F(h: int, sample: np.ndarray) -> float:
         return lams[h] * generalization_gap(h, sample, space, loss) - comps[h]
 
     return F
 
 
 def check_proposition_main(spec: HamiltonianSpec, space: FiniteDataSpace, loss: FiniteTable,
-                           prior: PriorWeights, n: int, F: Callable[[int, Sample], float],
+                           prior: PriorWeights, n: int, F: Callable[[int, np.ndarray], float],
                            name: str = "main_proposition",
                            budget: int = DEFAULT_ENUMERATION_BUDGET) -> MomentCheckReport:
     """Enumerated mixed log-MGF of F against the enumerated sup_h psi_F(h)."""
     idx, w, H, log_w, log_z = _enumerate_posteriors(spec, space, loss, prior, n, budget)
-    samples = [Sample(tuple(row)) for row in idx.tolist()]
-    F_values = np.array([[F(h, s) for s in samples] for h in range(loss.num_hypotheses)])
+    F_values = np.array([[F(h, row) for row in idx] for h in range(loss.num_hypotheses)])
     lhs = _log_mixed_mgf(w, log_w, log_z, F_values)
     psi = _psi_values(F_values, H, log_z, w)
     return MomentCheckReport(name=name, lhs=lhs, rhs=float(psi.max()),
@@ -407,17 +400,16 @@ def check_self_bounding(space: FiniteDataSpace, n: int, algorithm: StableAlgorit
     in (0, 2/a).
     """
     idx, wts = enumerate_indices(space, n, budget)
-    outs = np.array([algorithm(Sample(tuple(row))) for row in idx.tolist()])
+    outs = np.array([algorithm(row) for row in idx])
     mean_out = wts @ outs
     f_vals = np.einsum("ij,ij->i", outs - mean_out, outs - mean_out)
-    c_A = hypothesis_sensitivity(algorithm, space, n, mode="brute_force", budget=budget)
+    c_A = hypothesis_sensitivity(algorithm, space, n, budget=budget)
     a = 4.0 * n * c_A**2
     # guard: D^2 f <= a f on every enumerated sample, with the infimum over the
     # substitutions of each coordinate by every point of X
     for rows in row_blocks(len(idx), n * space.size):
         sub = substitutions(idx[rows], space.size)
-        dev = np.array([algorithm(Sample(tuple(row)))
-                        for row in sub.reshape(-1, n).tolist()]) - mean_out
+        dev = np.array([algorithm(row) for row in sub.reshape(-1, n)]) - mean_out
         f_sub = np.einsum("ij,ij->i", dev, dev).reshape(sub.shape[:3])
         fv = f_vals[rows]
         d2 = ((fv[:, None] - f_sub.min(axis=-1)) ** 2).sum(axis=-1)
@@ -494,11 +486,6 @@ class TrialReport:
     seed: int
     mean_gap: float
     per_method: dict  # method tag -> MethodStats
-    rng_algorithm: str = "philox(master_seed, trial_index)"
-
-    @property
-    def violations(self) -> int:
-        return max((s.violations for s in self.per_method.values()), default=0)
 
 
 class Draw(NamedTuple):
@@ -535,7 +522,7 @@ class GibbsRun:
         self.log_prior = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
 
     def draw(self, rng: np.random.Generator) -> Draw:
-        idx = _draw_indices(self.space, self.n, rng)
+        idx = draw_sample(self.space, self.n, rng)
         L_hat = self.table[:, idx].mean(axis=1)
         logw = -self.beta * L_hat + self.log_prior
         logw -= logsumexp(logw)
@@ -558,12 +545,12 @@ class GaussianRun:
                  posterior_draws: int):
         self.space, self.n, self.delta, self.sigma = space, n, delta, sigma
         self.loss, self.algorithm, self.posterior_draws = loss, algorithm, posterior_draws
-        self.c_A = hypothesis_sensitivity(algorithm, space, n, mode="declared")
-        self.V, _ = algorithm_variance(algorithm, space, n)
+        self.c_A = algorithm.declared_c_A
+        self.V = float(algorithm.variance_fn(space, n))
 
     def draw(self, rng: np.random.Generator) -> Draw:
-        idx = _draw_indices(self.space, self.n, rng)
-        center = self.algorithm(Sample(tuple(int(i) for i in idx)))
+        idx = draw_sample(self.space, self.n, rng)
+        center = self.algorithm(idx)
         h = center + self.sigma * rng.standard_normal(self.algorithm.dim_d)
         pl = np.array([self.loss.value(h, i) for i in range(self.space.size)])
         L = float(pl @ self.space.probs)

@@ -50,6 +50,16 @@ trials = 200
 posterior_draws = 200
 """
 
+# a Gibbs scenario on a loss-table file; {good_table} is a valid one
+GIBBS_FILE = """\
+scenario_id = fdemo
+n = 3
+hamiltonian.beta = 2.0
+instance.file = {good_table}
+"""
+
+GOOD_TABLE = "points a b\n#mu 0.5 0.5\nh0 0.1 0.2\nh1 0.7 0.3\n"
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # scenario files that parse_config must reject; {table} is a loss-table file
@@ -57,7 +67,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BAD_SCENARIOS = {
     "malformed_compare_list": GIBBS_SMALL + "compare.ns = 10,abc\n",
     "malformed_beta_tag": GIBBS_SMALL + "compare.betas = 0,sqrtn\n",
-    "rejected_loss_table": GIBBS_SMALL + "instance.file = {table}\n",
+    "rejected_loss_table": GIBBS_FILE.replace("{good_table}", "{table}"),
     "unknown_algorithm": GAUSSIAN_SMALL + "hamiltonian.algorithm = foo\n",
     "ridge_declares_no_c_A": GAUSSIAN_SMALL + "hamiltonian.algorithm = ridge\n",
     # keys the scenario's variant does not read
@@ -65,6 +75,14 @@ BAD_SCENARIOS = {
     "gaussian_with_beta": GAUSSIAN_SMALL + "hamiltonian.beta = 3.0\n",
     "gibbs_with_sigma": GIBBS_SMALL + "hamiltonian.sigma = 0.5\n",
     "gibbs_with_algorithm": GIBBS_SMALL + "hamiltonian.algorithm = mean_embedding\n",
+    "gibbs_with_dim": GIBBS_SMALL + "instance.dim = 7\n",
+    "gaussian_with_num_hypotheses": GAUSSIAN_SMALL + "instance.num_hypotheses = 99\n",
+    "gaussian_with_generator": GAUSSIAN_SMALL + "instance.generator = gibbs_random\n",
+    # random-instance keys next to instance.file
+    "file_with_generator": GIBBS_FILE + "instance.generator = gibbs_random\n",
+    "file_with_seed": GIBBS_FILE + "instance.seed = 3\n",
+    "file_with_num_points": GIBBS_FILE + "instance.num_points = 2\n",
+    "file_with_num_hypotheses": GIBBS_FILE + "instance.num_hypotheses = 2\n",
 }
 
 
@@ -122,6 +140,13 @@ class TestParse:
             parse_config(write_config(tmp_path, "c.txt",
                                       "n = 10\nverify.exact = maybe\n"))
 
+    def test_instance_file_scenario(self, tmp_path):
+        table = write_config(tmp_path, "table.txt", GOOD_TABLE)
+        cfg = parse_config(write_config(tmp_path, "f.txt",
+                                        GIBBS_FILE.format(good_table=table)))
+        assert cfg.space.points == ("a", "b")
+        assert cfg.loss.num_hypotheses == 2
+
     def test_stability_precondition_checked_at_parse(self, tmp_path):
         text = GAUSSIAN_SMALL.replace("hamiltonian.sigma = 0.5",
                                       "hamiltonian.sigma = 0.01")
@@ -134,10 +159,30 @@ class TestCli:
     def test_bad_scenario_exits_3(self, tmp_path, capsys, case):
         table = tmp_path / "table.txt"
         table.write_text("points a b\n# mu = 0.5 0.5\n# b = 1.0\nh0 0.1 0.2\n")
-        cfg = write_config(tmp_path, "bad.txt", BAD_SCENARIOS[case].format(table=table))
+        good_table = write_config(tmp_path, "good_table.txt", GOOD_TABLE)
+        cfg = write_config(tmp_path, "bad.txt",
+                           BAD_SCENARIOS[case].format(table=table, good_table=good_table))
         assert main(["certify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["verify", "--config", "{cfg}", "--bogus"],
+                                      ["certify", "--config", "{cfg}", "--jobs", "2"],
+                                      ["compare", "--config", "{cfg}", "--seed", "1"],
+                                      ["accept", "--config", "{cfg}"],
+                                      [],
+                                      ["certify", "--config", "{cfg}", "--seed", "-1"],
+                                      ["verify", "--config", "{cfg}", "--budget", "0"],
+                                      ["accept", "--jobs", "0"]],
+                             ids=["verify_bogus", "certify_jobs", "compare_seed",
+                                  "accept_config", "no_subcommand", "negative_seed",
+                                  "zero_budget", "zero_jobs"])
+    def test_usage_error_exits_3(self, tmp_path, capsys, argv):
+        """A usage error is a configuration error: argparse's own exit code 2
+        would read as an invariant violation."""
+        cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)
+        assert main([a.format(cfg=cfg) for a in argv]) == EXIT_CONFIG
+        assert "usage:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["gibbs_exact", "gibbs_small",
                                       "gaussian_mean_embedding"])

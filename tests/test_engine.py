@@ -1,6 +1,6 @@
-"""The array-based exact engine against per-Sample loop references.
+"""The array-based exact engine against per-sample loop references.
 
-The reference functions below walk X^n one Sample at a time, the way the
+The reference functions below walk X^n one sample at a time, the way the
 oracles are defined. They use only the scalar Hamiltonian and
 itertools.product, so they share no code with the engine they check.
 """
@@ -21,7 +21,6 @@ from gapcert.model import (
     FiniteDataSpace,
     FiniteTable,
     PriorWeights,
-    Sample,
     enumerate_indices,
     generalization_gap,
     loss_variance,
@@ -29,14 +28,21 @@ from gapcert.model import (
 
 
 # ---------------------------------------------------------------------------
-# per-Sample references
+# per-sample references
 
 def ref_enumeration(space, n):
     log_probs = np.log(np.where(space.probs > 0, space.probs, 1.0))
     out = []
     for combo in itertools.product(range(space.size), repeat=n):
         if all(space.probs[i] > 0 for i in combo):
-            out.append((Sample(combo), math.exp(sum(log_probs[i] for i in combo))))
+            out.append((np.array(combo), math.exp(sum(log_probs[i] for i in combo))))
+    return out
+
+
+def substitute(row, k, y):
+    """The sample row with coordinate k replaced by point index y."""
+    out = row.copy()
+    out[k] = y
     return out
 
 
@@ -98,7 +104,7 @@ def ref_brute_force_c(spec, space, loss, n):
     for s, _ in ref_enumeration(space, n):
         for k in range(n):
             for h in range(loss.num_hypotheses):
-                vals = [ham.hamiltonian_value(spec, h, s.substitute(k, y), loss)
+                vals = [ham.hamiltonian_value(spec, h, substitute(s, k, y), loss)
                         for y in range(space.size)]
                 c = max(c, max(vals) - min(vals))
     return c
@@ -108,7 +114,7 @@ def ref_logz_differences(spec, space, loss, prior, n):
     max_dlnz = max_dhq = 0.0
     for s, _ in ref_enumeration(space, n):
         for k in range(n):
-            subs = [s.substitute(k, y) for y in range(space.size)]
+            subs = [substitute(s, k, y) for y in range(space.size)]
             lz = [ref_log_z(spec, x, loss, prior) for x in subs]
             max_dlnz = max(max_dlnz, max(lz) - min(lz))
             for h in range(loss.num_hypotheses):
@@ -123,12 +129,12 @@ def ref_martingale_constants(space, n, table):
     powers = space.size ** np.arange(n - 1, -1, -1)
 
     def f(sample):
-        return float(table[int(np.dot(powers, sample.entries))])
+        return float(table[int(np.dot(powers, sample))])
 
     c, b, r2, vks = 0.0, -math.inf, 0.0, [0.0] * n
     for s, _ in ref_enumeration(space, n):
         for k in range(n):
-            vals = np.array([f(s.substitute(k, y)) for y in range(space.size)])
+            vals = np.array([f(substitute(s, k, y)) for y in range(space.size)])
             mean = float(space.probs @ vals)
             c = max(c, float(vals.max() - vals.min()))
             b = max(b, f(s) - mean)
@@ -141,7 +147,7 @@ def ref_centered_mgf(space, n, table):
     pairs = ref_enumeration(space, n)
     powers = space.size ** np.arange(n - 1, -1, -1)
     w = np.array([p for _, p in pairs])
-    vals = np.array([table[int(np.dot(powers, s.entries))] for s, _ in pairs])
+    vals = np.array([table[int(np.dot(powers, s))] for s, _ in pairs])
     return float(logsumexp(vals - float(w @ vals), b=w))
 
 
@@ -173,7 +179,7 @@ def instances():
                 PriorWeights(weights=np.array([0.5, 0.0, 2.0, 1.0])), 3))
     out.append(("composite", Composite((Gibbs(1.0), Gibbs(2.5))), space, loss,
                 PriorWeights.uniform(4), 3))
-    out.append(("shifted", Shifted(Gibbs(2.0), lambda s: 0.1 * sum(s.entries)), space,
+    out.append(("shifted", Shifted(Gibbs(2.0), lambda s: 0.1 * int(s.sum())), space,
                 loss, PriorWeights.uniform(4), 3))
     return out
 
@@ -188,7 +194,7 @@ class TestEnumerateIndices:
         space = FiniteDataSpace(points=("a", "b", "c"), probs=np.array(probs))
         idx, w = enumerate_indices(space, 4)
         ref = ref_enumeration(space, 4)
-        assert idx.tolist() == [list(s.entries) for s, _ in ref]
+        assert idx.tolist() == [s.tolist() for s, _ in ref]
         assert w.tolist() == [p for _, p in ref]
 
 

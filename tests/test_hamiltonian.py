@@ -15,7 +15,6 @@ from gapcert.hamiltonian import (
     LipschitzKernel,
     NotBoundedDifference,
     Shifted,
-    algorithm_variance,
     bounded_difference_coefficient,
     canonical_hamiltonian,
     constant_algorithm,
@@ -23,11 +22,16 @@ from gapcert.hamiltonian import (
     hypothesis_sensitivity,
     log_partition,
     mean_embedding_algorithm,
-    mean_embedding_with_declared,
     posterior,
     sample_posterior,
 )
-from gapcert.model import FiniteDataSpace, FiniteTable, ParametricLoss, PriorWeights, Sample
+from gapcert.model import (
+    BudgetExceeded,
+    FiniteDataSpace,
+    FiniteTable,
+    ParametricLoss,
+    PriorWeights,
+)
 
 
 def space3():
@@ -48,21 +52,21 @@ def param_loss():
 
 class TestHamiltonianValue:
     def test_gibbs_beta_zero(self):
-        assert hamiltonian_value(Gibbs(0.0), 0, Sample((0, 1)), TWO) == 0.0
+        assert hamiltonian_value(Gibbs(0.0), 0, np.array((0, 1)), TWO) == 0.0
 
     def test_gibbs_formula(self):
         n = 4
-        s = Sample((0, 0, 1, 1))  # L_hat of h0 = 0.5
+        s = np.array((0, 0, 1, 1))  # L_hat of h0 = 0.5
         assert hamiltonian_value(Gibbs(float(n)), 0, s, TWO) == pytest.approx(-n / 2.0)
 
     def test_gaussian_at_center(self):
         alg = constant_algorithm([1.0, 2.0])
         spec = GaussianKernel(sigma=0.7, algorithm=alg)
-        got = hamiltonian_value(spec, np.array([1.0, 2.0]), Sample((0,)), param_loss())
+        got = hamiltonian_value(spec, np.array([1.0, 2.0]), np.array((0,)), param_loss())
         assert got == 0.0
 
     def test_composite_sum(self):
-        s = Sample((0, 1))
+        s = np.array((0, 1))
         parts = (Gibbs(1.0), Gibbs(2.0))
         got = hamiltonian_value(Composite(parts), 0, s, TWO)
         want = sum(hamiltonian_value(p, 0, s, TWO) for p in parts)
@@ -70,25 +74,25 @@ class TestHamiltonianValue:
 
     def test_incompatible_spec(self):
         with pytest.raises(IncompatibleSpec):
-            hamiltonian_value(Gibbs(1.0), np.zeros(1), Sample((0,)), param_loss())
+            hamiltonian_value(Gibbs(1.0), np.zeros(1), np.array((0,)), param_loss())
 
 
 class TestLogPartition:
     def test_gibbs_beta_zero_two_units(self):
         prior = PriorWeights(weights=np.array([1.0, 1.0]))
-        got = log_partition(Gibbs(0.0), Sample((0,)), TWO, prior)
+        got = log_partition(Gibbs(0.0), np.array((0,)), TWO, prior)
         assert got == pytest.approx(math.log(2.0))
 
     def test_gaussian_normalizer(self):
         alg = constant_algorithm([0.0])
         spec = GaussianKernel(sigma=0.3, algorithm=alg)
-        got = log_partition(spec, Sample((0,)), param_loss(),
+        got = log_partition(spec, np.array((0,)), param_loss(),
                             PriorWeights(lebesgue_reference=True))
         assert got == pytest.approx(0.5 * math.log(2 * math.pi * 0.09))
 
     def test_shift_adds_exactly(self):
         prior = PriorWeights.uniform(2)
-        s = Sample((0, 1, 1))
+        s = np.array((0, 1, 1))
         base = Gibbs(3.0)
         shifted = Shifted(base=base, shift=lambda x: 1.25)
         assert log_partition(shifted, s, TWO, prior) == pytest.approx(
@@ -96,32 +100,32 @@ class TestLogPartition:
 
     def test_large_beta_no_overflow(self):
         prior = PriorWeights.uniform(2)
-        got = log_partition(Gibbs(5000.0), Sample((0, 1)), TWO, prior)
+        got = log_partition(Gibbs(5000.0), np.array((0, 1)), TWO, prior)
         assert math.isfinite(got)
 
 
 class TestPosterior:
     def test_beta_zero_equals_prior(self):
         prior = PriorWeights(weights=np.array([0.25, 0.75]))
-        q = posterior(Gibbs(0.0), Sample((0,)), TWO, prior)
+        q = posterior(Gibbs(0.0), np.array((0,)), TWO, prior)
         assert np.allclose(q.weights, [0.25, 0.75], atol=1e-15)
 
     def test_minimizer_dominates_at_large_beta(self):
         n = 2
-        s = Sample((0, 0))  # h1 has empirical loss 1, h0 has 0... check rows
+        s = np.array((0, 0))  # h1 has empirical loss 1, h0 has 0... check rows
         q = posterior(Gibbs(50.0 * n), s, TWO, PriorWeights.uniform(2))
         # row 0 loses 0.0 on point 0, row 1 loses 1.0 there
         assert q.weights[0] > 1.0 - 1e-12
 
     def test_normalization(self):
-        q = posterior(Gibbs(7.0), Sample((0, 1, 0)), TWO, PriorWeights.uniform(2))
+        q = posterior(Gibbs(7.0), np.array((0, 1, 0)), TWO, PriorWeights.uniform(2))
         assert abs(q.weights.sum() - 1.0) <= 1e-12
 
     @given(st.floats(0.0, 20.0), st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_gauge_invariance(self, beta, shift_value):
         prior = PriorWeights.uniform(2)
-        s = Sample((0, 1))
+        s = np.array((0, 1))
         base = posterior(Gibbs(beta), s, TWO, prior).weights
         shifted = posterior(Shifted(base=Gibbs(beta), shift=lambda x: shift_value),
                             s, TWO, prior).weights
@@ -129,7 +133,7 @@ class TestPosterior:
 
     def test_composite_is_product_density(self):
         prior = PriorWeights(weights=np.array([0.3, 0.7]))
-        s = Sample((0, 1))
+        s = np.array((0, 1))
         a, b = Gibbs(2.0), Gibbs(5.0)
         qa = posterior(a, s, TWO, prior).weights
         qb = posterior(b, s, TWO, prior).weights
@@ -138,9 +142,9 @@ class TestPosterior:
         assert np.allclose(qc, prod / prod.sum(), atol=1e-12)
 
     def test_gaussian_posterior(self):
-        alg = mean_embedding_algorithm(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        alg = mean_embedding_algorithm(np.array([[0.0, 0.0], [1.0, 1.0]]), 2)
         spec = GaussianKernel(sigma=0.4, algorithm=alg)
-        q = posterior(spec, Sample((0, 1)), param_loss(),
+        q = posterior(spec, np.array((0, 1)), param_loss(),
                       PriorWeights(lebesgue_reference=True))
         assert np.allclose(q.mean, [0.5, 0.5])
         assert q.sigma == 0.4
@@ -149,9 +153,9 @@ class TestPosterior:
         rng = np.random.Generator(np.random.Philox(key=5))
         loss = table(rng.uniform(0, 1, size=(5, 3)))
         space = space3()
-        s = Sample((0, 2, 1, 2))
+        s = np.array((0, 2, 1, 2))
         prior = PriorWeights.uniform(5)
-        L_hat = loss.values[:, list(s.entries)].mean(axis=1)
+        L_hat = loss.values[:, s].mean(axis=1)
         prev = math.inf
         for beta in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0):
             q = posterior(Gibbs(beta), s, loss, prior).weights
@@ -164,19 +168,19 @@ class TestCanonicalHamiltonian:
     def test_single_hypothesis_zero(self):
         one = table([[0.2, 0.9]])
         prior = PriorWeights(weights=np.array([1.0]))
-        got = canonical_hamiltonian(Gibbs(4.0), 0, Sample((1, 0)), one, prior)
+        got = canonical_hamiltonian(Gibbs(4.0), 0, np.array((1, 0)), one, prior)
         assert got == pytest.approx(0.0)
 
     def test_beta_zero_uniform(self):
         m = 4
         loss = table(np.zeros((m, 2)))
         prior = PriorWeights(weights=np.ones(m))
-        got = canonical_hamiltonian(Gibbs(0.0), 1, Sample((0,)), loss, prior)
+        got = canonical_hamiltonian(Gibbs(0.0), 1, np.array((0,)), loss, prior)
         assert got == pytest.approx(-math.log(m))
 
     def test_shift_cancels(self):
         prior = PriorWeights.uniform(2)
-        s = Sample((1, 0))
+        s = np.array((1, 0))
         base = Gibbs(3.0)
         a = canonical_hamiltonian(base, 0, s, TWO, prior)
         b = canonical_hamiltonian(Shifted(base=base, shift=lambda x: -2.0), 0, s, TWO, prior)
@@ -184,7 +188,7 @@ class TestCanonicalHamiltonian:
 
     def test_exponential_integrates_to_one(self):
         prior = PriorWeights(weights=np.array([0.4, 1.6]))
-        s = Sample((0, 1))
+        s = np.array((0, 1))
         total = sum(prior.weights[h]
                     * math.exp(canonical_hamiltonian(Gibbs(2.5), h, s, TWO, prior))
                     for h in range(2))
@@ -227,7 +231,7 @@ class TestBoundedDifferenceCoefficient:
             bounded_difference_coefficient(spec, SPACE2, param_loss(), 10)
 
     def test_lipschitz_analytic(self):
-        alg = mean_embedding_with_declared(np.array([[0.0], [1.0]]), 10)
+        alg = mean_embedding_algorithm(np.array([[0.0], [1.0]]), 10)
         spec = LipschitzKernel(kernel_exponent=lambda v: float(np.abs(v).sum()),
                                lip_constant=2.0, algorithm=alg)
         got = bounded_difference_coefficient(spec, SPACE2, param_loss(), 10)
@@ -252,6 +256,23 @@ class TestBoundedDifferenceCoefficient:
         assert brute <= bounded_difference_coefficient(spec, space, loss, n) + 1e-12
 
 
+class TestBruteForceRefusal:
+    """Beyond the budget both brute-force searches refuse: a maximum over part
+    of X^n only bounds the supremum from below, so it is no coefficient."""
+
+    def test_coefficient_over_budget(self):
+        spec = Shifted(base=Gibbs(2.0), shift=lambda x: 0.1 * int(x.sum()))
+        loss = table([[0.1, 0.5, 0.9], [0.3, 0.2, 0.7]])
+        with pytest.raises(BudgetExceeded):
+            bounded_difference_coefficient(spec, space3(), loss, 4, mode="brute_force",
+                                           budget=3**4 - 1)
+
+    def test_sensitivity_over_budget(self):
+        alg = mean_embedding_algorithm(np.array([[0.0], [1.0], [0.5]]), 4)
+        with pytest.raises(BudgetExceeded):
+            hypothesis_sensitivity(alg, space3(), 4, budget=3**4 - 1)
+
+
 class TestStableAlgorithms:
     def test_constant_sensitivity_zero(self):
         alg = constant_algorithm([1.0, 2.0])
@@ -259,33 +280,31 @@ class TestStableAlgorithms:
 
     def test_mean_embedding_diameter_over_n(self):
         phi = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])  # diameter 5
-        alg = mean_embedding_algorithm(phi)
         n = 4
-        got = hypothesis_sensitivity(alg, space3(), n, mode="brute_force")
+        alg = mean_embedding_algorithm(phi, n)
+        got = hypothesis_sensitivity(alg, space3(), n)
         assert got == pytest.approx(5.0 / n)
 
     def test_brute_force_within_declared(self):
         phi = np.array([[0.0, 0.5], [0.25, 0.0]])
-        alg = mean_embedding_with_declared(phi, 3)
-        got = hypothesis_sensitivity(alg, SPACE2, 3, mode="brute_force")
+        alg = mean_embedding_algorithm(phi, 3)
+        got = hypothesis_sensitivity(alg, SPACE2, 3)
         assert got <= alg.declared_c_A + 1e-12
 
     def test_constant_variance_zero(self):
-        v, regime = algorithm_variance(constant_algorithm([0.0]), SPACE2, 4)
-        assert v == 0.0
+        assert constant_algorithm([0.0]).variance_fn(SPACE2, 4) == 0.0
 
     def test_variance_at_most_n_cA_squared(self):
         phi = np.array([[0.0, 0.0], [1.0, 0.5]])
         n = 3
-        alg = mean_embedding_with_declared(phi, n)
-        v, _ = algorithm_variance(alg, SPACE2, n)
+        alg = mean_embedding_algorithm(phi, n)
+        v = alg.variance_fn(SPACE2, n)
         assert v <= n * alg.declared_c_A**2 + 1e-12
 
     def test_mean_embedding_variance_matches_enumeration(self):
         phi = np.array([[0.0], [1.0]])
         n = 2
-        base = mean_embedding_algorithm(phi)
-        closed, _ = algorithm_variance(base, SPACE2, n)
+        closed = mean_embedding_algorithm(phi, n).variance_fn(SPACE2, n)
         # enumeration over the 4 samples of the two-point space
         outs = {s: phi[list(s)].mean(axis=0) for s in
                 [(0, 0), (0, 1), (1, 0), (1, 1)]}

@@ -14,7 +14,6 @@ from gapcert.model import (
     FiniteTable,
     ParametricLoss,
     PriorWeights,
-    Sample,
     empirical_loss,
     enumerate_samples,
     generalization_gap,
@@ -57,28 +56,28 @@ class TestLosses:
         assert true_loss(0, space2(0.25), table([[1.0, 0.0]])) == pytest.approx(0.25)
 
     def test_empirical_loss_mean(self):
-        s = Sample((0, 0, 1))
+        s = np.array((0, 0, 1))
         assert empirical_loss(0, s, table([[0.0, 1.0]])) == pytest.approx(1.0 / 3.0)
 
     def test_empirical_loss_constant(self):
-        s = Sample((0, 1, 1, 0))
+        s = np.array((0, 1, 1, 0))
         assert empirical_loss(0, s, table([[0.3, 0.3]])) == pytest.approx(0.3)
 
     def test_empirical_loss_constant_entries(self):
-        assert empirical_loss(0, Sample((1, 1)), table([[0.2, 0.8]])) == pytest.approx(0.8)
+        assert empirical_loss(0, np.array((1, 1)), table([[0.2, 0.8]])) == pytest.approx(0.8)
 
     def test_gap_example(self):
-        got = generalization_gap(0, Sample((0, 0)), space2(), table([[0.0, 1.0]]))
+        got = generalization_gap(0, np.array((0, 0)), space2(), table([[0.0, 1.0]]))
         assert got == pytest.approx(0.5)
 
     def test_gap_constant_hypothesis(self):
-        assert generalization_gap(0, Sample((1, 0)), space2(), table([[0.4, 0.4]])) == 0.0
+        assert generalization_gap(0, np.array((1, 0)), space2(), table([[0.4, 0.4]])) == 0.0
 
     @given(random_instance(), st.integers(1, 3))
     @settings(max_examples=50, deadline=None)
     def test_decomposition_exact(self, inst, n):
         space, loss = inst
-        sample = Sample(tuple(i % space.size for i in range(n)))
+        sample = np.arange(n) % space.size
         for h in range(loss.num_hypotheses):
             lhs = true_loss(h, space, loss)
             rhs = empirical_loss(h, sample, loss) + generalization_gap(h, sample, space, loss)
@@ -136,7 +135,7 @@ class TestEnumeration:
         space = FiniteDataSpace(points=("a", "b"), probs=np.array([1.0, 0.0]))
         samples = list(enumerate_samples(space, 2))
         assert len(samples) == 1
-        assert samples[0][0].entries == (0, 0)
+        assert samples[0][0].tolist() == [0, 0]
 
 
 class TestContracts:
@@ -160,10 +159,6 @@ class TestContracts:
     def test_prior_all_zero(self):
         with pytest.raises(ValueError):
             PriorWeights(weights=np.array([0.0, 0.0]))
-
-    def test_sample_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            Sample((0, 5)).validate(space2())
 
 
 class TestLossTableFile:
