@@ -53,8 +53,7 @@ def criterion_mgf_vs_bounded_differences() -> CriterionResult:
     worst = math.inf
     for space, loss, spec, _ in _gibbs_instances(betas=(0.0, 1.0, 5.0, float(n))):
         prior = PriorWeights.uniform(loss.num_hypotheses)
-        c, regime = ham.bounded_difference_coefficient(spec, space, loss, n,
-                                                       mode="brute_force")
+        c, regime = ham.bounded_difference_coefficient(spec, space, loss, n)
         assert regime == "exhaustive"
         for lam in (0.1 * n, 0.5 * n, float(n), 2.0 * n):
             lhs = vf.exact_mixed_mgf(spec, space, loss, prior, n, lam)

@@ -371,77 +371,6 @@ def baselines(beta: float, n: int, delta: float,
                        rivasplata_gaussian=gaussian)
 
 
-# ---------------------------------------------------------------------------
-# numeric lambda optimization, cross-checking the closed-form choices
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section(f, lo: float, hi: float, rel_tol: float = 1e-8):
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(1.0, abs(a) + abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def optimize_lambda_numeric(method: str, **params):
-    """Golden-section optimum of the lambda objective behind a closed form.
-
-    method 'bounded_differences' takes b, c, n, delta; the objective is
-    (mgf bound + ln(1/delta)) / lambda, whose exact minimum is
-    b c / 2 + 2 sqrt((b^2 / 8n)(n c^2 / 2 + ln(1/delta))). The quoted
-    certificate relaxes this by subadditivity of the square root.
-
-    method 'gaussian_gap' takes n and K; the objective is
-    lambda / (4 n) + K / lambda, closed form sqrt(K / n).
-
-    Returns (lambda_star, value); with K = 0 the gaussian objective has no
-    interior minimizer and (inf, 0.0) is returned as a boundary case.
-    """
-    if method == "bounded_differences":
-        b, c, n = params["b"], params["c"], params["n"]
-        ld = _check_delta(params["delta"])
-
-        def obj(lam):
-            v = bound_mgf_bounded_differences(b, c, n, lam) + ld
-            if not math.isfinite(v):
-                raise DomainError("objective is not finite")
-            return v / lam
-
-        return _golden_section(obj, 1e-9, 1e6 * n)
-    if method == "gaussian_gap":
-        n, K = params["n"], params["K"]
-        if K < 0:
-            raise DomainError("K must be nonnegative")
-        if K == 0.0:
-            return math.inf, 0.0
-        return _golden_section(lambda lam: lam / (4.0 * n) + K / lam, 1e-9, 1e9)
-    raise DomainError(f"unknown optimization method {method!r}")
-
-
-def closed_form_minimum(method: str, **params) -> float:
-    """The exact minimized value of the lambda objective, pre-subadditivity."""
-    if method == "bounded_differences":
-        b, c, n = params["b"], params["c"], params["n"]
-        ld = _check_delta(params["delta"])
-        return b * c / 2.0 + 2.0 * math.sqrt(b**2 / (8.0 * n) * (n * c**2 / 2.0 + ld))
-    if method == "gaussian_gap":
-        n, K = params["n"], params["K"]
-        return math.sqrt(K / n)
-    raise DomainError(f"unknown optimization method {method!r}")
-
-
 _METHODS = {
     "bounded_differences": bound_bounded_differences,
     "bernstein": bound_bernstein,

@@ -67,6 +67,20 @@ def _cert_inputs_str(cert: bd.Certificate) -> str:
     return ";".join(f"{k}={cert.inputs[k]!r}" for k in sorted(cert.inputs))
 
 
+def _print_summary(text: str) -> None:
+    """Print a command's summary, which its summary file also holds. A reader
+    that closed stdout early (`gapcert verify ... | head -0`) loses the
+    summary but changes no exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the unwritten text stays buffered; send it, and the flush at exit,
+        # to the null device rather than raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _scenario_run(config: ScenarioConfig) -> vf.GibbsRun | vf.GaussianRun:
     spec = config.spec
     if isinstance(spec, Gibbs):
@@ -99,7 +113,7 @@ def cmd_certify(config: ScenarioConfig, out_dir: Path) -> int:
     summary += [f"  {ln}" for ln in lines]
     (out_dir / f"{config.scenario_id}_certify_summary.txt").write_text(
         "\n".join(summary) + "\n")
-    print("\n".join(summary))
+    _print_summary("\n".join(summary))
     return EXIT_OK
 
 
@@ -175,7 +189,7 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
     text = "\n".join([f"scenario {config.scenario_id}: verify "
                       f"{'passed' if ok else 'FAILED'}"] + [f"  {s}" for s in summary])
     (out_dir / f"{config.scenario_id}_verify_summary.txt").write_text(text + "\n")
-    print(text)
+    _print_summary(text)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
@@ -199,7 +213,7 @@ def cmd_compare(config: ScenarioConfig, out_dir: Path) -> int:
     text = (f"scenario {config.scenario_id}: compare grid of {len(table)} points, "
             f"simple bound below baseline at {improved}/{len(table)}")
     (out_dir / f"{config.scenario_id}_compare_summary.txt").write_text(text + "\n")
-    print(text)
+    _print_summary(text)
     return EXIT_OK
 
 
@@ -218,7 +232,7 @@ def cmd_accept(out_dir: Path, jobs: int = 1) -> int:
     _write_csv(out_dir / "acceptance.csv", rows)
     text = "\n".join(lines + [f"acceptance: {'all passed' if all_ok else 'FAILURES'}"])
     (out_dir / "acceptance_summary.txt").write_text(text + "\n")
-    print(text)
+    _print_summary(text)
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 

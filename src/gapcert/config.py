@@ -13,7 +13,7 @@ first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +88,7 @@ class ScenarioConfig:
     scenario_id: str
     space: FiniteDataSpace
     loss: FiniteTable | ParametricLoss
-    prior: PriorWeights
+    prior: PriorWeights | None  # None for the Gaussian kernel, which reads none
     spec: HamiltonianSpec
     n: int
     delta: float
@@ -103,7 +103,6 @@ class ScenarioConfig:
     compare_betas: tuple[str, ...]
     compare_deltas: tuple[float, ...]
     compare_l_hats: tuple[float, ...]
-    raw: dict = field(default_factory=dict)
 
     def beta_grid(self, n: int) -> list[float]:
         out = []
@@ -156,11 +155,9 @@ def cosine_parametric_loss(features: np.ndarray) -> ParametricLoss:
     def ev(h: np.ndarray, i: int) -> float:
         return 0.5 * (1.0 + math.cos(float(h @ phi[i])))
 
-    loss = ParametricLoss(dim_d=phi.shape[1], evaluator=ev, bound_b=1.0)
-    # batch path used by the posterior-expectation estimator
-    object.__setattr__(loss, "batch_evaluator",
-                       lambda hs: 0.5 * (1.0 + np.cos(hs @ phi.T)))
-    return loss
+    return ParametricLoss(dim_d=phi.shape[1], evaluator=ev,
+                          batch_evaluator=lambda hs: 0.5 * (1.0 + np.cos(hs @ phi.T)),
+                          bound_b=1.0)
 
 
 def _gaussian_instance(seed: int, num_points: int, dim: int, n: int, algorithm_name: str):
@@ -270,7 +267,6 @@ def parse_config(path) -> ScenarioConfig:
             except KeyError as exc:
                 errors.append(f"hamiltonian.algorithm: {exc.args[0]}")
             else:
-                prior = PriorWeights(lebesgue_reference=True)
                 if sigma is not None:
                     spec = GaussianKernel(sigma=sigma, algorithm=algorithm)
                     c_A = algorithm.declared_c_A
@@ -306,5 +302,4 @@ def parse_config(path) -> ScenarioConfig:
         posterior_draws=posterior_draws, out_dir=merged["out"],
         verify_exact=verify_exact,
         compare_ns=compare_ns, compare_betas=compare_betas,
-        compare_deltas=compare_deltas, compare_l_hats=compare_l_hats,
-        raw=merged)
+        compare_deltas=compare_deltas, compare_l_hats=compare_l_hats)

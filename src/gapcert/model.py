@@ -93,11 +93,13 @@ class ParametricLoss:
     """Loss over hypotheses parametrized by vectors in R^d, bounded in [0, bound_b].
 
     The evaluator must be deterministic; values outside [0, bound_b] are a
-    contract violation and raise.
+    contract violation and raise. batch_evaluator maps a (k, d) array of
+    hypotheses to their (k, num_points) losses at once.
     """
 
     dim_d: int
     evaluator: Callable[[np.ndarray, int], float]
+    batch_evaluator: Callable[[np.ndarray], np.ndarray]
     bound_b: float = 1.0
 
     def __post_init__(self):
@@ -120,20 +122,12 @@ LossModel = FiniteTable | ParametricLoss
 
 @dataclass(frozen=True)
 class PriorWeights:
-    """Nonnegative a-priori weights over a finite hypothesis class.
+    """Nonnegative a-priori weights over a finite hypothesis class; no
+    normalization is required."""
 
-    No normalization is required; for parametric classes use
-    ``lebesgue_reference=True`` and leave weights empty.
-    """
-
-    weights: np.ndarray | None = None
-    lebesgue_reference: bool = False
+    weights: np.ndarray
 
     def __post_init__(self):
-        if self.lebesgue_reference:
-            if self.weights is not None:
-                raise ValueError("Lebesgue reference prior carries no weight vector")
-            return
         w = np.asarray(self.weights, dtype=float)
         if np.any(w < 0):
             raise ValueError("prior weights must be nonnegative")
@@ -174,13 +168,6 @@ def loss_variance(h, space: FiniteDataSpace, loss: LossModel) -> float:
     vals = _losses_at(loss, h, range(space.size))
     mean = float(np.dot(space.probs, vals))
     return float(np.dot(space.probs, (vals - mean) ** 2))
-
-
-def subgaussian_parameter(h, space: FiniteDataSpace, loss: LossModel) -> float:
-    """Subgaussian scale of the loss of h under the data distribution: half
-    the range of its loss values (Hoeffding's lemma), always valid."""
-    vals = _losses_at(loss, h, range(space.size))
-    return float(vals.max() - vals.min()) / 2.0
 
 
 # Sample rows handled at once by the array engine. It bounds the

@@ -318,8 +318,7 @@ def check_logZ_bounded_differences(spec: HamiltonianSpec, space: FiniteDataSpace
                                    budget: int = DEFAULT_ENUMERATION_BUDGET
                                    ) -> list[MomentCheckReport]:
     """|D ln Z| <= c and |D H_Q| <= 2c for the brute-force c of H."""
-    c, _ = ham.bounded_difference_coefficient(spec, space, loss, n, mode="brute_force",
-                                              budget=budget)
+    c, _ = ham.bounded_difference_coefficient(spec, space, loss, n, budget=budget)
     idx, _ = enumerate_indices(space, n, budget)
     max_dlnz = 0.0
     max_dhq = 0.0
@@ -523,6 +522,9 @@ class GibbsRun:
 
     def draw(self, rng: np.random.Generator) -> Draw:
         idx = draw_sample(self.space, self.n, rng)
+        # not hamiltonian.posterior: this gather is column-major, its mean
+        # sums in another order than the engine's contiguous rows and
+        # differs in the last bit, and the verify CSV bytes rest on it
         L_hat = self.table[:, idx].mean(axis=1)
         logw = -self.beta * L_hat + self.log_prior
         logw -= logsumexp(logw)
@@ -562,13 +564,7 @@ class GaussianRun:
         draws from Q_X."""
         hs = draw.center + self.sigma * rng.standard_normal(
             (self.posterior_draws, len(draw.center)))
-        # vectorized only when the loss exposes a batch path; fall back otherwise
-        batch = getattr(self.loss, "batch_evaluator", None)
-        if batch is not None:
-            pl = batch(hs)  # (draws, num_points)
-        else:
-            pl = np.array([[self.loss.value(h, i) for i in range(self.space.size)]
-                           for h in hs])
+        pl = self.loss.batch_evaluator(hs)  # (draws, num_points)
         L_hat = pl[:, draw.idx].mean(axis=1)
         return float(np.mean(kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0),
                                               pl @ self.space.probs)))

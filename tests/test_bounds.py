@@ -19,12 +19,10 @@ from gapcert.bounds import (
     bound_mgf_bounded_differences,
     bound_bernstein,
     bound_subgaussian,
-    closed_form_minimum,
     gap_from_kl,
     inversion_lemma,
     kl_bernoulli,
     kl_inverse_upper,
-    optimize_lambda_numeric,
     pac_bayes_gaussian_kl,
     pac_bayes_model_selection,
     pac_bayes_transfer,
@@ -284,25 +282,43 @@ class TestBaselines:
             math.log(2 * math.sqrt(n) / delta) / n)
 
 
-class TestOptimizer:
-    def test_bounded_differences_matches_closed_form(self):
-        params = dict(b=1.0, c=0.08, n=150, delta=0.05)
-        lam, val = optimize_lambda_numeric("bounded_differences", **params)
-        assert val == pytest.approx(closed_form_minimum("bounded_differences", **params),
-                                    abs=1e-6)
-        # the published certificate relaxes the exact optimum by subadditivity
-        assert val <= bound_bounded_differences(**params).value + 1e-9
+def bd_objective(inputs, lam):
+    """(mgf bound + ln(1/delta)) / lambda, behind the bounded-difference certificate."""
+    mgf = bound_mgf_bounded_differences(inputs["b"], inputs["c"], inputs["n"], lam)
+    return (mgf + math.log(1.0 / inputs["delta"])) / lam
 
-    def test_gaussian_matches_closed_form(self):
-        params = dict(n=200, K=2.5)
-        lam, val = optimize_lambda_numeric("gaussian_gap", **params)
-        assert val == pytest.approx(closed_form_minimum("gaussian_gap", **params),
-                                    abs=1e-6)
-        assert lam == pytest.approx(2.0 * math.sqrt(params["K"] * params["n"]), rel=1e-4)
 
-    def test_degenerate_boundary_case(self):
-        lam, val = optimize_lambda_numeric("gaussian_gap", n=100, K=0.0)
-        assert lam == math.inf and val == 0.0
+def gaussian_gap_objective(inputs, lam):
+    """lambda / 4n + K / lambda with K = (3 / sigma^2) V + ln(1/delta)."""
+    K = 3.0 / inputs["sigma"] ** 2 * inputs["V"] + math.log(1.0 / inputs["delta"])
+    return lam / (4.0 * inputs["n"]) + K / lam
+
+
+LAMBDA_GRID = np.geomspace(1e-3, 1e9, 4001)
+_RATIO = math.sqrt(LAMBDA_GRID[1] / LAMBDA_GRID[0])
+# Every lambda in the range lies within a factor _RATIO of a grid point, and
+# an objective a lambda + B + C / lambda (a, B, C >= 0) is there at most this
+# share above its infimum; so the grid minimum over (1 + slack) is below it.
+GRID_SLACK = (_RATIO + 1.0 / _RATIO - 2.0) / 2.0
+
+LAMBDA_CASES = [
+    (bound_bounded_differences(1.0, 0.08, 150, 0.05), bd_objective),
+    (bound_bounded_differences(2.0, 0.0, 100, 0.01), bd_objective),
+    (bound_bounded_differences(1.0, 0.5, 20, 0.5), bd_objective),
+    (bound_gaussian_randomization(0.3, 0.5, 200, 0.05, "gap_joint", 0.01),
+     gaussian_gap_objective),
+    (bound_gaussian_randomization(0.0, 2.0, 1000, 0.01, "gap_joint", 0.0),
+     gaussian_gap_objective),
+]
+
+
+@pytest.mark.parametrize("cert, objective", LAMBDA_CASES,
+                         ids=[f"{c.method}-{i}" for i, (c, _) in enumerate(LAMBDA_CASES)])
+def test_certificate_at_least_lambda_optimum(cert, objective):
+    """The closed-form certificate relaxes the exact optimum of its lambda
+    objective: it is no smaller than the infimum over lambda > 0."""
+    grid_min = min(objective(cert.inputs, float(lam)) for lam in LAMBDA_GRID)
+    assert cert.value >= grid_min / (1.0 + GRID_SLACK)
 
 
 CERT_CASES = [

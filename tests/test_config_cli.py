@@ -2,12 +2,15 @@
 
 import csv
 import dataclasses
+import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from gapcert import acceptance
 from gapcert.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -62,6 +65,18 @@ GOOD_TABLE = "points a b\n#mu 0.5 0.5\nh0 0.1 0.2\nh1 0.7 0.3\n"
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
+# sha256 prefixes of the CSVs that `certify` and `verify` write for each file
+# in configs/, and `compare` for gibbs_small; no change may move a byte of them
+CSV_SHA256 = {
+    "gibbs_exact_certify.csv": "e61cc29e",
+    "gibbs_exact_verify.csv": "1cee2f35",
+    "gibbs_small_certify.csv": "308e3214",
+    "gibbs_small_verify.csv": "30722ea4",
+    "gibbs_small_compare.csv": "136d4d30",
+    "gaussian_mean_embedding_certify.csv": "138335af",
+    "gaussian_mean_embedding_verify.csv": "7b5a832f",
+}
+
 # scenario files that parse_config must reject; {table} is a loss-table file
 # in the README's old, unparsable `# mu =` form
 BAD_SCENARIOS = {
@@ -100,7 +115,7 @@ class TestParse:
         cfg = parse_config(write_config(tmp_path, "g.txt", GAUSSIAN_SMALL))
         assert isinstance(cfg.spec, GaussianKernel)
         assert cfg.spec.sigma == 0.5
-        assert cfg.prior.lebesgue_reference
+        assert cfg.prior is None
 
     def test_missing_n(self, tmp_path):
         with pytest.raises(ConfigError, match="n: required"):
@@ -188,7 +203,7 @@ class TestCli:
                                       "gaussian_mean_embedding"])
     def test_certify_is_trial_zero_of_verify(self, tmp_path, name):
         cfg = parse_config(CONFIGS / f"{name}.txt")
-        variant = cfg.raw["hamiltonian.variant"]
+        variant = "gibbs" if isinstance(cfg.spec, Gibbs) else "gaussian_kernel"
         methods = tuple(m for m, s in SCENARIO_METHODS.items() if s.variant == variant)
         cfg = dataclasses.replace(cfg, methods=methods, trials=1, verify_exact="skip")
         cmd_certify(cfg, tmp_path)
@@ -291,3 +306,43 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["certify", "--config", str(cfg)]) == EXIT_OK
         assert (env_out / "demo_certify.csv").exists()
+
+    def test_config_csvs_byte_identical(self, tmp_path):
+        runs = [(command, name) for name in ("gibbs_exact", "gibbs_small",
+                                             "gaussian_mean_embedding")
+                for command in ("certify", "verify")] + [("compare", "gibbs_small")]
+        for command, name in runs:
+            assert main([command, "--config", str(CONFIGS / f"{name}.txt"),
+                         "--out", str(tmp_path)]) == EXIT_OK
+        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:8]
+               for f in CSV_SHA256}
+        assert got == CSV_SHA256
+
+    @pytest.mark.parametrize("command", ["certify", "verify", "compare", "accept"])
+    def test_closed_stdout_keeps_exit_code(self, tmp_path, monkeypatch, command):
+        """A reader that closes stdout early (`gapcert ... | head -0`) costs the
+        summary, not the exit code or the CSV."""
+        monkeypatch.setattr(acceptance, "run_all", lambda jobs=1: [])
+        cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out)]
+        if command != "accept":
+            argv += ["--config", str(cfg)]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=1) as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert main(argv) == EXIT_OK
+        assert list(out.glob("*.csv"))
+
+    def test_closed_stdout_exits_without_traceback(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        run = subprocess.run(
+            [sys.executable, "-m", "gapcert.cli", "compare", "--config",
+             str(CONFIGS / "gibbs_small.txt"), "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        os.close(write_end)
+        assert run.returncode == EXIT_OK
+        assert run.stderr == ""

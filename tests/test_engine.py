@@ -1,8 +1,8 @@
 """The array-based exact engine against per-sample loop references.
 
 The reference functions below walk X^n one sample at a time, the way the
-oracles are defined. They use only the scalar Hamiltonian and
-itertools.product, so they share no code with the engine they check.
+oracles are defined. They use only the scalar Hamiltonian ref_hamiltonian
+and itertools.product, so they share no code with the engine they check.
 """
 
 import itertools
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from gapcert import hamiltonian as ham
 from gapcert import verify as vf
 from gapcert.config import random_gibbs_instance
 from gapcert.hamiltonian import Composite, Gibbs, Shifted, bounded_difference_coefficient
@@ -21,6 +20,7 @@ from gapcert.model import (
     FiniteDataSpace,
     FiniteTable,
     PriorWeights,
+    empirical_loss,
     enumerate_indices,
     generalization_gap,
     loss_variance,
@@ -46,8 +46,19 @@ def substitute(row, k, y):
     return out
 
 
+def ref_hamiltonian(spec, h, sample, loss):
+    """H(h, sample) of one hypothesis on one sample."""
+    if isinstance(spec, Gibbs):
+        return -spec.beta * empirical_loss(h, sample, loss)
+    if isinstance(spec, Composite):
+        return sum(ref_hamiltonian(p, h, sample, loss) for p in spec.parts)
+    if isinstance(spec, Shifted):
+        return ref_hamiltonian(spec.base, h, sample, loss) + float(spec.shift(sample))
+    raise TypeError(f"no reference for {type(spec).__name__}")
+
+
 def ref_log_weights(spec, sample, loss, prior):
-    return np.array([ham.hamiltonian_value(spec, h, sample, loss) + math.log(p) if p > 0
+    return np.array([ref_hamiltonian(spec, h, sample, loss) + math.log(p) if p > 0
                      else -np.inf for h, p in enumerate(prior.weights)])
 
 
@@ -76,7 +87,7 @@ def ref_psi(spec, space, loss, prior, n, F):
     w = np.array([p for _, p in pairs])
     psi = []
     for h in range(loss.num_hypotheses):
-        hq = np.array([ham.hamiltonian_value(spec, h, s, loss) - ref_log_z(spec, s, loss, prior)
+        hq = np.array([ref_hamiltonian(spec, h, s, loss) - ref_log_z(spec, s, loss, prior)
                        for s, _ in pairs])
         exps = np.array([F(h, s) for s, _ in pairs]) + hq - float(w @ hq)
         psi.append(float(logsumexp(exps, b=w)))
@@ -104,7 +115,7 @@ def ref_brute_force_c(spec, space, loss, n):
     for s, _ in ref_enumeration(space, n):
         for k in range(n):
             for h in range(loss.num_hypotheses):
-                vals = [ham.hamiltonian_value(spec, h, substitute(s, k, y), loss)
+                vals = [ref_hamiltonian(spec, h, substitute(s, k, y), loss)
                         for y in range(space.size)]
                 c = max(c, max(vals) - min(vals))
     return c
@@ -118,7 +129,7 @@ def ref_logz_differences(spec, space, loss, prior, n):
             lz = [ref_log_z(spec, x, loss, prior) for x in subs]
             max_dlnz = max(max_dlnz, max(lz) - min(lz))
             for h in range(loss.num_hypotheses):
-                hq = [ham.hamiltonian_value(spec, h, x, loss) - z for x, z in zip(subs, lz)]
+                hq = [ref_hamiltonian(spec, h, x, loss) - z for x, z in zip(subs, lz)]
                 max_dhq = max(max_dhq, max(hq) - min(hq))
     return max_dlnz, max_dhq
 
@@ -205,8 +216,7 @@ class TestBruteForceCoefficient:
         sample, so the exhaustive search finds (beta/n) max_h range(l_h)."""
         space, loss = random_gibbs_instance(seed, 3, 5)
         n, beta = 4, 2.5
-        c, regime = bounded_difference_coefficient(Gibbs(beta), space, loss, n,
-                                                   mode="brute_force")
+        c, regime = bounded_difference_coefficient(Gibbs(beta), space, loss, n)
         assert regime == "exhaustive"
         closed = beta / n * float((loss.values.max(axis=1) - loss.values.min(axis=1)).max())
         assert c == pytest.approx(closed, abs=1e-12)
@@ -214,7 +224,7 @@ class TestBruteForceCoefficient:
     @pytest.mark.parametrize("inst", INSTANCES, ids=IDS)
     def test_matches_loop(self, inst):
         _, spec, space, loss, _, n = inst
-        c, _ = bounded_difference_coefficient(spec, space, loss, n, mode="brute_force")
+        c, _ = bounded_difference_coefficient(spec, space, loss, n)
         assert c == ref_brute_force_c(spec, space, loss, n)
 
 
@@ -282,7 +292,7 @@ class TestMemory:
         spec, prior, n = Gibbs(3.0), PriorWeights.uniform(4), 16
         tracemalloc.start()
         try:
-            bounded_difference_coefficient(spec, space, loss, n, mode="brute_force")
+            bounded_difference_coefficient(spec, space, loss, n)
             vf.check_logZ_bounded_differences(spec, space, loss, prior, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -19,9 +19,9 @@ from gapcert.model import (
     generalization_gap,
     load_loss_table,
     loss_variance,
-    subgaussian_parameter,
     true_loss,
 )
+from gapcert.verify import GibbsRun
 
 
 def space2(p=0.5):
@@ -115,11 +115,19 @@ class TestVariance:
 
 
 class TestSubgaussian:
+    """rho_h of a Gibbs run: half the range of h's loss values (Hoeffding's
+    lemma), the subgaussian scale the certificates use."""
+
+    @staticmethod
+    def rho(rows):
+        return GibbsRun(space2(), table(rows), PriorWeights.uniform(len(rows)),
+                        1.0, 1, 0.05).rho
+
     def test_constant_zero(self):
-        assert subgaussian_parameter(0, space2(), table([[0.4, 0.4]])) == 0.0
+        assert self.rho([[0.4, 0.4]])[0] == 0.0
 
     def test_binary_half(self):
-        assert subgaussian_parameter(0, space2(), table([[0.0, 1.0]])) == pytest.approx(0.5)
+        assert self.rho([[0.0, 1.0]])[0] == pytest.approx(0.5)
 
 
 class TestEnumeration:
@@ -140,7 +148,9 @@ class TestEnumeration:
 
 class TestContracts:
     def test_parametric_out_of_range(self):
-        bad = ParametricLoss(dim_d=1, evaluator=lambda h, i: 2.0, bound_b=1.0)
+        bad = ParametricLoss(dim_d=1, evaluator=lambda h, i: 2.0,
+                             batch_evaluator=lambda hs: np.full((len(hs), 2), 2.0),
+                             bound_b=1.0)
         with pytest.raises(ContractViolation):
             bad.value(np.zeros(1), 0)
 
