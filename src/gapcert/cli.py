@@ -29,7 +29,7 @@ from pathlib import Path
 from . import acceptance
 from . import bounds as bd
 from . import verify as vf
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import _KEYS, ConfigError, ScenarioConfig, number_in, parse_config
 from .hamiltonian import Gibbs
 from .model import BudgetExceeded, generalization_gap
 
@@ -309,27 +309,30 @@ def emit_plot_script(results_path, output_path) -> None:
     Path(output_path).write_text(PLOT_SCRIPT_TEMPLATE.format(results_path=results_path))
 
 
-def _int_at_least(lo: int):
-    """An argparse type: an integer no less than lo. For --seed and --budget,
-    lo is the bound parse_config puts on the scenario key they override."""
+def _flag_type(parse):
+    """An argparse type from a parser of config.py. argparse reports a
+    ValueError only as "invalid ... value"; this keeps the parser's message."""
 
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
-        return value
+    def flag_type(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return integer
+    return flag_type
 
 
+# --seed and --budget take the domain of the scenario key they override
 FLAGS = {
     "--config": dict(required=True, help="scenario file"),
-    "--seed": dict(type=_int_at_least(0), help="override the master seed"),
+    "--seed": dict(type=_flag_type(_KEYS["master_seed"].parse),
+                   help="override the master seed"),
     "--out": dict(help="output directory (overrides config and the GAPCERT_OUT "
                        "environment variable)"),
-    "--budget": dict(type=_int_at_least(1), help="override the enumeration budget"),
+    "--budget": dict(type=_flag_type(_KEYS["enumeration_budget"].parse),
+                     help="override the enumeration budget"),
     "--plot-script": dict(help="also emit a plotting script here"),
-    "--jobs": dict(type=_int_at_least(1), default=1, help="parallel workers"),
+    "--jobs": dict(type=_flag_type(number_in(int, 1)), default=1, help="parallel workers"),
 }
 
 # each subcommand accepts only the flags it reads
@@ -391,6 +394,11 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except bd.DomainError as exc:
+        # a certificate's domain that parsing does not check, such as the
+        # n > 8 of the expected-kl bound
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.plot_script and code == EXIT_OK:
         emit_plot_script(out_dir / f"{config.scenario_id}_compare.csv", args.plot_script)
     return code

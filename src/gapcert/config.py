@@ -5,9 +5,10 @@ One file per scenario. The format is line oriented:
     # comment
     key.subkey = value
 
-Values are scalars or comma-separated lists. Unknown keys are an error (no
-silent ignoring) and validation reports every problem at once, not just the
-first.
+Values are scalars or comma-separated lists. `_KEYS` holds each key's
+default, the parser that checks its domain and the kinds of scenario that
+read it. A key that is unknown, or that the scenario's kind never reads, is
+an error (no silent ignoring); validation reports every problem at once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -38,48 +40,98 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-_KNOWN_KEYS = {
-    "scenario_id",
-    "instance.file", "instance.generator", "instance.seed",
-    "instance.num_points", "instance.num_hypotheses", "instance.dim",
-    "hamiltonian.variant", "hamiltonian.beta", "hamiltonian.sigma",
-    "hamiltonian.algorithm",
-    "n", "delta", "methods", "trials", "master_seed", "enumeration_budget",
-    "posterior_draws", "out", "verify.exact",
-    "compare.ns", "compare.betas", "compare.deltas", "compare.l_hats",
-}
+# The kinds of scenario. A file's kind is worked out from its own keys, and
+# decides which keys it may name.
+RANDOM = "random Gibbs"
+FILE = "instance.file Gibbs"
+GAUSSIAN = "gaussian_kernel"
+GIBBS = (RANDOM, FILE)
+ALL = (RANDOM, FILE, GAUSSIAN)
 
-# keys that a variant never reads: naming one is an error, as an unknown key is
-_VARIANT_IGNORES = {
-    "gibbs": ("hamiltonian.sigma", "hamiltonian.algorithm", "instance.dim"),
-    "gaussian_kernel": ("instance.file", "hamiltonian.beta", "instance.num_hypotheses",
-                        "instance.generator"),
-}
-# the random-instance keys, which an instance.file replaces
-_FILE_IGNORES = ("instance.generator", "instance.seed", "instance.num_points",
-                 "instance.num_hypotheses")
 
-_DEFAULTS = {
-    "instance.generator": "gibbs_random",
-    "instance.seed": "0",
-    "instance.num_points": "10",
-    "instance.num_hypotheses": "16",
-    "instance.dim": "2",
-    "hamiltonian.variant": "gibbs",
-    "hamiltonian.beta": "5.0",
-    "hamiltonian.sigma": "0.5",
-    "hamiltonian.algorithm": "mean_embedding",
-    "delta": "0.05",
-    "trials": "1000",
-    "master_seed": "0",
-    "enumeration_budget": str(DEFAULT_ENUMERATION_BUDGET),
-    "posterior_draws": "10000",
-    "out": "out",
-    "verify.exact": "auto",
-    "compare.ns": "100,1000,10000",
-    "compare.betas": "0,sqrt_n,n_over_10",
-    "compare.deltas": "0.5,0.05,0.01",
-    "compare.l_hats": "0,0.1,0.3",
+def number_in(convert, lo: float, hi: float = math.inf, strict: bool = False):
+    """A parser: a number that `convert` (int or float) reads from the text,
+    finite and in [lo, hi], or in (lo, hi) if strict."""
+
+    def number(text: str):
+        value = convert(text)
+        if not (-math.inf < value < math.inf
+                and (lo < value < hi if strict else lo <= value <= hi)):
+            domain = f"({lo}, {hi})" if strict else f"[{lo}, {hi}]"
+            raise ValueError(f"{text!r} is not a finite number in {domain}")
+        return value
+
+    return number
+
+
+def _one_of(*choices: str):
+    def choice(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, got {text!r}")
+        return text
+    return choice
+
+
+def _list_of(parse):
+    """A parser: a comma-separated list of items that `parse` accepts."""
+    return lambda text: tuple(parse(item.strip()) for item in text.split(","))
+
+
+def _beta_tag(text: str) -> str | float:
+    """A compare.betas entry: the tag sqrt_n or n_over_10, or a beta >= 0."""
+    return text if text in ("sqrt_n", "n_over_10") else number_in(float, 0.0)(text)
+
+
+def _file_stem(text: str) -> str:
+    """A scenario_id, which names the output files."""
+    if not text or "/" in text or "\\" in text:
+        raise ValueError(f"{text!r} is empty or holds a path separator")
+    return text
+
+
+def _methods(text: str) -> tuple[str, ...]:
+    """Names in verify.SCENARIO_METHODS, each once; empty for the default."""
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    for m in methods:
+        if m not in SCENARIO_METHODS:
+            raise ValueError(f"unknown method {m!r}")
+        if methods.count(m) > 1:
+            raise ValueError(f"{m!r} is listed more than once")
+    return methods
+
+
+class Key(NamedTuple):
+    default: str | None
+    parse: Callable[[str], Any]  # raises ValueError on a value outside the domain
+    kinds: tuple[str, ...] = ALL  # the kinds of scenario that read the key
+
+
+_KEYS = {
+    "scenario_id": Key(None, _file_stem),  # default: the file's stem
+    "instance.file": Key(None, load_loss_table, (FILE,)),
+    "instance.seed": Key("0", number_in(int, 0), (RANDOM, GAUSSIAN)),
+    "instance.num_points": Key("10", number_in(int, 1), (RANDOM, GAUSSIAN)),
+    "instance.num_hypotheses": Key("16", number_in(int, 1), (RANDOM,)),
+    "instance.dim": Key("2", number_in(int, 1), (GAUSSIAN,)),
+    "hamiltonian.variant": Key("gibbs", _one_of("gibbs", "gaussian_kernel")),
+    "hamiltonian.beta": Key("5.0", number_in(float, 0.0), GIBBS),
+    "hamiltonian.sigma": Key("0.5", number_in(float, 0.0, strict=True), (GAUSSIAN,)),
+    # a name hamiltonian.builtin_algorithm knows, checked as the instance is built
+    "hamiltonian.algorithm": Key("mean_embedding", str, (GAUSSIAN,)),
+    "n": Key(None, number_in(int, 1)),  # required
+    "delta": Key("0.05", number_in(float, 0.0, 1.0, strict=True)),
+    "methods": Key(None, _methods),  # default: the variant's first method
+    "trials": Key("1000", number_in(int, 1)),
+    "master_seed": Key("0", number_in(int, 0)),
+    "enumeration_budget": Key(str(DEFAULT_ENUMERATION_BUDGET), number_in(int, 1), GIBBS),
+    "posterior_draws": Key("10000", number_in(int, 1), (GAUSSIAN,)),
+    "out": Key("out", str),
+    "verify.exact": Key("auto", _one_of("auto", "require", "skip")),
+    "compare.ns": Key("100,1000,10000", _list_of(number_in(int, 1))),
+    "compare.betas": Key("0,sqrt_n,n_over_10", _list_of(_beta_tag)),
+    "compare.deltas": Key("0.5,0.05,0.01", _list_of(number_in(float, 0.0, 1.0, strict=True))),
+    # the tightness grid takes the loss bound b = 1
+    "compare.l_hats": Key("0,0.1,0.3", _list_of(number_in(float, 0.0, 1.0))),
 }
 
 
@@ -95,25 +147,18 @@ class ScenarioConfig:
     methods: tuple[str, ...]
     trials: int
     master_seed: int
-    enumeration_budget: int
-    posterior_draws: int
+    enumeration_budget: int | None  # None for the Gaussian kernel, which reads none
+    posterior_draws: int | None  # None for Gibbs scenarios, which read none
     out_dir: str
     verify_exact: str
     compare_ns: tuple[int, ...]
-    compare_betas: tuple[str, ...]
+    compare_betas: tuple[str | float, ...]
     compare_deltas: tuple[float, ...]
     compare_l_hats: tuple[float, ...]
 
     def beta_grid(self, n: int) -> list[float]:
-        out = []
-        for tag in self.compare_betas:
-            if tag == "sqrt_n":
-                out.append(math.sqrt(n))
-            elif tag == "n_over_10":
-                out.append(n / 10.0)
-            else:
-                out.append(float(tag))
-        return out
+        tags = {"sqrt_n": math.sqrt(n), "n_over_10": n / 10.0}
+        return [tags.get(beta, beta) for beta in self.compare_betas]
 
 
 def _read_kv(path) -> dict:
@@ -123,28 +168,29 @@ def _read_kv(path) -> dict:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not equals:
             errors.append(f"line {lineno}: expected 'key = value'")
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        elif key not in _KEYS:
             errors.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        if key in kv:
+        elif key in kv:
             errors.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        kv[key] = value
+        else:
+            kv[key] = value
     if errors:
         raise ConfigError(errors)
     return kv
 
 
+def _random_space(rng: np.random.Generator, num_points: int) -> FiniteDataSpace:
+    probs = rng.dirichlet(np.ones(num_points))
+    return FiniteDataSpace(points=tuple(f"x{i}" for i in range(num_points)), probs=probs)
+
+
 def random_gibbs_instance(seed: int, num_points: int, num_hypotheses: int):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    probs = rng.dirichlet(np.ones(num_points))
+    space = _random_space(rng, num_points)
     values = rng.uniform(0.0, 1.0, size=(num_hypotheses, num_points))
-    space = FiniteDataSpace(points=tuple(f"x{i}" for i in range(num_points)), probs=probs)
     return space, FiniteTable(values=values, bound_b=1.0)
 
 
@@ -160,146 +206,69 @@ def cosine_parametric_loss(features: np.ndarray) -> ParametricLoss:
                           bound_b=1.0)
 
 
-def _gaussian_instance(seed: int, num_points: int, dim: int, n: int, algorithm_name: str):
+def _instance(kind: str, v: dict):
+    """(space, loss, prior, spec) of a scenario whose keys all parsed; the
+    ValueError names the key at fault."""
+    if kind != GAUSSIAN:
+        space, loss = v["instance.file"] if kind == FILE else random_gibbs_instance(
+            v["instance.seed"], v["instance.num_points"], v["instance.num_hypotheses"])
+        return space, loss, PriorWeights.uniform(loss.num_hypotheses), Gibbs(
+            beta=v["hamiltonian.beta"])
+    seed, num_points, dim, n = (v[k] for k in ("instance.seed", "instance.num_points",
+                                               "instance.dim", "n"))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    probs = rng.dirichlet(np.ones(num_points))
-    space = FiniteDataSpace(points=tuple(f"x{i}" for i in range(num_points)), probs=probs)
-    algorithm = builtin_algorithm(algorithm_name, space, n, dim_d=dim, seed=seed)
-    feats = rng.uniform(-1.0, 1.0, size=(num_points, dim))
-    return space, cosine_parametric_loss(feats), algorithm
+    space = _random_space(rng, num_points)
+    try:
+        algorithm = builtin_algorithm(v["hamiltonian.algorithm"], space, n, dim_d=dim,
+                                      seed=seed)
+    except KeyError as exc:
+        raise ValueError(f"hamiltonian.algorithm: {exc.args[0]}") from None
+    sigma, c_A = v["hamiltonian.sigma"], algorithm.declared_c_A
+    if 12.0 * n * c_A**2 > sigma**2:
+        raise ValueError("hamiltonian.sigma: stability precondition 12 n c_A^2 <= "
+                         f"sigma^2 fails (c_A={c_A}, sigma={sigma}, n={n})")
+    loss = cosine_parametric_loss(rng.uniform(-1.0, 1.0, size=(num_points, dim)))
+    return space, loss, None, GaussianKernel(sigma=sigma, algorithm=algorithm)
 
 
 def parse_config(path) -> ScenarioConfig:
     """Parse and fully validate a scenario file; raises ConfigError listing
     every problem found."""
     kv = _read_kv(path)
-    merged = dict(_DEFAULTS)
-    merged.update(kv)
-    errors = []
-
-    def get_float(key, lo=None, hi=None, open_interval=False):
-        try:
-            v = float(merged[key])
-        except ValueError:
-            errors.append(f"{key}: not a number ({merged[key]!r})")
-            return None
-        if lo is not None and (v <= lo if open_interval else v < lo):
-            errors.append(f"{key}: {v} below domain")
-        if hi is not None and (v >= hi if open_interval else v > hi):
-            errors.append(f"{key}: {v} above domain")
-        return v
-
-    def get_int(key, lo=None):
-        try:
-            v = int(merged[key])
-        except ValueError:
-            errors.append(f"{key}: not an integer ({merged[key]!r})")
-            return None
-        if lo is not None and v < lo:
-            errors.append(f"{key}: {v} below {lo}")
-        return v
-
-    if "n" not in merged:
+    kv.setdefault("scenario_id", Path(path).stem)
+    kind = (GAUSSIAN if kv.get("hamiltonian.variant") == "gaussian_kernel"
+            else FILE if "instance.file" in kv else RANDOM)
+    errors = [f"{key}: not read by {kind} scenarios"
+              for key in kv if kind not in _KEYS[key].kinds]
+    if "n" not in kv:
         errors.append("n: required")
-        n = None
-    else:
-        n = get_int("n", lo=1)
-    delta = get_float("delta", lo=0.0, hi=1.0, open_interval=True)
-    trials = get_int("trials", lo=1)
-    master_seed = get_int("master_seed", lo=0)
-    budget = get_int("enumeration_budget", lo=1)
-    posterior_draws = get_int("posterior_draws", lo=1)
-    seed = get_int("instance.seed", lo=0)
-    num_points = get_int("instance.num_points", lo=1)
-    num_hyp = get_int("instance.num_hypotheses", lo=1)
-    dim = get_int("instance.dim", lo=1)
-
-    verify_exact = merged["verify.exact"]
-    if verify_exact not in ("auto", "require", "skip"):
-        errors.append(f"verify.exact: must be auto, require or skip, got {verify_exact!r}")
-
-    variant = merged["hamiltonian.variant"]
-    if variant not in _VARIANT_IGNORES:
-        errors.append(f"hamiltonian.variant: unknown variant {variant!r}")
-    for key in _VARIANT_IGNORES.get(variant, ()):
-        if key in kv:
-            errors.append(f"{key}: not used by hamiltonian.variant={variant!r}")
-    if "instance.file" in kv:
-        for key in _FILE_IGNORES:
-            if key in kv:
-                errors.append(f"{key}: not used next to instance.file")
-
-    methods = tuple(m.strip() for m in merged.get("methods", "").split(",") if m.strip())
-    if not methods:
-        # the default is the variant's first method in the registry
-        methods = tuple(m for m, s in SCENARIO_METHODS.items() if s.variant == variant)[:1]
-    for m in methods:
-        if m not in SCENARIO_METHODS:
-            errors.append(f"methods: unknown method {m!r}")
-        elif SCENARIO_METHODS[m].variant != variant:
-            errors.append(
-                f"methods: {m!r} is incompatible with hamiltonian.variant={variant!r}")
-
-    space = loss = prior = spec = None
-    if not errors and n is not None:
-        if variant == "gibbs":
-            if "instance.file" in merged:
-                try:
-                    space, loss = load_loss_table(merged["instance.file"])
-                except (OSError, ValueError) as exc:
-                    errors.append(f"instance.file: {exc}")
-            else:
-                gen = merged["instance.generator"]
-                if gen != "gibbs_random":
-                    errors.append(f"instance.generator: unknown generator {gen!r} for gibbs")
-                else:
-                    space, loss = random_gibbs_instance(seed, num_points, num_hyp)
-            if loss is not None:
-                prior = PriorWeights.uniform(loss.num_hypotheses)
-                beta = get_float("hamiltonian.beta", lo=0.0)
-                if beta is not None:
-                    spec = Gibbs(beta=beta)
-        else:
-            sigma = get_float("hamiltonian.sigma", lo=0.0, open_interval=True)
+    values = dict.fromkeys(_KEYS)
+    for key, (default, parse, kinds) in _KEYS.items():
+        text = kv.get(key, default)
+        if kind in kinds and text is not None:
             try:
-                space, loss, algorithm = _gaussian_instance(
-                    seed, num_points, dim, n, merged["hamiltonian.algorithm"])
-            except KeyError as exc:
-                errors.append(f"hamiltonian.algorithm: {exc.args[0]}")
-            else:
-                if sigma is not None:
-                    spec = GaussianKernel(sigma=sigma, algorithm=algorithm)
-                    c_A = algorithm.declared_c_A
-                    if 12.0 * n * c_A**2 > sigma**2:
-                        errors.append(
-                            "hamiltonian.sigma: stability precondition 12 n c_A^2 <= "
-                            f"sigma^2 fails (c_A={c_A}, sigma={sigma}, n={n})")
+                values[key] = parse(text)
+            except (OSError, ValueError) as exc:  # OSError: an unreadable instance.file
+                errors.append(f"{key}: {exc}")
 
-    def get_list(key, convert):
+    variant = "gaussian_kernel" if kind == GAUSSIAN else "gibbs"
+    methods = values["methods"] or tuple(
+        m for m, s in SCENARIO_METHODS.items() if s.variant == variant)[:1]
+    errors += [f"methods: {m!r} is incompatible with hamiltonian.variant={variant!r}"
+               for m in methods if SCENARIO_METHODS[m].variant != variant]
+
+    if not errors:
         try:
-            return tuple(convert(x.strip()) for x in merged[key].split(","))
-        except ValueError:
-            errors.append(f"{key}: malformed list {merged[key]!r}")
-            return ()
-
-    def beta_tag(tag):
-        if tag not in ("sqrt_n", "n_over_10"):
-            float(tag)  # a malformed tag fails here rather than in `compare`
-        return tag
-
-    compare_ns = get_list("compare.ns", int)
-    compare_betas = get_list("compare.betas", beta_tag)
-    compare_deltas = get_list("compare.deltas", float)
-    compare_l_hats = get_list("compare.l_hats", float)
-
+            space, loss, prior, spec = _instance(kind, values)
+        except ValueError as exc:
+            errors.append(str(exc))
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(
-        scenario_id=merged.get("scenario_id", Path(path).stem),
-        space=space, loss=loss, prior=prior, spec=spec,
-        n=n, delta=delta, methods=methods, trials=trials,
-        master_seed=master_seed, enumeration_budget=budget,
-        posterior_draws=posterior_draws, out_dir=merged["out"],
-        verify_exact=verify_exact,
-        compare_ns=compare_ns, compare_betas=compare_betas,
-        compare_deltas=compare_deltas, compare_l_hats=compare_l_hats)
+        scenario_id=values["scenario_id"], space=space, loss=loss, prior=prior, spec=spec,
+        n=values["n"], delta=values["delta"], methods=methods, trials=values["trials"],
+        master_seed=values["master_seed"], enumeration_budget=values["enumeration_budget"],
+        posterior_draws=values["posterior_draws"], out_dir=values["out"],
+        verify_exact=values["verify.exact"], compare_ns=values["compare.ns"],
+        compare_betas=values["compare.betas"], compare_deltas=values["compare.deltas"],
+        compare_l_hats=values["compare.l_hats"])

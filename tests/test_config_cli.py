@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from gapcert.cli import (
     emit_plot_script,
     main,
 )
-from gapcert.config import ConfigError, parse_config
+from gapcert.config import _KEYS, ConfigError, parse_config
 from gapcert.verify import SCENARIO_METHODS
 from gapcert.hamiltonian import GaussianKernel, Gibbs
 
@@ -63,7 +64,8 @@ instance.file = {good_table}
 
 GOOD_TABLE = "points a b\n#mu 0.5 0.5\nh0 0.1 0.2\nh1 0.7 0.3\n"
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 # sha256 prefixes of the CSVs that `certify` and `verify` write for each file
 # in configs/, and `compare` for gibbs_small; no change may move a byte of them
@@ -92,12 +94,30 @@ BAD_SCENARIOS = {
     "gibbs_with_algorithm": GIBBS_SMALL + "hamiltonian.algorithm = mean_embedding\n",
     "gibbs_with_dim": GIBBS_SMALL + "instance.dim = 7\n",
     "gaussian_with_num_hypotheses": GAUSSIAN_SMALL + "instance.num_hypotheses = 99\n",
+    "gaussian_with_enumeration_budget": GAUSSIAN_SMALL + "enumeration_budget = 1000\n",
+    "gibbs_with_posterior_draws": GIBBS_SMALL + "posterior_draws = 100\n",
+    # an unknown key: a random Gibbs instance needs no generator name
     "gaussian_with_generator": GAUSSIAN_SMALL + "instance.generator = gibbs_random\n",
-    # random-instance keys next to instance.file
     "file_with_generator": GIBBS_FILE + "instance.generator = gibbs_random\n",
+    # random-instance keys next to instance.file
     "file_with_seed": GIBBS_FILE + "instance.seed = 3\n",
     "file_with_num_points": GIBBS_FILE + "instance.num_points = 2\n",
     "file_with_num_hypotheses": GIBBS_FILE + "instance.num_hypotheses = 2\n",
+    # values outside a key's domain
+    "duplicate_method": GIBBS_SMALL.replace("bounded_differences,empirical_bernstein",
+                                            "bounded_differences,bounded_differences"),
+    "nan_delta": GIBBS_SMALL + "delta = nan\n",
+    "nan_beta": GIBBS_SMALL.replace("beta = 5.0", "beta = nan"),
+    "inf_beta": GIBBS_SMALL.replace("beta = 5.0", "beta = inf"),
+    "inf_sigma": GAUSSIAN_SMALL.replace("sigma = 0.5", "sigma = inf"),
+    "nan_sigma": GAUSSIAN_SMALL.replace("sigma = 0.5", "sigma = nan"),
+    "zero_compare_n": GIBBS_SMALL + "compare.ns = 0\n",
+    "negative_compare_n": GIBBS_SMALL + "compare.ns = 100,-5\n",
+    "compare_delta_above_1": GIBBS_SMALL + "compare.deltas = 0.05,1.5\n",
+    "compare_l_hat_above_b": GIBBS_SMALL + "compare.l_hats = 2\n",
+    "negative_compare_beta": GIBBS_SMALL + "compare.betas = sqrt_n,-1\n",
+    "scenario_id_with_separator": GIBBS_SMALL.replace("scenario_id = demo", "scenario_id = a/b"),
+    "empty_scenario_id": GIBBS_SMALL.replace("scenario_id = demo", "scenario_id ="),
 }
 
 
@@ -162,6 +182,34 @@ class TestParse:
         assert cfg.space.points == ("a", "b")
         assert cfg.loss.num_hypotheses == 2
 
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.txt")))
+    def test_config_file_parses(self, name):
+        assert parse_config(CONFIGS / f"{name}.txt").scenario_id == name
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_benchmark_scenarios_parse(self, tmp_path, index):
+        """The scenario files that perfbench fills from its two templates,
+        GIBBS_SCENARIO and GAUSSIAN_SCENARIO, parse."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        seed = workloads.round_seed(workloads.DEFAULT_SEED, index)
+        for workload in (workloads.GibbsTrials, workloads.GaussianTrials):
+            for scenario_id, text in workload(seed, tmp_path).scenarios(seed):
+                path = write_config(tmp_path, f"{scenario_id}.txt", text)
+                assert parse_config(path).scenario_id == scenario_id
+
+    def test_readme_key_table_matches_keys(self):
+        """README's scenario-file table names every key once, with its default."""
+        section = (ROOT / "README.md").read_text().split("### Scenario files")[1]
+        rows = [line.split("|")[1:3] for line in section.split("\n### ")[0].splitlines()
+                if line.startswith("| `")]
+        table = {key.strip().strip("`"): default.strip() for key, default in rows}
+        assert len(rows) == len(table) and set(table) == set(_KEYS)
+        assert {k: v for k, v in table.items() if _KEYS[k].default is not None} == {
+            k: f"`{key.default}`" for k, key in _KEYS.items() if key.default is not None}
+
     def test_stability_precondition_checked_at_parse(self, tmp_path):
         text = GAUSSIAN_SMALL.replace("hamiltonian.sigma = 0.5",
                                       "hamiltonian.sigma = 0.01")
@@ -180,6 +228,15 @@ class TestCli:
         assert main(["certify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "verify"])
+    def test_certificate_domain_error_exits_3(self, tmp_path, capsys, command):
+        """The expected-kl bound needs n > 8, which parsing does not check."""
+        cfg = write_config(tmp_path, "g.txt", GAUSSIAN_SMALL.replace("n = 100", "n = 5")
+                           .replace("sigma = 0.5", "sigma = 5.0")
+                           .replace("methods = gaussian_gap", "methods = gaussian_kl_expectation"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: the expected-kl bound requires n > 8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["verify", "--config", "{cfg}", "--bogus"],
                                       ["certify", "--config", "{cfg}", "--jobs", "2"],
