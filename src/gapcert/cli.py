@@ -45,14 +45,27 @@ CSV_COLUMNS = (
 )
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+def _write_outputs(out_dir: Path, stem: str, rows: list[dict], summary: str) -> None:
+    """A command's outputs: the CSV `<stem>.csv`, the summary file
+    `<stem>_summary.txt`, and the summary on stdout. A reader that closed
+    stdout early (`gapcert verify ... | head -0`) loses the printed summary
+    but changes no exit code."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / f"{stem}.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for row in sorted(rows, key=lambda r: (r["scenario_id"], r["phase"],
                                                r["method"], r["inputs"])):
             writer.writerow({"schema": CSV_SCHEMA_VERSION, **row})
+    (out_dir / f"{stem}_summary.txt").write_text(summary + "\n")
+    try:
+        print(summary, flush=True)
+    except BrokenPipeError:
+        # the unwritten text stays buffered; send it, and the flush at exit,
+        # to the null device rather than raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _row(cfg_id: str, phase: str, method: str, value, delta="", violations="",
@@ -65,20 +78,6 @@ def _row(cfg_id: str, phase: str, method: str, value, delta="", violations="",
 
 def _cert_inputs_str(cert: bd.Certificate) -> str:
     return ";".join(f"{k}={cert.inputs[k]!r}" for k in sorted(cert.inputs))
-
-
-def _print_summary(text: str) -> None:
-    """Print a command's summary, which its summary file also holds. A reader
-    that closed stdout early (`gapcert verify ... | head -0`) loses the
-    summary but changes no exit code."""
-    try:
-        print(text, flush=True)
-    except BrokenPipeError:
-        # the unwritten text stays buffered; send it, and the flush at exit,
-        # to the null device rather than raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
 
 
 def _scenario_run(config: ScenarioConfig) -> vf.GibbsRun | vf.GaussianRun:
@@ -108,17 +107,15 @@ def cmd_certify(config: ScenarioConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{config.scenario_id}_certificates.txt").write_text(
         "\n".join(lines) + ("\n" if lines else ""))
-    _write_csv(out_dir / f"{config.scenario_id}_certify.csv", rows)
     summary = [f"scenario {config.scenario_id}: {len(certs)} certificate(s)"]
     summary += [f"  {ln}" for ln in lines]
-    (out_dir / f"{config.scenario_id}_certify_summary.txt").write_text(
-        "\n".join(summary) + "\n")
-    _print_summary("\n".join(summary))
+    _write_outputs(out_dir, f"{config.scenario_id}_certify", rows, "\n".join(summary))
     return EXIT_OK
 
 
 def _exact_oracles(config: ScenarioConfig) -> tuple[list[dict], bool]:
-    """Enumerated oracle checks for a Gibbs scenario; returns (rows, ok)."""
+    """Enumerated oracle checks for a Gibbs scenario; returns (rows, ok), or
+    raises BudgetExceeded before any check runs if X^n is over the budget."""
     rows = []
     ok = True
     reports = vf.check_logZ_bounded_differences(
@@ -143,28 +140,23 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
     summary: list[str] = []
     t0 = time.perf_counter()
 
-    gibbs = isinstance(config.spec, Gibbs)
-    if gibbs:
-        states = config.space.size**config.n * config.loss.num_hypotheses
-        fits = states <= config.enumeration_budget
-        if config.verify_exact == "require" and not fits:
-            print(f"exact verification requires {states} states, over the "
-                  f"budget of {config.enumeration_budget}", file=sys.stderr)
-            return EXIT_BUDGET
-        if config.verify_exact != "skip" and fits:
-            oracle_rows, oracle_ok = _exact_oracles(config)
-            rows += oracle_rows
-            ok = ok and oracle_ok
-            summary.append(f"exact oracles: {'ok' if oracle_ok else 'MARGIN FAILURE'} "
-                           f"({len(oracle_rows)} checks)")
+    if isinstance(config.spec, Gibbs):
+        if config.verify_exact != "skip":
+            # the oracles refuse a state space over the budget: no exact rows
+            # under `auto`, exit 4 from main under `require`
+            try:
+                rows, ok = _exact_oracles(config)
+            except BudgetExceeded as exc:
+                if config.verify_exact == "require":
+                    raise
+                summary.append(f"exact oracles: none, {exc}")
+            else:
+                summary.append(f"exact oracles: {'ok' if ok else 'MARGIN FAILURE'} "
+                               f"({len(rows)} checks)")
         rep = vf.violation_rate_gibbs(
             config.space, config.loss, config.prior, config.spec.beta, config.n,
             config.delta, config.methods, config.trials, config.master_seed)
     else:
-        if config.verify_exact == "require":
-            print("exact verification is not available for Gaussian-kernel "
-                  "scenarios (continuous hypothesis space)", file=sys.stderr)
-            return EXIT_BUDGET
         rep = vf.violation_rate_gaussian(
             config.space, config.loss, config.spec.algorithm, config.spec.sigma,
             config.n, config.delta, config.methods, config.trials,
@@ -184,12 +176,10 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
                        f"{m}: {stats.violations}/{stats.trials} violations, "
                        f"cp99.9={cp:.4f} EXCEEDS delta={config.delta}")
 
-    _write_csv(out_dir / f"{config.scenario_id}_verify.csv", rows)
     summary.append(f"wall-clock: {time.perf_counter() - t0:.2f}s")
     text = "\n".join([f"scenario {config.scenario_id}: verify "
                       f"{'passed' if ok else 'FAILED'}"] + [f"  {s}" for s in summary])
-    (out_dir / f"{config.scenario_id}_verify_summary.txt").write_text(text + "\n")
-    _print_summary(text)
+    _write_outputs(out_dir, f"{config.scenario_id}_verify", rows, text)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
@@ -209,11 +199,9 @@ def cmd_compare(config: ScenarioConfig, out_dir: Path) -> int:
                              chain["empirical_bernstein"], delta=repr(r.delta),
                              baseline=repr(chain["inverted_kl_baseline"]),
                              inputs=inputs + f";l_hat={lh!r}"))
-    _write_csv(out_dir / f"{config.scenario_id}_compare.csv", rows)
     text = (f"scenario {config.scenario_id}: compare grid of {len(table)} points, "
             f"simple bound below baseline at {improved}/{len(table)}")
-    (out_dir / f"{config.scenario_id}_compare_summary.txt").write_text(text + "\n")
-    _print_summary(text)
+    _write_outputs(out_dir, f"{config.scenario_id}_compare", rows, text)
     return EXIT_OK
 
 
@@ -229,10 +217,8 @@ def cmd_accept(out_dir: Path, jobs: int = 1) -> int:
                      f"({r.seconds:.1f}s) -- {r.detail}")
         rows.append(_row("acceptance", "accept", f"criterion_{r.number}",
                          "1" if r.passed else "0", inputs=r.name))
-    _write_csv(out_dir / "acceptance.csv", rows)
     text = "\n".join(lines + [f"acceptance: {'all passed' if all_ok else 'FAILURES'}"])
-    (out_dir / "acceptance_summary.txt").write_text(text + "\n")
-    _print_summary(text)
+    _write_outputs(out_dir, "acceptance", rows, text)
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 
@@ -330,7 +316,7 @@ FLAGS = {
     "--out": dict(help="output directory (overrides config and the GAPCERT_OUT "
                        "environment variable)"),
     "--budget": dict(type=_flag_type(_KEYS["enumeration_budget"].parse),
-                     help="override the enumeration budget"),
+                     help="override the enumeration budget of a Gibbs scenario"),
     "--plot-script": dict(help="also emit a plotting script here"),
     "--jobs": dict(type=_flag_type(number_in(int, 1)), default=1, help="parallel workers"),
 }
@@ -368,6 +354,8 @@ def main(argv=None) -> int:
     if args.command != "accept":
         try:
             config = parse_config(args.config)
+            if opts.get("budget") is not None and config.enumeration_budget is None:
+                raise ConfigError(["--budget: not read by gaussian_kernel scenarios"])
         except FileNotFoundError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -126,7 +126,7 @@ _KEYS = {
     "enumeration_budget": Key(str(DEFAULT_ENUMERATION_BUDGET), number_in(int, 1), GIBBS),
     "posterior_draws": Key("10000", number_in(int, 1), (GAUSSIAN,)),
     "out": Key("out", str),
-    "verify.exact": Key("auto", _one_of("auto", "require", "skip")),
+    "verify.exact": Key("auto", _one_of("auto", "require", "skip"), GIBBS),
     "compare.ns": Key("100,1000,10000", _list_of(number_in(int, 1))),
     "compare.betas": Key("0,sqrt_n,n_over_10", _list_of(_beta_tag)),
     "compare.deltas": Key("0.5,0.05,0.01", _list_of(number_in(float, 0.0, 1.0, strict=True))),
@@ -150,7 +150,7 @@ class ScenarioConfig:
     enumeration_budget: int | None  # None for the Gaussian kernel, which reads none
     posterior_draws: int | None  # None for Gibbs scenarios, which read none
     out_dir: str
-    verify_exact: str
+    verify_exact: str | None  # None for the Gaussian kernel, which has no exact regime
     compare_ns: tuple[int, ...]
     compare_betas: tuple[str | float, ...]
     compare_deltas: tuple[float, ...]
@@ -236,6 +236,8 @@ def parse_config(path) -> ScenarioConfig:
     every problem found."""
     kv = _read_kv(path)
     kv.setdefault("scenario_id", Path(path).stem)
+    if "instance.file" in kv:  # relative to the scenario file, which may be moved with it
+        kv["instance.file"] = str(Path(path).parent / kv["instance.file"])
     kind = (GAUSSIAN if kv.get("hamiltonian.variant") == "gaussian_kernel"
             else FILE if "instance.file" in kv else RANDOM)
     errors = [f"{key}: not read by {kind} scenarios"

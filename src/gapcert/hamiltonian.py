@@ -142,12 +142,15 @@ def bounded_difference_coefficient(spec: HamiltonianSpec, space: FiniteDataSpace
     """Coefficient c with sup D^k_{y,y'} H <= c, by brute force: the largest
     partial difference of H over hypotheses, coordinates and point pairs,
     with the base sample ranging over all of X^n. Returns (c, "exhaustive").
-    A search beyond the budget raises BudgetExceeded: a maximum over part of
-    X^n only bounds the supremum from below. The only mode is "brute_force".
+    A search beyond the budget (|X|^n x m states) raises BudgetExceeded: a
+    maximum over part of X^n only bounds the supremum from below. The only
+    mode is "brute_force".
     """
     if mode != "brute_force":
         raise ValueError(f"unknown mode {mode!r}")
-    idx, _ = enumerate_indices(space, n, budget)
+    if not isinstance(loss, FiniteTable):  # before its num_hypotheses is read
+        raise IncompatibleSpec("the bounded-difference search needs a finite loss table")
+    idx, _ = enumerate_indices(space, n, budget, loss.num_hypotheses)
     c = 0.0
     for rows in row_blocks(len(idx), n * space.size):
         sub = substitutions(idx[rows], space.size)

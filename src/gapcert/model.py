@@ -194,18 +194,22 @@ def empirical_losses(loss: FiniteTable, idx: np.ndarray) -> np.ndarray:
 
 
 def enumerate_indices(space: FiniteDataSpace, n: int,
-                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[np.ndarray, np.ndarray]:
+                      budget: int = DEFAULT_ENUMERATION_BUDGET,
+                      hypotheses: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Every sample in the n-fold product space as one (S, n) index array, in
     itertools.product order, with its mu^n weight vector (S,).
 
     Rows that contain a zero-probability point are dropped. Refuses (rather
-    than silently sampling) when |X|^n exceeds the budget.
+    than silently sampling) when |X|^n x hypotheses exceeds the budget, where
+    hypotheses is the number the caller evaluates on each row. This is the
+    one place that compares a state count with the enumeration budget.
     """
-    states = space.size**n
+    states = space.size**n * hypotheses
     if states > budget:
-        raise BudgetExceeded(
-            f"enumeration of {space.size}^{n} = {states} states exceeds budget {budget}"
-        )
+        # a count of thousands of digits is unreadable, and str() refuses it
+        count = f" = {states}" if states < 10**12 else ""
+        raise BudgetExceeded(f"enumeration of {space.size}^{n} x {hypotheses}{count} "
+                             f"states exceeds budget {budget}")
     support = space.probs > 0
     idx = np.indices((space.size,) * n).reshape(n, -1).T
     if not support.all():

@@ -29,7 +29,6 @@ from .hamiltonian import (
 )
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
-    BudgetExceeded,
     FiniteDataSpace,
     FiniteTable,
     ParametricLoss,
@@ -101,11 +100,7 @@ def _enumerate_posteriors(spec: HamiltonianSpec, space: FiniteDataSpace, loss: F
                           prior: PriorWeights, n: int, budget: int):
     """Sample rows (S, n), their mu^n weights (S,), H over (m, S), the
     posterior log weights (S, m) and ln Z per row (S,)."""
-    m = loss.num_hypotheses
-    if space.size**n * m > budget:
-        raise BudgetExceeded(
-            f"{space.size}^{n} x {m} states exceed the enumeration budget {budget}")
-    idx, w = enumerate_indices(space, n, budget)
+    idx, w = enumerate_indices(space, n, budget, loss.num_hypotheses)
     H = hamiltonian_matrix(spec, idx, loss)
     log_w = log_weight_rows(H, prior)
     return idx, w, H, log_w, logsumexp(log_w, axis=-1)
@@ -194,7 +189,7 @@ def check_bernstein_unit_mgf(space: FiniteDataSpace, loss: FiniteTable, n: int, 
                              budget: int = DEFAULT_ENUMERATION_BUDGET) -> list[MomentCheckReport]:
     """E[e^{2 F_lam(h, X)}] <= 1 for every hypothesis, by enumeration."""
     lams, comps = _bernstein_constants(space, loss, n, c, delta)
-    idx, w = enumerate_indices(space, n, budget)
+    idx, w = enumerate_indices(space, n, budget, loss.num_hypotheses)
     F = np.array(lams)[:, None] * _gap_matrix(space, loss, idx) - np.array(comps)[:, None]
     lhs = logsumexp(2.0 * F, axis=-1, b=w)  # log E e^{2F}
     return [MomentCheckReport(name=f"bernstein_unit_mgf_h{h}", lhs=float(v), rhs=0.0,
@@ -319,7 +314,7 @@ def check_logZ_bounded_differences(spec: HamiltonianSpec, space: FiniteDataSpace
                                    ) -> list[MomentCheckReport]:
     """|D ln Z| <= c and |D H_Q| <= 2c for the brute-force c of H."""
     c, _ = ham.bounded_difference_coefficient(spec, space, loss, n, budget=budget)
-    idx, _ = enumerate_indices(space, n, budget)
+    idx, _ = enumerate_indices(space, n, budget, loss.num_hypotheses)
     max_dlnz = 0.0
     max_dhq = 0.0
     for rows in row_blocks(len(idx), n * space.size):

@@ -95,6 +95,8 @@ BAD_SCENARIOS = {
     "gibbs_with_dim": GIBBS_SMALL + "instance.dim = 7\n",
     "gaussian_with_num_hypotheses": GAUSSIAN_SMALL + "instance.num_hypotheses = 99\n",
     "gaussian_with_enumeration_budget": GAUSSIAN_SMALL + "enumeration_budget = 1000\n",
+    # a continuous hypothesis space has no exact regime
+    "gaussian_with_verify_exact": GAUSSIAN_SMALL + "verify.exact = skip\n",
     "gibbs_with_posterior_draws": GIBBS_SMALL + "posterior_draws = 100\n",
     # an unknown key: a random Gibbs instance needs no generator name
     "gaussian_with_generator": GAUSSIAN_SMALL + "instance.generator = gibbs_random\n",
@@ -319,10 +321,65 @@ class TestCli:
         assert main(["verify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_BUDGET
 
-    def test_verify_require_refused_for_gaussian(self, tmp_path):
-        cfg = write_config(tmp_path, "g.txt", GAUSSIAN_SMALL + "verify.exact = require\n")
+    def test_verify_require_far_over_budget_exits_4(self, tmp_path, capsys):
+        """A state count of more than 4300 digits, which str() refuses, still
+        gives a budget refusal and no traceback."""
+        cfg = write_config(tmp_path, "demo.txt",
+                           GIBBS_SMALL.replace("n = 4", "n = 10000")
+                           + "verify.exact = require\n")
         assert main(["verify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_BUDGET
+        assert "budget refused: enumeration of 3^10000 x 4 states" in capsys.readouterr().err
+
+    def test_verify_require_refused_for_gaussian(self, tmp_path, capsys):
+        """A continuous hypothesis space has no exact regime to require: a
+        configuration error, not a budget refusal."""
+        cfg = write_config(tmp_path, "g.txt", GAUSSIAN_SMALL + "verify.exact = require\n")
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: verify.exact" in capsys.readouterr().err
+
+    def test_budget_flag_refused_for_gaussian(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "g.txt", GAUSSIAN_SMALL)
+        assert main(["verify", "--config", str(cfg), "--budget", "5",
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: --budget" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("budget, exact, code", [("971", "auto", EXIT_OK),
+                                                     ("971", "require", EXIT_BUDGET),
+                                                     ("972", "require", EXIT_OK)])
+    def test_verify_budget_boundary(self, tmp_path, capsys, budget, exact, code):
+        """gibbs_exact has 3^5 x 4 = 972 states: one under budget refuses the
+        exact oracles, which `auto` drops and `require` turns into exit 4."""
+        text = (CONFIGS / "gibbs_exact.txt").read_text()
+        cfg = write_config(tmp_path, "gibbs_exact.txt",
+                           text.replace("verify.exact = require", f"verify.exact = {exact}"))
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--budget", budget,
+                     "--out", str(out)]) == code
+        if code == EXIT_BUDGET:
+            assert "budget refused: enumeration of 3^5 x 4 = 972 states exceeds budget 971" \
+                in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            rows = csv.DictReader((out / "gibbs_exact_verify.csv").read_text().splitlines())
+            phases = [row["phase"] for row in rows]
+            assert ("verify_oracle" in phases) == (budget == "972")
+            assert "verify_trials" in phases
+
+    def test_instance_file_relative_to_scenario(self, tmp_path, monkeypatch):
+        """A scenario and its loss table move together: a relative
+        instance.file is read next to the scenario file, not the working
+        directory."""
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        write_config(sub, "table.txt", GOOD_TABLE)
+        write_config(sub, "f.txt", GIBBS_FILE.format(good_table="table.txt"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["certify", "--config", "sub/f.txt", "--out", "o"]) == EXIT_OK
+        assert (tmp_path / "o" / "fdemo_certify.csv").exists()
 
     def test_verify_gaussian(self, tmp_path):
         cfg = write_config(tmp_path, "g.txt", GAUSSIAN_SMALL)

@@ -90,6 +90,31 @@ class TestVerdicts:
         with pytest.raises(BudgetExceeded):
             exact_mixed_mgf(Gibbs(beta=1.0), space, loss, prior, n=5, lam=1.0, budget=100)
 
+    # small_instance at n = 5 has |X|^n x m = 3^5 x 4 = 972 states, and every
+    # Gibbs exact check counts all of them against the budget
+    GIBBS_EXACT_CHECKS = {
+        "exact_mixed_mgf": lambda space, loss, prior, budget: exact_mixed_mgf(
+            Gibbs(beta=2.0), space, loss, prior, 5, lam=1.0, budget=budget),
+        "check_proposition_main": lambda space, loss, prior, budget: check_proposition_main(
+            Gibbs(beta=2.0), space, loss, prior, 5, F=lambda h, s: 0.2 * h, budget=budget),
+        "check_bernstein_unit_mgf": lambda space, loss, prior, budget: check_bernstein_unit_mgf(
+            space, loss, 5, c=0.05, delta=0.1, budget=budget),
+        "bounded_difference_coefficient": lambda space, loss, prior, budget:
+            ham.bounded_difference_coefficient(Gibbs(beta=2.0), space, loss, 5, budget=budget),
+        "check_logZ_bounded_differences": lambda space, loss, prior, budget:
+            check_logZ_bounded_differences(Gibbs(beta=2.0), space, loss, prior, 5,
+                                           budget=budget),
+    }
+
+    @pytest.mark.parametrize("check", sorted(GIBBS_EXACT_CHECKS))
+    def test_gibbs_check_refused_one_state_below_budget(self, check):
+        with pytest.raises(BudgetExceeded, match="3\\^5 x 4 = 972 states exceeds budget 971"):
+            self.GIBBS_EXACT_CHECKS[check](*small_instance(), budget=971)
+
+    @pytest.mark.parametrize("check", sorted(GIBBS_EXACT_CHECKS))
+    def test_gibbs_check_runs_at_budget(self, check):
+        self.GIBBS_EXACT_CHECKS[check](*small_instance(), budget=972)
+
     def test_monte_carlo_rule(self):
         def report(lhs, stderr):
             return MomentCheckReport("mc", lhs=lhs, rhs=2.0, regime="monte_carlo",
