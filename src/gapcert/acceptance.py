@@ -154,8 +154,7 @@ def _gaussian_scenario(n=100, num_points=8, dim=2, sigma=0.5, seed=21):
     algorithm = mean_embedding_algorithm(phi, n)
     feats = rng.uniform(-1.0, 1.0, size=(num_points, dim))
     loss = cosine_parametric_loss(feats)
-    c_A = algorithm.declared_c_A
-    assert 12.0 * n * c_A**2 <= sigma**2, "scenario must satisfy the stability precondition"
+    bd.check_stability(algorithm.declared_c_A, sigma, n)
     return space, loss, algorithm, sigma
 
 

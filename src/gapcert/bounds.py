@@ -206,7 +206,9 @@ def bound_subgaussian(rho_sup: float, rho_h: float, sigma: float, n: int,
 # ---------------------------------------------------------------------------
 # Gaussian randomization of stable algorithms
 
-def _check_stability(c_A: float, sigma: float, n: int) -> None:
+def check_stability(c_A: float, sigma: float, n: int) -> None:
+    """Raise StabilityPreconditionError unless 12 n c_A^2 <= sigma^2, the
+    precondition of every Gaussian-kernel certificate."""
     if 12.0 * n * c_A**2 > sigma**2:
         raise StabilityPreconditionError(
             f"stability precondition 12 n c_A^2 <= sigma^2 fails: "
@@ -227,7 +229,7 @@ def bound_gaussian_randomization(V: float, sigma: float, n: int, delta: float,
     """
     if V < 0 or sigma <= 0 or n < 1 or c_A < 0:
         raise DomainError("need V >= 0, sigma > 0, n >= 1, c_A >= 0")
-    _check_stability(c_A, sigma, n)
+    check_stability(c_A, sigma, n)
     base = 3.0 / sigma**2 * V
     inputs = {"V": V, "sigma": sigma, "n": n, "delta": delta, "variant": variant,
               "c_A": c_A}
@@ -282,7 +284,7 @@ def pac_bayes_gaussian_kl(kl_PQ: float, V: float, sigma: float, n: int, delta: f
         raise DomainError("need V >= 0, sigma > 0, c_A >= 0")
     if n <= 8:
         raise DomainError("requires n > 8")
-    _check_stability(c_A, sigma, n)
+    check_stability(c_A, sigma, n)
     ld = _check_delta(delta)
     value = (2.0 * kl_PQ + 6.0 / sigma**2 * V + math.log(2.0 * math.sqrt(n)) + 2.0 * ld) / n
     return Certificate("pac_bayes_gaussian_kl", value, delta, POSTERIOR_EXPECTATION,
@@ -307,7 +309,7 @@ def pac_bayes_model_selection(kl_PQ: float, V: float, sigma: float, n: int, delt
         raise DomainError("KL divergence must be nonnegative")
     if V < 0 or sigma <= 0 or n < 1 or c_A < 0:
         raise DomainError("need V >= 0, sigma > 0, n >= 1, c_A >= 0")
-    _check_stability(c_A, sigma, n)
+    check_stability(c_A, sigma, n)
     ld = _check_delta(delta)
     base = 3.0 / sigma**2 * V
     inputs = {"kl_PQ": kl_PQ, "V": V, "sigma": sigma, "n": n, "delta": delta,

@@ -356,7 +356,7 @@ def main(argv=None) -> int:
             config = parse_config(args.config)
             if opts.get("budget") is not None and config.enumeration_budget is None:
                 raise ConfigError(["--budget: not read by gaussian_kernel scenarios"])
-        except FileNotFoundError as exc:
+        except OSError as exc:  # a missing or unreadable scenario file, or a directory
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except ConfigError as exc:

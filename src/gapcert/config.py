@@ -20,6 +20,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from .bounds import StabilityPreconditionError, check_stability
 from .hamiltonian import GaussianKernel, Gibbs, HamiltonianSpec, builtin_algorithm
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -164,7 +165,11 @@ class ScenarioConfig:
 def _read_kv(path) -> dict:
     kv = {}
     errors = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"]) from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -224,9 +229,10 @@ def _instance(kind: str, v: dict):
     except KeyError as exc:
         raise ValueError(f"hamiltonian.algorithm: {exc.args[0]}") from None
     sigma, c_A = v["hamiltonian.sigma"], algorithm.declared_c_A
-    if 12.0 * n * c_A**2 > sigma**2:
-        raise ValueError("hamiltonian.sigma: stability precondition 12 n c_A^2 <= "
-                         f"sigma^2 fails (c_A={c_A}, sigma={sigma}, n={n})")
+    try:
+        check_stability(c_A, sigma, n)
+    except StabilityPreconditionError as exc:
+        raise ValueError(f"hamiltonian.sigma: {exc}") from None
     loss = cosine_parametric_loss(rng.uniform(-1.0, 1.0, size=(num_points, dim)))
     return space, loss, None, GaussianKernel(sigma=sigma, algorithm=algorithm)
 

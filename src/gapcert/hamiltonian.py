@@ -1,10 +1,9 @@
 """Hamiltonian specifications, partition functions and finite posteriors.
 
 A Hamiltonian H(h, x) defines a stochastic algorithm through
-dQ_x(h) = e^{H(h,x)} dpi(h) / Z(x). Supported variants: Gibbs (finite loss
-table), the Gaussian kernel around a stable deterministic algorithm, sums
-of Hamiltonians, and sample-dependent shifts (which leave the posterior
-unchanged).
+dQ_x(h) = e^{H(h,x)} dpi(h) / Z(x). The two variants are the paper's: Gibbs
+on a finite loss table, H = -beta L_hat, and the Gaussian kernel around a
+stable deterministic algorithm.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .model import (
     ContractViolation,
     FiniteDataSpace,
     FiniteTable,
-    LossModel,
     PriorWeights,
     empirical_losses,
     enumerate_indices,
@@ -72,38 +70,17 @@ class GaussianKernel:
             raise ValueError("sigma must be positive")
 
 
-@dataclass(frozen=True)
-class Composite:
-    parts: tuple
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("composite needs at least one part")
+HamiltonianSpec = Gibbs | GaussianKernel
 
 
-@dataclass(frozen=True)
-class Shifted:
-    base: "HamiltonianSpec"
-    shift: Callable[[np.ndarray], float]
-
-
-HamiltonianSpec = Gibbs | GaussianKernel | Composite | Shifted
-
-
-def hamiltonian_matrix(spec: HamiltonianSpec, idx: np.ndarray, loss: LossModel) -> np.ndarray:
-    """H(h, x) for every hypothesis h of a finite table and every sample row x
-    of the (S, n) index array idx, shape (m, S). Covers Gibbs, composites of
-    Gibbs parts, and shifts, whose shift is called once per row."""
-    if not isinstance(loss, FiniteTable):
-        raise IncompatibleSpec("Hamiltonian matrices need a finite loss table")
-    if isinstance(spec, Gibbs):
-        return -spec.beta * empirical_losses(loss, idx)
-    if isinstance(spec, Composite):
-        return sum(hamiltonian_matrix(p, idx, loss) for p in spec.parts)
-    if isinstance(spec, Shifted):
-        shifts = np.array([float(spec.shift(row)) for row in idx])
-        return hamiltonian_matrix(spec.base, idx, loss) + shifts
-    raise IncompatibleSpec(f"unknown Hamiltonian variant {type(spec).__name__}")
+def hamiltonian_matrix(spec: HamiltonianSpec, idx: np.ndarray, loss: FiniteTable) -> np.ndarray:
+    """H(h, x) = -beta L_hat(h, x) for every hypothesis h of a finite table and
+    every sample row x of the (S, n) index array idx, shape (m, S). Only a
+    Gibbs spec on a finite table has one."""
+    if not isinstance(loss, FiniteTable) or not isinstance(spec, Gibbs):
+        raise IncompatibleSpec(f"no Hamiltonian matrix for {type(spec).__name__} on "
+                               f"{type(loss).__name__}")
+    return -spec.beta * empirical_losses(loss, idx)
 
 
 def log_weight_rows(H: np.ndarray, prior: PriorWeights) -> np.ndarray:

@@ -46,8 +46,8 @@ class FiniteDataSpace:
             raise ValueError("points must be distinct")
         if len(self.points) != len(self.probs):
             raise ValueError("points/probs length mismatch")
-        if np.any(self.probs < 0):
-            raise ValueError("probabilities must be nonnegative")
+        if not np.all(np.isfinite(self.probs)) or np.any(self.probs < 0):
+            raise ValueError("probabilities must be finite and nonnegative")
         if abs(float(self.probs.sum()) - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {self.probs.sum()!r}, not 1")
         self.probs.setflags(write=False)
@@ -68,9 +68,10 @@ class FiniteTable:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 2:
             raise ValueError("loss table must be 2-dimensional")
-        if self.bound_b <= 0:
-            raise ValueError("bound_b must be positive")
-        if np.any(self.values < 0) or np.any(self.values > self.bound_b):
+        if not (math.isfinite(self.bound_b) and self.bound_b > 0):
+            raise ValueError("bound_b must be finite and positive")
+        # written so that a NaN, which fails every comparison, is rejected
+        if not np.all((self.values >= 0) & (self.values <= self.bound_b)):
             raise ValueError("loss values must lie in [0, bound_b]")
         self.values.setflags(write=False)
 
@@ -117,9 +118,6 @@ class ParametricLoss:
         return min(v, self.bound_b)
 
 
-LossModel = FiniteTable | ParametricLoss
-
-
 @dataclass(frozen=True)
 class PriorWeights:
     """Nonnegative a-priori weights over a finite hypothesis class; no
@@ -141,29 +139,27 @@ class PriorWeights:
         return cls(weights=np.ones(m))
 
 
-def _losses_at(loss: LossModel, h, indices) -> np.ndarray:
-    if isinstance(loss, FiniteTable):
-        return loss.row(int(h))[np.asarray(indices)]
-    return np.array([loss.value(h, i) for i in indices])
+def _losses_at(loss: FiniteTable, h, indices) -> np.ndarray:
+    return loss.row(int(h))[np.asarray(indices)]
 
 
-def true_loss(h, space: FiniteDataSpace, loss: LossModel) -> float:
+def true_loss(h, space: FiniteDataSpace, loss: FiniteTable) -> float:
     """Expected loss of h under the space's probability vector."""
     vals = _losses_at(loss, h, range(space.size))
     return float(np.dot(space.probs, vals))
 
 
-def empirical_loss(h, sample: np.ndarray, loss: LossModel) -> float:
+def empirical_loss(h, sample: np.ndarray, loss: FiniteTable) -> float:
     """Mean loss of h over the sample, a 1-D array of point indices."""
     return float(np.mean(_losses_at(loss, h, sample)))
 
 
-def generalization_gap(h, sample: np.ndarray, space: FiniteDataSpace, loss: LossModel) -> float:
+def generalization_gap(h, sample: np.ndarray, space: FiniteDataSpace, loss: FiniteTable) -> float:
     """True loss minus empirical loss; lies in [-b, b]."""
     return true_loss(h, space, loss) - empirical_loss(h, sample, loss)
 
 
-def loss_variance(h, space: FiniteDataSpace, loss: LossModel) -> float:
+def loss_variance(h, space: FiniteDataSpace, loss: FiniteTable) -> float:
     """Variance of the loss of h under the data distribution."""
     vals = _losses_at(loss, h, range(space.size))
     mean = float(np.dot(space.probs, vals))
@@ -256,12 +252,15 @@ def load_loss_table(path) -> tuple[FiniteDataSpace, FiniteTable]:
         [b      <bound>]            optional, default 1.0
         h0      v01 v02 ... v0m     one row per hypothesis
         ...
+
+    Every number must be finite: probabilities are nonnegative and sum to 1,
+    the bound is positive, and losses lie in [0, bound].
     """
     points = None
     probs = None
     bound = 1.0
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or (line.startswith("#") and not line.startswith("#mu")):
@@ -273,6 +272,8 @@ def load_loss_table(path) -> tuple[FiniteDataSpace, FiniteTable]:
             elif key == "#mu":
                 probs = np.array([float(p) for p in parts[1:]])
             elif key == "b":
+                if len(parts) != 2:
+                    raise ValueError(f"{path}:{lineno}: a b line holds exactly one number")
                 bound = float(parts[1])
             else:
                 rows.append([float(v) for v in parts[1:]])

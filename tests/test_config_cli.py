@@ -64,6 +64,15 @@ instance.file = {good_table}
 
 GOOD_TABLE = "points a b\n#mu 0.5 0.5\nh0 0.1 0.2\nh1 0.7 0.3\n"
 
+# loss-table files that load_loss_table rejects; a NaN fails every comparison,
+# so each non-finite entry needs a check of its own
+BAD_TABLES = {
+    "nan_mu_table": "points a b c\n#mu 0.5 nan 0.5\nh0 0.1 0.2 0.3\nh1 0.7 0.3 0.5\n",
+    "nan_loss_table": "points a b\n#mu 0.5 0.5\nh0 0.1 nan\nh1 0.7 0.3\n",
+    "nan_b_table": "points a b\n#mu 0.5 0.5\nb nan\nh0 0.1 0.2\nh1 0.7 0.3\n",
+    "bare_b_table": "points a b\n#mu 0.5 0.5\nb\nh0 0.1 0.2\nh1 0.7 0.3\n",
+}
+
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 
@@ -120,6 +129,8 @@ BAD_SCENARIOS = {
     "negative_compare_beta": GIBBS_SMALL + "compare.betas = sqrt_n,-1\n",
     "scenario_id_with_separator": GIBBS_SMALL.replace("scenario_id = demo", "scenario_id = a/b"),
     "empty_scenario_id": GIBBS_SMALL.replace("scenario_id = demo", "scenario_id ="),
+    # a Gibbs file on each rejected loss table, read as {<table name>}
+    **{name: GIBBS_FILE.replace("{good_table}", f"{{{name}}}") for name in BAD_TABLES},
 }
 
 
@@ -132,6 +143,14 @@ class TestParse:
         assert cfg.delta == 0.05
         assert cfg.verify_exact == "auto"
         assert cfg.beta_grid(100) == [0.0, 10.0, 10.0]
+
+    @pytest.mark.parametrize("name", sorted(BAD_TABLES))
+    def test_bad_loss_table_is_a_parse_error(self, tmp_path, name):
+        """The table is refused while the scenario is parsed, under the key that
+        names it, not later by a certificate or a margin."""
+        table = write_config(tmp_path, "t.txt", BAD_TABLES[name])
+        with pytest.raises(ConfigError, match="instance.file: "):
+            parse_config(write_config(tmp_path, "c.txt", GIBBS_FILE.format(good_table=table)))
 
     def test_gaussian_variant(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, "g.txt", GAUSSIAN_SMALL))
@@ -225,11 +244,23 @@ class TestCli:
         table = tmp_path / "table.txt"
         table.write_text("points a b\n# mu = 0.5 0.5\n# b = 1.0\nh0 0.1 0.2\n")
         good_table = write_config(tmp_path, "good_table.txt", GOOD_TABLE)
-        cfg = write_config(tmp_path, "bad.txt",
-                           BAD_SCENARIOS[case].format(table=table, good_table=good_table))
+        bad_tables = {name: write_config(tmp_path, f"{name}.txt", text)
+                      for name, text in BAD_TABLES.items()}
+        cfg = write_config(tmp_path, "bad.txt", BAD_SCENARIOS[case].format(
+            table=table, good_table=good_table, **bad_tables))
         assert main(["certify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["directory", "not_utf8"])
+    def test_unreadable_scenario_exits_3(self, tmp_path, capsys, case):
+        cfg = tmp_path / "c.txt"
+        if case == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(GIBBS_SMALL.encode() + b"# caf\xe9\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize("command", ["certify", "verify"])
     def test_certificate_domain_error_exits_3(self, tmp_path, capsys, command):

@@ -15,7 +15,7 @@ from scipy.special import logsumexp
 
 from gapcert import verify as vf
 from gapcert.config import random_gibbs_instance
-from gapcert.hamiltonian import Composite, Gibbs, Shifted, bounded_difference_coefficient
+from gapcert.hamiltonian import Gibbs, bounded_difference_coefficient
 from gapcert.model import (
     FiniteDataSpace,
     FiniteTable,
@@ -47,14 +47,8 @@ def substitute(row, k, y):
 
 
 def ref_hamiltonian(spec, h, sample, loss):
-    """H(h, sample) of one hypothesis on one sample."""
-    if isinstance(spec, Gibbs):
-        return -spec.beta * empirical_loss(h, sample, loss)
-    if isinstance(spec, Composite):
-        return sum(ref_hamiltonian(p, h, sample, loss) for p in spec.parts)
-    if isinstance(spec, Shifted):
-        return ref_hamiltonian(spec.base, h, sample, loss) + float(spec.shift(sample))
-    raise TypeError(f"no reference for {type(spec).__name__}")
+    """H(h, sample) = -beta L_hat(h, sample) of one hypothesis on one sample."""
+    return -spec.beta * empirical_loss(h, sample, loss)
 
 
 def ref_log_weights(spec, sample, loss, prior):
@@ -175,8 +169,8 @@ def with_zero_point(space, loss):
 
 def instances():
     """(id, spec, space, loss, prior, n): three and nine hypotheses (nine sums
-    past numpy's eight-way unrolled reduction), a zero-probability point, a
-    prior with a zero weight, composite and shifted Hamiltonians."""
+    past numpy's eight-way unrolled reduction), a zero-probability point and
+    a prior with a zero weight."""
     out = []
     for seed, (points, m, n) in enumerate([(3, 4, 3), (2, 9, 4), (3, 3, 2), (4, 4, 2)]):
         space, loss = random_gibbs_instance(seed, points, m)
@@ -188,10 +182,6 @@ def instances():
     out.append(("zero-point", Gibbs(2.0), zspace, zloss, PriorWeights.uniform(4), 3))
     out.append(("zero-prior", Gibbs(3.0), space, loss,
                 PriorWeights(weights=np.array([0.5, 0.0, 2.0, 1.0])), 3))
-    out.append(("composite", Composite((Gibbs(1.0), Gibbs(2.5))), space, loss,
-                PriorWeights.uniform(4), 3))
-    out.append(("shifted", Shifted(Gibbs(2.0), lambda s: 0.1 * int(s.sum())), space,
-                loss, PriorWeights.uniform(4), 3))
     return out
 
 

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapcert.hamiltonian import (
-    Composite,
     GaussianKernel,
     Gibbs,
     IncompatibleSpec,
-    Shifted,
     bounded_difference_coefficient,
     constant_algorithm,
     hamiltonian_matrix,
@@ -62,13 +60,6 @@ class TestHamiltonianValue:
         s = (0, 0, 1, 1)  # L_hat of h0 = 0.5
         assert H(Gibbs(float(n)), s)[0] == pytest.approx(-n / 2.0)
 
-    def test_composite_sum(self):
-        s = (0, 1)
-        parts = (Gibbs(1.0), Gibbs(2.0))
-        got = H(Composite(parts), s)
-        want = sum(H(p, s) for p in parts)
-        assert got == pytest.approx(want)
-
     def test_incompatible_spec(self):
         with pytest.raises(IncompatibleSpec):
             H(Gibbs(1.0), (0,), param_loss())
@@ -79,14 +70,6 @@ class TestLogPartition:
         prior = PriorWeights(weights=np.array([1.0, 1.0]))
         got = log_partition(Gibbs(0.0), np.array((0,)), TWO, prior)
         assert got == pytest.approx(math.log(2.0))
-
-    def test_shift_adds_exactly(self):
-        prior = PriorWeights.uniform(2)
-        s = np.array((0, 1, 1))
-        base = Gibbs(3.0)
-        shifted = Shifted(base=base, shift=lambda x: 1.25)
-        assert log_partition(shifted, s, TWO, prior) == pytest.approx(
-            log_partition(base, s, TWO, prior) + 1.25)
 
     def test_large_beta_no_overflow(self):
         prior = PriorWeights.uniform(2)
@@ -110,26 +93,6 @@ class TestPosterior:
     def test_normalization(self):
         q = posterior(Gibbs(7.0), np.array((0, 1, 0)), TWO, PriorWeights.uniform(2))
         assert abs(q.sum() - 1.0) <= 1e-12
-
-    @given(st.floats(0.0, 20.0), st.floats(-3.0, 3.0))
-    @settings(max_examples=40, deadline=None)
-    def test_gauge_invariance(self, beta, shift_value):
-        prior = PriorWeights.uniform(2)
-        s = np.array((0, 1))
-        base = posterior(Gibbs(beta), s, TWO, prior)
-        shifted = posterior(Shifted(base=Gibbs(beta), shift=lambda x: shift_value),
-                            s, TWO, prior)
-        assert np.allclose(base, shifted, atol=1e-12)
-
-    def test_composite_is_product_density(self):
-        prior = PriorWeights(weights=np.array([0.3, 0.7]))
-        s = np.array((0, 1))
-        a, b = Gibbs(2.0), Gibbs(5.0)
-        qa = posterior(a, s, TWO, prior)
-        qb = posterior(b, s, TWO, prior)
-        qc = posterior(Composite((a, b)), s, TWO, prior)
-        prod = qa * qb / prior.weights
-        assert np.allclose(qc, prod / prod.sum(), atol=1e-12)
 
     def test_gibbs_empirical_loss_nonincreasing_in_beta(self):
         rng = np.random.Generator(np.random.Philox(key=5))
@@ -186,11 +149,6 @@ class TestBoundedDifferenceCoefficient:
         with pytest.raises(IncompatibleSpec):
             bounded_difference_coefficient(spec, SPACE2, param_loss(), 10)
 
-    def test_composite_sums(self):
-        got, _ = bounded_difference_coefficient(Composite((Gibbs(2.0), Gibbs(3.0))),
-                                                SPACE2, TWO, 10)
-        assert got == pytest.approx(5.0 / 10.0)
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_brute_force_at_most_analytic(self, seed):
@@ -212,10 +170,9 @@ class TestBruteForceRefusal:
     of X^n only bounds the supremum from below, so it is no coefficient."""
 
     def test_coefficient_over_budget(self):
-        spec = Shifted(base=Gibbs(2.0), shift=lambda x: 0.1 * int(x.sum()))
         loss = table([[0.1, 0.5, 0.9], [0.3, 0.2, 0.7]])
         with pytest.raises(BudgetExceeded):
-            bounded_difference_coefficient(spec, space3(), loss, 4, budget=3**4 - 1)
+            bounded_difference_coefficient(Gibbs(2.0), space3(), loss, 4, budget=3**4 - 1)
 
     def test_sensitivity_over_budget(self):
         alg = mean_embedding_algorithm(np.array([[0.0], [1.0], [0.5]]), 4)

@@ -1,5 +1,7 @@
 """Core data model: losses, gaps, variances, enumeration, loss-table files."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,18 @@ class TestContracts:
         with pytest.raises(ValueError):
             table([[0.1, 1.5]], b=1.0)
 
+    @pytest.mark.parametrize("probs", [[0.5, math.nan], [math.inf, 0.5], [math.nan, math.nan]])
+    def test_non_finite_probs(self, probs):
+        """NaN fails every comparison, so it must be rejected by name."""
+        with pytest.raises(ValueError, match="finite"):
+            FiniteDataSpace(points=("a", "b"), probs=np.array(probs))
+
+    @pytest.mark.parametrize("rows, b", [([[0.1, math.nan]], 1.0), ([[0.1, math.inf]], 1.0),
+                                         ([[0.1, 0.2]], math.nan), ([[0.1, 0.2]], math.inf)])
+    def test_non_finite_table(self, rows, b):
+        with pytest.raises(ValueError):
+            table(rows, b=b)
+
     def test_prior_all_zero(self):
         with pytest.raises(ValueError):
             PriorWeights(weights=np.array([0.0, 0.0]))
@@ -187,6 +201,13 @@ class TestLossTableFile:
         assert loss.bound_b == 2.0
         assert loss.num_hypotheses == 2
         assert true_loss(0, space, loss) == pytest.approx(1.3)
+
+    @pytest.mark.parametrize("line", ["b", "b 1.0 2.0"])
+    def test_b_line_holds_one_number(self, tmp_path, line):
+        path = tmp_path / "loss.txt"
+        path.write_text(f"points a b\n#mu 0.5 0.5\n{line}\nh0 0.1 0.2\n")
+        with pytest.raises(ValueError, match=r"loss.txt:3: a b line holds exactly one number"):
+            load_loss_table(path)
 
     def test_readme_example(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
