@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 invariant violation (a failed exact-regime margin or
 a violation rate above the configured confidence), 3 configuration or usage
-error, 4 enumeration-budget refusal.
+error (an unwritable output path included), 4 enumeration-budget refusal.
 
 All output is deterministic in (config, seed): the CSV files are
 byte-identical across reruns. Wall-clock timings therefore live in the
@@ -372,6 +372,11 @@ def main(argv=None) -> int:
                    or (config.out_dir if config else "out"))
 
     try:
+        # a file in the way fails before the command (not after accept's suite);
+        # only the writers make the directory, so a refused run leaves none
+        existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"{existing} is a file, not a directory")
         if args.command == "certify":
             return cmd_certify(config, out_dir)
         if args.command == "verify":
@@ -379,6 +384,9 @@ def main(argv=None) -> int:
         if args.command == "accept":
             return cmd_accept(out_dir, jobs=args.jobs)
         code = cmd_compare(config, out_dir)
+        if args.plot_script and code == EXIT_OK:
+            emit_plot_script(out_dir / f"{config.scenario_id}_compare.csv", args.plot_script)
+        return code
     except BudgetExceeded as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -387,9 +395,9 @@ def main(argv=None) -> int:
         # n > 8 of the expected-kl bound
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.plot_script and code == EXIT_OK:
-        emit_plot_script(out_dir / f"{config.scenario_id}_compare.csv", args.plot_script)
-    return code
+    except OSError as exc:  # an output path under a file, or in a missing directory
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

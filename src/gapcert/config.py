@@ -110,7 +110,8 @@ class Key(NamedTuple):
 _KEYS = {
     "scenario_id": Key(None, _file_stem),  # default: the file's stem
     "instance.file": Key(None, load_loss_table, (FILE,)),
-    "instance.seed": Key("0", number_in(int, 0), (RANDOM, GAUSSIAN)),
+    # a Philox key: one 128-bit integer, or with the trial index one 64-bit word
+    "instance.seed": Key("0", number_in(int, 0, 2**128 - 1), (RANDOM, GAUSSIAN)),
     "instance.num_points": Key("10", number_in(int, 1), (RANDOM, GAUSSIAN)),
     "instance.num_hypotheses": Key("16", number_in(int, 1), (RANDOM,)),
     "instance.dim": Key("2", number_in(int, 1), (GAUSSIAN,)),
@@ -123,7 +124,7 @@ _KEYS = {
     "delta": Key("0.05", number_in(float, 0.0, 1.0, strict=True)),
     "methods": Key(None, _methods),  # default: the variant's first method
     "trials": Key("1000", number_in(int, 1)),
-    "master_seed": Key("0", number_in(int, 0)),
+    "master_seed": Key("0", number_in(int, 0, 2**64 - 1)),
     "enumeration_budget": Key(str(DEFAULT_ENUMERATION_BUDGET), number_in(int, 1), GIBBS),
     "posterior_draws": Key("10000", number_in(int, 1), (GAUSSIAN,)),
     "out": Key("out", str),

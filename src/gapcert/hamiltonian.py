@@ -22,9 +22,9 @@ from .model import (
     FiniteTable,
     PriorWeights,
     empirical_losses,
-    enumerate_indices,
-    row_blocks,
-    substitutions,
+    fibres,
+    max_fibre_range,
+    product_rows,
 )
 
 
@@ -127,29 +127,24 @@ def bounded_difference_coefficient(spec: HamiltonianSpec, space: FiniteDataSpace
         raise ValueError(f"unknown mode {mode!r}")
     if not isinstance(loss, FiniteTable):  # before its num_hypotheses is read
         raise IncompatibleSpec("the bounded-difference search needs a finite loss table")
-    idx, _ = enumerate_indices(space, n, budget, loss.num_hypotheses)
-    c = 0.0
-    for rows in row_blocks(len(idx), n * space.size):
-        sub = substitutions(idx[rows], space.size)
-        H = hamiltonian_matrix(spec, sub.reshape(-1, n), loss)
-        H = H.reshape(loss.num_hypotheses, *sub.shape[:3])  # (m, rows, k, y)
-        c = max(c, float((H.max(axis=-1) - H.min(axis=-1)).max()))
-    return c, "exhaustive"
+    H = hamiltonian_matrix(spec, product_rows(space, n, budget, loss.num_hypotheses), loss)
+    return max_fibre_range(space, n, H), "exhaustive"
 
 
 def hypothesis_sensitivity(algorithm: StableAlgorithm, space: FiniteDataSpace, n: int,
                            budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
-    """Max displacement ||A(S_y^k x) - A(S_y'^k x)|| over the substitutions of
-    every sample of X^n; raises BudgetExceeded beyond the budget and
-    ContractViolation if the declared coefficient is exceeded."""
-    idx, _ = enumerate_indices(space, n, budget)
+    """Max displacement ||A(S_y^k x) - A(S_y'^k x)|| over the coordinates k,
+    point pairs y, y' and base samples x of X^n; raises BudgetExceeded beyond
+    the budget and ContractViolation if the declared coefficient is exceeded."""
+    outs = np.array([algorithm(row) for row in product_rows(space, n, budget)])
     c = 0.0
-    for rows in row_blocks(len(idx), n * space.size):
-        for subs in substitutions(idx[rows], space.size).reshape(-1, space.size, n):
-            outs = [algorithm(row) for row in subs]
-            for i in range(space.size):
-                for j in range(i + 1, space.size):
-                    c = max(c, float(np.linalg.norm(outs[i] - outs[j])))
+    for g in fibres(space, n, outs.T):  # (d, ..., y)
+        for i in range(space.size):
+            for j in range(i + 1, space.size):
+                # a matmul of each C-contiguous d-vector with itself sums in
+                # the order of np.linalg.norm on that vector alone
+                diff = np.ascontiguousarray(np.moveaxis(g[..., i] - g[..., j], 0, -1))[..., None]
+                c = max(c, float(np.sqrt(diff.swapaxes(-1, -2) @ diff).max()))
     if c > algorithm.declared_c_A + 1e-9:
         raise ContractViolation(
             f"brute-force sensitivity {c} exceeds declared {algorithm.declared_c_A}"

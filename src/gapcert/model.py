@@ -2,9 +2,10 @@
 
 Everything downstream (posteriors, certificates, enumeration oracles) is
 built on the handful of quantities defined here: true and empirical loss,
-the generalization gap, per-hypothesis variance and the one-coordinate
-substitution operator. A sample is a 1-D int array of point indices; the
-exact engine holds every sample of X^n as one row of an (S, n) index array.
+the generalization gap and per-hypothesis variance. A sample is a 1-D int
+array of point indices; the exact engine holds every sample of X^n as one row
+of an (S, n) index array, and reduces a one-coordinate quantity along one
+axis of the X^n grid.
 """
 
 from __future__ import annotations
@@ -166,39 +167,31 @@ def loss_variance(h, space: FiniteDataSpace, loss: FiniteTable) -> float:
     return float(np.dot(space.probs, (vals - mean) ** 2))
 
 
-# Sample rows handled at once by the array engine. It bounds the
-# (m, rows, n) loss gathers and the (rows, n, |X|, n) substitution arrays to a
-# few MB, whatever the enumeration budget.
+# Sample rows gathered at once by empirical_losses. It bounds the
+# (m, rows, n) loss gathers to a few MB, whatever the enumeration budget.
 BLOCK_ROWS = 1 << 12
-
-
-def row_blocks(num_rows: int, expansion: int = 1) -> list[slice]:
-    """Slices covering num_rows rows, each of at most BLOCK_ROWS // expansion
-    rows, so that a block expanded `expansion`-fold stays within BLOCK_ROWS."""
-    step = max(1, BLOCK_ROWS // expansion)
-    return [slice(start, start + step) for start in range(0, num_rows, step)]
 
 
 def empirical_losses(loss: FiniteTable, idx: np.ndarray) -> np.ndarray:
     """The empirical loss of every hypothesis on every sample row, (m, S)."""
     out = np.empty((loss.num_hypotheses, len(idx)))
-    for rows in row_blocks(len(idx)):
+    for start in range(0, len(idx), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
         # np.take returns C-contiguous rows, so each mean sums in np.mean's
         # order and equals empirical_loss on that sample bit for bit
         out[:, rows] = np.take(loss.values, idx[rows], axis=1).mean(axis=-1)
     return out
 
 
-def enumerate_indices(space: FiniteDataSpace, n: int,
-                      budget: int = DEFAULT_ENUMERATION_BUDGET,
-                      hypotheses: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Every sample in the n-fold product space as one (S, n) index array, in
-    itertools.product order, with its mu^n weight vector (S,).
+def product_rows(space: FiniteDataSpace, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET,
+                 hypotheses: int = 1) -> np.ndarray:
+    """Every sample of X^n, zero-probability points included, as one
+    (|X|^n, n) index array in itertools.product order.
 
-    Rows that contain a zero-probability point are dropped. Refuses (rather
-    than silently sampling) when |X|^n x hypotheses exceeds the budget, where
-    hypotheses is the number the caller evaluates on each row. This is the
-    one place that compares a state count with the enumeration budget.
+    Refuses (rather than silently sampling) when |X|^n x hypotheses exceeds
+    the budget, where hypotheses is the number the caller evaluates on each
+    row. This is the one place that compares a state count with the
+    enumeration budget.
     """
     states = space.size**n * hypotheses
     if states > budget:
@@ -206,8 +199,16 @@ def enumerate_indices(space: FiniteDataSpace, n: int,
         count = f" = {states}" if states < 10**12 else ""
         raise BudgetExceeded(f"enumeration of {space.size}^{n} x {hypotheses}{count} "
                              f"states exceeds budget {budget}")
+    return np.indices((space.size,) * n).reshape(n, -1).T
+
+
+def enumerate_indices(space: FiniteDataSpace, n: int,
+                      budget: int = DEFAULT_ENUMERATION_BUDGET,
+                      hypotheses: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of product_rows that hold no zero-probability point, (S, n),
+    with their mu^n weight vector (S,)."""
+    idx = product_rows(space, n, budget, hypotheses)
     support = space.probs > 0
-    idx = np.indices((space.size,) * n).reshape(n, -1).T
     if not support.all():
         idx = idx[support[idx].all(axis=1)]
     log_probs = np.log(np.where(support, space.probs, 1.0))
@@ -226,14 +227,24 @@ def enumerate_samples(space: FiniteDataSpace, n: int,
     yield from zip(idx, w.tolist())
 
 
-def substitutions(idx: np.ndarray, space_size: int) -> np.ndarray:
-    """The one-coordinate substitutions of every row: out[s, k, y] is row s
-    with coordinate k replaced by point index y, shape (S, n, |X|, n)."""
-    rows, n = idx.shape
-    out = np.broadcast_to(idx[:, None, None, :], (rows, n, space_size, n)).copy()
-    k = np.arange(n)
-    out[:, k, :, k] = np.arange(space_size)
-    return out
+def fibres(space: FiniteDataSpace, n: int, values: np.ndarray) -> Iterator[np.ndarray]:
+    """Per coordinate k, the values along k at every base sample in the
+    support. values holds one entry per row of product_rows on its last axis;
+    each yielded array keeps any leading axes, has one axis per other
+    coordinate (its support points) and the point y, over all of X, last."""
+    grid = values.reshape(values.shape[:-1] + (space.size,) * n)
+    lead = values.ndim - 1
+    support = np.flatnonzero(space.probs > 0)
+    every = np.arange(space.size)
+    for k in range(n):
+        axes = np.ix_(*[every if j == k else support for j in range(n)])
+        yield np.moveaxis(grid[(..., *axes)], lead + k, -1)
+
+
+def max_fibre_range(space: FiniteDataSpace, n: int, values: np.ndarray) -> float:
+    """The largest change of values under a one-coordinate substitution,
+    max over k, base samples and y, y' of |v(S_y^k x) - v(S_y'^k x)|."""
+    return max(0.0, *(float((g.max(-1) - g.min(-1)).max()) for g in fibres(space, n, values)))
 
 
 def math_map(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
@@ -265,22 +276,26 @@ def load_loss_table(path) -> tuple[FiniteDataSpace, FiniteTable]:
             line = raw.strip()
             if not line or (line.startswith("#") and not line.startswith("#mu")):
                 continue
-            parts = line.split()
-            key = parts[0]
+            key, *texts = line.split()
             if key == "points":
-                points = tuple(parts[1:])
-            elif key == "#mu":
-                probs = np.array([float(p) for p in parts[1:]])
+                points = tuple(texts)
+                continue
+            if key == "b" and len(texts) != 1:
+                raise ValueError(f"{path}:{lineno}: a b line holds exactly one number")
+            try:
+                numbers = [float(t) for t in texts]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if key == "#mu":
+                probs = (lineno, numbers)
             elif key == "b":
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: a b line holds exactly one number")
-                bound = float(parts[1])
+                bound = numbers[0]
             else:
-                rows.append([float(v) for v in parts[1:]])
+                rows.append((lineno, numbers))
     if points is None or probs is None or not rows:
         raise ValueError(f"{path}: need a points line, a #mu line and at least one hypothesis row")
-    space = FiniteDataSpace(points=points, probs=probs)
-    table = FiniteTable(values=np.array(rows), bound_b=bound)
-    if table.num_points != space.size:
-        raise ValueError(f"{path}: table has {table.num_points} columns for {space.size} points")
-    return space, table
+    for lineno, numbers in (probs, *rows):
+        if len(numbers) != len(points):
+            raise ValueError(f"{path}:{lineno}: {len(numbers)} numbers for {len(points)} points")
+    space = FiniteDataSpace(points=points, probs=probs[1])
+    return space, FiniteTable(values=[numbers for _, numbers in rows], bound_b=bound)

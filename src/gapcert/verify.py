@@ -35,11 +35,12 @@ from .model import (
     PriorWeights,
     empirical_losses,
     enumerate_indices,
+    fibres,
     generalization_gap,
     loss_variance,
     math_map,
-    row_blocks,
-    substitutions,
+    max_fibre_range,
+    product_rows,
     true_loss,
 )
 
@@ -53,9 +54,10 @@ CP_LEVEL = 0.999
 def substream(master_seed: int, index: int) -> np.random.Generator:
     """Independent counter-based stream for (master seed, trial index).
 
-    Philox keyed on the pair makes serial and parallel runs bit-identical.
+    Philox keyed on the pair makes serial and parallel runs bit-identical. A
+    seed past the 64 bits of its key word raises rather than alias another.
     """
-    return np.random.Generator(np.random.Philox(key=(master_seed & (2**64 - 1), index)))
+    return np.random.Generator(np.random.Philox(key=(master_seed, index)))
 
 
 def draw_sample(space: FiniteDataSpace, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -199,9 +201,9 @@ def check_bernstein_unit_mgf(space: FiniteDataSpace, loss: FiniteTable, n: int, 
 # ---------------------------------------------------------------------------
 # martingale MGF bounds for random functions on X^n
 #
-# A random function f: X^n -> R is a flat table indexed by base-|X| digits,
-# so table.reshape((|X|,) * n) puts coordinate k on axis k and every
-# one-coordinate quantity below is a reduction along one axis.
+# A random function f: X^n -> R is a flat table over the rows of
+# product_rows, so every one-coordinate quantity below is a reduction along
+# the last axis of model.fibres.
 
 def _exact_centered_mgf(table: np.ndarray, flat: np.ndarray, w: np.ndarray) -> float:
     vals = table[flat]
@@ -230,7 +232,7 @@ def check_martingale_mgf(space: FiniteDataSpace, n: int, case: str, num_trials: 
         table = rng.uniform(-1.0, 1.0, size=space.size**n)
 
         if case == "ii":
-            raw_c = _max_partial_difference(space, n, table)
+            raw_c = max_fibre_range(space, n, table)
             target_c = float(rng.uniform(0.1, 1.0))
             if raw_c > 0:
                 table = table * (target_c / raw_c)
@@ -265,44 +267,24 @@ def check_martingale_mgf(space: FiniteDataSpace, n: int, case: str, num_trials: 
     return reports
 
 
-def _fibres(space: FiniteDataSpace, n: int, table: np.ndarray):
-    """Per coordinate k, f along k at every base sample in the support: an
-    array with one axis per other coordinate (its support points) and the
-    substituted point y, over all of X, on the last axis."""
-    grid = table.reshape((space.size,) * n)
-    support = np.flatnonzero(space.probs > 0)
-    every = np.arange(space.size)
-    for k in range(n):
-        axes = np.ix_(*[every if j == k else support for j in range(n)])
-        yield np.moveaxis(grid[axes], k, -1)
-
-
-def _max_partial_difference(space, n, table) -> float:
-    return max(0.0, *(float((g.max(-1) - g.min(-1)).max())
-                      for g in _fibres(space, n, table)))
+def _deviations(space, n, table):
+    """Per coordinate k, f along k minus its mean over y ~ mu."""
+    return (g - (g @ space.probs)[..., None] for g in fibres(space, n, table))
 
 
 def _max_one_sided_excess(space, n, table) -> float:
     """max over base samples x and coordinates k of f(x) - E_y f(x_k <- y)."""
-    support = space.probs > 0
-    return max(float((g[..., support] - (g @ space.probs)[..., None]).max())
-               for g in _fibres(space, n, table))
+    return max(float(dev[..., space.probs > 0].max()) for dev in _deviations(space, n, table))
 
 
 def _coordinate_variances(space, n, table) -> list[float]:
-    vks = []
-    for g in _fibres(space, n, table):
-        dev = g - (g @ space.probs)[..., None]
-        vks.append(max(0.0, float((dev**2 @ space.probs).max())))
-    return vks
+    return [max(0.0, float((dev**2 @ space.probs).max()))
+            for dev in _deviations(space, n, table)]
 
 
 def _subgaussian_step_constant(space, n, table) -> float:
-    r2 = 0.0
-    for g in _fibres(space, n, table):
-        dev = g - (g @ space.probs)[..., None]
-        r2 = max(r2, float(logsumexp(dev, axis=-1, b=space.probs).max()))
-    return r2
+    return max(0.0, *(float(logsumexp(dev, axis=-1, b=space.probs).max())
+                      for dev in _deviations(space, n, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +296,10 @@ def check_logZ_bounded_differences(spec: HamiltonianSpec, space: FiniteDataSpace
                                    ) -> list[MomentCheckReport]:
     """|D ln Z| <= c and |D H_Q| <= 2c for the brute-force c of H."""
     c, _ = ham.bounded_difference_coefficient(spec, space, loss, n, budget=budget)
-    idx, _ = enumerate_indices(space, n, budget, loss.num_hypotheses)
-    max_dlnz = 0.0
-    max_dhq = 0.0
-    for rows in row_blocks(len(idx), n * space.size):
-        sub = substitutions(idx[rows], space.size)  # (rows, k, y, n)
-        H = hamiltonian_matrix(spec, sub.reshape(-1, n), loss)
-        log_z = logsumexp(log_weight_rows(H, prior), axis=-1)
-        hq = (H - log_z).reshape(loss.num_hypotheses, *sub.shape[:3])
-        log_z = log_z.reshape(sub.shape[:3])
-        max_dlnz = max(max_dlnz, float((log_z.max(-1) - log_z.min(-1)).max()))
-        max_dhq = max(max_dhq, float((hq.max(-1) - hq.min(-1)).max()))
+    H = hamiltonian_matrix(spec, product_rows(space, n, budget, loss.num_hypotheses), loss)
+    log_z = logsumexp(log_weight_rows(H, prior), axis=-1)
+    max_dlnz = max_fibre_range(space, n, log_z)
+    max_dhq = max_fibre_range(space, n, H - log_z)
     return [
         MomentCheckReport(name="logZ_bounded_differences", lhs=max_dlnz, rhs=c,
                           regime="exact_enumeration"),
@@ -393,25 +368,27 @@ def check_self_bounding(space: FiniteDataSpace, n: int, algorithm: StableAlgorit
     enumerated instance before asserting the MGF inequality on a lambda grid
     in (0, 2/a).
     """
-    idx, wts = enumerate_indices(space, n, budget)
-    outs = np.array([algorithm(row) for row in idx])
-    mean_out = wts @ outs
-    f_vals = np.einsum("ij,ij->i", outs - mean_out, outs - mean_out)
+    support = space.probs > 0
+    rows = product_rows(space, n, budget)
+    in_support = support[rows].all(axis=1)
+    outs = np.array([algorithm(row) for row in rows])
+    _, wts = enumerate_indices(space, n, budget)
+    mean_out = wts @ outs[in_support]
+    f_all = np.einsum("ij,ij->i", outs - mean_out, outs - mean_out)
+    f_vals = f_all[in_support]
     c_A = hypothesis_sensitivity(algorithm, space, n, budget=budget)
     a = 4.0 * n * c_A**2
-    # guard: D^2 f <= a f on every enumerated sample, with the infimum over the
-    # substitutions of each coordinate by every point of X
-    for rows in row_blocks(len(idx), n * space.size):
-        sub = substitutions(idx[rows], space.size)
-        dev = np.array([algorithm(row) for row in sub.reshape(-1, n)]) - mean_out
-        f_sub = np.einsum("ij,ij->i", dev, dev).reshape(sub.shape[:3])
-        fv = f_vals[rows]
-        d2 = ((fv[:, None] - f_sub.min(axis=-1)) ** 2).sum(axis=-1)
-        worst = int(np.argmax(d2 - a * fv))
-        if d2[worst] > a * fv[worst] + 1e-9:
-            raise AssertionError(
-                f"constructed f violates the self-bounding hypothesis: D^2 f = {d2[worst]} "
-                f"> a f = {a * fv[worst]}")
+    # guard: D^2 f <= a f on every enumerated sample, with the infimum of f
+    # over each coordinate set to every point of X; each term is laid out over
+    # the support grid, whose C order is that of f_vals
+    terms = [np.moveaxis((g[..., support] - g.min(-1, keepdims=True)) ** 2, -1, k)
+             for k, g in enumerate(fibres(space, n, f_all))]
+    d2 = np.stack(terms, axis=-1).sum(axis=-1).ravel()
+    worst = int(np.argmax(d2 - a * f_vals))
+    if d2[worst] > a * f_vals[worst] + 1e-9:
+        raise AssertionError(
+            f"constructed f violates the self-bounding hypothesis: D^2 f = {d2[worst]} "
+            f"> a f = {a * f_vals[worst]}")
     mean_f = float(wts @ f_vals)
     reports = []
     if a == 0.0:

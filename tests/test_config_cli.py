@@ -71,7 +71,14 @@ BAD_TABLES = {
     "nan_loss_table": "points a b\n#mu 0.5 0.5\nh0 0.1 nan\nh1 0.7 0.3\n",
     "nan_b_table": "points a b\n#mu 0.5 0.5\nb nan\nh0 0.1 0.2\nh1 0.7 0.3\n",
     "bare_b_table": "points a b\n#mu 0.5 0.5\nb\nh0 0.1 0.2\nh1 0.7 0.3\n",
+    "short_row_table": "points a b c\n#mu 0.2 0.3 0.5\nh0 0.1 0.2 0.3\nh1 0.7 0.3\n",
+    "text_loss_table": "points a b\n#mu 0.5 0.5\nh0 0.1 0.2\nh1 0.7 x\n",
+    "text_mu_table": "points a b\n#mu 0.5 zz\nh0 0.1 0.2\nh1 0.7 0.3\n",
 }
+
+# the file line that the error of a rejected loss table names
+BAD_TABLE_LINES = {"bare_b_table": 3, "short_row_table": 4, "text_loss_table": 4,
+                   "text_mu_table": 2}
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -250,7 +257,42 @@ class TestCli:
             table=table, good_table=good_table, **bad_tables))
         assert main(["certify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if case in BAD_TABLE_LINES:
+            assert f"{case}.txt:{BAD_TABLE_LINES[case]}: " in err
+
+    @pytest.mark.parametrize("key,value", [("master_seed", 2**64), ("instance.seed", 2**128)],
+                             ids=["master_seed", "instance_seed"])
+    def test_seed_past_its_key_width_exits_3(self, tmp_path, capsys, key, value):
+        """A seed wider than its Philox key word is refused under its key,
+        rather than aliasing a smaller seed or failing inside numpy."""
+        cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL + f"{key} = {value}\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    @pytest.mark.parametrize("case", ["out_is_file", "out_under_file", "plot_script_dir_missing",
+                                      "accept_out_is_file"])
+    def test_unwritable_output_exits_3(self, tmp_path, capsys, monkeypatch, case):
+        """The output directory is made before the command runs, so accept
+        refuses a bad --out before its suite starts."""
+
+        def suite(jobs=1):
+            raise AssertionError("the acceptance suite ran")
+
+        monkeypatch.setattr(acceptance, "run_all", suite)
+        cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)
+        a_file = write_config(tmp_path, "a_file", "")
+        argv = {
+            "out_is_file": ["certify", "--config", str(cfg), "--out", str(a_file)],
+            "out_under_file": ["verify", "--config", str(cfg), "--out", str(a_file / "o")],
+            "plot_script_dir_missing": ["compare", "--config", str(cfg), "--out",
+                                        str(tmp_path / "o"), "--plot-script",
+                                        str(tmp_path / "missing" / "p.py")],
+            "accept_out_is_file": ["accept", "--out", str(a_file)],
+        }[case]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("output error: ")
 
     @pytest.mark.parametrize("case", ["directory", "not_utf8"])
     def test_unreadable_scenario_exits_3(self, tmp_path, capsys, case):
@@ -278,10 +320,11 @@ class TestCli:
                                       [],
                                       ["certify", "--config", "{cfg}", "--seed", "-1"],
                                       ["verify", "--config", "{cfg}", "--budget", "0"],
-                                      ["accept", "--jobs", "0"]],
+                                      ["accept", "--jobs", "0"],
+                                      ["verify", "--config", "{cfg}", "--seed", str(2**64)]],
                              ids=["verify_bogus", "certify_jobs", "compare_seed",
                                   "accept_config", "no_subcommand", "negative_seed",
-                                  "zero_budget", "zero_jobs"])
+                                  "zero_budget", "zero_jobs", "seed_past_64_bits"])
     def test_usage_error_exits_3(self, tmp_path, capsys, argv):
         """A usage error is a configuration error: argparse's own exit code 2
         would read as an invariant violation."""

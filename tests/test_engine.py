@@ -15,7 +15,12 @@ from scipy.special import logsumexp
 
 from gapcert import verify as vf
 from gapcert.config import random_gibbs_instance
-from gapcert.hamiltonian import Gibbs, bounded_difference_coefficient
+from gapcert.hamiltonian import (
+    Gibbs,
+    bounded_difference_coefficient,
+    hypothesis_sensitivity,
+    mean_embedding_algorithm,
+)
 from gapcert.model import (
     FiniteDataSpace,
     FiniteTable,
@@ -24,6 +29,7 @@ from gapcert.model import (
     enumerate_indices,
     generalization_gap,
     loss_variance,
+    max_fibre_range,
 )
 
 
@@ -128,6 +134,18 @@ def ref_logz_differences(spec, space, loss, prior, n):
     return max_dlnz, max_dhq
 
 
+def ref_sensitivity(algorithm, space, n):
+    """max ||A(S_y^k x) - A(S_y'^k x)|| over base samples x in the support,
+    coordinates k and every pair of points y, y'."""
+    c = 0.0
+    for s, _ in ref_enumeration(space, n):
+        for k in range(n):
+            outs = [algorithm(substitute(s, k, y)) for y in range(space.size)]
+            for y, y2 in itertools.combinations(range(space.size), 2):
+                c = max(c, float(np.linalg.norm(outs[y] - outs[y2])))
+    return c
+
+
 def ref_martingale_constants(space, n, table):
     """(max partial difference, max one-sided excess, coordinate variances,
     subgaussian step constant) of the table, per base sample and coordinate."""
@@ -218,6 +236,19 @@ class TestBruteForceCoefficient:
         assert c == ref_brute_force_c(spec, space, loss, n)
 
 
+class TestSensitivity:
+    @pytest.mark.parametrize("probs,n,d", [([0.3, 0.0, 0.2, 0.5], 3, 2),
+                                           ([0.6, 0.4, 0.0], 4, 5),
+                                           ([0.25, 0.25, 0.5], 3, 9)])
+    def test_matches_loop(self, probs, n, d):
+        """Bit for bit, on spaces with a zero-probability point and with
+        d-vectors past numpy's eight-way unrolled reduction."""
+        space = FiniteDataSpace(points=tuple(range(len(probs))), probs=np.array(probs))
+        phi = vf.substream(7, d).uniform(-0.5, 0.5, size=(space.size, d))
+        algorithm = mean_embedding_algorithm(phi, n)
+        assert hypothesis_sensitivity(algorithm, space, n) == ref_sensitivity(algorithm, space, n)
+
+
 class TestOraclesMatchLoops:
     """check_proposition_main and check_logZ_bounded_differences reach CSVs
     and must agree bit for bit; the other oracles within 1e-12."""
@@ -265,7 +296,7 @@ class TestOraclesMatchLoops:
         for t in range(3):
             table = vf.substream(11, t).uniform(-1.0, 1.0, size=space.size**n)
             c, b, vks, r2 = ref_martingale_constants(space, n, table)
-            assert vf._max_partial_difference(space, n, table) == pytest.approx(c, abs=1e-12)
+            assert max_fibre_range(space, n, table) == pytest.approx(c, abs=1e-12)
             assert vf._max_one_sided_excess(space, n, table) == pytest.approx(b, abs=1e-12)
             assert vf._coordinate_variances(space, n, table) == pytest.approx(vks, abs=1e-12)
             assert vf._subgaussian_step_constant(space, n, table) == pytest.approx(r2, abs=1e-12)
@@ -275,9 +306,10 @@ class TestOraclesMatchLoops:
 
 class TestMemory:
     def test_substitution_oracles_stay_blocked(self):
-        """At |X|=2, n=16, m=4 every substitution of every sample as one
-        index array would take 2^16 * 16 * 2 * 16 * 8 bytes, about 268 MB;
-        processed in blocks, the oracles peak far below."""
+        """At |X|=2, n=16, m=4 the two searches reduce the (m, 2^16) values
+        of H and ln Z over X^n along one axis at a time. Every one-coordinate
+        substitution of every sample as one index array would take
+        2^16 * 16 * 2 * 16 * 8 bytes, about 268 MB; the oracles peak far below."""
         space, loss = random_gibbs_instance(1, 2, 4)
         spec, prior, n = Gibbs(3.0), PriorWeights.uniform(4), 16
         tracemalloc.start()
