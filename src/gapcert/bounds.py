@@ -5,12 +5,19 @@ numeric value, the confidence level, the scope of the probabilistic
 statement (a single joint draw of sample and hypothesis, or the posterior
 expectation) and a snapshot of all inputs sufficient to recompute the value
 bit-identically.
+
+The certificates a trial draw feeds take arrays over trials as well as
+floats: one formula gives every trial's value, np.sqrt rounds as math.sqrt
+does, and each domain check holds for every element. The level delta and
+the sample size n stay scalars, so ln(1/delta) is math.log's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 JOINT_DRAW = "joint_draw"
 POSTERIOR_EXPECTATION = "posterior_expectation"
@@ -28,6 +35,11 @@ class StabilityPreconditionError(ValueError):
     """The kernel-randomization stability requirement 12 n c_A^2 <= sigma^2 fails."""
 
 
+def _outside(*conditions) -> bool:
+    """Whether any element of any condition holds."""
+    return any(np.any(c) for c in conditions)
+
+
 def _check_delta(delta: float) -> float:
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in the open interval (0,1), got {delta}")
@@ -36,16 +48,21 @@ def _check_delta(delta: float) -> float:
 
 @dataclass(frozen=True)
 class Certificate:
+    """A certificate, or one per trial when its inputs hold arrays over trials:
+    then value is the array of their values. A scalar value is a float."""
+
     method: str
-    value: float
+    value: float | np.ndarray
     delta: float
     scope: str
     inputs: dict
     notes: str = ""
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
+        if not np.all(np.isfinite(self.value)):
             raise DomainError(f"certificate value must be finite, got {self.value}")
+        if np.ndim(self.value) == 0:
+            object.__setattr__(self, "value", float(self.value))
 
     def serialize(self) -> str:
         """One line: method, value, delta, scope, then key=value input pairs."""
@@ -142,7 +159,7 @@ def inversion_lemma(L_hat: float, A: float) -> float:
 
 def bound_bounded_differences(b: float, c: float, n: int, delta: float) -> Certificate:
     """Gap bound b (c + sqrt(ln(1/delta) / 2n)) for bounded-difference Hamiltonians."""
-    if b <= 0 or c < 0 or n < 1:
+    if _outside(b <= 0, c < 0, n < 1):
         raise DomainError("need b > 0, c >= 0, n >= 1")
     ld = _check_delta(delta)
     value = b * (c + math.sqrt(ld / (2.0 * n)))
@@ -161,24 +178,25 @@ def bound_mgf_bounded_differences(b: float, c: float, n: int, lam: float) -> flo
 
 def bound_bernstein(v: float, b: float, c: float, n: int, delta: float) -> Certificate:
     """Variance-sensitive gap bound 2 sqrt(v t) + b t with t = c^2 + ln(1/delta)/n."""
-    if v < 0 or b <= 0 or c < 0 or n < 1:
+    if _outside(v < 0, b <= 0, c < 0, n < 1):
         raise DomainError("need v >= 0, b > 0, c >= 0, n >= 1")
     ld = _check_delta(delta)
     t = c**2 + ld / n
-    value = 2.0 * math.sqrt(v * t) + b * t
+    value = 2.0 * np.sqrt(v * t) + b * t
     return Certificate("bernstein", value, delta, JOINT_DRAW,
                        {"v": v, "b": b, "c": c, "n": n, "delta": delta})
 
 
 def bound_empirical_bernstein(L_hat: float, b: float, c: float, n: int, delta: float) -> Certificate:
     """Empirical-error form: 2 sqrt(L_hat b t) + 5 b t with t = c^2 + ln(1/delta)/n."""
-    if b <= 0 or c < 0 or n < 1:
+    if _outside(b <= 0, c < 0, n < 1):
         raise DomainError("need b > 0, c >= 0, n >= 1")
-    if not (0.0 <= L_hat <= b + 1e-12):
+    # written so that a NaN, which fails every comparison, is rejected
+    if not np.all((0.0 <= L_hat) & (L_hat <= b + 1e-12)):
         raise DomainError(f"L_hat must be in [0, b], got {L_hat}")
     ld = _check_delta(delta)
     t = c**2 + ld / n
-    value = 2.0 * math.sqrt(L_hat * b * t) + 5.0 * b * t
+    value = 2.0 * np.sqrt(L_hat * b * t) + 5.0 * b * t
     return Certificate("empirical_bernstein", value, delta, JOINT_DRAW,
                        {"L_hat": L_hat, "b": b, "c": c, "n": n, "delta": delta})
 
@@ -191,9 +209,9 @@ def bound_subgaussian(rho_sup: float, rho_h: float, sigma: float, n: int,
     Second: rho_h (sqrt(32) sigma + sqrt(4 ln(1/delta)/n)), scaling with the
     drawn hypothesis' own parameter.
     """
-    if rho_sup < 0 or rho_h < 0 or sigma < 0 or n < 1:
+    if _outside(rho_sup < 0, rho_h < 0, sigma < 0, n < 1):
         raise DomainError("parameters must be nonnegative, n >= 1")
-    if rho_h > rho_sup + 1e-12:
+    if _outside(rho_h > rho_sup + 1e-12):
         raise DomainError("rho_h cannot exceed rho_sup")
     ld = _check_delta(delta)
     v1 = rho_sup * (2.0 * sigma + math.sqrt(2.0 * ld / n))
@@ -209,7 +227,7 @@ def bound_subgaussian(rho_sup: float, rho_h: float, sigma: float, n: int,
 def check_stability(c_A: float, sigma: float, n: int) -> None:
     """Raise StabilityPreconditionError unless 12 n c_A^2 <= sigma^2, the
     precondition of every Gaussian-kernel certificate."""
-    if 12.0 * n * c_A**2 > sigma**2:
+    if _outside(12.0 * n * c_A**2 > sigma**2):
         raise StabilityPreconditionError(
             f"stability precondition 12 n c_A^2 <= sigma^2 fails: "
             f"12 * {n} * {c_A}^2 = {12 * n * c_A**2} > {sigma**2}"
@@ -227,7 +245,7 @@ def bound_gaussian_randomization(V: float, sigma: float, n: int, delta: float,
     variant 'gap_bernstein': single-draw gap bound using the drawn
     hypothesis' variance v_h.
     """
-    if V < 0 or sigma <= 0 or n < 1 or c_A < 0:
+    if _outside(V < 0, sigma <= 0, n < 1, c_A < 0):
         raise DomainError("need V >= 0, sigma > 0, n >= 1, c_A >= 0")
     check_stability(c_A, sigma, n)
     base = 3.0 / sigma**2 * V
@@ -249,13 +267,13 @@ def bound_gaussian_randomization(V: float, sigma: float, n: int, delta: float,
                            POSTERIOR_EXPECTATION, inputs,
                            notes="bound is on the posterior-expected kl(L_hat, L)")
     if variant == "gap_joint":
-        value = math.sqrt((base + ld) / n)
+        value = np.sqrt((base + ld) / n)
         return Certificate("gaussian_gap", value, delta, JOINT_DRAW, inputs)
     if variant == "gap_bernstein":
-        if v_h is None or v_h < 0:
+        if v_h is None or _outside(v_h < 0):
             raise DomainError("gap_bernstein needs the drawn hypothesis' variance v_h >= 0")
         t = (base + ld) / n
-        value = 2.0 * math.sqrt(v_h * t) + t
+        value = 2.0 * np.sqrt(v_h * t) + t
         inputs = dict(inputs, v_h=v_h)
         return Certificate("gaussian_gap_bernstein", value, delta, JOINT_DRAW, inputs)
     raise DomainError(f"unknown Gaussian randomization variant {variant!r}")

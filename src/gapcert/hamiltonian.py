@@ -137,6 +137,13 @@ def hypothesis_sensitivity(algorithm: StableAlgorithm, space: FiniteDataSpace, n
     point pairs y, y' and base samples x of X^n; raises BudgetExceeded beyond
     the budget and ContractViolation if the declared coefficient is exceeded."""
     outs = np.array([algorithm(row) for row in product_rows(space, n, budget)])
+    return output_sensitivity(algorithm, space, n, outs)
+
+
+def output_sensitivity(algorithm: StableAlgorithm, space: FiniteDataSpace, n: int,
+                       outs: np.ndarray) -> float:
+    """hypothesis_sensitivity from the outputs of the algorithm, outs, one row
+    per row of product_rows."""
     c = 0.0
     for g in fibres(space, n, outs.T):  # (d, ..., y)
         for i in range(space.size):

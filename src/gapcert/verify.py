@@ -11,7 +11,7 @@ confidence bounds on the true violation probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -24,8 +24,8 @@ from .hamiltonian import (
     HamiltonianSpec,
     StableAlgorithm,
     hamiltonian_matrix,
-    hypothesis_sensitivity,
     log_weight_rows,
+    output_sensitivity,
 )
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -54,16 +54,23 @@ CP_LEVEL = 0.999
 def substream(master_seed: int, index: int) -> np.random.Generator:
     """Independent counter-based stream for (master seed, trial index).
 
-    Philox keyed on the pair makes serial and parallel runs bit-identical. A
-    seed past the 64 bits of its key word raises rather than alias another.
+    Philox keyed on the pair makes serial and parallel runs bit-identical.
+    The key words go in as uint64, not through float64, so every seed in
+    [0, 2^64 - 1] is a stream of its own; a seed past the 64 bits of its key
+    word raises rather than alias another.
     """
-    return np.random.Generator(np.random.Philox(key=(master_seed, index)))
+    return np.random.Generator(np.random.Philox(
+        key=np.array([master_seed, index], dtype=np.uint64)))
+
+
+def inverse_cdf(space: FiniteDataSpace, u: np.ndarray) -> np.ndarray:
+    """The point indices of uniforms u, of any shape, by inverse CDF."""
+    return np.searchsorted(np.cumsum(space.probs), u, side="right").clip(0, space.size - 1)
 
 
 def draw_sample(space: FiniteDataSpace, n: int, rng: np.random.Generator) -> np.ndarray:
     """n iid categorical draws by inverse CDF, as point indices."""
-    cdf = np.cumsum(space.probs)
-    return np.searchsorted(cdf, rng.random(n), side="right").clip(0, space.size - 1)
+    return inverse_cdf(space, rng.random(n))
 
 
 @dataclass(frozen=True)
@@ -376,7 +383,7 @@ def check_self_bounding(space: FiniteDataSpace, n: int, algorithm: StableAlgorit
     mean_out = wts @ outs[in_support]
     f_all = np.einsum("ij,ij->i", outs - mean_out, outs - mean_out)
     f_vals = f_all[in_support]
-    c_A = hypothesis_sensitivity(algorithm, space, n, budget=budget)
+    c_A = output_sensitivity(algorithm, space, n, outs)
     a = 4.0 * n * c_A**2
     # guard: D^2 f <= a f on every enumerated sample, with the infimum of f
     # over each coordinate set to every point of X; each term is laid out over
@@ -428,8 +435,16 @@ def check_phi_lemma(grid: Sequence[float] | None = None) -> dict:
 # Monte Carlo violation rates
 #
 # Trial t is one joint draw X ~ mu^n, h ~ Q_X from substream(master_seed, t).
-# `certify` reports the certificates of trial 0; `verify` scores the same
-# certificates, built by the same registry, over trials 0..T-1.
+# A run draws and scores its trials as arrays over trials, TRIAL_CHUNK trials
+# at a time, with every value equal bit for bit to that of a loop over the
+# trials (tests/test_trials.py keeps that loop as the reference). `certify`
+# reports the certificates of trial 0; `verify` scores the same certificates,
+# built by the same registry, over trials 0..T-1.
+
+# Trials drawn and scored at once; it bounds the (trials, n) uniforms and
+# (trials, m) weights of a chunk to a few tens of MB.
+TRIAL_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class MethodStats:
@@ -460,22 +475,33 @@ class TrialReport:
 
 
 class Draw(NamedTuple):
-    """One trial's draw: the sample indices, the hypothesis h, h's empirical
-    and true loss, its loss variance under mu, and h's half loss range
-    (Gibbs) or the posterior mean A(X) (Gaussian kernel)."""
+    """The draws of a run of trials, one entry per trial along the first axis
+    of each field, or one trial's draw (Draw.row): the sample indices, the
+    hypothesis h, h's empirical and true loss, its loss variance under mu,
+    h's half loss range (Gibbs) or the posterior mean A(X) (Gaussian kernel),
+    and the posterior-expected kl estimate (Gaussian kernel, when a method
+    bounds it)."""
 
     idx: np.ndarray
     h: object
-    L_hat: float
-    L: float
-    v: float
-    rho: float | None = None
+    L_hat: np.ndarray
+    L: np.ndarray
+    v: np.ndarray
+    rho: np.ndarray | None = None
     center: np.ndarray | None = None
+    kl: np.ndarray | None = None
+
+    def row(self, t: int) -> "Draw":
+        return Draw(*(None if f is None else f[t] for f in self))
+
+    @staticmethod
+    def stack(rows: Sequence["Draw"]) -> "Draw":
+        return Draw(*(None if col[0] is None else np.array(col) for col in zip(*rows)))
 
 
 class GibbsRun:
-    """Per-run constants of a Gibbs scenario, and its draw: n uniforms for X,
-    then one uniform for h ~ Q_X by exact categorical draw."""
+    """Per-run constants of a Gibbs scenario, and its draw: per trial, n
+    uniforms for X, then one uniform for h ~ Q_X by exact categorical draw."""
 
     variant = "gibbs"
 
@@ -483,6 +509,7 @@ class GibbsRun:
                  beta: float, n: int, delta: float):
         self.space, self.n, self.delta, self.beta = space, n, delta, beta
         self.b, self.table = loss.bound_b, loss.values
+        self.point_losses = np.ascontiguousarray(self.table.T)  # (|X|, m)
         self.c = beta * self.b / n
         self.true_L = self.table @ space.probs
         self.variances = (self.table - self.true_L[:, None]) ** 2 @ space.probs
@@ -492,20 +519,42 @@ class GibbsRun:
         w = prior.weights
         self.log_prior = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
 
-    def draw(self, rng: np.random.Generator) -> Draw:
-        idx = draw_sample(self.space, self.n, rng)
-        # not hamiltonian.posterior: this gather is column-major, its mean
-        # sums in another order than the engine's contiguous rows and
-        # differs in the last bit, and the verify CSV bytes rest on it
-        L_hat = self.table[:, idx].mean(axis=1)
+    def empirical_losses(self, idx: np.ndarray) -> np.ndarray:
+        """L_hat of every hypothesis on each sample row of idx, (T, m), equal
+        bit for bit to the mean of the gather table[:, row], on which the
+        verify CSV bytes rest. That gather is column-major, so numpy sums it
+        left to right over the coordinates, not pairwise as on the engine's
+        contiguous rows; with one hypothesis it is contiguous, and pairwise."""
+        if self.table.shape[0] == 1:
+            return self.table[0][idx].mean(axis=1)[:, None]
+        total = np.zeros((len(idx), self.table.shape[0]))
+        for k in range(self.n):
+            total += self.point_losses[idx[:, k]]
+        return total / self.n
+
+    def draws(self, uniforms: np.ndarray) -> Draw:
+        """The draws of the trials whose n + 1 uniforms are the rows of uniforms."""
+        idx = inverse_cdf(self.space, uniforms[:, :-1])
+        L_hat = self.empirical_losses(idx)
         logw = -self.beta * L_hat + self.log_prior
-        logw -= logsumexp(logw)
+        logw -= logsumexp(logw, axis=1, keepdims=True)
         w = np.exp(logw)
-        w /= w.sum()
-        h = int(np.searchsorted(np.cumsum(w), rng.random(), side="right")
-                .clip(0, len(w) - 1))
-        return Draw(idx, h, float(L_hat[h]), float(self.true_L[h]),
-                    float(self.variances[h]), rho=float(self.rho[h]))
+        w /= w.sum(axis=1, keepdims=True)
+        # per row, the searchsorted(side="right") of u in the cumulative weights
+        h = np.minimum((np.cumsum(w, axis=1) <= uniforms[:, -1:]).sum(axis=1),
+                       len(self.true_L) - 1)
+        return Draw(idx, h, L_hat[np.arange(len(h)), h], self.true_L[h],
+                    self.variances[h], rho=self.rho[h])
+
+    def draw(self, rng: np.random.Generator) -> Draw:
+        return self.draws(rng.random(self.n + 1)[None, :]).row(0)
+
+    def trials(self, master_seed: int, start: int, stop: int,
+               posterior_kl: bool = False) -> Draw:
+        """The draws of trials start..stop-1. No Gibbs method bounds the
+        posterior-expected kl, so posterior_kl is not read."""
+        return self.draws(np.array([substream(master_seed, t).random(self.n + 1)
+                                    for t in range(start, stop)]))
 
 
 class GaussianRun:
@@ -541,6 +590,17 @@ class GaussianRun:
         return float(np.mean(kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0),
                                               pl @ self.space.probs)))
 
+    def trials(self, master_seed: int, start: int, stop: int, posterior_kl: bool) -> Draw:
+        """The draws of trials start..stop-1, one at a time; with posterior_kl,
+        each trial's substream then feeds its posterior-kl estimate."""
+        rows = []
+        for t in range(start, stop):
+            rng = substream(master_seed, t)
+            draw = self.draw(rng)
+            rows.append(draw._replace(kl=self.posterior_kl(draw, rng)) if posterior_kl
+                        else draw)
+        return Draw.stack(rows)
+
 
 GAP = "gap"
 POSTERIOR_KL = "posterior_kl"
@@ -549,7 +609,8 @@ POSTERIOR_KL = "posterior_kl"
 class ScenarioMethod(NamedTuple):
     """A method a scenario may name: its variant, the target its certificate
     bounds (GAP, the draw's gap, or POSTERIOR_KL, the posterior-expected kl)
-    and the builder of its certificate from a run and one draw."""
+    and the builder of its certificates from a run and the draws of its
+    trials."""
 
     variant: str
     target: str
@@ -580,44 +641,58 @@ SCENARIO_METHODS = {
 }
 
 
-def _trials(run: GibbsRun | GaussianRun, methods: Sequence[str], trials: int,
-            master_seed: int):
-    """Per trial t: the draw from substream(master_seed, t), that substream
-    (the posterior-kl estimator draws from it next), and each method's
-    registry entry with its certificate. KeyError for another variant's method."""
+def _registry_entries(run: GibbsRun | GaussianRun,
+                      methods: Sequence[str]) -> list[ScenarioMethod]:
+    """Each method's registry entry; KeyError for another variant's method."""
     chosen = [SCENARIO_METHODS[m] for m in methods]
     for m, method in zip(methods, chosen):
         if method.variant != run.variant:
             raise KeyError(f"method {m!r} is not a {run.variant} certificate")
-    for t in range(trials):
-        rng = substream(master_seed, t)
-        draw = run.draw(rng)
-        yield draw, rng, [(method, method.build(run, draw)) for method in chosen]
+    return chosen
+
+
+def _first(x):
+    """Trial 0's entry of an array over trials, as a Python number; any
+    other value as it is."""
+    return x.item(0) if isinstance(x, (np.ndarray, np.generic)) else x
 
 
 def certificates(run: GibbsRun | GaussianRun, methods: Sequence[str],
                  master_seed: int) -> list[bd.Certificate]:
-    """The certificates for the draw of trial 0, the ones `certify` reports."""
-    _, _, built = next(_trials(run, methods, 1, master_seed))
-    return [cert for _, cert in built]
+    """The certificates for the draw of trial 0, the ones `certify` reports,
+    with Python floats for values and inputs."""
+    draws = run.trials(master_seed, 0, 1, posterior_kl=False)
+    built = [method.build(run, draws) for method in _registry_entries(run, methods)]
+    return [replace(cert, value=_first(cert.value),
+                    inputs={k: _first(v) for k, v in cert.inputs.items()})
+            for cert in built]
+
+
+def _running_sum(total: float, values: np.ndarray) -> float:
+    """total + values[0] + values[1] + ..., added in that order."""
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
 
 
 def _violation_rates(run: GibbsRun | GaussianRun, methods: Sequence[str], trials: int,
                      master_seed: int) -> TrialReport:
-    """A violation is a strict exceedance of a certificate by its target."""
-    counts = {m: 0 for m in methods}
-    bound_sums = {m: 0.0 for m in methods}
-    slack_sums = {m: 0.0 for m in methods}
+    """A violation is a strict exceedance of a certificate by its target. The
+    sums behind the means add the trials in order, carried across chunks."""
+    chosen = _registry_entries(run, methods)
+    posterior_kl = any(method.target == POSTERIOR_KL for method in chosen)
+    counts = dict.fromkeys(methods, 0)
+    bound_sums = dict.fromkeys(methods, 0.0)
+    slack_sums = dict.fromkeys(methods, 0.0)
     gap_sum = 0.0
-    for draw, rng, built in _trials(run, methods, trials, master_seed):
-        gap = draw.L - draw.L_hat
-        gap_sum += gap
-        for m, (method, cert) in zip(methods, built):
-            target = gap if method.target == GAP else run.posterior_kl(draw, rng)
-            bound_sums[m] += cert.value
-            slack_sums[m] += cert.value - target
-            if target > cert.value:
-                counts[m] += 1
+    for start in range(0, trials, TRIAL_CHUNK):
+        draws = run.trials(master_seed, start, min(start + TRIAL_CHUNK, trials), posterior_kl)
+        gap = draws.L - draws.L_hat
+        gap_sum = _running_sum(gap_sum, gap)
+        for m, method in zip(methods, chosen):
+            target = gap if method.target == GAP else draws.kl
+            value = np.broadcast_to(method.build(run, draws).value, gap.shape)
+            bound_sums[m] = _running_sum(bound_sums[m], value)
+            slack_sums[m] = _running_sum(slack_sums[m], value - target)
+            counts[m] += int(np.count_nonzero(target > value))
     per_method = {m: MethodStats(m, counts[m], trials, bound_sums[m] / trials,
                                  slack_sums[m] / trials) for m in methods}
     return TrialReport(trials=trials, seed=master_seed, mean_gap=gap_sum / trials,

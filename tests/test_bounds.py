@@ -366,3 +366,55 @@ class TestCertificateContract:
     def test_nonfinite_value_rejected(self):
         with pytest.raises(DomainError):
             Certificate("x", math.inf, 0.05, bd.JOINT_DRAW, {})
+
+    @pytest.mark.parametrize("make", CERT_CASES)
+    def test_scalar_value_is_python_float(self, make):
+        """numpy 2 writes a np.float64 as np.float64(...) in a repr."""
+        assert type(make(0.05).value) is float
+
+
+# Each certificate a trial draw feeds, as a function of one input that may be
+# an array over trials; with a value inside the input's domain and one outside.
+ARRAY_CASES = {
+    "bounded_differences c": (
+        lambda x: bound_bounded_differences(1.0, x, 200, 0.05), 0.05, -0.1),
+    "bernstein v": (
+        lambda x: bound_bernstein(x, 1.0, 0.05, 200, 0.05), 0.1, -0.1),
+    "empirical_bernstein L_hat": (
+        lambda x: bound_empirical_bernstein(x, 1.0, 0.05, 200, 0.05), 0.2, 1.5),
+    "subgaussian_sup rho_h": (
+        lambda x: bound_subgaussian(1.0, x, 0.02, 200, 0.05)[0], 0.5, 1.5),
+    "subgaussian_h rho_h": (
+        lambda x: bound_subgaussian(1.0, x, 0.02, 200, 0.05)[1], 0.5, -0.5),
+    "gaussian_gap V": (
+        lambda x: bound_gaussian_randomization(x, 1.0, 200, 0.05, "gap_joint", 0.0),
+        0.1, -0.1),
+    "gaussian_gap_bernstein v_h": (
+        lambda x: bound_gaussian_randomization(0.1, 1.0, 200, 0.05, "gap_bernstein", 0.0,
+                                               v_h=x), 0.01, -0.01),
+    "gaussian_kl_expectation V": (
+        lambda x: bound_gaussian_randomization(x, 1.0, 200, 0.05, "kl_expectation", 0.0),
+        0.1, -0.1),
+}
+
+
+class TestArrayInputs:
+    @pytest.mark.parametrize("case", ARRAY_CASES)
+    def test_elementwise_equals_scalar(self, case):
+        make, good, _ = ARRAY_CASES[case]
+        xs = good * np.array([0.0, 0.25, 0.5, 1.0])
+        # a value that does not depend on the input stands for every element
+        got = np.broadcast_to(make(xs).value, xs.shape)
+        assert got.tolist() == [make(float(x)).value for x in xs]
+
+    @pytest.mark.parametrize("bad_kind", ["domain", "nan", "inf"])
+    @pytest.mark.parametrize("case", ARRAY_CASES)
+    def test_one_bad_element_raises(self, case, bad_kind):
+        """Every domain and finiteness check holds for each element, and a bad
+        element fails as the scalar call with it does."""
+        make, good, outside = ARRAY_CASES[case]
+        bad = {"domain": outside, "nan": math.nan, "inf": math.inf}[bad_kind]
+        with pytest.raises(DomainError):
+            make(bad)
+        with pytest.raises(DomainError):
+            make(np.array([good, bad, good]))

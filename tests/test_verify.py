@@ -47,6 +47,24 @@ class TestSubstream:
         b = substream(5, 4).random(4)
         assert not np.array_equal(a, b)
 
+    def test_seeds_below_2_63_keep_their_streams(self):
+        """The uint64 key gives the streams the (seed, index) tuple key gave
+        wherever that tuple was exact."""
+        for seed in (0, 9055, 2**63 - 1):
+            old = np.random.Generator(np.random.Philox(key=(seed, 7)))
+            assert np.array_equal(substream(seed, 7).random(8), old.random(8))
+
+    @pytest.mark.parametrize("seed,other", [(2**63 + 1, 2**63), (2**64 - 1, 0),
+                                            (2**64 - 2, 0)])
+    def test_wide_seeds_distinct(self, seed, other):
+        """Seeds of 2^63 and above once went through float64 and aliased."""
+        assert not np.array_equal(substream(seed, 0).random(4),
+                                  substream(other, 0).random(4))
+
+    def test_seed_past_64_bits_raises(self):
+        with pytest.raises(OverflowError):
+            substream(2**64, 0)
+
     def test_draw_sample_in_range_and_repeatable(self):
         space, _, _ = small_instance()
         s1 = draw_sample(space, 6, substream(1, 0))
@@ -204,6 +222,18 @@ class TestSelfBoundingAndPhi:
             np.array([[0.0, 0.0], [1.0, 0.25], [0.5, 0.5]]), n=3)
         reports = check_self_bounding(space, n=3, algorithm=algo)
         assert reports and all(r.passed for r in reports)
+
+    def test_algorithm_evaluated_once_per_row(self):
+        """The guard and the sensitivity c_A share one evaluation of A on X^n."""
+        space = FiniteDataSpace(points=("a", "b", "c"), probs=np.array([0.2, 0.3, 0.5]))
+        algo = mean_embedding_algorithm(np.array([[0.0, 0.0], [1.0, 0.25], [0.5, 0.5]]), n=4)
+        calls = []
+        counting = ham.StableAlgorithm(map=lambda s: calls.append(1) or algo.map(s),
+                                       dim_d=algo.dim_d, declared_c_A=algo.declared_c_A,
+                                       variance_fn=algo.variance_fn)
+        assert check_self_bounding(space, n=4, algorithm=counting) == \
+            check_self_bounding(space, n=4, algorithm=algo)
+        assert len(calls) == 3**4
 
     def test_constant_algorithm_degenerate(self):
         space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
