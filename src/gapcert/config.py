@@ -204,12 +204,18 @@ def cosine_parametric_loss(features: np.ndarray) -> ParametricLoss:
     """Bounded smooth loss (1 + cos<h, phi(x)>)/2 over per-point features."""
     phi = np.asarray(features, dtype=float)
 
-    def ev(h: np.ndarray, i: int) -> float:
-        return 0.5 * (1.0 + math.cos(float(h @ phi[i])))
+    def evaluate(hs: np.ndarray) -> np.ndarray:
+        # numpy computes a one-row product by gemv, which rounds the dots
+        # otherwise than gemm; a copy of the row keeps every batch on gemm, so
+        # a row's losses do not depend on the batch it comes in
+        rows = hs if len(hs) > 1 else np.concatenate([hs, hs])
+        out = rows @ phi.T
+        np.cos(out, out=out)
+        out += 1.0
+        out *= 0.5  # 0.5 * (1 + cos), in place
+        return out[:len(hs)]
 
-    return ParametricLoss(dim_d=phi.shape[1], evaluator=ev,
-                          batch_evaluator=lambda hs: 0.5 * (1.0 + np.cos(hs @ phi.T)),
-                          bound_b=1.0)
+    return ParametricLoss(dim_d=phi.shape[1], batch_evaluator=evaluate, bound_b=1.0)
 
 
 def _instance(kind: str, v: dict):

@@ -35,7 +35,9 @@ class IncompatibleSpec(ValueError):
 @dataclass(frozen=True)
 class StableAlgorithm:
     """Deterministic map from samples to parameter vectors in R^d, with the
-    two constants the Gaussian-kernel certificates rest on.
+    two constants the Gaussian-kernel certificates rest on. map takes a
+    (..., n) array of sample point indices, one sample per row, to the
+    (..., d) array of their outputs.
 
     declared_c_A is an upper bound on the one-point substitution
     displacement; brute-force checks must never exceed it. variance_fn gives
@@ -48,7 +50,7 @@ class StableAlgorithm:
     variance_fn: Callable[[FiniteDataSpace, int], float]
 
     def __call__(self, sample: np.ndarray) -> np.ndarray:
-        return np.asarray(self.map(sample), dtype=float)
+        return np.asarray(self.map(np.asarray(sample)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ def hypothesis_sensitivity(algorithm: StableAlgorithm, space: FiniteDataSpace, n
     """Max displacement ||A(S_y^k x) - A(S_y'^k x)|| over the coordinates k,
     point pairs y, y' and base samples x of X^n; raises BudgetExceeded beyond
     the budget and ContractViolation if the declared coefficient is exceeded."""
-    outs = np.array([algorithm(row) for row in product_rows(space, n, budget)])
+    outs = algorithm(product_rows(space, n, budget))
     return output_sensitivity(algorithm, space, n, outs)
 
 
@@ -164,7 +166,8 @@ def output_sensitivity(algorithm: StableAlgorithm, space: FiniteDataSpace, n: in
 
 def constant_algorithm(vector) -> StableAlgorithm:
     v = np.asarray(vector, dtype=float)
-    return StableAlgorithm(map=lambda s: v, dim_d=len(v), declared_c_A=0.0,
+    return StableAlgorithm(map=lambda s: np.broadcast_to(v, s.shape[:-1] + v.shape),
+                           dim_d=len(v), declared_c_A=0.0,
                            variance_fn=lambda space, n: 0.0)
 
 
@@ -189,7 +192,7 @@ def mean_embedding_algorithm(features: np.ndarray, n: int) -> StableAlgorithm:
         sq = np.einsum("ij,ij->i", phi - mean, phi - mean)
         return float(space.probs @ sq) / n
 
-    return StableAlgorithm(map=lambda sample: phi[sample].mean(axis=0), dim_d=phi.shape[1],
+    return StableAlgorithm(map=lambda s: phi[s].mean(axis=-2), dim_d=phi.shape[1],
                            declared_c_A=diam / n, variance_fn=variance)
 
 

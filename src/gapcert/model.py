@@ -94,13 +94,13 @@ class FiniteTable:
 class ParametricLoss:
     """Loss over hypotheses parametrized by vectors in R^d, bounded in [0, bound_b].
 
-    The evaluator must be deterministic; values outside [0, bound_b] are a
-    contract violation and raise. batch_evaluator maps a (k, d) array of
-    hypotheses to their (k, num_points) losses at once.
+    batch_evaluator maps a (k, d) array of hypotheses to their (k, num_points)
+    losses at once. It must be deterministic, and a row's losses must not
+    depend on the other rows of the batch; values outside [0, bound_b] are a
+    contract violation and raise.
     """
 
     dim_d: int
-    evaluator: Callable[[np.ndarray, int], float]
     batch_evaluator: Callable[[np.ndarray], np.ndarray]
     bound_b: float = 1.0
 
@@ -110,13 +110,16 @@ class ParametricLoss:
         if self.bound_b <= 0:
             raise ValueError("bound_b must be positive")
 
-    def value(self, h: np.ndarray, point_index: int) -> float:
-        v = float(self.evaluator(np.asarray(h, dtype=float), point_index))
-        if not (0.0 <= v <= self.bound_b + 1e-12):
-            raise ContractViolation(
-                f"parametric loss returned {v} outside [0, {self.bound_b}]"
-            )
-        return min(v, self.bound_b)
+    def values(self, hs: np.ndarray) -> np.ndarray:
+        """The (k, num_points) losses of the (k, d) hypotheses hs, checked
+        against [0, bound_b] and clamped to bound_b."""
+        v = np.asarray(self.batch_evaluator(np.asarray(hs, dtype=float)), dtype=float)
+        lo, hi = v.min(), v.max()  # NaN if any value is NaN
+        for x in (lo, hi):
+            if not 0.0 <= x <= self.bound_b + 1e-12:
+                raise ContractViolation(f"parametric loss returned {x} "
+                                        f"outside [0, {self.bound_b}]")
+        return np.minimum(v, self.bound_b) if hi > self.bound_b else v
 
 
 @dataclass(frozen=True)

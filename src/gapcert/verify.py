@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import beta as beta_dist
 
 from . import bounds as bd
-from . import hamiltonian as ham
 from .hamiltonian import (
     HamiltonianSpec,
     StableAlgorithm,
@@ -63,14 +62,22 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
         key=np.array([master_seed, index], dtype=np.uint64)))
 
 
+def trial_streams(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """substream(master_seed, t) for t = start..stop-1, in order: one
+    generator, re-keyed through the state of its Philox for each trial, so
+    no Philox (and no OS-entropy seed sequence that its key overrides) is
+    built per trial. A yielded stream is valid until the next is yielded."""
+    rng = substream(master_seed, start)
+    fresh = rng.bit_generator.state  # counter 0, empty buffer
+    for t in range(start, stop):
+        fresh["state"]["key"][1] = t
+        rng.bit_generator.state = fresh
+        yield rng
+
+
 def inverse_cdf(space: FiniteDataSpace, u: np.ndarray) -> np.ndarray:
     """The point indices of uniforms u, of any shape, by inverse CDF."""
     return np.searchsorted(np.cumsum(space.probs), u, side="right").clip(0, space.size - 1)
-
-
-def draw_sample(space: FiniteDataSpace, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n iid categorical draws by inverse CDF, as point indices."""
-    return inverse_cdf(space, rng.random(n))
 
 
 @dataclass(frozen=True)
@@ -302,8 +309,8 @@ def check_logZ_bounded_differences(spec: HamiltonianSpec, space: FiniteDataSpace
                                    budget: int = DEFAULT_ENUMERATION_BUDGET
                                    ) -> list[MomentCheckReport]:
     """|D ln Z| <= c and |D H_Q| <= 2c for the brute-force c of H."""
-    c, _ = ham.bounded_difference_coefficient(spec, space, loss, n, budget=budget)
     H = hamiltonian_matrix(spec, product_rows(space, n, budget, loss.num_hypotheses), loss)
+    c = max_fibre_range(space, n, H)  # bounded_difference_coefficient's c, from this H
     log_z = logsumexp(log_weight_rows(H, prior), axis=-1)
     max_dlnz = max_fibre_range(space, n, log_z)
     max_dhq = max_fibre_range(space, n, H - log_z)
@@ -378,7 +385,7 @@ def check_self_bounding(space: FiniteDataSpace, n: int, algorithm: StableAlgorit
     support = space.probs > 0
     rows = product_rows(space, n, budget)
     in_support = support[rows].all(axis=1)
-    outs = np.array([algorithm(row) for row in rows])
+    outs = algorithm(rows)
     _, wts = enumerate_indices(space, n, budget)
     mean_out = wts @ outs[in_support]
     f_all = np.einsum("ij,ij->i", outs - mean_out, outs - mean_out)
@@ -444,6 +451,9 @@ def check_phi_lemma(grid: Sequence[float] | None = None) -> dict:
 # Trials drawn and scored at once; it bounds the (trials, n) uniforms and
 # (trials, m) weights of a chunk to a few tens of MB.
 TRIAL_CHUNK = 1 << 14
+# Posterior draws behind one block of posterior-kl estimates: their (draws,
+# |X|) losses take about a MB per 8 points.
+KL_DRAWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -493,10 +503,6 @@ class Draw(NamedTuple):
 
     def row(self, t: int) -> "Draw":
         return Draw(*(None if f is None else f[t] for f in self))
-
-    @staticmethod
-    def stack(rows: Sequence["Draw"]) -> "Draw":
-        return Draw(*(None if col[0] is None else np.array(col) for col in zip(*rows)))
 
 
 class GibbsRun:
@@ -553,13 +559,17 @@ class GibbsRun:
                posterior_kl: bool = False) -> Draw:
         """The draws of trials start..stop-1. No Gibbs method bounds the
         posterior-expected kl, so posterior_kl is not read."""
-        return self.draws(np.array([substream(master_seed, t).random(self.n + 1)
-                                    for t in range(start, stop)]))
+        uniforms = np.empty((stop - start, self.n + 1))
+        for row, rng in zip(uniforms, trial_streams(master_seed, start, stop)):
+            rng.random(out=row)
+        return self.draws(uniforms)
 
 
 class GaussianRun:
-    """Per-run constants of a Gaussian-kernel scenario, and its draw: n
-    uniforms for X, then d normals for h = A(X) + sigma z."""
+    """Per-run constants of a Gaussian-kernel scenario, and its draw: per
+    trial, n uniforms for X, then d normals for h = A(X) + sigma z, then,
+    when a method bounds the posterior-expected kl, posterior_draws x d
+    normals for the posterior draws behind its estimate."""
 
     variant = "gaussian_kernel"
 
@@ -570,36 +580,61 @@ class GaussianRun:
         self.loss, self.algorithm, self.posterior_draws = loss, algorithm, posterior_draws
         self.c_A = algorithm.declared_c_A
         self.V = float(algorithm.variance_fn(space, n))
+        self.kl_block = max(1, KL_DRAWS // posterior_draws)  # trials per kl block
 
-    def draw(self, rng: np.random.Generator) -> Draw:
-        idx = draw_sample(self.space, self.n, rng)
-        center = self.algorithm(idx)
-        h = center + self.sigma * rng.standard_normal(self.algorithm.dim_d)
-        pl = np.array([self.loss.value(h, i) for i in range(self.space.size)])
-        L = float(pl @ self.space.probs)
-        return Draw(idx, h, float(pl[idx].mean()), L,
-                    float(self.space.probs @ (pl - L) ** 2), center=center)
+    def draws(self, idx: np.ndarray, center: np.ndarray, normals: np.ndarray) -> Draw:
+        """The draws of the trials with sample rows idx, posterior means
+        center = A(idx) and the d normals of h in the rows of normals. Each
+        value equals that of the trial on its own: np.vecdot takes each row's
+        dot as pl @ probs does on that row, and the mean of a contiguous
+        gathered row sums pairwise, as on that row alone."""
+        h = center + self.sigma * normals
+        pl = self.loss.values(h)  # (trials, |X|)
+        L = np.vecdot(pl, self.space.probs)
+        L_hat = np.take_along_axis(pl, idx, axis=1).mean(axis=1)
+        v = np.vecdot((pl - L[:, None]) ** 2, self.space.probs)
+        return Draw(idx, h, L_hat, L, v, center=center)
 
-    def posterior_kl(self, draw: Draw, rng: np.random.Generator) -> float:
-        """The posterior average of kl(L_hat, L) over posterior_draws further
-        draws from Q_X."""
-        hs = draw.center + self.sigma * rng.standard_normal(
-            (self.posterior_draws, len(draw.center)))
-        pl = self.loss.batch_evaluator(hs)  # (draws, num_points)
-        L_hat = pl[:, draw.idx].mean(axis=1)
-        return float(np.mean(kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0),
-                                              pl @ self.space.probs)))
+    def expected_kl(self, idx: np.ndarray, center: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Per trial, the posterior average of kl(L_hat, L) over its draws
+        center + sigma z from Q_X, z of shape (trials, posterior_draws, d).
+        Each trial's (draws, |X|) losses give its L by one matrix-vector
+        product, as on their own, and its L_hat as the sum of the gathered
+        rows of their (|X|, draws) transpose, which adds the n coordinates
+        left to right, as the mean of the column-major gather
+        pl[:, idx] does."""
+        trials, draws, d = z.shape
+        hs = center[:, None, :] + self.sigma * z
+        pl = self.loss.values(hs.reshape(-1, d)).reshape(trials, draws, -1)
+        L = pl @ self.space.probs
+        plT = np.ascontiguousarray(pl.transpose(0, 2, 1))
+        L_hat = np.stack([losses[row].sum(axis=0) for losses, row in zip(plT, idx)]) / self.n
+        return kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0), L).mean(axis=1)
 
     def trials(self, master_seed: int, start: int, stop: int, posterior_kl: bool) -> Draw:
-        """The draws of trials start..stop-1, one at a time; with posterior_kl,
-        each trial's substream then feeds its posterior-kl estimate."""
-        rows = []
-        for t in range(start, stop):
-            rng = substream(master_seed, t)
-            draw = self.draw(rng)
-            rows.append(draw._replace(kl=self.posterior_kl(draw, rng)) if posterior_kl
-                        else draw)
-        return Draw.stack(rows)
+        """The draws of trials start..stop-1. Each trial's stream fills its
+        rows of the uniforms, the normals and, with posterior_kl, the posterior
+        normals of a block of kl_block trials, whose estimates follow."""
+        count, d = stop - start, self.algorithm.dim_d
+        block = self.kl_block if posterior_kl else count
+        uniforms, normals = np.empty((count, self.n)), np.empty((count, d))
+        idx = np.empty((count, self.n), dtype=np.intp)
+        center = np.empty((count, d))
+        z = np.empty((block, self.posterior_draws, d)) if posterior_kl else None
+        kl = np.empty(count) if posterior_kl else None
+        streams = trial_streams(master_seed, start, stop)
+        for lo in range(0, count, block):
+            hi = min(lo + block, count)
+            for i, rng in zip(range(lo, hi), streams):
+                rng.random(out=uniforms[i])
+                rng.standard_normal(out=normals[i])
+                if posterior_kl:
+                    rng.standard_normal(out=z[i - lo])
+            idx[lo:hi] = inverse_cdf(self.space, uniforms[lo:hi])
+            center[lo:hi] = self.algorithm(idx[lo:hi])
+            if posterior_kl:
+                kl[lo:hi] = self.expected_kl(idx[lo:hi], center[lo:hi], z[:hi - lo])
+        return self.draws(idx, center, normals)._replace(kl=kl)
 
 
 GAP = "gap"

@@ -42,8 +42,8 @@ SPACE2 = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
 
 
 def param_loss():
-    return ParametricLoss(dim_d=1, evaluator=lambda h, i: 0.5,
-                          batch_evaluator=lambda hs: np.full((len(hs), 2), 0.5), bound_b=1.0)
+    return ParametricLoss(dim_d=1, batch_evaluator=lambda hs: np.full((len(hs), 2), 0.5),
+                          bound_b=1.0)
 
 
 def H(spec, sample, loss=TWO):
@@ -121,8 +121,7 @@ class TestSampling:
     def test_gaussian_tiny_sigma(self):
         alg = mean_embedding_algorithm(np.array([[3.0, -1.0], [1.0, 1.0]]), 2)
         run = GaussianRun(SPACE2, param_loss(), alg, 1e-15, 2, 0.05, posterior_draws=1)
-        rng = np.random.Generator(np.random.Philox(key=2))
-        draw = run.draw(rng)
+        draw = run.trials(2, 0, 1, posterior_kl=False).row(0)
         assert np.allclose(draw.h, alg(draw.idx), atol=1e-12)
 
     def test_fair_coin_frequency(self):
@@ -197,6 +196,22 @@ class TestStableAlgorithms:
         alg = mean_embedding_algorithm(phi, 3)
         got = hypothesis_sensitivity(alg, SPACE2, 3)
         assert got <= alg.declared_c_A + 1e-12
+
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 100)])
+    def test_rows_equal_per_row_outputs(self, d, n):
+        """A called on a (..., n) index array gives, bit for bit, its output
+        on each row alone: the mean of the (n, d) feature rows over its first
+        axis, or the constant vector."""
+        rng = np.random.Generator(np.random.Philox(key=d))
+        phi = rng.uniform(-0.5, 0.5, size=(6, d))
+        rows = rng.integers(0, 6, size=(4, 50, n))
+        for alg, one in ((mean_embedding_algorithm(phi, n), lambda r: phi[r].mean(axis=0)),
+                         (constant_algorithm(phi[0]), lambda r: phi[0])):
+            got = alg(rows)
+            assert got.shape == (4, 50, d)
+            want = np.array([[one(r) for r in block] for block in rows])
+            assert np.array_equal(got, want)
+            assert np.array_equal(alg(rows[0, 0]), want[0, 0])
 
     def test_constant_variance_zero(self):
         assert constant_algorithm([0.0]).variance_fn(SPACE2, 4) == 0.0

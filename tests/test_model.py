@@ -150,11 +150,24 @@ class TestEnumeration:
 
 class TestContracts:
     def test_parametric_out_of_range(self):
-        bad = ParametricLoss(dim_d=1, evaluator=lambda h, i: 2.0,
-                             batch_evaluator=lambda hs: np.full((len(hs), 2), 2.0),
+        bad = ParametricLoss(dim_d=1, batch_evaluator=lambda hs: np.full((len(hs), 2), 2.0),
                              bound_b=1.0)
         with pytest.raises(ContractViolation):
-            bad.value(np.zeros(1), 0)
+            bad.values(np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("value", [-1e-9, 1.0 + 2e-12, math.nan])
+    def test_parametric_outside_or_nan_raises(self, value):
+        bad = ParametricLoss(dim_d=1, bound_b=1.0, batch_evaluator=lambda hs: np.where(
+            hs > 0, value, 0.5) * np.ones((1, 3)))
+        assert bad.values(np.full((2, 1), -1.0)).tolist() == [[0.5] * 3] * 2
+        with pytest.raises(ContractViolation):
+            bad.values(np.array([[-1.0], [1.0]]))
+
+    def test_parametric_clamped_to_b(self):
+        """A value within float noise above b is clamped to b."""
+        loss = ParametricLoss(dim_d=1, bound_b=1.0,
+                              batch_evaluator=lambda hs: np.array([[0.25, 1.0 + 1e-13]]))
+        assert loss.values(np.zeros((1, 1))).tolist() == [[0.25, 1.0]]
 
     def test_invalid_probs(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,14 @@
 
 The reference below draws and scores one trial at a time, the way the
 violation rates are defined: per trial t, the substream (master_seed, t),
-n uniforms for X and one for h ~ Q_X, each certificate built from that one
-draw, and running sums in trial order. Its Gibbs draw shares no code with
-GibbsRun.draws; the reports must be equal, float for float.
+then for a Gibbs trial n uniforms for X and one for h ~ Q_X, for a
+Gaussian-kernel trial n uniforms for X, d normals for h and the normals of
+the posterior draws; each certificate built from that one draw, and running
+sums in trial order. Its draws share no code with GibbsRun and GaussianRun;
+the reports must be equal, float for float.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +18,8 @@ from scipy.special import logsumexp
 from gapcert import bounds as bd
 from gapcert import verify as vf
 from gapcert.config import cosine_parametric_loss, random_gibbs_instance
-from gapcert.hamiltonian import mean_embedding_algorithm
-from gapcert.model import FiniteDataSpace, PriorWeights
+from gapcert.hamiltonian import constant_algorithm, mean_embedding_algorithm
+from gapcert.model import ContractViolation, FiniteDataSpace, ParametricLoss, PriorWeights
 
 GIBBS_METHODS = ("bounded_differences", "bernstein", "empirical_bernstein",
                  "subgaussian_sup", "subgaussian_h")
@@ -40,20 +44,43 @@ def ref_gibbs_draw(run, rng):
                    rho=float(run.rho[h]))
 
 
-def ref_violation_rates(run, methods, trials, master_seed):
+def ref_gaussian_draw(run, features, rng, posterior_kl):
+    """One Gaussian-kernel trial: n uniforms for X by inverse CDF, A on that
+    one row, d normals for h, h's cosine loss at each point on its own, then,
+    with posterior_kl, the posterior draws' losses as one (draws, |X|) batch."""
+    cdf = np.cumsum(run.space.probs)
+    idx = np.searchsorted(cdf, rng.random(run.n), side="right").clip(0, run.space.size - 1)
+    center = run.algorithm(idx)
+    h = center + run.sigma * rng.standard_normal(run.algorithm.dim_d)
+    pl = np.array([0.5 * (1.0 + math.cos(float(h @ f))) for f in features])
+    L = float(pl @ run.space.probs)
+    draw = vf.Draw(idx, h, float(pl[idx].mean()), L,
+                   float(run.space.probs @ (pl - L) ** 2), center=center)
+    if not posterior_kl:
+        return draw
+    hs = center + run.sigma * rng.standard_normal((run.posterior_draws, len(center)))
+    pl = run.loss.values(hs)
+    L_hat = pl[:, idx].mean(axis=1)
+    return draw._replace(kl=float(np.mean(vf.kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0),
+                                                               pl @ run.space.probs))))
+
+
+def ref_violation_rates(run, methods, trials, master_seed, features=None):
     chosen = [vf.SCENARIO_METHODS[m] for m in methods]
+    posterior_kl = any(method.target == vf.POSTERIOR_KL for method in chosen)
     counts = dict.fromkeys(methods, 0)
     bound_sums = dict.fromkeys(methods, 0.0)
     slack_sums = dict.fromkeys(methods, 0.0)
     gap_sum = 0.0
     for t in range(trials):
         rng = vf.substream(master_seed, t)
-        draw = ref_gibbs_draw(run, rng) if isinstance(run, vf.GibbsRun) else run.draw(rng)
+        draw = (ref_gibbs_draw(run, rng) if isinstance(run, vf.GibbsRun)
+                else ref_gaussian_draw(run, features, rng, posterior_kl))
         built = [method.build(run, draw) for method in chosen]
         gap = draw.L - draw.L_hat
         gap_sum += gap
         for m, method, cert in zip(methods, chosen, built):
-            target = gap if method.target == vf.GAP else run.posterior_kl(draw, rng)
+            target = gap if method.target == vf.GAP else draw.kl
             bound_sums[m] += cert.value
             slack_sums[m] += cert.value - target
             if target > cert.value:
@@ -128,19 +155,147 @@ class TestGibbsRuns:
             assert (a.h, a.L_hat, a.L, a.v, a.rho) == (b.h, b.L_hat, b.L, b.v, b.rho)
 
 
+def gaussian_case(seed, n=100, sigma=0.5, draws=50, num_points=6, d=2, probs=None,
+                  algorithm="mean_embedding"):
+    """A Gaussian-kernel run on a cosine loss, and the loss's feature table."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if probs is None:
+        probs = rng.dirichlet(np.ones(num_points))
+    space = FiniteDataSpace(points=tuple(f"x{i}" for i in range(num_points)),
+                            probs=np.array(probs))
+    features = rng.uniform(-1.0, 1.0, size=(num_points, d))
+    phi = rng.uniform(-0.5, 0.5, size=(num_points, d))
+    algo = (mean_embedding_algorithm(phi, n) if algorithm == "mean_embedding"
+            else constant_algorithm(phi[0]))
+    run = vf.GaussianRun(space, cosine_parametric_loss(features), algo, sigma, n, 0.05,
+                         posterior_draws=draws)
+    return run, features
+
+
+def assert_same_gaussian_report(run, features, methods, trials, master_seed):
+    got = vf.violation_rate_gaussian(run.space, run.loss, run.algorithm, run.sigma, run.n,
+                                     run.delta, methods, trials, master_seed,
+                                     posterior_draws=run.posterior_draws)
+    assert got == ref_violation_rates(run, methods, trials, master_seed, features)
+    assert all(type(s.mean_bound) is float and type(s.violations) is int
+               for s in got.per_method.values())
+
+
+def assert_same_draws(run, features, master_seed, start, stop, posterior_kl=True):
+    """Every field of the draws of trials start..stop-1, bit for bit."""
+    got = run.trials(master_seed, start, stop, posterior_kl)
+    for t in range(start, stop):
+        want = ref_gaussian_draw(run, features, vf.substream(master_seed, t), posterior_kl)
+        row = got.row(t - start)
+        assert np.array_equal(row.idx, want.idx)
+        assert np.array_equal(row.h, want.h) and np.array_equal(row.center, want.center)
+        assert (row.L_hat, row.L, row.v, row.kl) == (want.L_hat, want.L, want.v, want.kl)
+    assert got.rho is None and (got.kl is None) == (not posterior_kl)
+
+
 class TestGaussianRuns:
     def test_matches_loop_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(vf, "TRIAL_CHUNK", 4)
-        rng = np.random.Generator(np.random.Philox(key=21))
-        phi_table = rng.uniform(-0.5, 0.5, size=(6, 2))
-        space = FiniteDataSpace(points=tuple(f"x{i}" for i in range(6)),
-                                probs=np.full(6, 1.0 / 6))
-        loss = cosine_parametric_loss(phi_table)
-        algo = mean_embedding_algorithm(phi_table, 100)
-        run = vf.GaussianRun(space, loss, algo, 0.5, 100, 0.05, posterior_draws=50)
-        got = vf.violation_rate_gaussian(space, loss, algo, 0.5, 100, 0.05,
-                                         GAUSSIAN_METHODS, 10, 8, posterior_draws=50)
-        assert got == ref_violation_rates(run, GAUSSIAN_METHODS, 10, 8)
+        """Several chunks of 7 trials and kl blocks of 3, neither dividing 20."""
+        monkeypatch.setattr(vf, "TRIAL_CHUNK", 7)
+        monkeypatch.setattr(vf, "KL_DRAWS", 150)
+        run, features = gaussian_case(21)
+        assert run.kl_block == 3
+        assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 20, 8)
+
+    def test_draws_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(vf, "KL_DRAWS", 200)
+        run, features = gaussian_case(22, draws=40)
+        assert_same_draws(run, features, 4242, 0, 11)
+        assert_same_draws(run, features, 2**64 - 1, 5, 16)
+        assert_same_draws(run, features, 9, 3, 10, posterior_kl=False)
+
+    def test_default_block(self):
+        """At the default KL_DRAWS a block of 2000-draw estimates holds
+        several trials, and 11 trials end in a part block."""
+        run, features = gaussian_case(23, draws=2000)
+        assert run.kl_block == 4
+        assert_same_draws(run, features, 4242, 0, 11)
+
+    def test_constant_algorithm(self):
+        run, features = gaussian_case(24, algorithm="constant")
+        assert_same_draws(run, features, 1, 0, 9)
+        assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 30, 1)
+
+    def test_zero_probability_point(self):
+        run, features = gaussian_case(25, probs=[0.3, 0.0, 0.25, 0.25, 0.0, 0.2])
+        assert_same_draws(run, features, 2, 0, 9)
+        assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 30, 2)
+
+    def test_one_posterior_draw(self):
+        run, features = gaussian_case(26, draws=1)
+        assert_same_draws(run, features, 3, 0, 9)
+        assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 40, 3)
+
+    def test_one_trial(self):
+        run, features = gaussian_case(27)
+        assert_same_draws(run, features, 4, 0, 1)
+        assert_same_draws(run, features, 4, 0, 1, posterior_kl=False)
+        assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 1, 4)
+
+    def test_gap_methods_draw_no_kl(self, monkeypatch):
+        """Without a kl method no posterior draw is made or estimated."""
+        run, features = gaussian_case(28, d=3, num_points=5)
+        monkeypatch.setattr(vf.GaussianRun, "expected_kl", None)
+        assert_same_gaussian_report(run, features, GAUSSIAN_METHODS[:2], 30, 5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_cosine_loss_rows_alone(self, d):
+        """A row's cosine losses are, bit for bit, those of the row alone and
+        those of each point on its own, whatever batch the row comes in."""
+        rng = np.random.Generator(np.random.Philox(key=30 + d))
+        features = rng.uniform(-1.0, 1.0, size=(7, d))
+        hs = rng.normal(0.0, 2.0, size=(60, d))
+        loss = cosine_parametric_loss(features)
+        batch = loss.values(hs)
+        alone = np.array([loss.values(h[None, :])[0] for h in hs])
+        points = np.array([[0.5 * (1.0 + math.cos(float(h @ f))) for f in features] for h in hs])
+        assert np.array_equal(batch, alone) and np.array_equal(batch, points)
+        assert np.array_equal(loss.values(hs[:2]), batch[:2])
+
+    def test_loss_outside_contract_on_posterior_draws(self):
+        """A loss that leaves [0, b] only far out, where the trials' own h do
+        not go and their posterior draws do, fails the kl estimate."""
+        space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
+        loss = ParametricLoss(dim_d=1, bound_b=1.0, batch_evaluator=lambda hs: np.where(
+            np.abs(hs) > 3.0, 1.5, 0.5) * np.ones((1, 2)))
+        args = (space, loss, constant_algorithm([0.0]), 1.0, 10, 0.05)
+        gap = vf.violation_rate_gaussian(*args, GAUSSIAN_METHODS[:2], 5, 0,
+                                         posterior_draws=2000)
+        assert gap.mean_gap == 0.0
+        with pytest.raises(ContractViolation):
+            vf.violation_rate_gaussian(*args, GAUSSIAN_METHODS, 5, 0, posterior_draws=2000)
+
+
+# ---------------------------------------------------------------------------
+# the trial streams
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("master_seed", [0, 4242, 2**63 + 1, 2**64 - 1])
+    @pytest.mark.parametrize("start,stop", [(0, 4), (3, 8), (1000, 1003)])
+    def test_same_as_substream(self, master_seed, start, stop):
+        got = [(rng.random(7), rng.standard_normal(5), rng.standard_normal((3, 2)))
+               for rng in vf.trial_streams(master_seed, start, stop)]
+        assert len(got) == stop - start
+        for t, arrays in zip(range(start, stop), got):
+            rng = vf.substream(master_seed, t)
+            want = (rng.random(7), rng.standard_normal(5), rng.standard_normal((3, 2)))
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, want))
+
+    def test_buffered_bits_do_not_carry_over(self):
+        """A stream left with half a 64-bit word buffered hands the next
+        trial a fresh stream."""
+        streams = vf.trial_streams(5, 0, 2)
+        next(streams).integers(0, 10, size=3, dtype=np.uint32)
+        assert np.array_equal(next(streams).random(4), vf.substream(5, 1).random(4))
+
+    def test_seed_past_64_bits_raises(self):
+        with pytest.raises(OverflowError):
+            next(vf.trial_streams(2**64, 0, 1))
 
 
 # ---------------------------------------------------------------------------
