@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds as bd
 from . import hamiltonian as ham
 from . import verify as vf
-from .config import cosine_parametric_loss, random_gibbs_instance
+from .config import gaussian_kernel_instance, random_gibbs_instance
 from .hamiltonian import Gibbs, mean_embedding_algorithm
 from .model import FiniteDataSpace, PriorWeights, generalization_gap
 
@@ -35,12 +35,11 @@ def _result(number, name, passed, detail, t0) -> CriterionResult:
     return CriterionResult(number, name, passed, detail, time.perf_counter() - t0)
 
 
-def _gibbs_instances(num_seeds=5, betas=(0.0, 1.0, 5.0, 5.0), num_points=3, n=5,
-                     num_hypotheses=4):
-    """The standard tiny Gibbs family: seeds x beta grid, beta = n included."""
+def _gibbs_instances(betas, num_seeds=5):
+    """The standard tiny Gibbs family, |X| = 3 and m = 4: seeds x beta grid."""
     out = []
     for seed in range(num_seeds):
-        space, loss = random_gibbs_instance(seed, num_points, num_hypotheses)
+        space, loss = random_gibbs_instance(seed, 3, 4)
         for beta in betas:
             out.append((space, loss, Gibbs(beta=beta), seed))
     return out
@@ -51,7 +50,7 @@ def criterion_mgf_vs_bounded_differences() -> CriterionResult:
     t0 = time.perf_counter()
     n = 5
     worst = math.inf
-    for space, loss, spec, _ in _gibbs_instances(betas=(0.0, 1.0, 5.0, float(n))):
+    for space, loss, spec, _ in _gibbs_instances(betas=(0.0, 1.0, float(n), 2.0 * n)):
         prior = PriorWeights.uniform(loss.num_hypotheses)
         c, regime = ham.bounded_difference_coefficient(spec, space, loss, n)
         assert regime == "exhaustive"
@@ -69,7 +68,7 @@ def criterion_main_proposition() -> CriterionResult:
     t0 = time.perf_counter()
     n, delta = 5, 0.05
     worst = math.inf
-    for space, loss, spec, _ in _gibbs_instances(betas=(0.0, 1.0, 5.0, float(n))):
+    for space, loss, spec, _ in _gibbs_instances(betas=(0.0, 1.0, float(n), 2.0 * n)):
         prior = PriorWeights.uniform(loss.num_hypotheses)
         lam = float(n)
         rep = vf.check_proposition_main(
@@ -111,8 +110,7 @@ def criterion_log_partition_differences() -> CriterionResult:
     t0 = time.perf_counter()
     n = 3
     failures = 0
-    for space, loss, spec, _ in _gibbs_instances(betas=(0.0, 1.0, float(n), 2.0 * n),
-                                                 n=n):
+    for space, loss, spec, _ in _gibbs_instances(betas=(0.0, 1.0, float(n), 2.0 * n)):
         prior = PriorWeights.uniform(loss.num_hypotheses)
         for rep in vf.check_logZ_bounded_differences(spec, space, loss, prior, n):
             if not rep.passed:
@@ -145,27 +143,15 @@ def criterion_gibbs_violation_rates(trials=5000) -> CriterionResult:
     return _result(5, "Gibbs certificate violation rates", ok, "; ".join(lines), t0)
 
 
-def _gaussian_scenario(n=100, num_points=8, dim=2, sigma=0.5, seed=21):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    probs = rng.dirichlet(np.ones(num_points))
-    space = FiniteDataSpace(points=tuple(f"x{i}" for i in range(num_points)),
-                            probs=probs)
-    phi = rng.uniform(-0.5, 0.5, size=(num_points, dim))
-    algorithm = mean_embedding_algorithm(phi, n)
-    feats = rng.uniform(-1.0, 1.0, size=(num_points, dim))
-    loss = cosine_parametric_loss(feats)
-    bd.check_stability(algorithm.declared_c_A, sigma, n)
-    return space, loss, algorithm, sigma
-
-
 def criterion_gaussian_randomization(trials=5000, kl_trials=200,
                                      posterior_draws=10_000) -> CriterionResult:
     """Gaussian-kernel certificates: joint-draw rates plus the posterior
     expected-kl statement checked against a posterior average."""
     t0 = time.perf_counter()
     n, delta = 100, 0.05
-    space, loss, algorithm, sigma = _gaussian_scenario(n=n)
-    rep = vf.violation_rate_gaussian(space, loss, algorithm, sigma, n, delta,
+    # the instance of configs/gaussian_mean_embedding.txt
+    space, loss, spec = gaussian_kernel_instance(21, 8, 2, n, 0.5, "mean_embedding")
+    rep = vf.violation_rate_gaussian(space, loss, spec.algorithm, spec.sigma, n, delta,
                                      ("gaussian_gap", "gaussian_gap_bernstein"),
                                      trials, master_seed=4242)
     lines = []
@@ -175,7 +161,7 @@ def criterion_gaussian_randomization(trials=5000, kl_trials=200,
         if cp > delta:
             ok = False
         lines.append(f"{m}: viol={stats.violations}/{trials} cp={cp:.4f}")
-    rep2 = vf.violation_rate_gaussian(space, loss, algorithm, sigma, n, delta,
+    rep2 = vf.violation_rate_gaussian(space, loss, spec.algorithm, spec.sigma, n, delta,
                                       ("gaussian_kl_expectation",), kl_trials,
                                       master_seed=4243, posterior_draws=posterior_draws)
     stats = rep2.per_method["gaussian_kl_expectation"]
@@ -220,8 +206,7 @@ def criterion_gaussian_identity(mc_samples=1_000_000) -> CriterionResult:
                 sigma = 1.0
                 w = np.zeros(d)
                 v = np.zeros(d)
-                if d > 0:
-                    v[0] = ratio * sigma
+                v[0] = ratio * sigma
                 rep = vf.check_gaussian_identity(w, v, sigma, lam, mc_samples,
                                                  seed=int(1000 * lam) + 10 * d + int(10 * ratio))
                 if not rep.passed:

@@ -312,8 +312,8 @@ def pac_bayes_gaussian_kl(kl_PQ: float, V: float, sigma: float, n: int, delta: f
 
 
 def pac_bayes_model_selection(kl_PQ: float, V: float, sigma: float, n: int, delta: float,
-                              variant: str, c_A: float, E_P_v: float | None = None,
-                              b: float | None = None) -> Certificate:
+                              variant: str, c_A: float,
+                              E_P_v: float | None = None) -> Certificate:
     """Model-selection PAC-Bayes bounds valid simultaneously for all P.
 
     gap variant: sqrt(((3/sigma^2)V + 2 KL + ln(2 max(KL, 1/2)/delta)) / n).

@@ -218,6 +218,20 @@ def cosine_parametric_loss(features: np.ndarray) -> ParametricLoss:
     return ParametricLoss(dim_d=phi.shape[1], batch_evaluator=evaluate, bound_b=1.0)
 
 
+def gaussian_kernel_instance(seed: int, num_points: int, dim: int, n: int, sigma: float,
+                             algorithm: str):
+    """(space, loss, spec) of a Gaussian-kernel scenario: a random space,
+    the built-in stable algorithm of that name and a cosine loss, drawn in
+    that order from one Philox keyed on the seed. Raises KeyError for an
+    unknown algorithm and StabilityPreconditionError if sigma is too small."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    space = _random_space(rng, num_points)
+    stable = builtin_algorithm(algorithm, space, n, dim_d=dim, seed=seed)
+    check_stability(stable.declared_c_A, sigma, n)
+    loss = cosine_parametric_loss(rng.uniform(-1.0, 1.0, size=(num_points, dim)))
+    return space, loss, GaussianKernel(sigma=sigma, algorithm=stable)
+
+
 def _instance(kind: str, v: dict):
     """(space, loss, prior, spec) of a scenario whose keys all parsed; the
     ValueError names the key at fault."""
@@ -226,22 +240,15 @@ def _instance(kind: str, v: dict):
             v["instance.seed"], v["instance.num_points"], v["instance.num_hypotheses"])
         return space, loss, PriorWeights.uniform(loss.num_hypotheses), Gibbs(
             beta=v["hamiltonian.beta"])
-    seed, num_points, dim, n = (v[k] for k in ("instance.seed", "instance.num_points",
-                                               "instance.dim", "n"))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    space = _random_space(rng, num_points)
     try:
-        algorithm = builtin_algorithm(v["hamiltonian.algorithm"], space, n, dim_d=dim,
-                                      seed=seed)
+        space, loss, spec = gaussian_kernel_instance(*(v[k] for k in (
+            "instance.seed", "instance.num_points", "instance.dim", "n", "hamiltonian.sigma",
+            "hamiltonian.algorithm")))
     except KeyError as exc:
         raise ValueError(f"hamiltonian.algorithm: {exc.args[0]}") from None
-    sigma, c_A = v["hamiltonian.sigma"], algorithm.declared_c_A
-    try:
-        check_stability(c_A, sigma, n)
     except StabilityPreconditionError as exc:
         raise ValueError(f"hamiltonian.sigma: {exc}") from None
-    loss = cosine_parametric_loss(rng.uniform(-1.0, 1.0, size=(num_points, dim)))
-    return space, loss, None, GaussianKernel(sigma=sigma, algorithm=algorithm)
+    return space, loss, None, spec
 
 
 def parse_config(path) -> ScenarioConfig:

@@ -85,13 +85,27 @@ def hamiltonian_matrix(spec: HamiltonianSpec, idx: np.ndarray, loss: FiniteTable
     return -spec.beta * empirical_losses(loss, idx)
 
 
+def log_prior(prior: PriorWeights) -> np.ndarray:
+    """ln pi(h) of every hypothesis, by math.log, -inf where pi(h) = 0."""
+    return np.array([math.log(w) if w > 0 else -math.inf for w in prior.weights])
+
+
 def log_weight_rows(H: np.ndarray, prior: PriorWeights) -> np.ndarray:
     """The unnormalized posterior log weights H(h, x) + ln pi(h) of an (m, S)
-    Hamiltonian matrix, -inf where pi(h) = 0, as (S, m): one C-contiguous row
-    per sample, so a reduction over a row's hypotheses sums in the same order
-    as on that sample's own weight vector."""
-    log_prior = np.array([math.log(w) if w > 0 else -math.inf for w in prior.weights])
-    return np.ascontiguousarray(H.T) + log_prior
+    Hamiltonian matrix as (S, m): one C-contiguous row per sample, so a
+    reduction over a row's hypotheses sums in the same order as on that
+    sample's own weight vector."""
+    return np.ascontiguousarray(H.T) + log_prior(prior)
+
+
+def gibbs_posterior(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q_x and ln Z(x) of each row of posterior log weights log_w (..., m):
+    Q_x(h) = e^{log_w(h) - ln Z(x)}, renormalized to sum to 1 along the row."""
+    log_z = logsumexp(log_w, axis=-1, keepdims=True)
+    q = log_w - log_z
+    np.exp(q, out=q)
+    q /= q.sum(axis=-1, keepdims=True)
+    return q, log_z[..., 0]
 
 
 def _finite_log_weights(spec: HamiltonianSpec, sample: np.ndarray, loss: FiniteTable,
@@ -110,9 +124,7 @@ def posterior(spec: HamiltonianSpec, sample: np.ndarray, loss: FiniteTable,
               prior: PriorWeights) -> np.ndarray:
     """The weights of a finite class proportional to e^{H(h, sample)} pi(h),
     normalized to sum to 1."""
-    lw = _finite_log_weights(spec, sample, loss, prior)
-    w = np.exp(lw - logsumexp(lw))
-    return w / w.sum()
+    return gibbs_posterior(_finite_log_weights(spec, sample, loss, prior))[0]
 
 
 def bounded_difference_coefficient(spec: HamiltonianSpec, space: FiniteDataSpace,
@@ -133,19 +145,12 @@ def bounded_difference_coefficient(spec: HamiltonianSpec, space: FiniteDataSpace
     return max_fibre_range(space, n, H), "exhaustive"
 
 
-def hypothesis_sensitivity(algorithm: StableAlgorithm, space: FiniteDataSpace, n: int,
-                           budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
-    """Max displacement ||A(S_y^k x) - A(S_y'^k x)|| over the coordinates k,
-    point pairs y, y' and base samples x of X^n; raises BudgetExceeded beyond
-    the budget and ContractViolation if the declared coefficient is exceeded."""
-    outs = algorithm(product_rows(space, n, budget))
-    return output_sensitivity(algorithm, space, n, outs)
-
-
 def output_sensitivity(algorithm: StableAlgorithm, space: FiniteDataSpace, n: int,
                        outs: np.ndarray) -> float:
-    """hypothesis_sensitivity from the outputs of the algorithm, outs, one row
-    per row of product_rows."""
+    """Max displacement ||A(S_y^k x) - A(S_y'^k x)|| over the coordinates k,
+    point pairs y, y' and base samples x of X^n, from the outputs of the
+    algorithm, outs, one row per row of product_rows; raises
+    ContractViolation if the declared coefficient is exceeded."""
     c = 0.0
     for g in fibres(space, n, outs.T):  # (d, ..., y)
         for i in range(space.size):

@@ -80,10 +80,6 @@ class FiniteTable:
     def num_hypotheses(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def num_points(self) -> int:
-        return self.values.shape[1]
-
     def row(self, h: int) -> np.ndarray:
         if not 0 <= h < self.num_hypotheses:
             raise IndexError(f"hypothesis index {h} out of range")

@@ -15,14 +15,15 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, logsumexp
 
 from . import bounds as bd
 from .hamiltonian import (
     HamiltonianSpec,
     StableAlgorithm,
+    gibbs_posterior,
     hamiltonian_matrix,
+    log_prior,
     log_weight_rows,
     output_sensitivity,
 )
@@ -115,22 +116,20 @@ class MomentCheckReport:
 def _enumerate_posteriors(spec: HamiltonianSpec, space: FiniteDataSpace, loss: FiniteTable,
                           prior: PriorWeights, n: int, budget: int):
     """Sample rows (S, n), their mu^n weights (S,), H over (m, S), the
-    posterior log weights (S, m) and ln Z per row (S,)."""
+    posterior Q_x per row (S, m) and ln Z per row (S,)."""
     idx, w = enumerate_indices(space, n, budget, loss.num_hypotheses)
     H = hamiltonian_matrix(spec, idx, loss)
-    log_w = log_weight_rows(H, prior)
-    return idx, w, H, log_w, logsumexp(log_w, axis=-1)
+    return (idx, w, H) + gibbs_posterior(log_weight_rows(H, prior))
 
 
-def _log_mixed_mgf(w: np.ndarray, log_w: np.ndarray, log_z: np.ndarray,
-                   F: np.ndarray) -> float:
-    """ln sum_x w(x) sum_h Q_x(h) e^{F(h, x)} for F over (m, S), with the terms
-    in sample-major order and those of Q_x(h) = 0 left out."""
-    q = np.exp(log_w - log_z[:, None])
-    q = (q / q.sum(axis=-1, keepdims=True)).ravel()
+def _log_mixed_mgf(w: np.ndarray, q: np.ndarray, F: np.ndarray) -> float:
+    """ln sum_x w(x) sum_h Q_x(h) e^{F(h, x)} for Q over (S, m) and F over
+    (m, S), with the terms in sample-major order and those of Q_x(h) = 0
+    left out."""
+    m = q.shape[1]
+    q = q.ravel()
     keep = q > 0
-    terms = (np.repeat(math_map(math.log, w), log_w.shape[1])[keep]
-             + math_map(math.log, q[keep]))
+    terms = np.repeat(math_map(math.log, w), m)[keep] + math_map(math.log, q[keep])
     return float(logsumexp(terms + F.T.ravel()[keep]))
 
 
@@ -144,8 +143,8 @@ def exact_mixed_mgf(spec: HamiltonianSpec, space: FiniteDataSpace, loss: FiniteT
                     prior: PriorWeights, n: int, lam: float,
                     budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
     """The mixed log-MGF of the generalization gap at parameter lam."""
-    idx, w, _, log_w, log_z = _enumerate_posteriors(spec, space, loss, prior, n, budget)
-    return _log_mixed_mgf(w, log_w, log_z, lam * _gap_matrix(space, loss, idx))
+    idx, w, _, q, _ = _enumerate_posteriors(spec, space, loss, prior, n, budget)
+    return _log_mixed_mgf(w, q, lam * _gap_matrix(space, loss, idx))
 
 
 def _psi_values(F: np.ndarray, H: np.ndarray, log_z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -191,9 +190,9 @@ def check_proposition_main(spec: HamiltonianSpec, space: FiniteDataSpace, loss: 
                            name: str = "main_proposition",
                            budget: int = DEFAULT_ENUMERATION_BUDGET) -> MomentCheckReport:
     """Enumerated mixed log-MGF of F against the enumerated sup_h psi_F(h)."""
-    idx, w, H, log_w, log_z = _enumerate_posteriors(spec, space, loss, prior, n, budget)
+    idx, w, H, q, log_z = _enumerate_posteriors(spec, space, loss, prior, n, budget)
     F_values = np.array([[F(h, row) for row in idx] for h in range(loss.num_hypotheses)])
-    lhs = _log_mixed_mgf(w, log_w, log_z, F_values)
+    lhs = _log_mixed_mgf(w, q, F_values)
     psi = _psi_values(F_values, H, log_z, w)
     return MomentCheckReport(name=name, lhs=lhs, rhs=float(psi.max()),
                              regime="exact_enumeration",
@@ -442,15 +441,17 @@ def check_phi_lemma(grid: Sequence[float] | None = None) -> dict:
 # Monte Carlo violation rates
 #
 # Trial t is one joint draw X ~ mu^n, h ~ Q_X from substream(master_seed, t).
-# A run draws and scores its trials as arrays over trials, TRIAL_CHUNK trials
-# at a time, with every value equal bit for bit to that of a loop over the
-# trials (tests/test_trials.py keeps that loop as the reference). `certify`
-# reports the certificates of trial 0; `verify` scores the same certificates,
-# built by the same registry, over trials 0..T-1.
+# A run draws and scores its trials as arrays over trials, a chunk at a
+# time, with every value equal bit for bit to that of a loop over the trials
+# (tests/test_trials.py keeps that loop as the reference). `certify` reports
+# the certificates of trial 0; `verify` scores the same certificates, built
+# by the same registry, over trials 0..T-1.
 
-# Trials drawn and scored at once; it bounds the (trials, n) uniforms and
-# (trials, m) weights of a chunk to a few tens of MB.
-TRIAL_CHUNK = 1 << 14
+# Array elements per trial chunk. A chunk holds CHUNK_ELEMENTS // run.width
+# trials, run.width being the elements of one trial (n + 1 + m for Gibbs,
+# n + |X| + d for the Gaussian kernel), so each (trials, n), (trials, m) or
+# (trials, |X|) array of a chunk takes at most 8 MB, whatever n and m.
+CHUNK_ELEMENTS = 1 << 20
 # Posterior draws behind one block of posterior-kl estimates: their (draws,
 # |X|) losses take about a MB per 8 points.
 KL_DRAWS = 1 << 13
@@ -472,8 +473,9 @@ class MethodStats:
     def clopper_pearson_upper(self) -> float:
         if self.violations >= self.trials:
             return 1.0
-        return float(beta_dist.ppf(CP_LEVEL, self.violations + 1,
-                                   self.trials - self.violations))
+        # the CP_LEVEL quantile of Beta(violations + 1, trials - violations)
+        return float(betaincinv(self.violations + 1, self.trials - self.violations,
+                                CP_LEVEL))
 
 
 @dataclass(frozen=True)
@@ -486,11 +488,10 @@ class TrialReport:
 
 class Draw(NamedTuple):
     """The draws of a run of trials, one entry per trial along the first axis
-    of each field, or one trial's draw (Draw.row): the sample indices, the
-    hypothesis h, h's empirical and true loss, its loss variance under mu,
-    h's half loss range (Gibbs) or the posterior mean A(X) (Gaussian kernel),
-    and the posterior-expected kl estimate (Gaussian kernel, when a method
-    bounds it)."""
+    of each field: the sample indices, the hypothesis h, h's empirical and
+    true loss, its loss variance under mu, h's half loss range (Gibbs) or
+    the posterior mean A(X) (Gaussian kernel), and the posterior-expected kl
+    estimate (Gaussian kernel, when a method bounds it)."""
 
     idx: np.ndarray
     h: object
@@ -500,9 +501,6 @@ class Draw(NamedTuple):
     rho: np.ndarray | None = None
     center: np.ndarray | None = None
     kl: np.ndarray | None = None
-
-    def row(self, t: int) -> "Draw":
-        return Draw(*(None if f is None else f[t] for f in self))
 
 
 class GibbsRun:
@@ -522,8 +520,8 @@ class GibbsRun:
         self.rho = (self.table.max(axis=1) - self.table.min(axis=1)) / 2.0
         self.rho_sup = float(self.rho.max())
         self.sigma_h = self.rho_sup * beta / n  # subgaussian scale of the Hamiltonian steps
-        w = prior.weights
-        self.log_prior = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
+        self.log_prior = log_prior(prior)
+        self.width = n + 1 + len(self.true_L)  # array elements per trial
 
     def empirical_losses(self, idx: np.ndarray) -> np.ndarray:
         """L_hat of every hypothesis on each sample row of idx, (T, m), equal
@@ -542,18 +540,12 @@ class GibbsRun:
         """The draws of the trials whose n + 1 uniforms are the rows of uniforms."""
         idx = inverse_cdf(self.space, uniforms[:, :-1])
         L_hat = self.empirical_losses(idx)
-        logw = -self.beta * L_hat + self.log_prior
-        logw -= logsumexp(logw, axis=1, keepdims=True)
-        w = np.exp(logw)
-        w /= w.sum(axis=1, keepdims=True)
+        w, _ = gibbs_posterior(-self.beta * L_hat + self.log_prior)
         # per row, the searchsorted(side="right") of u in the cumulative weights
         h = np.minimum((np.cumsum(w, axis=1) <= uniforms[:, -1:]).sum(axis=1),
                        len(self.true_L) - 1)
         return Draw(idx, h, L_hat[np.arange(len(h)), h], self.true_L[h],
                     self.variances[h], rho=self.rho[h])
-
-    def draw(self, rng: np.random.Generator) -> Draw:
-        return self.draws(rng.random(self.n + 1)[None, :]).row(0)
 
     def trials(self, master_seed: int, start: int, stop: int,
                posterior_kl: bool = False) -> Draw:
@@ -581,6 +573,7 @@ class GaussianRun:
         self.c_A = algorithm.declared_c_A
         self.V = float(algorithm.variance_fn(space, n))
         self.kl_block = max(1, KL_DRAWS // posterior_draws)  # trials per kl block
+        self.width = n + space.size + algorithm.dim_d  # array elements per trial
 
     def draws(self, idx: np.ndarray, center: np.ndarray, normals: np.ndarray) -> Draw:
         """The draws of the trials with sample rows idx, posterior means
@@ -718,8 +711,9 @@ def _violation_rates(run: GibbsRun | GaussianRun, methods: Sequence[str], trials
     bound_sums = dict.fromkeys(methods, 0.0)
     slack_sums = dict.fromkeys(methods, 0.0)
     gap_sum = 0.0
-    for start in range(0, trials, TRIAL_CHUNK):
-        draws = run.trials(master_seed, start, min(start + TRIAL_CHUNK, trials), posterior_kl)
+    chunk = max(1, CHUNK_ELEMENTS // run.width)
+    for start in range(0, trials, chunk):
+        draws = run.trials(master_seed, start, min(start + chunk, trials), posterior_kl)
         gap = draws.L - draws.L_hat
         gap_sum = _running_sum(gap_sum, gap)
         for m, method in zip(methods, chosen):
@@ -758,7 +752,6 @@ def kl_bernoulli_vec(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Vectorized Bernoulli relative entropy with the 0 ln 0 = 0 convention."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    out = np.zeros(np.broadcast_shapes(s.shape, t.shape))
     s, t = np.broadcast_arrays(s, t)
     interior = (t > 0) & (t < 1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,9 +14,9 @@ from gapcert.hamiltonian import (
     bounded_difference_coefficient,
     constant_algorithm,
     hamiltonian_matrix,
-    hypothesis_sensitivity,
     log_partition,
     mean_embedding_algorithm,
+    output_sensitivity,
     posterior,
 )
 from gapcert.model import (
@@ -25,8 +25,9 @@ from gapcert.model import (
     FiniteTable,
     ParametricLoss,
     PriorWeights,
+    product_rows,
 )
-from gapcert.verify import GaussianRun, GibbsRun
+from gapcert.verify import GaussianRun, GibbsRun, check_self_bounding
 
 
 def space3():
@@ -44,6 +45,16 @@ SPACE2 = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
 def param_loss():
     return ParametricLoss(dim_d=1, batch_evaluator=lambda hs: np.full((len(hs), 2), 0.5),
                           bound_b=1.0)
+
+
+def sensitivity(algorithm, space, n):
+    """The brute-force sensitivity of the algorithm over all of X^n."""
+    return output_sensitivity(algorithm, space, n, algorithm(product_rows(space, n)))
+
+
+def draw_h(run, rng):
+    """The hypothesis of one Gibbs trial drawn from rng's next n + 1 uniforms."""
+    return run.draws(rng.random((1, run.n + 1))).h[0]
 
 
 def H(spec, sample, loss=TWO):
@@ -116,19 +127,19 @@ class TestSampling:
         loss = table([[0.0, 0.0], [1.0, 1.0]])
         run = GibbsRun(SPACE2, loss, PriorWeights.uniform(2), 1000.0, 2, 0.05)
         rng = np.random.Generator(np.random.Philox(key=1))
-        assert all(run.draw(rng).h == 0 for _ in range(100))
+        assert all(draw_h(run, rng) == 0 for _ in range(100))
 
     def test_gaussian_tiny_sigma(self):
         alg = mean_embedding_algorithm(np.array([[3.0, -1.0], [1.0, 1.0]]), 2)
         run = GaussianRun(SPACE2, param_loss(), alg, 1e-15, 2, 0.05, posterior_draws=1)
-        draw = run.trials(2, 0, 1, posterior_kl=False).row(0)
-        assert np.allclose(draw.h, alg(draw.idx), atol=1e-12)
+        draws = run.trials(2, 0, 1, posterior_kl=False)
+        assert np.allclose(draws.h[0], alg(draws.idx[0]), atol=1e-12)
 
     def test_fair_coin_frequency(self):
         loss = table([[0.3, 0.7], [0.3, 0.7]])  # identical rows: weights 1/2 each
         run = GibbsRun(SPACE2, loss, PriorWeights.uniform(2), 5.0, 2, 0.05)
         rng = np.random.Generator(np.random.Philox(key=3))
-        draws = [run.draw(rng).h for _ in range(5_000)]
+        draws = [draw_h(run, rng) for _ in range(5_000)]
         # five standard errors of a fair coin over 5,000 draws
         assert np.mean(draws) == pytest.approx(0.5, abs=0.035)
 
@@ -176,25 +187,25 @@ class TestBruteForceRefusal:
     def test_sensitivity_over_budget(self):
         alg = mean_embedding_algorithm(np.array([[0.0], [1.0], [0.5]]), 4)
         with pytest.raises(BudgetExceeded):
-            hypothesis_sensitivity(alg, space3(), 4, budget=3**4 - 1)
+            check_self_bounding(space3(), 4, alg, budget=3**4 - 1)
 
 
 class TestStableAlgorithms:
     def test_constant_sensitivity_zero(self):
         alg = constant_algorithm([1.0, 2.0])
-        assert hypothesis_sensitivity(alg, SPACE2, 5) == 0.0
+        assert sensitivity(alg, SPACE2, 5) == 0.0
 
     def test_mean_embedding_diameter_over_n(self):
         phi = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])  # diameter 5
         n = 4
         alg = mean_embedding_algorithm(phi, n)
-        got = hypothesis_sensitivity(alg, space3(), n)
+        got = sensitivity(alg, space3(), n)
         assert got == pytest.approx(5.0 / n)
 
     def test_brute_force_within_declared(self):
         phi = np.array([[0.0, 0.5], [0.25, 0.0]])
         alg = mean_embedding_algorithm(phi, 3)
-        got = hypothesis_sensitivity(alg, SPACE2, 3)
+        got = sensitivity(alg, SPACE2, 3)
         assert got <= alg.declared_c_A + 1e-12
 
     @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 100)])

@@ -10,6 +10,7 @@ the reports must be equal, float for float.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,11 @@ def ref_violation_rates(run, methods, trials, master_seed, features=None):
                           per_method=per_method)
 
 
+def row(draws, t):
+    """Trial t's entry of each field of the draws of a run of trials."""
+    return vf.Draw(*(None if f is None else f[t] for f in draws))
+
+
 def gibbs_case(seed, num_points, m, beta, n, probs=None, weights=None):
     space, loss = random_gibbs_instance(seed, num_points, m)
     if probs is not None:
@@ -139,9 +145,22 @@ class TestGibbsRuns:
         assert_same_report(*gibbs_case(9, 5, 1, 2.0, n), trials=100, master_seed=5)
 
     def test_many_chunks(self, monkeypatch):
-        """Sums carried across chunks add the trials in the loop's order."""
-        monkeypatch.setattr(vf, "TRIAL_CHUNK", 7)
+        """Sums carried across chunks of 7 trials, of n + 1 + m elements
+        each, add the trials in the loop's order."""
+        monkeypatch.setattr(vf, "CHUNK_ELEMENTS", 7 * (30 + 1 + 16))
         assert_same_report(*gibbs_case(11, 10, 16, 5.0, 30), trials=100, master_seed=7)
+
+    def test_chunk_memory_bounded(self):
+        """A run holds a chunk of trials x width elements at a time, not all
+        its trials: 4000 trials at n = 1000 take 92 MiB in one chunk."""
+        space, loss, prior, beta, n = gibbs_case(16, 10, 16, 5.0, 1000)
+        tracemalloc.start()
+        try:
+            vf.violation_rate_gibbs(space, loss, prior, beta, n, 0.05, GIBBS_METHODS, 4000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     def test_draw_is_row_zero(self):
         """Consecutive draws from one generator each read n + 1 uniforms."""
@@ -150,7 +169,7 @@ class TestGibbsRuns:
         rng_a = np.random.Generator(np.random.Philox(key=13))
         rng_b = np.random.Generator(np.random.Philox(key=13))
         for _ in range(50):
-            a, b = run.draw(rng_a), ref_gibbs_draw(run, rng_b)
+            a, b = row(run.draws(rng_a.random((1, n + 1))), 0), ref_gibbs_draw(run, rng_b)
             assert np.array_equal(a.idx, b.idx)
             assert (a.h, a.L_hat, a.L, a.v, a.rho) == (b.h, b.L_hat, b.L, b.v, b.rho)
 
@@ -186,17 +205,18 @@ def assert_same_draws(run, features, master_seed, start, stop, posterior_kl=True
     got = run.trials(master_seed, start, stop, posterior_kl)
     for t in range(start, stop):
         want = ref_gaussian_draw(run, features, vf.substream(master_seed, t), posterior_kl)
-        row = got.row(t - start)
-        assert np.array_equal(row.idx, want.idx)
-        assert np.array_equal(row.h, want.h) and np.array_equal(row.center, want.center)
-        assert (row.L_hat, row.L, row.v, row.kl) == (want.L_hat, want.L, want.v, want.kl)
+        row_t = row(got, t - start)
+        assert np.array_equal(row_t.idx, want.idx)
+        assert np.array_equal(row_t.h, want.h) and np.array_equal(row_t.center, want.center)
+        assert (row_t.L_hat, row_t.L, row_t.v, row_t.kl) == (want.L_hat, want.L, want.v, want.kl)
     assert got.rho is None and (got.kl is None) == (not posterior_kl)
 
 
 class TestGaussianRuns:
     def test_matches_loop_across_chunks(self, monkeypatch):
-        """Several chunks of 7 trials and kl blocks of 3, neither dividing 20."""
-        monkeypatch.setattr(vf, "TRIAL_CHUNK", 7)
+        """Several chunks of 7 trials, of n + |X| + d elements each, and kl
+        blocks of 3, neither dividing 20."""
+        monkeypatch.setattr(vf, "CHUNK_ELEMENTS", 7 * (100 + 6 + 2))
         monkeypatch.setattr(vf, "KL_DRAWS", 150)
         run, features = gaussian_case(21)
         assert run.kl_block == 3

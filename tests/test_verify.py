@@ -1,6 +1,9 @@
 """Enumeration oracles, Monte Carlo harness, and seeding discipline."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -301,6 +304,26 @@ class TestViolationRates:
         stats = MethodStats("x", 0, m, 0.0, 0.0)
         assert stats.clopper_pearson_upper == pytest.approx(1.0 - 0.001 ** (1.0 / m))
         assert MethodStats("x", m, m, 0.0, 0.0).clopper_pearson_upper == 1.0
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 200, 2000, 5000, 100_000])
+    def test_clopper_pearson_is_the_beta_quantile(self, trials):
+        """Bit for bit the quantile of scipy.stats' beta distribution."""
+        from scipy.stats import beta
+
+        for k in sorted({0, 1, 2, 3, trials // 10, trials // 2, trials - 2, trials - 1}
+                        & set(range(trials))):
+            want = float(beta.ppf(vf.CP_LEVEL, k + 1, trials - k))
+            assert MethodStats("x", k, trials, 0.0, 0.0).clopper_pearson_upper == want
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """The runtime needs numpy and scipy.special only; scipy.stats alone took
+    most of the CLI's import time."""
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, gapcert.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert run.stdout.strip() == "False"
 
 
 class TestTightness:
