@@ -74,12 +74,6 @@ class Certificate:
         return " ".join(parts)
 
 
-def recompute(cert: Certificate) -> Certificate:
-    """Re-run the certificate's method on its recorded inputs."""
-    fn = _METHODS[cert.method]
-    return fn(**cert.inputs)
-
-
 # ---------------------------------------------------------------------------
 # kl utilities
 
@@ -360,16 +354,10 @@ def pac_bayes_model_selection(kl_PQ: float, V: float, sigma: float, n: int, delt
 class BaselineSet:
     rivasplata_gibbs: float
     rivasplata_kl_gibbs: float
-    rivasplata_gaussian: float | None = None
 
 
-def baselines(beta: float, n: int, delta: float,
-              gauss_inputs: dict | None = None) -> BaselineSet:
-    """The comparison bounds from the literature, evaluated in closed form.
-
-    gauss_inputs, when given, must carry c_A and sigma for the Gaussian
-    randomization baseline.
-    """
+def baselines(beta: float, n: int, delta: float) -> BaselineSet:
+    """The comparison bounds from the literature, evaluated in closed form."""
     if beta < 0 or n < 1:
         raise DomainError("need beta >= 0 and n >= 1")
     _check_delta(delta)
@@ -377,32 +365,4 @@ def baselines(beta: float, n: int, delta: float,
     kl_gibbs = (2.0 * beta**2 / n**2
                 + math.sqrt(2.0 * math.log(3.0)) * beta / n**1.5
                 + math.log(4.0 * math.sqrt(n) / delta) / n)
-    gaussian = None
-    if gauss_inputs is not None:
-        c_A, sigma = float(gauss_inputs["c_A"]), float(gauss_inputs["sigma"])
-        if sigma <= 0:
-            raise DomainError("sigma must be positive")
-        gaussian = (
-            n * c_A**2 / (2.0 * sigma**2)
-            * (1.0 + math.sqrt(0.5 * math.log(1.0 / delta))) ** 2
-            + math.log(2.0 * math.sqrt(n) / delta)
-        ) / n
-    return BaselineSet(rivasplata_gibbs=gibbs, rivasplata_kl_gibbs=kl_gibbs,
-                       rivasplata_gaussian=gaussian)
-
-
-_METHODS = {
-    "bounded_differences": bound_bounded_differences,
-    "bernstein": bound_bernstein,
-    "empirical_bernstein": bound_empirical_bernstein,
-    "subgaussian_sup": lambda **kw: bound_subgaussian(**kw)[0],
-    "subgaussian_h": lambda **kw: bound_subgaussian(**kw)[1],
-    "gaussian_mgf": bound_gaussian_randomization,
-    "gaussian_kl_expectation": bound_gaussian_randomization,
-    "gaussian_gap": bound_gaussian_randomization,
-    "gaussian_gap_bernstein": bound_gaussian_randomization,
-    "pac_bayes_transfer": pac_bayes_transfer,
-    "pac_bayes_gaussian_kl": pac_bayes_gaussian_kl,
-    "pac_bayes_selection_gap": pac_bayes_model_selection,
-    "pac_bayes_selection_variance": pac_bayes_model_selection,
-}
+    return BaselineSet(rivasplata_gibbs=gibbs, rivasplata_kl_gibbs=kl_gibbs)

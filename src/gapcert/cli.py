@@ -96,7 +96,7 @@ def cmd_certify(config: ScenarioConfig, out_dir: Path) -> int:
     rows = []
     lines = []
     for cert in certs:
-        again = bd.recompute(cert)
+        again = vf.recompute(cert)
         if again.value != cert.value:
             print(f"certificate {cert.method} not recomputable bit-identically",
                   file=sys.stderr)

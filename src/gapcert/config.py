@@ -14,6 +14,7 @@ an error (no silent ignoring); validation reports every problem at once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -83,6 +84,23 @@ def _beta_tag(text: str) -> str | float:
     return text if text in ("sqrt_n", "n_over_10") else number_in(float, 0.0)(text)
 
 
+def _square(x: float) -> float:
+    """x**2 as the bounds compute it, or inf where that overflows."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _kernel_sigma(text: str) -> float:
+    """A sigma > 0 whose square, which the Gaussian-kernel bounds divide by,
+    is a normal float: neither 0 nor past the float range."""
+    sigma = number_in(float, 0.0, strict=True)(text)
+    if not sys.float_info.min <= _square(sigma) < math.inf:
+        raise ValueError(f"{text!r} squares to 0, to a subnormal or past the largest float")
+    return sigma
+
+
 def _file_stem(text: str) -> str:
     """A scenario_id, which names the output files."""
     if not text or "/" in text or "\\" in text:
@@ -117,7 +135,7 @@ _KEYS = {
     "instance.dim": Key("2", number_in(int, 1), (GAUSSIAN,)),
     "hamiltonian.variant": Key("gibbs", _one_of("gibbs", "gaussian_kernel")),
     "hamiltonian.beta": Key("5.0", number_in(float, 0.0), GIBBS),
-    "hamiltonian.sigma": Key("0.5", number_in(float, 0.0, strict=True), (GAUSSIAN,)),
+    "hamiltonian.sigma": Key("0.5", _kernel_sigma, (GAUSSIAN,)),
     # a name hamiltonian.builtin_algorithm knows, checked as the instance is built
     "hamiltonian.algorithm": Key("mean_embedding", str, (GAUSSIAN,)),
     "n": Key(None, number_in(int, 1)),  # required
@@ -206,10 +224,14 @@ def cosine_parametric_loss(features: np.ndarray) -> ParametricLoss:
 
     def evaluate(hs: np.ndarray) -> np.ndarray:
         # numpy computes a one-row product by gemv, which rounds the dots
-        # otherwise than gemm; a copy of the row keeps every batch on gemm, so
-        # a row's losses do not depend on the batch it comes in
+        # otherwise than gemm, and gemm's rows depend on their batch past 16
+        # columns of the contraction: a copy of the row keeps every batch on
+        # gemm, and blocks of 16 columns added left to right keep a row's
+        # losses independent of its batch (d <= 16 takes one product)
         rows = hs if len(hs) > 1 else np.concatenate([hs, hs])
-        out = rows @ phi.T
+        out = rows[:, :16] @ phi[:, :16].T
+        for k in range(16, phi.shape[1], 16):
+            out += rows[:, k:k + 16] @ phi[:, k:k + 16].T
         np.cos(out, out=out)
         out += 1.0
         out *= 0.5  # 0.5 * (1 + cos), in place
@@ -238,6 +260,11 @@ def _instance(kind: str, v: dict):
     if kind != GAUSSIAN:
         space, loss = v["instance.file"] if kind == FILE else random_gibbs_instance(
             v["instance.seed"], v["instance.num_points"], v["instance.num_hypotheses"])
+        # the Bernstein bounds and the ln Z oracle square c = beta b / n
+        c = v["hamiltonian.beta"] * loss.bound_b / v["n"]
+        if _square(c) == math.inf:
+            raise ValueError(f"hamiltonian.beta: the coefficient beta b / n = {c!r} "
+                             f"squares past the largest float")
         return space, loss, PriorWeights.uniform(loss.num_hypotheses), Gibbs(
             beta=v["hamiltonian.beta"])
     try:

@@ -11,7 +11,7 @@ confidence bounds on the true violation probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -466,10 +466,6 @@ class MethodStats:
     mean_slack: float
 
     @property
-    def violation_rate(self) -> float:
-        return self.violations / self.trials
-
-    @property
     def clopper_pearson_upper(self) -> float:
         if self.violations >= self.trials:
             return 1.0
@@ -635,38 +631,62 @@ POSTERIOR_KL = "posterior_kl"
 
 
 class ScenarioMethod(NamedTuple):
-    """A method a scenario may name: its variant, the target its certificate
-    bounds (GAP, the draw's gap, or POSTERIOR_KL, the posterior-expected kl)
-    and the builder of its certificates from a run and the draws of its
-    trials."""
+    """A method a scenario may name: its variant; the target its certificate
+    bounds (GAP, the draw's gap, or POSTERIOR_KL, the posterior-expected kl);
+    the name of its bound on `bd`, looked up at each call, so that a caller
+    who replaces it (a tracer, a test double) sees every call; the keyword
+    inputs of the bound for a run and the draws of its trials, which the
+    certificate records; and which certificate it takes of a bound that
+    returns several."""
 
     variant: str
     target: str
-    build: Callable[[GibbsRun | GaussianRun, Draw], bd.Certificate]
+    bound: str
+    inputs: Callable[[GibbsRun | GaussianRun, Draw], dict]
+    part: int | None = None
+
+    def certificate(self, inputs: dict) -> bd.Certificate:
+        out = getattr(bd, self.bound)(**inputs)
+        return out if self.part is None else out[self.part]
+
+    def build(self, run: GibbsRun | GaussianRun, draws: Draw) -> bd.Certificate:
+        return self.certificate(self.inputs(run, draws))
 
 
-# The builders look the bound functions up on `bd` when called, so a caller
-# that replaces a `bd` attribute (a tracer, a test double) sees every call.
+def _gibbs(r: GibbsRun, d: Draw, **inputs) -> dict:
+    return dict(inputs, b=r.b, c=r.c, n=r.n, delta=r.delta)
+
+
+def _subgaussian(r: GibbsRun, d: Draw) -> dict:
+    return dict(rho_sup=r.rho_sup, rho_h=d.rho, sigma=r.sigma_h, n=r.n, delta=r.delta)
+
+
+def _kernel(r: GaussianRun, variant: str, **inputs) -> dict:
+    return dict(inputs, V=r.V, sigma=r.sigma, n=r.n, delta=r.delta, variant=variant, c_A=r.c_A)
+
+
 SCENARIO_METHODS = {
-    "bounded_differences": ScenarioMethod("gibbs", GAP, lambda r, d:
-        bd.bound_bounded_differences(r.b, r.c, r.n, r.delta)),
-    "bernstein": ScenarioMethod("gibbs", GAP, lambda r, d:
-        bd.bound_bernstein(d.v, r.b, r.c, r.n, r.delta)),
-    "empirical_bernstein": ScenarioMethod("gibbs", GAP, lambda r, d:
-        bd.bound_empirical_bernstein(d.L_hat, r.b, r.c, r.n, r.delta)),
-    "subgaussian_sup": ScenarioMethod("gibbs", GAP, lambda r, d:
-        bd.bound_subgaussian(r.rho_sup, d.rho, r.sigma_h, r.n, r.delta)[0]),
-    "subgaussian_h": ScenarioMethod("gibbs", GAP, lambda r, d:
-        bd.bound_subgaussian(r.rho_sup, d.rho, r.sigma_h, r.n, r.delta)[1]),
-    "gaussian_gap": ScenarioMethod("gaussian_kernel", GAP, lambda r, d:
-        bd.bound_gaussian_randomization(r.V, r.sigma, r.n, r.delta, "gap_joint", r.c_A)),
-    "gaussian_gap_bernstein": ScenarioMethod("gaussian_kernel", GAP, lambda r, d:
-        bd.bound_gaussian_randomization(r.V, r.sigma, r.n, r.delta, "gap_bernstein",
-                                        r.c_A, v_h=d.v)),
-    "gaussian_kl_expectation": ScenarioMethod("gaussian_kernel", POSTERIOR_KL, lambda r, d:
-        bd.bound_gaussian_randomization(r.V, r.sigma, r.n, r.delta, "kl_expectation",
-                                        r.c_A)),
+    "bounded_differences": ScenarioMethod("gibbs", GAP, "bound_bounded_differences", _gibbs),
+    "bernstein": ScenarioMethod("gibbs", GAP, "bound_bernstein",
+                                lambda r, d: _gibbs(r, d, v=d.v)),
+    "empirical_bernstein": ScenarioMethod("gibbs", GAP, "bound_empirical_bernstein",
+                                          lambda r, d: _gibbs(r, d, L_hat=d.L_hat)),
+    "subgaussian_sup": ScenarioMethod("gibbs", GAP, "bound_subgaussian", _subgaussian, 0),
+    "subgaussian_h": ScenarioMethod("gibbs", GAP, "bound_subgaussian", _subgaussian, 1),
+    "gaussian_gap": ScenarioMethod("gaussian_kernel", GAP, "bound_gaussian_randomization",
+                                   lambda r, d: _kernel(r, "gap_joint")),
+    "gaussian_gap_bernstein": ScenarioMethod("gaussian_kernel", GAP,
+                                             "bound_gaussian_randomization",
+                                             lambda r, d: _kernel(r, "gap_bernstein", v_h=d.v)),
+    "gaussian_kl_expectation": ScenarioMethod("gaussian_kernel", POSTERIOR_KL,
+                                              "bound_gaussian_randomization",
+                                              lambda r, d: _kernel(r, "kl_expectation")),
 }
+
+
+def recompute(cert: bd.Certificate) -> bd.Certificate:
+    """The certificate's method re-run on its recorded inputs."""
+    return SCENARIO_METHODS[cert.method].certificate(cert.inputs)
 
 
 def _registry_entries(run: GibbsRun | GaussianRun,
@@ -679,21 +699,13 @@ def _registry_entries(run: GibbsRun | GaussianRun,
     return chosen
 
 
-def _first(x):
-    """Trial 0's entry of an array over trials, as a Python number; any
-    other value as it is."""
-    return x.item(0) if isinstance(x, (np.ndarray, np.generic)) else x
-
-
 def certificates(run: GibbsRun | GaussianRun, methods: Sequence[str],
                  master_seed: int) -> list[bd.Certificate]:
     """The certificates for the draw of trial 0, the ones `certify` reports,
-    with Python floats for values and inputs."""
+    built from Python numbers."""
     draws = run.trials(master_seed, 0, 1, posterior_kl=False)
-    built = [method.build(run, draws) for method in _registry_entries(run, methods)]
-    return [replace(cert, value=_first(cert.value),
-                    inputs={k: _first(v) for k, v in cert.inputs.items()})
-            for cert in built]
+    trial0 = Draw(*(None if f is None else f.tolist()[0] for f in draws))
+    return [method.build(run, trial0) for method in _registry_entries(run, methods)]
 
 
 def _running_sum(total: float, values: np.ndarray) -> float:

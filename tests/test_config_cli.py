@@ -94,6 +94,26 @@ CSV_SHA256 = {
     "gaussian_mean_embedding_certify.csv": "138335af",
     "gaussian_mean_embedding_verify.csv": "7b5a832f",
 }
+# and of the certificate lines that `certify` writes for each file in configs/
+CERTIFICATES_SHA256 = {
+    "gaussian_mean_embedding_certificates.txt": "2415e81a",
+    "gibbs_exact_certificates.txt": "1b0ec311",
+    "gibbs_small_certificates.txt": "e19f344f",
+}
+
+# scenarios with a value whose square a bound takes and cannot hold: the key
+# that refuses it, and the file
+UNSQUARABLE_SCENARIOS = {
+    "sigma_squares_past_max": (
+        "hamiltonian.sigma", GAUSSIAN_SMALL.replace("sigma = 0.5", "sigma = 1e200")),
+    "sigma_squares_to_zero": (
+        "hamiltonian.sigma", GAUSSIAN_SMALL.replace("sigma = 0.5", "sigma = 1e-200")
+        + "hamiltonian.algorithm = constant\n"),
+    "beta_coefficient_squares_past_max": (
+        "hamiltonian.beta", GIBBS_SMALL.replace("n = 4", "n = 1")
+        .replace("beta = 5.0", "beta = 1e200")
+        .replace("bounded_differences,empirical_bernstein", "bernstein")),
+}
 
 # scenario files that parse_config must reject; {table} is a loss-table file
 # in the README's old, unparsable `# mu =` form
@@ -269,6 +289,17 @@ class TestCli:
         rather than aliasing a smaller seed or failing inside numpy."""
         cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL + f"{key} = {value}\n")
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    @pytest.mark.parametrize("command", ["certify", "verify"])
+    @pytest.mark.parametrize("case", sorted(UNSQUARABLE_SCENARIOS))
+    def test_unsquarable_value_exits_3(self, tmp_path, capsys, case, command):
+        """A sigma or a coefficient beta b / n whose square overflows, or a
+        sigma whose square is 0, is refused under its key rather than raise
+        inside a bound."""
+        key, text = UNSQUARABLE_SCENARIOS[case]
+        cfg = write_config(tmp_path, "c.txt", text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
     @pytest.mark.parametrize("case", ["out_is_file", "out_under_file", "plot_script_dir_missing",
@@ -502,9 +533,9 @@ class TestCli:
         for command, name in runs:
             assert main([command, "--config", str(CONFIGS / f"{name}.txt"),
                          "--out", str(tmp_path)]) == EXIT_OK
-        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:8]
-               for f in CSV_SHA256}
-        assert got == CSV_SHA256
+        want = {**CSV_SHA256, **CERTIFICATES_SHA256}
+        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:8] for f in want}
+        assert got == want
 
     @pytest.mark.parametrize("command", ["certify", "verify", "compare", "accept"])
     def test_closed_stdout_keeps_exit_code(self, tmp_path, monkeypatch, command):
