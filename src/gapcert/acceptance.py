@@ -233,7 +233,7 @@ def criterion_kl_utilities() -> CriterionResult:
                 worst_resid = max(worst_resid, abs(bd.kl_bernoulli(float(p), q) - B))
             else:
                 # no root below 1: the divergence never reaches B
-                if bd.kl_bernoulli(float(p), 1.0 - 1e-15) > B + 1e-10:
+                if bd.kl_bernoulli(float(p), bd.KL_INVERSE_TOP) > B + 1e-10:
                     worst_resid = math.inf
     resid_ok = worst_resid <= bd.KL_INVERSE_RESIDUAL_TOL
 

@@ -83,6 +83,11 @@ def kl_bernoulli(s: float, t: float) -> float:
         raise DomainError(f"s must be in [0,1], got {s}")
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"t must be in [0,1], got {t}")
+    return _kl_bernoulli(s, t)
+
+
+def _kl_bernoulli(s: float, t: float) -> float:
+    """kl_bernoulli without its domain checks: the one kl formula."""
     if t in (0.0, 1.0):
         return 0.0 if s == t else math.inf
     out = 0.0
@@ -94,13 +99,66 @@ def kl_bernoulli(s: float, t: float) -> float:
 
 
 KL_INVERSE_RESIDUAL_TOL = 1e-10
+# the right end of the bisection: the largest q it searches below 1
+KL_INVERSE_TOP = 1.0 - 1e-15
 _KL_INVERSE_MAX_ITER = 200
+# Margin by which a computed residual must clear the tolerance to certify its
+# point. On [p_hat, KL_INVERSE_TOP] each term of the kl formula is at most
+# ln(1e15) < 35 in size and carries a few roundings relative to that size, so
+# the computed kl lies within about 1e-13 of the exact kl(p_hat, q), and
+# subtracting B (below 35 once a root lies under the top) rounds by less.
+# The exact kl is nondecreasing in q on [p_hat, 1). So if a point's computed
+# residual is below -(tol + eps), every point to its left computes a residual
+# below -tol, and if it is above tol + eps, every point to its right computes
+# one above tol: eps = 1e-12 exceeds two evaluations' errors several times.
+_KL_CERTIFY_EPS = 1e-12
+# Newton steps after which the bisection goes on with the bracket found so far
+_KL_NEWTON_MAX_ITER = 12
+
+
+def _kl_certified_bracket(p_hat: float, B: float) -> tuple[float, float]:
+    """Points (below, right) where the bisection's decision is known: at every
+    q <= below its computed residual is < -tol, at every q >= right it is > tol.
+
+    Newton's method on w = ln(1 - q), where kl(p_hat, .) is convex and
+    decreasing with slope -(q - p_hat) / q, walks left from a point right of
+    the root: towards the residual +2 margin, then from within a margin of it
+    towards -2 margin. Only points whose computed residual clears the margin
+    are kept, so a step that goes astray costs evaluations, never a different
+    bisection. Without a certified point the bound stays outside [0, 1].
+    """
+    margin = KL_INVERSE_RESIDUAL_TOL + _KL_CERTIFY_EPS
+    right = 2.0
+    # the smallest of the roots of kl = B + 2 margin implied by the lower
+    # bounds 2 (q - p)^2 (Pinsker's), (q - p)^2 / 2 (1 - p) and (q - p)^2 / 2q
+    # on kl(p, q) for q >= p: each lies right of the root
+    b = B + 2.0 * margin
+    q = min(p_hat + math.sqrt(0.5 * b), p_hat + math.sqrt(2.0 * (1.0 - p_hat) * b),
+            p_hat + b + math.sqrt(b * b + 2.0 * p_hat * b), KL_INVERSE_TOP)
+    # every step moves q left, so p_hat < q <= KL_INVERSE_TOP holds throughout
+    for _ in range(_KL_NEWTON_MAX_ITER):
+        r = _kl_bernoulli(p_hat, q) - B
+        if r < -margin:
+            return q, right
+        if r > margin:
+            right = q
+        aim = 2.0 * margin if r > 3.0 * margin else -2.0 * margin
+        # w <= 0 keeps expm1 finite when the slope is tiny, and a step moves
+        # at least one float where the floats are too coarse to aim
+        w = min(math.log1p(-q) + (r - aim) * q / (q - p_hat), 0.0)
+        q = min(-math.expm1(w), math.nextafter(q, 0.0))
+        if not q > p_hat:
+            break
+    return -1.0, right
 
 
 def kl_inverse_upper(p_hat: float, B: float) -> float:
     """The q in [p_hat, 1) with kl(p_hat, q) = B, or 1 if no root below 1.
 
-    Bisection on [p_hat, 1 - 1e-15] to residual 1e-10.
+    Bisection on [p_hat, KL_INVERSE_TOP] to residual 1e-10. The kl formula
+    is evaluated only at midpoints inside a certified bracket around the
+    root; outside it the bisection's decision is known without it, so the
+    returned midpoint is the plain bisection's, bit for bit.
     """
     if not (0.0 <= p_hat <= 1.0):
         raise DomainError(f"p_hat must be in [0,1], got {p_hat}")
@@ -108,13 +166,30 @@ def kl_inverse_upper(p_hat: float, B: float) -> float:
         raise DomainError(f"B must be finite and nonnegative, got {B}")
     if B == 0.0:
         return p_hat
-    hi = 1.0 - 1e-15
-    if p_hat >= hi or kl_bernoulli(p_hat, hi) <= B:
+    hi = KL_INVERSE_TOP
+    if p_hat >= hi:
         return 1.0
+    # kl(p, q) >= (q - p)^2 / 2 min(1/4, 1 - p) for q >= p (Pinsker's bound
+    # and its refinement near 1): where that bound at hi exceeds B + eps, the
+    # computed kl(p_hat, hi) exceeds B, and the test needs no evaluation
+    if (not (hi - p_hat) ** 2 > 2.0 * min(0.25, 1.0 - p_hat) * (B + _KL_CERTIFY_EPS)
+            and _kl_bernoulli(p_hat, hi) <= B):
+        return 1.0
+    below, right = _kl_certified_bracket(p_hat, B)
     lo = p_hat
     for _ in range(_KL_INVERSE_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        r = kl_bernoulli(p_hat, mid) - B
+        if mid == lo or mid == hi:
+            # lo and hi are adjacent floats: every later step repeats this
+            # one, and whichever way it goes the loop returns mid
+            return mid
+        if mid <= below:
+            lo = mid
+            continue
+        if mid >= right:
+            hi = mid
+            continue
+        r = _kl_bernoulli(p_hat, mid) - B
         if abs(r) <= KL_INVERSE_RESIDUAL_TOL:
             return mid
         if r < 0:
@@ -126,8 +201,9 @@ def kl_inverse_upper(p_hat: float, B: float) -> float:
 
 def gap_from_kl(L_hat: float, B: float) -> float:
     """Gap implied by a kl-form bound: sqrt(2 L_hat B) + 2 B."""
-    if B < 0:
-        raise DomainError("B must be nonnegative")
+    # written so that a NaN, which fails every comparison, is rejected
+    if not (L_hat >= 0.0 and B >= 0.0):
+        raise DomainError(f"L_hat and B must be nonnegative, got {L_hat} and {B}")
     return math.sqrt(2.0 * L_hat * B) + 2.0 * B
 
 
@@ -143,8 +219,8 @@ def inversion_lemma(L_hat: float, A: float) -> float:
     equality at L_hat = 0. No smaller constant than 3 + 2 sqrt(2) makes the
     implication true (L = 5.5, L_hat = 0, A = 1 is a counterexample at 5).
     """
-    if L_hat < 0 or A < 0:
-        raise DomainError("arguments must be nonnegative")
+    if not (L_hat >= 0.0 and A >= 0.0):
+        raise DomainError(f"L_hat and A must be nonnegative, got {L_hat} and {A}")
     return L_hat + 2.0 * math.sqrt(L_hat * A) + INVERSION_CONSTANT * A
 
 

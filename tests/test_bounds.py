@@ -53,6 +53,62 @@ class TestKl:
         assert kl_bernoulli(s, t) >= 2.0 * (s - t) ** 2 - 1e-12
 
 
+def reference_kl_inverse_upper(p_hat, B):
+    """The plain bisection: kl evaluated at every midpoint."""
+    if not (0.0 <= p_hat <= 1.0):
+        raise DomainError(f"p_hat must be in [0,1], got {p_hat}")
+    if B < 0 or not math.isfinite(B):
+        raise DomainError(f"B must be finite and nonnegative, got {B}")
+    if B == 0.0:
+        return p_hat
+    hi = 1.0 - 1e-15
+    if p_hat >= hi or kl_bernoulli(p_hat, hi) <= B:
+        return 1.0
+    lo = p_hat
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r = kl_bernoulli(p_hat, mid) - B
+        if abs(r) <= 1e-10:
+            return mid
+        if r < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _grid(ps, Bs):
+    return [(float(p), float(B)) for p in ps for B in Bs]
+
+
+def _adversarial_points():
+    """Extreme p_hat; B from the smallest float up to kl(p_hat, top) and
+    past it, with roots so close to 1 that the bisection runs out of floats."""
+    top = bd.KL_INVERSE_TOP
+    points = []
+    for p in (0.0, 5e-324, 1e-300, 1e-16, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-12,
+              1.0 - 2e-15, top, 1.0):
+        k = kl_bernoulli(p, top) if p < top else 1.0
+        Bs = [5e-324, 1e-300, 1e-20, 1e-12, 1e-10, 2e-10, 1e-9, 1e-6, 0.1, 1.0, 10.0, 34.0,
+              k, k * (1.0 - 1e-12), k * (1.0 - 1e-9), k * (1.0 - 1e-6), k * (1.0 - 1e-15)]
+        Bs += [k * (1.0 - 2.0 ** -j) for j in range(1, 60)]
+        points += [(p, B) for B in Bs]
+    return points
+
+
+def _random_points(count):
+    rng = np.random.Generator(np.random.Philox(key=15))
+    return ([(float(p), 3.0 * float(B)) for p, B in zip(rng.uniform(0, 1, count),
+                                                       rng.uniform(0, 1, count))]
+            + [(float(p), float(10.0 ** e)) for p, e in zip(rng.uniform(0, 1, count // 4),
+                                                             rng.uniform(-320, 1.6, count // 4))])
+
+
+# criterion 9's residual grid and its domination grid
+RESIDUAL_GRID = _grid(np.linspace(0.0, 0.9, 100), np.linspace(1e-6, 0.5, 100))
+DOMINATION_GRID = _grid(np.linspace(0.0, 1.0, 60), np.linspace(0.0, 1.5, 60))
+
+
 class TestKlInverse:
     def test_zero_budget(self):
         assert kl_inverse_upper(0.3, 0.0) == pytest.approx(0.3)
@@ -77,6 +133,40 @@ class TestKlInverse:
     def test_result_at_least_p_hat(self, p, B):
         assert kl_inverse_upper(p, B) >= p
 
+    @pytest.mark.parametrize("points", [RESIDUAL_GRID, DOMINATION_GRID, _random_points(8000),
+                                        _adversarial_points()],
+                             ids=["residual_grid", "domination_grid", "random", "adversarial"])
+    def test_equals_plain_bisection(self, points):
+        got = [kl_inverse_upper(p, B) for p, B in points]
+        want = [reference_kl_inverse_upper(p, B) for p, B in points]
+        mismatches = [(p, B, g, w) for (p, B), g, w in zip(points, got, want) if g != w]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("p_hat, B", [(math.nan, 0.1), (0.1, math.nan), (0.1, -1e-300),
+                                          (0.1, math.inf), (-0.1, 0.1), (1.1, 0.1),
+                                          (math.inf, 0.1)])
+    def test_same_domain_errors_as_plain_bisection(self, p_hat, B):
+        with pytest.raises(DomainError):
+            reference_kl_inverse_upper(p_hat, B)
+        with pytest.raises(DomainError):
+            kl_inverse_upper(p_hat, B)
+
+    def test_few_kl_evaluations_on_benchmark_domain(self, monkeypatch):
+        # the plain bisection evaluates kl about 32 times a call here
+        core = bd._kl_bernoulli
+        calls = []
+
+        def counting(s, t):
+            calls.append(t)
+            return core(s, t)
+
+        rng = np.random.Generator(np.random.Philox(key=16))
+        points = _grid(rng.uniform(0.0, 0.9, 25), rng.uniform(1e-6, 0.5, 100))
+        monkeypatch.setattr(bd, "_kl_bernoulli", counting)
+        for p, B in points:
+            kl_inverse_upper(p, B)
+        assert len(calls) / len(points) <= 12.0
+
 
 class TestInversionRules:
     def test_gap_from_kl_trivials(self):
@@ -89,6 +179,15 @@ class TestInversionRules:
         # the numeric inverse may use up to B + residual tolerance of budget
         exact = kl_inverse_upper(lh, B) - lh
         assert gap_from_kl(lh, B + bd.KL_INVERSE_RESIDUAL_TOL) >= exact - 1e-12
+
+    @pytest.mark.parametrize("rule, L_hat, B", [(gap_from_kl, -0.1, 0.2),
+                                                (gap_from_kl, 0.1, math.nan),
+                                                (gap_from_kl, math.nan, 0.1),
+                                                (inversion_lemma, math.nan, 0.1),
+                                                (inversion_lemma, 0.1, math.nan)])
+    def test_rules_reject_negative_and_nan(self, rule, L_hat, B):
+        with pytest.raises(DomainError):
+            rule(L_hat, B)
 
     def test_inversion_lemma_trivials(self):
         assert inversion_lemma(0.4, 0.0) == pytest.approx(0.4)
