@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -96,6 +95,45 @@ def log_weight_rows(H: np.ndarray, prior: PriorWeights) -> np.ndarray:
     reduction over a row's hypotheses sums in the same order as on that
     sample's own weight vector."""
     return np.ascontiguousarray(H.T) + log_prior(prior)
+
+
+def logsumexp(a, axis=None, b=None, keepdims=False):
+    """ln sum b e^a over axis (all axes by default), for real a and b.
+
+    Step for step the algorithm of scipy.special.logsumexp (scipy 1.17), so
+    every value, NaN included, and every shape and dtype is the same: the
+    maxima are summed apart, with their weights, and the rest as
+    log1p(sum b e^{a - max} / m); where that is not finite, ln sum b e^a
+    taken directly on the unmasked a. Entries with b = 0 add nothing,
+    whatever their a, and a negative sum gives NaN."""
+    a = np.asarray(a)
+    if b is not None:
+        a, b = np.broadcast_arrays(a, np.asarray(b))
+    dtype = np.result_type(a, 1.0) if b is None else np.result_type(a, b, 1.0)
+    a = np.atleast_1d(a.astype(dtype, copy=False))
+    b = None if b is None else np.atleast_1d(b.astype(dtype, copy=False))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a),
+                               axis=axes, keepdims=True))
+        if b is not None:
+            a = np.where(b == 0, -np.inf, a)
+        a_max = np.max(a, axis=axes, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max if b is None else b * at_max, axis=axes, keepdims=True, dtype=dtype)
+        rest = np.exp(np.where(at_max, -np.inf, a) - a_max)
+        if b is not None:
+            rest = b * rest
+        s = np.sum(rest, axis=axes, keepdims=True, dtype=dtype)
+        s = np.where(s == 0, s, s / m)
+        negative = np.sign(s + 1) * np.sign(m) < 0
+        s = np.where(s < -1, -s - 2, s)
+        out = np.log1p(s) + np.log(np.abs(m)) + a_max
+        out = np.where(negative, np.nan, out)
+        out = np.where(np.isfinite(out), out, direct)
+    if not keepdims:
+        out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
 
 
 def gibbs_posterior(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

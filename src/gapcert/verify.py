@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betaincinv, logsumexp
 
 from . import bounds as bd
 from .hamiltonian import (
@@ -25,6 +24,7 @@ from .hamiltonian import (
     hamiltonian_matrix,
     log_prior,
     log_weight_rows,
+    logsumexp,
     output_sensitivity,
 )
 from .model import (
@@ -469,7 +469,12 @@ class MethodStats:
     def clopper_pearson_upper(self) -> float:
         if self.violations >= self.trials:
             return 1.0
-        # the CP_LEVEL quantile of Beta(violations + 1, trials - violations)
+        # the CP_LEVEL quantile of Beta(violations + 1, trials - violations);
+        # that of Beta(1, T) is 1 - (1 - CP_LEVEL)^{1/T}, equal bit for bit to
+        # scipy's inversion, which only a run with a violation imports
+        if self.violations == 0:
+            return -math.expm1(math.log1p(-CP_LEVEL) / self.trials)
+        from scipy.special import betaincinv
         return float(betaincinv(self.violations + 1, self.trials - self.violations,
                                 CP_LEVEL))
 

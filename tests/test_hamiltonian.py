@@ -1,6 +1,7 @@
 """Hamiltonian specs, partition functions, posteriors, coefficients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gapcert.hamiltonian import (
     constant_algorithm,
     hamiltonian_matrix,
     log_partition,
+    logsumexp,
     mean_embedding_algorithm,
     output_sensitivity,
     posterior,
@@ -74,6 +76,54 @@ class TestHamiltonianValue:
     def test_incompatible_spec(self):
         with pytest.raises(IncompatibleSpec):
             H(Gibbs(1.0), (0,), param_loss())
+
+
+class TestLogSumExp:
+    @staticmethod
+    def cases(rng, count):
+        """Seeded (a, b, axis, keepdims): -inf and +inf entries, all -inf
+        arrays, tied maxima, zero weights at a whose e^a overflows, and b of
+        a's shape or of its last axis only."""
+        special = np.array([-np.inf, np.inf, 800.0, -800.0, 0.0, 1.0])
+        for _ in range(count):
+            shape = tuple(int(k) for k in rng.integers(1, 5, size=rng.integers(1, 4)))
+            a = rng.normal(size=shape) * rng.choice([1.0, 10.0, 400.0])
+            mask = rng.random(shape) < 0.2
+            a[mask] = rng.choice(special, size=int(mask.sum()))
+            if rng.random() < 0.3:
+                a = np.round(a)
+            if rng.random() < 0.1:
+                a[...] = -np.inf
+            b = None
+            if rng.random() < 0.6:
+                b = rng.random(shape if rng.random() < 0.7 else shape[-1:])
+                b[rng.random(b.shape) < 0.3] = 0.0
+            yield a, b, (None, -1, 0)[rng.integers(3)], bool(rng.integers(2))
+
+    def test_equals_scipy(self):
+        """Value (NaN included), shape and dtype of scipy.special.logsumexp,
+        with no RuntimeWarning escaping."""
+        from scipy.special import logsumexp as reference
+
+        fixed = [
+            (np.array([1.0, 3.0, 3.0, -np.inf]), None, None, False),
+            (np.array([[-np.inf, -np.inf], [0.0, np.inf]]), None, -1, True),
+            (np.array([900.0, 0.0]), np.array([0.0, 1.0]), None, False),
+            (np.array([900.0, 0.0]), np.array([0.0, 0.0]), None, False),  # 0 * inf: NaN
+            (np.array([[800.0, 2.0], [1.0, 1.0]]), np.array([0.0, 0.5]), 0, False),
+        ]
+        rng = np.random.default_rng(16)
+        for a, b, axis, keepdims in fixed + list(self.cases(rng, 3000)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = reference(a, axis=axis, b=b, keepdims=keepdims)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a RuntimeWarning fails the test
+                got = logsumexp(a, axis=axis, b=b, keepdims=keepdims)
+            assert np.array_equal(got, want, equal_nan=True), (a, b, axis, keepdims)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert math.isnan(logsumexp(np.array([900.0, 0.0]), b=np.array([0.0, 0.0])))
 
 
 class TestLogPartition:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +315,50 @@ class TestViolationRates:
                         & set(range(trials))):
             want = float(beta.ppf(vf.CP_LEVEL, k + 1, trials - k))
             assert MethodStats("x", k, trials, 0.0, 0.0).clopper_pearson_upper == want
+
+    def test_clopper_pearson_at_zero_violations_is_scipys(self):
+        """The closed form at k = 0 equals scipy's inversion bit for bit."""
+        from scipy.special import betaincinv
+
+        for trials in [*range(1, 5001), *range(5001, 100_001, 97)]:
+            want = float(betaincinv(1, trials, vf.CP_LEVEL))
+            assert MethodStats("x", 0, trials, 0.0, 0.0).clopper_pearson_upper == want
+
+    def test_clopper_pearson_imports_scipy_at_a_violation_only(self):
+        """At k > 0 the bound is scipy's betaincinv, imported when it is read."""
+        code = (
+            "import sys\n"
+            "from gapcert.verify import CP_LEVEL, MethodStats\n"
+            "stats = MethodStats('x', 3, 500, 0.0, 0.0)\n"
+            "assert not any(m.startswith('scipy') for m in sys.modules)\n"
+            "value = stats.clopper_pearson_upper\n"
+            "from scipy.special import betaincinv\n"
+            "assert value == float(betaincinv(4, 497, CP_LEVEL))\n")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded after a fresh interpreter runs code."""
+    run = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    return run.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_out_scipy():
+    assert _scipy_modules_after("import sys, gapcert.cli") == "[]"
+
+
+def test_verify_without_violations_leaves_out_scipy(tmp_path):
+    """A verify run whose trials see no violation imports numpy only."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "gibbs_exact.txt"
+    code = ("import sys\nfrom gapcert import cli\n"
+            f"assert cli.main(['verify', '--config', {str(config)!r}, "
+            f"'--out', {str(tmp_path)!r}]) == 0")
+    assert _scipy_modules_after(code) == "[]"
 
 
 def test_cli_import_leaves_out_scipy_stats():
