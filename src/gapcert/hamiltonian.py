@@ -20,10 +20,11 @@ from .model import (
     FiniteDataSpace,
     FiniteTable,
     PriorWeights,
-    empirical_losses,
+    empirical_loss,
     fibres,
     max_fibre_range,
     product_rows,
+    row_table,
 )
 
 
@@ -81,7 +82,8 @@ def hamiltonian_matrix(spec: HamiltonianSpec, idx: np.ndarray, loss: FiniteTable
     if not isinstance(loss, FiniteTable) or not isinstance(spec, Gibbs):
         raise IncompatibleSpec(f"no Hamiltonian matrix for {type(spec).__name__} on "
                                f"{type(loss).__name__}")
-    return -spec.beta * empirical_losses(loss, idx)
+    return -spec.beta * row_table(lambda h, rows: empirical_loss(h, rows, loss),
+                                  loss.num_hypotheses, idx)
 
 
 def log_prior(prior: PriorWeights) -> np.ndarray:

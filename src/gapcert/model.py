@@ -2,10 +2,10 @@
 
 Everything downstream (posteriors, certificates, enumeration oracles) is
 built on the handful of quantities defined here: true and empirical loss,
-the generalization gap and per-hypothesis variance. A sample is a 1-D int
-array of point indices; the exact engine holds every sample of X^n as one row
-of an (S, n) index array, and reduces a one-coordinate quantity along one
-axis of the X^n grid.
+the generalization gap and per-hypothesis variance. A sample is a row of
+point indices; the exact engine holds every sample of X^n as one row of an
+(S, n) index array, tabulates functions of a sample on blocks of those rows
+and reduces a one-coordinate quantity along one axis of the X^n grid.
 """
 
 from __future__ import annotations
@@ -149,13 +149,14 @@ def true_loss(h, space: FiniteDataSpace, loss: FiniteTable) -> float:
     return float(np.dot(space.probs, vals))
 
 
-def empirical_loss(h, sample: np.ndarray, loss: FiniteTable) -> float:
-    """Mean loss of h over the sample, a 1-D array of point indices."""
-    return float(np.mean(_losses_at(loss, h, sample)))
+def empirical_loss(h, sample: np.ndarray, loss: FiniteTable) -> np.ndarray:
+    """Mean loss of h over each sample row of point indices, (..., n) -> (...)."""
+    return _losses_at(loss, h, sample).mean(axis=-1)
 
 
-def generalization_gap(h, sample: np.ndarray, space: FiniteDataSpace, loss: FiniteTable) -> float:
-    """True loss minus empirical loss; lies in [-b, b]."""
+def generalization_gap(h, sample: np.ndarray, space: FiniteDataSpace,
+                       loss: FiniteTable) -> np.ndarray:
+    """True loss minus empirical loss of each sample row; lies in [-b, b]."""
     return true_loss(h, space, loss) - empirical_loss(h, sample, loss)
 
 
@@ -166,19 +167,25 @@ def loss_variance(h, space: FiniteDataSpace, loss: FiniteTable) -> float:
     return float(np.dot(space.probs, (vals - mean) ** 2))
 
 
-# Sample rows gathered at once by empirical_losses. It bounds the
-# (m, rows, n) loss gathers to a few MB, whatever the enumeration budget.
+# Sample rows handed at once to the function of row_table. It bounds each
+# (rows, n) loss gather to a few MB, whatever the enumeration budget.
 BLOCK_ROWS = 1 << 12
 
 
-def empirical_losses(loss: FiniteTable, idx: np.ndarray) -> np.ndarray:
-    """The empirical loss of every hypothesis on every sample row, (m, S)."""
-    out = np.empty((loss.num_hypotheses, len(idx)))
+def row_table(fn: Callable[[int, np.ndarray], np.ndarray], m: int,
+              idx: np.ndarray) -> np.ndarray:
+    """fn(h, rows) of every hypothesis h < m on every sample row of the (S, n)
+    index array idx, (m, S). fn is called once per hypothesis per block of at
+    most BLOCK_ROWS rows, and maps that (r, n) block to r values, or to one
+    value for all of them."""
+    out = np.empty((m, len(idx)))
     for start in range(0, len(idx), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        # np.take returns C-contiguous rows, so each mean sums in np.mean's
-        # order and equals empirical_loss on that sample bit for bit
-        out[:, rows] = np.take(loss.values, idx[rows], axis=1).mean(axis=-1)
+        # product_rows is F-ordered, and so is a loss gather at F-ordered
+        # rows, whose .mean(-1) adds left to right; at C-ordered rows it sums
+        # each row as on the lone sample (pairwise from n = 8 on), bit for bit
+        rows = np.ascontiguousarray(idx[start:start + BLOCK_ROWS])
+        for h in range(m):
+            out[h, start:start + len(rows)] = fn(h, rows)
     return out
 
 

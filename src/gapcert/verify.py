@@ -33,7 +33,6 @@ from .model import (
     FiniteTable,
     ParametricLoss,
     PriorWeights,
-    empirical_losses,
     enumerate_indices,
     fibres,
     generalization_gap,
@@ -41,7 +40,7 @@ from .model import (
     math_map,
     max_fibre_range,
     product_rows,
-    true_loss,
+    row_table,
 )
 
 EXACT_MARGIN_TOL = -1e-9
@@ -133,18 +132,14 @@ def _log_mixed_mgf(w: np.ndarray, q: np.ndarray, F: np.ndarray) -> float:
     return float(logsumexp(terms + F.T.ravel()[keep]))
 
 
-def _gap_matrix(space: FiniteDataSpace, loss: FiniteTable, idx: np.ndarray) -> np.ndarray:
-    """The generalization gap of every hypothesis on every sample row, (m, S)."""
-    true_L = np.array([true_loss(h, space, loss) for h in range(loss.num_hypotheses)])
-    return true_L[:, None] - empirical_losses(loss, idx)
-
-
 def exact_mixed_mgf(spec: HamiltonianSpec, space: FiniteDataSpace, loss: FiniteTable,
                     prior: PriorWeights, n: int, lam: float,
                     budget: int = DEFAULT_ENUMERATION_BUDGET) -> float:
     """The mixed log-MGF of the generalization gap at parameter lam."""
     idx, w, _, q, _ = _enumerate_posteriors(spec, space, loss, prior, n, budget)
-    return _log_mixed_mgf(w, q, lam * _gap_matrix(space, loss, idx))
+    gap = row_table(lambda h, rows: lam * generalization_gap(h, rows, space, loss),
+                    loss.num_hypotheses, idx)
+    return _log_mixed_mgf(w, q, gap)
 
 
 def _psi_values(F: np.ndarray, H: np.ndarray, log_z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -154,44 +149,38 @@ def _psi_values(F: np.ndarray, H: np.ndarray, log_z: np.ndarray, w: np.ndarray) 
     return logsumexp(F + hq - mean_hq[:, None], axis=-1, b=w)
 
 
-def _bernstein_constants(space: FiniteDataSpace, loss: FiniteTable, n: int, c: float,
-                         delta: float) -> tuple[list[float], list[float]]:
-    """lam(h) and the compensator lam(h)^2 / (1 - b lam(h)/n) * v(h)/n of
-    every hypothesis."""
-    b = loss.bound_b
-    root = math.sqrt(n * c**2 + math.log(1.0 / delta))
-    lams, comps = [], []
-    for h in range(loss.num_hypotheses):
-        v = loss_variance(h, space, loss)
-        lam = root / ((b / n) * root + math.sqrt(v / n))
-        lams.append(lam)
-        comps.append(lam**2 / (1.0 - b * lam / n) * v / n)
-    return lams, comps
-
-
 def bernstein_f_factory(space: FiniteDataSpace, loss: FiniteTable, n: int, c: float,
-                        delta: float) -> Callable[[int, np.ndarray], float]:
-    """The hypothesis-dependent compensated gap used by the Bernstein bound.
+                        delta: float) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The hypothesis-dependent compensated gap used by the Bernstein bound,
+    as a function of a hypothesis and a block of sample rows.
 
     lam(h) = sqrt(n c^2 + ln(1/delta)) /
              ((b/n) sqrt(n c^2 + ln(1/delta)) + sqrt(v(h)/n))
     F(h, x) = lam(h) gap(h, x) - lam(h)^2 / (1 - b lam(h)/n) * v(h)/n
     """
-    lams, comps = _bernstein_constants(space, loss, n, c, delta)
+    b = loss.bound_b
+    root = math.sqrt(n * c**2 + math.log(1.0 / delta))
 
-    def F(h: int, sample: np.ndarray) -> float:
-        return lams[h] * generalization_gap(h, sample, space, loss) - comps[h]
+    def F(h: int, rows: np.ndarray) -> np.ndarray:
+        v = loss_variance(h, space, loss)
+        lam = root / ((b / n) * root + math.sqrt(v / n))
+        comp = lam**2 / (1.0 - b * lam / n) * v / n
+        return lam * generalization_gap(h, rows, space, loss) - comp
 
     return F
 
 
 def check_proposition_main(spec: HamiltonianSpec, space: FiniteDataSpace, loss: FiniteTable,
-                           prior: PriorWeights, n: int, F: Callable[[int, np.ndarray], float],
+                           prior: PriorWeights, n: int,
+                           F: Callable[[int, np.ndarray], np.ndarray | float],
                            name: str = "main_proposition",
                            budget: int = DEFAULT_ENUMERATION_BUDGET) -> MomentCheckReport:
-    """Enumerated mixed log-MGF of F against the enumerated sup_h psi_F(h)."""
+    """Enumerated mixed log-MGF of F against the enumerated sup_h psi_F(h).
+
+    F(h, rows) maps a hypothesis and an (r, n) block of sample rows to r
+    values, or to one value for all of them."""
     idx, w, H, q, log_z = _enumerate_posteriors(spec, space, loss, prior, n, budget)
-    F_values = np.array([[F(h, row) for row in idx] for h in range(loss.num_hypotheses)])
+    F_values = row_table(F, loss.num_hypotheses, idx)
     lhs = _log_mixed_mgf(w, q, F_values)
     psi = _psi_values(F_values, H, log_z, w)
     return MomentCheckReport(name=name, lhs=lhs, rhs=float(psi.max()),
@@ -203,9 +192,8 @@ def check_bernstein_unit_mgf(space: FiniteDataSpace, loss: FiniteTable, n: int, 
                              delta: float,
                              budget: int = DEFAULT_ENUMERATION_BUDGET) -> list[MomentCheckReport]:
     """E[e^{2 F_lam(h, X)}] <= 1 for every hypothesis, by enumeration."""
-    lams, comps = _bernstein_constants(space, loss, n, c, delta)
     idx, w = enumerate_indices(space, n, budget, loss.num_hypotheses)
-    F = np.array(lams)[:, None] * _gap_matrix(space, loss, idx) - np.array(comps)[:, None]
+    F = row_table(bernstein_f_factory(space, loss, n, c, delta), loss.num_hypotheses, idx)
     lhs = logsumexp(2.0 * F, axis=-1, b=w)  # log E e^{2F}
     return [MomentCheckReport(name=f"bernstein_unit_mgf_h{h}", lhs=float(v), rhs=0.0,
                               regime="exact_enumeration") for h, v in enumerate(lhs)]

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +75,8 @@ BAD_TABLES = {
     "short_row_table": "points a b c\n#mu 0.2 0.3 0.5\nh0 0.1 0.2 0.3\nh1 0.7 0.3\n",
     "text_loss_table": "points a b\n#mu 0.5 0.5\nh0 0.1 0.2\nh1 0.7 x\n",
     "text_mu_table": "points a b\n#mu 0.5 zz\nh0 0.1 0.2\nh1 0.7 0.3\n",
+    "repeated_points_table": "points a a\n#mu 0.5 0.5\nh0 0.1 0.2\n",
+    "empty_points_table": "points\n#mu\nh0\n",
 }
 
 # the file line that the error of a rejected loss table names
@@ -154,10 +157,18 @@ BAD_SCENARIOS = {
     "compare_delta_above_1": GIBBS_SMALL + "compare.deltas = 0.05,1.5\n",
     "compare_l_hat_above_b": GIBBS_SMALL + "compare.l_hats = 2\n",
     "negative_compare_beta": GIBBS_SMALL + "compare.betas = sqrt_n,-1\n",
+    "line_without_equals": GIBBS_SMALL + "trials 200\n",
     "scenario_id_with_separator": GIBBS_SMALL.replace("scenario_id = demo", "scenario_id = a/b"),
     "empty_scenario_id": GIBBS_SMALL.replace("scenario_id = demo", "scenario_id ="),
     # a Gibbs file on each rejected loss table, read as {<table name>}
     **{name: GIBBS_FILE.replace("{good_table}", f"{{{name}}}") for name in BAD_TABLES},
+}
+
+# the message with which a bad scenario is refused, where a test pins it
+BAD_SCENARIO_MESSAGES = {
+    "repeated_points_table": "instance.file: points must be distinct",
+    "empty_points_table": "instance.file: data space needs at least one point",
+    "line_without_equals": "line 9: expected 'key = value'",
 }
 
 
@@ -281,6 +292,7 @@ class TestCli:
         assert "config error" in err
         if case in BAD_TABLE_LINES:
             assert f"{case}.txt:{BAD_TABLE_LINES[case]}: " in err
+        assert BAD_SCENARIO_MESSAGES.get(case, "") in err
 
     @pytest.mark.parametrize("key,value", [("master_seed", 2**64), ("instance.seed", 2**128)],
                              ids=["master_seed", "instance_seed"])
@@ -380,6 +392,18 @@ class TestCli:
         # values are repr() floats, so equal strings are bit-identical values
         assert sorted(values("certify")) == sorted(methods)
         assert values("certify") == values("verify")
+
+    def test_constant_algorithm_scenario(self, tmp_path):
+        """The constant built-in algorithm has V = c_A = 0, so its Gaussian
+        gap certificate is sqrt(ln(1/delta) / n) exactly, and verify passes."""
+        cfg = write_config(tmp_path, "gdemo.txt",
+                           GAUSSIAN_SMALL + "hamiltonian.algorithm = constant\n")
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        with open(out / "gdemo_certify.csv") as fh:
+            values = {row["method"]: row["value"] for row in csv.DictReader(fh)}
+        assert float(values["gaussian_gap"]) == math.sqrt(math.log(1 / 0.05) / 100)
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
     def test_certify_writes_outputs(self, tmp_path):
         cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)

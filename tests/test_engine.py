@@ -188,8 +188,9 @@ def with_zero_point(space, loss):
 
 def instances():
     """(id, spec, space, loss, prior, n): three and nine hypotheses (nine sums
-    past numpy's eight-way unrolled reduction), a zero-probability point and
-    a prior with a zero weight."""
+    past numpy's eight-way unrolled reduction), a zero-probability point, a
+    prior with a zero weight, and samples of n = 8, whose means numpy sums
+    pairwise on a contiguous row but left to right on a strided one."""
     out = []
     for seed, (points, m, n) in enumerate([(3, 4, 3), (2, 9, 4), (3, 3, 2), (4, 4, 2)]):
         space, loss = random_gibbs_instance(seed, points, m)
@@ -201,6 +202,7 @@ def instances():
     out.append(("zero-point", Gibbs(2.0), zspace, zloss, PriorWeights.uniform(4), 3))
     out.append(("zero-prior", Gibbs(3.0), space, loss,
                 PriorWeights(weights=np.array([0.5, 0.0, 2.0, 1.0])), 3))
+    out.append(("n8", Gibbs(8.0), *random_gibbs_instance(6, 2, 4), PriorWeights.uniform(4), 8))
     return out
 
 

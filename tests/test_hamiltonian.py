@@ -1,5 +1,6 @@
 """Hamiltonian specs, partition functions, posteriors, coefficients."""
 
+import dataclasses
 import math
 import warnings
 
@@ -23,6 +24,7 @@ from gapcert.hamiltonian import (
 )
 from gapcert.model import (
     BudgetExceeded,
+    ContractViolation,
     FiniteDataSpace,
     FiniteTable,
     ParametricLoss,
@@ -257,6 +259,14 @@ class TestStableAlgorithms:
         alg = mean_embedding_algorithm(phi, 3)
         got = sensitivity(alg, SPACE2, 3)
         assert got <= alg.declared_c_A + 1e-12
+
+    def test_brute_force_above_declared_raises(self):
+        """A declared c_A below the brute-force sensitivity breaks the
+        algorithm's contract, on which the Gaussian certificates rest."""
+        alg = mean_embedding_algorithm(np.array([[0.0, 0.5], [0.25, 0.0]]), 3)
+        understated = dataclasses.replace(alg, declared_c_A=alg.declared_c_A / 2)
+        with pytest.raises(ContractViolation, match="exceeds declared"):
+            sensitivity(understated, SPACE2, 3)
 
     @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 100)])
     def test_rows_equal_per_row_outputs(self, d, n):

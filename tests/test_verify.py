@@ -13,7 +13,13 @@ from gapcert import hamiltonian as ham
 from gapcert import verify as vf
 from gapcert.config import cosine_parametric_loss, random_gibbs_instance
 from gapcert.hamiltonian import Gibbs, constant_algorithm, mean_embedding_algorithm
-from gapcert.model import BudgetExceeded, FiniteDataSpace, FiniteTable, PriorWeights
+from gapcert.model import (
+    BLOCK_ROWS,
+    BudgetExceeded,
+    FiniteDataSpace,
+    FiniteTable,
+    PriorWeights,
+)
 from gapcert.verify import (
     MethodStats,
     MomentCheckReport,
@@ -89,6 +95,27 @@ class TestMixedMgf:
         assert r.regime == "exact_enumeration"
         assert r.passed
         assert len(r.details["psi_per_hypothesis"]) == loss.num_hypotheses
+
+    def test_main_proposition_calls_F_once_per_hypothesis_per_block(self):
+        """F gets blocks of sample rows, not one sample at a time: one call
+        per hypothesis per block of at most BLOCK_ROWS C-contiguous rows."""
+        space, loss = random_gibbs_instance(seed=3, num_points=3, num_hypotheses=2)
+        n = 8
+        S = space.size**n  # 6,561 rows, all in the support
+        assert S > BLOCK_ROWS
+        calls = []
+
+        def F(h, rows):
+            calls.append((h, rows))
+            return np.full(len(rows), 0.1 * h)
+
+        check_proposition_main(Gibbs(beta=2.0), space, loss, PriorWeights.uniform(2), n, F)
+        assert len(calls) == loss.num_hypotheses * math.ceil(S / BLOCK_ROWS)
+        for h, rows in calls:
+            assert rows.ndim == 2 and rows.shape[1] == n and len(rows) <= BLOCK_ROWS
+            assert rows.dtype.kind == "i" and rows.flags.c_contiguous
+        for h in range(loss.num_hypotheses):
+            assert sum(len(rows) for g, rows in calls if g == h) == S
 
     def test_bernstein_unit_mgf(self):
         space, loss, prior = small_instance()
