@@ -45,21 +45,38 @@ def _gibbs_instances(betas, num_seeds=5):
     return out
 
 
+def _judge_reports(number, name, reports, t0) -> CriterionResult:
+    """A criterion that passes when every report passes by its own rule."""
+    failures = sum(not rep.passed for rep in reports)
+    worst = min(reports, key=lambda rep: rep.margin)
+    return _result(number, name, failures == 0,
+                   f"{len(reports)} checks, {failures} failures, "
+                   f"worst margin {worst.margin:.3e} ({worst.name})", t0)
+
+
+def _judge_rates(number, name, delta, labelled_stats, t0) -> CriterionResult:
+    """A criterion that passes when every labelled MethodStats passes the gate."""
+    return _result(number, name, all(stats.passed(delta) for _, stats in labelled_stats),
+                   "; ".join(label + stats.summary(delta) for label, stats in labelled_stats),
+                   t0)
+
+
 def criterion_mgf_vs_bounded_differences() -> CriterionResult:
     """Enumerated mixed log-MGF against the bounded-difference MGF bound."""
     t0 = time.perf_counter()
     n = 5
-    worst = math.inf
-    for space, loss, spec, _ in _gibbs_instances(betas=(0.0, 1.0, float(n), 2.0 * n)):
+    reports = []
+    for space, loss, spec, seed in _gibbs_instances(betas=(0.0, 1.0, float(n), 2.0 * n)):
         prior = PriorWeights.uniform(loss.num_hypotheses)
         c, regime = ham.bounded_difference_coefficient(spec, space, loss, n)
         assert regime == "exhaustive"
         for lam in (0.1 * n, 0.5 * n, float(n), 2.0 * n):
-            lhs = vf.exact_mixed_mgf(spec, space, loss, prior, n, lam)
-            rhs = bd.bound_mgf_bounded_differences(loss.bound_b, c, n, lam)
-            worst = min(worst, rhs - lhs)
-    return _result(1, "mixed MGF vs bounded-difference MGF bound",
-                   worst >= vf.EXACT_MARGIN_TOL, f"worst margin {worst:.3e}", t0)
+            reports.append(vf.MomentCheckReport(
+                name=f"seed{seed}_beta{spec.beta:g}_lam{lam:g}",
+                lhs=vf.exact_mixed_mgf(spec, space, loss, prior, n, lam),
+                rhs=bd.bound_mgf_bounded_differences(loss.bound_b, c, n, lam),
+                regime="exact_enumeration"))
+    return _judge_reports(1, "mixed MGF vs bounded-difference MGF bound", reports, t0)
 
 
 def criterion_main_proposition() -> CriterionResult:
@@ -67,110 +84,76 @@ def criterion_main_proposition() -> CriterionResult:
     Bernstein function; the unit-MGF lemma checked exactly per hypothesis."""
     t0 = time.perf_counter()
     n, delta = 5, 0.05
-    worst = math.inf
+    reports = []
     for space, loss, spec, _ in _gibbs_instances(betas=(0.0, 1.0, float(n), 2.0 * n)):
         prior = PriorWeights.uniform(loss.num_hypotheses)
         lam = float(n)
-        rep = vf.check_proposition_main(
+        reports.append(vf.check_proposition_main(
             spec, space, loss, prior, n,
-            lambda h, s: lam * generalization_gap(h, s, space, loss))
-        worst = min(worst, rep.margin)
+            lambda h, s: lam * generalization_gap(h, s, space, loss)))
         c = spec.beta * loss.bound_b / n
         F = vf.bernstein_f_factory(space, loss, n, c, delta)
-        rep = vf.check_proposition_main(spec, space, loss, prior, n, F,
-                                        name="bernstein_F")
-        worst = min(worst, rep.margin)
-        for unit in vf.check_bernstein_unit_mgf(space, loss, n, c, delta):
-            worst = min(worst, unit.margin)
-    return _result(2, "main proposition and Bernstein unit-MGF oracle",
-                   worst >= vf.EXACT_MARGIN_TOL, f"worst margin {worst:.3e}", t0)
+        reports.append(vf.check_proposition_main(spec, space, loss, prior, n, F,
+                                                 name="bernstein_F"))
+        reports += vf.check_bernstein_unit_mgf(space, loss, n, c, delta)
+    return _judge_reports(2, "main proposition and Bernstein unit-MGF oracle", reports, t0)
 
 
 def criterion_martingale_suite() -> CriterionResult:
     """100 seeded random functions per centered-MGF case, zero failures."""
     t0 = time.perf_counter()
     space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.35, 0.65]))
-    failures = 0
-    total = 0
-    worst = math.inf
-    for case in ("i", "ii", "iii"):
-        for n in (2, 3):
-            for rep in vf.check_martingale_mgf(space, n, case, num_trials=50,
-                                               seed=100 + n):
-                total += 1
-                worst = min(worst, rep.margin)
-                if not rep.passed:
-                    failures += 1
-    return _result(3, "martingale MGF oracle suite", failures == 0,
-                   f"{total} checks, {failures} failures, worst margin {worst:.3e}", t0)
+    reports = [rep for case in ("i", "ii", "iii") for n in (2, 3)
+               for rep in vf.check_martingale_mgf(space, n, case, num_trials=50,
+                                                  seed=100 + n)]
+    return _judge_reports(3, "martingale MGF oracle suite", reports, t0)
 
 
 def criterion_log_partition_differences() -> CriterionResult:
     """|D ln Z| <= c and |D H_Q| <= 2c on 20 seeded Gibbs instances."""
     t0 = time.perf_counter()
     n = 3
-    failures = 0
+    reports = []
     for space, loss, spec, _ in _gibbs_instances(betas=(0.0, 1.0, float(n), 2.0 * n)):
         prior = PriorWeights.uniform(loss.num_hypotheses)
-        for rep in vf.check_logZ_bounded_differences(spec, space, loss, prior, n):
-            if not rep.passed:
-                failures += 1
-    return _result(4, "log-partition bounded differences", failures == 0,
-                   f"{failures} failures over 20 instances", t0)
+        reports += vf.check_logZ_bounded_differences(spec, space, loss, prior, n)
+    return _judge_reports(4, "log-partition bounded differences", reports, t0)
 
 
 GIBBS_SUITE_METHODS = ("bounded_differences", "bernstein", "empirical_bernstein")
 
 
-def criterion_gibbs_violation_rates(trials=5000) -> CriterionResult:
+def criterion_gibbs_violation_rates() -> CriterionResult:
     """Standard Gibbs suite: Clopper-Pearson 99.9% upper bound <= delta."""
     t0 = time.perf_counter()
-    delta = 0.05
-    lines = []
-    ok = True
+    delta, trials = 0.05, 5000
     space, loss = random_gibbs_instance(7, 10, 16)
+    labelled = []
     for n in (50, 100):
         for beta in (5.0, 20.0):
             rep = vf.violation_rate_gibbs(space, loss, PriorWeights.uniform(16),
                                           beta, n, delta, GIBBS_SUITE_METHODS,
                                           trials, master_seed=9000 + int(beta) + n)
-            for m, stats in rep.per_method.items():
-                cp = stats.clopper_pearson_upper
-                if cp > delta:
-                    ok = False
-                lines.append(f"n={n} beta={beta} {m}: viol={stats.violations}/{trials} "
-                             f"cp={cp:.4f}")
-    return _result(5, "Gibbs certificate violation rates", ok, "; ".join(lines), t0)
+            labelled += [(f"n={n} beta={beta} ", stats) for stats in rep.per_method.values()]
+    return _judge_rates(5, "Gibbs certificate violation rates", delta, labelled, t0)
 
 
-def criterion_gaussian_randomization(trials=5000, kl_trials=200,
-                                     posterior_draws=10_000) -> CriterionResult:
+def criterion_gaussian_randomization() -> CriterionResult:
     """Gaussian-kernel certificates: joint-draw rates plus the posterior
     expected-kl statement checked against a posterior average."""
     t0 = time.perf_counter()
     n, delta = 100, 0.05
+    trials, kl_trials, posterior_draws = 5000, 200, 10_000
     # the instance of configs/gaussian_mean_embedding.txt
     space, loss, spec = gaussian_kernel_instance(21, 8, 2, n, 0.5, "mean_embedding")
     rep = vf.violation_rate_gaussian(space, loss, spec.algorithm, spec.sigma, n, delta,
                                      ("gaussian_gap", "gaussian_gap_bernstein"),
                                      trials, master_seed=4242)
-    lines = []
-    ok = True
-    for m, stats in rep.per_method.items():
-        cp = stats.clopper_pearson_upper
-        if cp > delta:
-            ok = False
-        lines.append(f"{m}: viol={stats.violations}/{trials} cp={cp:.4f}")
-    rep2 = vf.violation_rate_gaussian(space, loss, spec.algorithm, spec.sigma, n, delta,
-                                      ("gaussian_kl_expectation",), kl_trials,
-                                      master_seed=4243, posterior_draws=posterior_draws)
-    stats = rep2.per_method["gaussian_kl_expectation"]
-    cp = stats.clopper_pearson_upper
-    if cp > delta:
-        ok = False
-    lines.append(f"gaussian_kl_expectation: viol={stats.violations}/{kl_trials} "
-                 f"cp={cp:.4f}")
-    return _result(6, "Gaussian randomization certificates", ok, "; ".join(lines), t0)
+    rep_kl = vf.violation_rate_gaussian(space, loss, spec.algorithm, spec.sigma, n, delta,
+                                        ("gaussian_kl_expectation",), kl_trials,
+                                        master_seed=4243, posterior_draws=posterior_draws)
+    labelled = [("", stats) for r in (rep, rep_kl) for stats in r.per_method.values()]
+    return _judge_rates(6, "Gaussian randomization certificates", delta, labelled, t0)
 
 
 def criterion_tightness() -> CriterionResult:
@@ -195,7 +178,7 @@ def criterion_tightness() -> CriterionResult:
                    f"{spot_base:.5f}) ok={spot_ok}; kl-chain ok={chain_ok}", t0)
 
 
-def criterion_gaussian_identity(mc_samples=1_000_000) -> CriterionResult:
+def criterion_gaussian_identity() -> CriterionResult:
     """MC check of the Gaussian shift identity: 1% relative or 4 MC stderr."""
     t0 = time.perf_counter()
     ok = True
@@ -207,7 +190,7 @@ def criterion_gaussian_identity(mc_samples=1_000_000) -> CriterionResult:
                 w = np.zeros(d)
                 v = np.zeros(d)
                 v[0] = ratio * sigma
-                rep = vf.check_gaussian_identity(w, v, sigma, lam, mc_samples,
+                rep = vf.check_gaussian_identity(w, v, sigma, lam, mc_samples=1_000_000,
                                                  seed=int(1000 * lam) + 10 * d + int(10 * ratio))
                 if not rep.passed:
                     ok = False

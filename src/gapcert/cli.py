@@ -117,7 +117,6 @@ def _exact_oracles(config: ScenarioConfig) -> tuple[list[dict], bool]:
     """Enumerated oracle checks for a Gibbs scenario; returns (rows, ok), or
     raises BudgetExceeded before any check runs if X^n is over the budget."""
     rows = []
-    ok = True
     reports = vf.check_logZ_bounded_differences(
         config.spec, config.space, config.loss, config.prior, config.n,
         budget=config.enumeration_budget)
@@ -127,11 +126,10 @@ def _exact_oracles(config: ScenarioConfig) -> tuple[list[dict], bool]:
                                                           config.loss),
         budget=config.enumeration_budget))
     for rep in reports:
-        ok = ok and rep.passed
         rows.append(_row(config.scenario_id, "verify_oracle", rep.name,
                          rep.lhs, baseline=repr(rep.rhs),
                          inputs=f"margin={rep.margin!r};regime={rep.regime}"))
-    return rows, ok
+    return rows, all(rep.passed for rep in reports)
 
 
 def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
@@ -163,18 +161,12 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
             config.master_seed, posterior_draws=config.posterior_draws)
 
     for m, stats in sorted(rep.per_method.items()):
-        cp = stats.clopper_pearson_upper
-        passed = cp <= config.delta
-        ok = ok and passed
+        ok = ok and stats.passed(config.delta)
         rows.append(_row(config.scenario_id, "verify_trials", m, stats.mean_bound,
                          delta=repr(config.delta), violations=str(stats.violations),
-                         trials=str(stats.trials), cp_upper=repr(cp),
+                         trials=str(stats.trials), cp_upper=repr(stats.clopper_pearson_upper),
                          inputs=f"master_seed={config.master_seed}"))
-        summary.append(f"{m}: {stats.violations}/{stats.trials} violations, "
-                       f"cp99.9={cp:.4f} {'<=':s} delta={config.delta}"
-                       if passed else
-                       f"{m}: {stats.violations}/{stats.trials} violations, "
-                       f"cp99.9={cp:.4f} EXCEEDS delta={config.delta}")
+        summary.append(stats.summary(config.delta))
 
     summary.append(f"wall-clock: {time.perf_counter() - t0:.2f}s")
     text = "\n".join([f"scenario {config.scenario_id}: verify "
@@ -209,14 +201,13 @@ def cmd_accept(out_dir: Path, jobs: int = 1) -> int:
     results = acceptance.run_all(jobs=jobs)
     rows = []
     lines = []
-    all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        all_ok = all_ok and r.passed
         lines.append(f"[{status}] criterion {r.number}: {r.name} "
                      f"({r.seconds:.1f}s) -- {r.detail}")
         rows.append(_row("acceptance", "accept", f"criterion_{r.number}",
                          "1" if r.passed else "0", inputs=r.name))
+    all_ok = all(r.passed for r in results)
     text = "\n".join(lines + [f"acceptance: {'all passed' if all_ok else 'FAILURES'}"])
     _write_outputs(out_dir, "acceptance", rows, text)
     return EXIT_OK if all_ok else EXIT_INVARIANT

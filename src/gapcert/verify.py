@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -231,40 +232,29 @@ def check_martingale_mgf(space: FiniteDataSpace, n: int, case: str, num_trials: 
     for t in range(num_trials):
         rng = substream(seed, t)
         table = rng.uniform(-1.0, 1.0, size=space.size**n)
-
-        if case == "ii":
+        # a target scale is drawn after the table, even when its raw scale is 0
+        if case == "i":
+            # exact per-coordinate log-MGF constant r^2
+            r2 = _subgaussian_step_constant(space, n, table)
+            rhs, details = n * r2, {"r2": r2}
+        elif case == "ii":
             raw_c = max_fibre_range(space, n, table)
             target_c = float(rng.uniform(0.1, 1.0))
             if raw_c > 0:
                 table = table * (target_c / raw_c)
             c = target_c if raw_c > 0 else 0.0
-            lhs = _exact_centered_mgf(table, flat, w)
-            rhs = n * c**2 / 8.0
-            reports.append(MomentCheckReport(name=f"martingale_ii_{t}", lhs=lhs, rhs=rhs,
-                                             regime="exact_enumeration",
-                                             details={"c": c}))
-            continue
-
-        if case == "iii":
+            rhs, details = n * c**2 / 8.0, {"c": c}
+        else:
             raw_b = _max_one_sided_excess(space, n, table)
             target_b = float(rng.uniform(0.2, 1.5))
             if raw_b > 0:
                 table = table * (target_b / raw_b)
             b = target_b if raw_b > 0 else 1.0
             vks = _coordinate_variances(space, n, table)
-            lhs = _exact_centered_mgf(table, flat, w)
-            rhs = sum(vks) / (2.0 - b)
-            reports.append(MomentCheckReport(name=f"martingale_iii_{t}", lhs=lhs, rhs=rhs,
-                                             regime="exact_enumeration",
-                                             details={"b": b, "v_k": vks}))
-            continue
-
-        # case i: exact per-coordinate log-MGF constant r^2
-        r2 = _subgaussian_step_constant(space, n, table)
-        lhs = _exact_centered_mgf(table, flat, w)
-        reports.append(MomentCheckReport(name=f"martingale_i_{t}", lhs=lhs, rhs=n * r2,
-                                         regime="exact_enumeration",
-                                         details={"r2": r2}))
+            rhs, details = sum(vks) / (2.0 - b), {"b": b, "v_k": vks}
+        reports.append(MomentCheckReport(name=f"martingale_{case}_{t}",
+                                         lhs=_exact_centered_mgf(table, flat, w), rhs=rhs,
+                                         regime="exact_enumeration", details=details))
     return reports
 
 
@@ -453,18 +443,29 @@ class MethodStats:
     mean_bound: float
     mean_slack: float
 
-    @property
+    @cached_property
     def clopper_pearson_upper(self) -> float:
-        if self.violations >= self.trials:
+        if self.violations >= self.trials or CP_LEVEL == 1.0:  # log1p(-1) raises
             return 1.0
-        # the CP_LEVEL quantile of Beta(violations + 1, trials - violations);
-        # that of Beta(1, T) is 1 - (1 - CP_LEVEL)^{1/T}, equal bit for bit to
-        # scipy's inversion, which only a run with a violation imports
+        # the CP_LEVEL quantile of Beta(violations + 1, trials - violations),
+        # cached; that of Beta(1, T) is 1 - (1 - CP_LEVEL)^{1/T}, equal bit for
+        # bit to scipy's inversion, which only a run with a violation imports
         if self.violations == 0:
             return -math.expm1(math.log1p(-CP_LEVEL) / self.trials)
         from scipy.special import betaincinv
         return float(betaincinv(self.violations + 1, self.trials - self.violations,
                                 CP_LEVEL))
+
+    def passed(self, delta: float) -> bool:
+        """The Monte Carlo gate: the CP_LEVEL Clopper-Pearson upper bound on
+        the violation probability is at most delta."""
+        return self.clopper_pearson_upper <= delta
+
+    def summary(self, delta: float) -> str:
+        verdict = "<=" if self.passed(delta) else "EXCEEDS"
+        return (f"{self.method}: {self.violations}/{self.trials} violations, "
+                f"cp{100 * CP_LEVEL:g}={self.clopper_pearson_upper:.4f} {verdict} "
+                f"delta={delta}")
 
 
 @dataclass(frozen=True)

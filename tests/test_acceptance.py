@@ -5,9 +5,12 @@ module only runs them and reports. Run with -s to see the lines as they
 complete.
 """
 
+import dataclasses
+
 import pytest
 
 from gapcert import acceptance
+from gapcert import bounds as bd
 from gapcert import verify as vf
 from gapcert.acceptance import ALL_CRITERIA
 
@@ -24,10 +27,43 @@ def test_criterion(criterion):
 
 
 def test_margin_criteria_use_the_oracle_tolerance(monkeypatch):
-    """Criterion 1 judges its worst margin by verify.EXACT_MARGIN_TOL, the
-    rule of every exact-regime report: an unattainable tolerance fails it."""
+    """Negative controls: every criterion that judges reports does so by the
+    report's own rule, so an unattainable exact tolerance fails criteria 1-4,
+    a Clopper-Pearson level of 1 (every bound 1.0) fails criteria 5 and 6,
+    and negative Monte Carlo tolerances fail criterion 8. A wrong kl
+    inverter, inversion rule or inversion lemma fails criterion 9."""
     instances = acceptance._gibbs_instances
     monkeypatch.setattr(acceptance, "_gibbs_instances",
                         lambda betas, **kw: instances(num_seeds=1, betas=betas[:1], **kw))
-    monkeypatch.setattr(vf, "EXACT_MARGIN_TOL", 1e6)
-    assert not acceptance.criterion_mgf_vs_bounded_differences().passed
+    identity = vf.check_gaussian_identity
+    monkeypatch.setattr(vf, "check_gaussian_identity",
+                        lambda *args, mc_samples, **kw: identity(*args, mc_samples=1000, **kw))
+    controls = [
+        (vf, {"EXACT_MARGIN_TOL": 1e6}, (1, 2, 3, 4)),
+        (vf, {"CP_LEVEL": 1.0}, (5, 6)),
+        (vf, {"MC_RELATIVE_TOL": -1.0, "MC_STDERR_TOL": -1.0}, (8,)),
+        (bd, {"kl_inverse_upper": lambda p_hat, B: 1.0}, (9,)),
+        (bd, {"gap_from_kl": lambda L_hat, B: 0.0}, (9,)),
+        (bd, {"inversion_lemma": lambda L_hat, A: L_hat}, (9,)),
+    ]
+    for module, patch, numbers in controls:
+        with monkeypatch.context() as mp:
+            for name, value in patch.items():
+                mp.setattr(module, name, value)
+            for number in numbers:
+                result = ALL_CRITERIA[number - 1]()
+                assert not result.passed, (patch, number, result.detail)
+    # the controls leave the rules as they were
+    assert ALL_CRITERIA[0]().passed
+
+
+def test_run_all_in_parallel_matches_serial(monkeypatch):
+    """jobs > 1 changes nothing but wall-clock time."""
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        (acceptance.criterion_tightness,
+                         acceptance.criterion_self_bounding_and_phi))
+    serial = acceptance.run_all(jobs=1)
+    parallel = acceptance.run_all(jobs=2)
+    assert [r.number for r in parallel] == [7, 10]
+    assert ([dataclasses.replace(r, seconds=0.0) for r in parallel]
+            == [dataclasses.replace(r, seconds=0.0) for r in serial])

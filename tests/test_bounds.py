@@ -300,6 +300,15 @@ class TestGaussianRandomization:
             with pytest.raises(DomainError):
                 bound_gaussian_randomization(0.0, 1.0, 8, 0.05, variant=variant, c_A=0.0)
 
+    def test_mgf_variant_value_and_refusal(self):
+        V, sigma, n = 0.3, 0.5, 100
+        got = bound_gaussian_randomization(V, sigma, n, 0.05, variant="mgf", c_A=0.0)
+        assert got.method == "gaussian_mgf"
+        assert got.value == pytest.approx(3.0 * V / sigma**2
+                                          + 0.5 * math.log(2.0 * math.sqrt(n)), rel=1e-15)
+        with pytest.raises(DomainError, match="requires n > 8"):
+            bound_gaussian_randomization(V, sigma, 8, 0.05, variant="mgf", c_A=0.0)
+
     def test_scopes(self):
         kl = bound_gaussian_randomization(0.0, 1.0, 100, 0.05,
                                           variant="kl_expectation", c_A=0.0)
@@ -319,6 +328,23 @@ class TestPacBayes:
         b = bound_gaussian_randomization(0.3, 1.0, 100, 0.05,
                                          variant="kl_expectation", c_A=0.0)
         assert a.value == b.value
+
+    def test_zero_kl_is_the_gaussian_kernel_certificate(self):
+        """At P = Q_X (KL = 0) the PAC-Bayes bounds are the Gaussian-kernel
+        certificates, bit for bit, over seeded inputs inside the stability
+        precondition."""
+        rng = np.random.Generator(np.random.Philox(key=18))
+        for _ in range(2000):
+            V = float(10.0 ** rng.uniform(-6.0, 2.0))
+            sigma = float(10.0 ** rng.uniform(-2.0, 1.0))
+            n = int(rng.integers(9, 100_000))
+            delta = float(rng.uniform(1e-6, 1.0 - 1e-6))
+            c_A = float(rng.uniform(0.0, 1.0)) * sigma / math.sqrt(12.0 * n)
+            kl = bound_gaussian_randomization(V, sigma, n, delta, "kl_expectation", c_A)
+            gap = bound_gaussian_randomization(V, sigma, n, delta, "gap_joint", c_A)
+            assert kl.value == pac_bayes_gaussian_kl(0.0, V, sigma, n, delta, c_A).value
+            assert gap.value == pac_bayes_model_selection(0.0, V, sigma, n, delta, "gap",
+                                                          c_A).value
 
     def test_gaussian_kl_log_term_only(self):
         n = 400

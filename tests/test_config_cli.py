@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 from gapcert import acceptance
+from gapcert import verify as vf
 from gapcert.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
+    EXIT_INVARIANT,
     EXIT_OK,
     cmd_certify,
     cmd_verify,
@@ -442,6 +444,51 @@ class TestCli:
         text = (out / "demo_verify.csv").read_text()
         assert "verify_oracle" in text  # 3^4 x 4 states fit the default budget
         assert "verify_trials" in text
+
+    # 200 trials, not the file's 2000: enough that the unpatched gate passes
+    # (the 99.9% bound at 0 of 200 is 0.034; at 0 of 50 it is 0.129 > delta)
+    @pytest.mark.parametrize("rule, value, failure, held", [
+        ("CP_LEVEL", 1.0, "EXCEEDS delta", "exact oracles: ok"),
+        ("EXACT_MARGIN_TOL", 1e6, "exact oracles: MARGIN FAILURE", "<= delta")],
+        ids=["gate", "exact_margin"])
+    def test_verify_failed_rule_exits_2(self, tmp_path, monkeypatch, rule, value,
+                                        failure, held):
+        """A failed gate or exact margin fails the run with exit code 2, and
+        the summary names the rule that failed."""
+        cfg = write_config(tmp_path, "gibbs_exact.txt", (CONFIGS / "gibbs_exact.txt")
+                           .read_text().replace("trials = 2000", "trials = 200"))
+        monkeypatch.setattr(vf, rule, value)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
+        summary = (out / "gibbs_exact_verify_summary.txt").read_text()
+        assert summary.startswith("scenario gibbs_exact: verify FAILED")
+        assert failure in summary and held in summary
+        with open(out / "gibbs_exact_verify.csv") as fh:
+            trial_rows = [r for r in csv.DictReader(fh) if r["phase"] == "verify_trials"]
+        assert len(trial_rows) == 2
+        if rule == "CP_LEVEL":
+            assert all(r["cp_upper"] == "1.0" for r in trial_rows)
+
+    def test_unrecomputable_certificate_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(vf, "recompute",
+                            lambda cert: dataclasses.replace(cert, value=cert.value + 1.0))
+        cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)
+        assert main(["certify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_INVARIANT
+        assert ("certificate bounded_differences not recomputable bit-identically"
+                in capsys.readouterr().err)
+
+    def test_failed_criterion_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(acceptance, "run_all", lambda jobs=1: [
+            acceptance.CriterionResult(1, "holds", True, "", 0.0),
+            acceptance.CriterionResult(2, "fails", False, "", 0.0)])
+        out = tmp_path / "o"
+        assert main(["accept", "--out", str(out)]) == EXIT_INVARIANT
+        with open(out / "acceptance.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method"], r["value"], r["inputs"]) for r in rows] == [
+            ("criterion_1", "1", "holds"), ("criterion_2", "0", "fails")]
+        assert (out / "acceptance_summary.txt").read_text().endswith("acceptance: FAILURES\n")
 
     def test_verify_require_over_budget_exits_4(self, tmp_path):
         cfg = write_config(tmp_path, "demo.txt",

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
+from gapcert import bounds as bd
+from gapcert import hamiltonian as ham
 from gapcert.model import (
     BudgetExceeded,
     ContractViolation,
@@ -32,6 +34,51 @@ def space2(p=0.5):
 
 def table(rows, b=1.0):
     return FiniteTable(values=np.array(rows, dtype=float), bound_b=b)
+
+
+# out-of-domain inputs of each layer, and the message of their refusal
+REFUSALS = {
+    "points_probs_mismatch": (ValueError, "points/probs length mismatch",
+                              lambda: FiniteDataSpace(points=("a", "b"), probs=[1.0])),
+    "one_dimensional_loss_table": (ValueError, "loss table must be 2-dimensional",
+                                   lambda: FiniteTable(values=[0.1, 0.2])),
+    "hypothesis_out_of_range": (IndexError, "hypothesis index 2 out of range",
+                                lambda: table([[0.1, 0.2], [0.3, 0.4]]).row(2)),
+    "parametric_dim_zero": (ValueError, "dim_d must be positive",
+                            lambda: ParametricLoss(dim_d=0, batch_evaluator=abs)),
+    "parametric_bound_zero": (ValueError, "bound_b must be positive",
+                              lambda: ParametricLoss(dim_d=1, batch_evaluator=abs,
+                                                     bound_b=0.0)),
+    "negative_prior_weight": (ValueError, "prior weights must be nonnegative",
+                              lambda: PriorWeights(np.array([1.0, -0.5]))),
+    "negative_beta": (ValueError, "beta must be nonnegative", lambda: ham.Gibbs(beta=-1.0)),
+    "zero_sigma": (ValueError, "sigma must be positive",
+                   lambda: ham.GaussianKernel(sigma=0.0,
+                                              algorithm=ham.constant_algorithm([0.0]))),
+    "unknown_coefficient_mode": (ValueError, "unknown mode 'sampled'",
+                                 lambda: ham.bounded_difference_coefficient(
+                                     ham.Gibbs(beta=1.0), space2(), table([[0.1, 0.2]]), 2,
+                                     mode="sampled")),
+    "one_dimensional_features": (ValueError, r"feature table must be \(num_points, d\)",
+                                 lambda: ham.mean_embedding_algorithm(np.zeros(3), 4)),
+    "kl_s_outside_unit": (bd.DomainError, r"s must be in \[0,1\]",
+                          lambda: bd.kl_bernoulli(-0.1, 0.5)),
+    "kl_t_outside_unit": (bd.DomainError, r"t must be in \[0,1\]",
+                          lambda: bd.kl_bernoulli(0.5, 1.5)),
+    "mgf_bound_zero_b": (bd.DomainError, "need b > 0, c >= 0, n >= 1",
+                         lambda: bd.bound_mgf_bounded_differences(0.0, 0.1, 5, 1.0)),
+    "empirical_bernstein_zero_b": (bd.DomainError, "need b > 0, c >= 0, n >= 1",
+                                   lambda: bd.bound_empirical_bernstein(0.1, 0.0, 0.1, 5, 0.05)),
+    "baselines_negative_beta": (bd.DomainError, "need beta >= 0 and n >= 1",
+                                lambda: bd.baselines(-1.0, 10, 0.05)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_out_of_domain_input_is_refused(case):
+    error, message, call = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
 
 
 @st.composite
