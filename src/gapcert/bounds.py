@@ -88,14 +88,14 @@ def kl_bernoulli(s: float, t: float) -> float:
 
 def _kl_bernoulli(s: float, t: float) -> float:
     """kl_bernoulli without its domain checks: the one kl formula."""
-    if t in (0.0, 1.0):
+    if t == 0.0 or t == 1.0:
         return 0.0 if s == t else math.inf
     out = 0.0
     if s > 0.0:
         out += s * math.log(s / t)
     if s < 1.0:
         out += (1.0 - s) * math.log((1.0 - s) / (1.0 - t))
-    return max(out, 0.0)
+    return 0.0 if out < 0.0 else out
 
 
 KL_INVERSE_RESIDUAL_TOL = 1e-10
@@ -122,10 +122,11 @@ def _kl_certified_bracket(p_hat: float, B: float) -> tuple[float, float]:
 
     Newton's method on w = ln(1 - q), where kl(p_hat, .) is convex and
     decreasing with slope -(q - p_hat) / q, walks left from a point right of
-    the root: towards the residual +2 margin, then from within a margin of it
-    towards -2 margin. Only points whose computed residual clears the margin
-    are kept, so a step that goes astray costs evaluations, never a different
-    bisection. Without a certified point the bound stays outside [0, 1].
+    the root towards the residual +1.5 margin. Within 3 margins of it, a
+    tangent step gives a left end certified by convexity, or else steps aim
+    at -2 margin for an evaluated one. Only certified points are kept, so a
+    step that goes astray costs evaluations, never a different bisection.
+    Without a certified point the bound stays outside [0, 1].
     """
     margin = KL_INVERSE_RESIDUAL_TOL + _KL_CERTIFY_EPS
     right = 2.0
@@ -140,13 +141,29 @@ def _kl_certified_bracket(p_hat: float, B: float) -> tuple[float, float]:
         r = _kl_bernoulli(p_hat, q) - B
         if r < -margin:
             return q, right
+        near = r <= 3.0 * margin
         if r > margin:
             right = q
-        aim = 2.0 * margin if r > 3.0 * margin else -2.0 * margin
+            if near:
+                # kl(p_hat, .) is convex with slope s(t) = (t - p_hat) / (t (1 - t)),
+                # so t's exact residual is at most q's, below r + 1e-13, minus
+                # s(t) (q - t). Where the computed s(t) (q - t), six roundings
+                # off, clears r + margin by the factor 1 - 1e-12, that is below
+                # -margin + 1e-13, as at an evaluated point below -margin.
+                t = q - (r + 1.5 * margin) * (q * (1.0 - q)) / (q - p_hat)
+                if t > p_hat and ((t - p_hat) / (t * (1.0 - t)) * (q - t) * (1.0 - 1e-12)
+                                  > r + margin):
+                    return t, right
+        # the Newton step in w and its second-order (Chebyshev) correction, by
+        # the curvature p_hat (1 - q) / q^2; the third derivative is positive
+        # too, so neither step overshoots
+        step = (r - (-2.0 * margin if near else 1.5 * margin)) * q / (q - p_hat)
+        step *= 1.0 + 0.5 * step * (1.0 - q) * (p_hat / q) / (q - p_hat)
         # w <= 0 keeps expm1 finite when the slope is tiny, and a step moves
         # at least one float where the floats are too coarse to aim
-        w = min(math.log1p(-q) + (r - aim) * q / (q - p_hat), 0.0)
-        q = min(-math.expm1(w), math.nextafter(q, 0.0))
+        w = math.log1p(-q) + step
+        left = -math.expm1(0.0 if w > 0.0 else w)
+        q = left if left < q else math.nextafter(q, 0.0)
         if not q > p_hat:
             break
     return -1.0, right
@@ -177,25 +194,28 @@ def kl_inverse_upper(p_hat: float, B: float) -> float:
         return 1.0
     below, right = _kl_certified_bracket(p_hat, B)
     lo = p_hat
+    # mid == lo or mid == hi only where lo and hi are adjacent floats: every
+    # later step repeats this one or stops at the next, returning mid
     for _ in range(_KL_INVERSE_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            # lo and hi are adjacent floats: every later step repeats this
-            # one, and whichever way it goes the loop returns mid
-            return mid
         if mid <= below:
+            if mid == lo:
+                return mid
             lo = mid
-            continue
-        if mid >= right:
+        elif mid >= right:
+            if mid == hi:
+                return mid
             hi = mid
-            continue
-        r = _kl_bernoulli(p_hat, mid) - B
-        if abs(r) <= KL_INVERSE_RESIDUAL_TOL:
+        elif mid == lo or mid == hi:
             return mid
-        if r < 0:
-            lo = mid
         else:
-            hi = mid
+            r = _kl_bernoulli(p_hat, mid) - B
+            if abs(r) <= KL_INVERSE_RESIDUAL_TOL:
+                return mid
+            if r < 0:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
 
 

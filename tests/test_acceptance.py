@@ -6,6 +6,7 @@ complete.
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -55,6 +56,18 @@ def test_margin_criteria_use_the_oracle_tolerance(monkeypatch):
                 assert not result.passed, (patch, number, result.detail)
     # the controls leave the rules as they were
     assert ALL_CRITERIA[0]().passed
+
+
+def test_worst_margins_name_their_instance():
+    """Criteria 2-4 name the instance of their worst margin, and criterion 4
+    takes it over the checks with c > 0, counting those with c = 0 apart."""
+    assert re.search(r"\(seed\d_beta[\d.]+_\w+\)$",
+                     acceptance.criterion_main_proposition().detail)
+    assert re.search(r"\(n\d_\w+\)$", acceptance.criterion_martingale_suite().detail)
+    detail = acceptance.criterion_log_partition_differences().detail
+    assert detail.startswith("40 checks, 0 failures, worst margin ")
+    assert "worst margin 0.000e+00" not in detail
+    assert "(seed" in detail and detail.endswith(" over the 30 with c > 0; 10 with c = 0")
 
 
 def test_run_all_in_parallel_matches_serial(monkeypatch):

@@ -107,6 +107,9 @@ def _random_points(count):
 # criterion 9's residual grid and its domination grid
 RESIDUAL_GRID = _grid(np.linspace(0.0, 0.9, 100), np.linspace(1e-6, 0.5, 100))
 DOMINATION_GRID = _grid(np.linspace(0.0, 1.0, 60), np.linspace(0.0, 1.5, 60))
+# 25 x 100 random points of criterion 9's domain, as one benchmark round scans
+_rng = np.random.Generator(np.random.Philox(key=16))
+BENCHMARK_DOMAIN = _grid(_rng.uniform(0.0, 0.9, 25), _rng.uniform(1e-6, 0.5, 100))
 
 
 class TestKlInverse:
@@ -151,8 +154,31 @@ class TestKlInverse:
         with pytest.raises(DomainError):
             kl_inverse_upper(p_hat, B)
 
+    @pytest.mark.parametrize("points", [RESIDUAL_GRID, DOMINATION_GRID, _random_points(8000),
+                                        _adversarial_points(), BENCHMARK_DOMAIN],
+                             ids=["residual_grid", "domination_grid", "random", "adversarial",
+                                  "benchmark_domain"])
+    def test_certified_bracket(self, points):
+        """The bisection's decision is known at and beyond each end of the
+        bracket, and every root it finds lies strictly inside."""
+        tol = bd.KL_INVERSE_RESIDUAL_TOL
+        broken = []
+        for p, B in points:
+            q = kl_inverse_upper(p, B)
+            if B == 0.0 or q == 1.0:
+                continue  # answered before any bracket is sought
+            below, right = bd._kl_certified_bracket(p, B)
+            if below >= p and not kl_bernoulli(p, below) - B < -tol:
+                broken.append((p, B, "below", below))
+            if right <= bd.KL_INVERSE_TOP and not kl_bernoulli(p, right) - B > tol:
+                broken.append((p, B, "right", right))
+            if abs(kl_bernoulli(p, q) - B) <= tol and not below < q < right:
+                broken.append((p, B, "root", below, q, right))
+        assert broken == []
+
     def test_few_kl_evaluations_on_benchmark_domain(self, monkeypatch):
-        # the plain bisection evaluates kl about 32 times a call here
+        # the plain bisection evaluates kl about 32 times a call here, and an
+        # evaluated left end of the bracket about 7
         core = bd._kl_bernoulli
         calls = []
 
@@ -160,12 +186,10 @@ class TestKlInverse:
             calls.append(t)
             return core(s, t)
 
-        rng = np.random.Generator(np.random.Philox(key=16))
-        points = _grid(rng.uniform(0.0, 0.9, 25), rng.uniform(1e-6, 0.5, 100))
         monkeypatch.setattr(bd, "_kl_bernoulli", counting)
-        for p, B in points:
+        for p, B in BENCHMARK_DOMAIN:
             kl_inverse_upper(p, B)
-        assert len(calls) / len(points) <= 12.0
+        assert len(calls) / len(BENCHMARK_DOMAIN) <= 5.5
 
 
 class TestInversionRules:
