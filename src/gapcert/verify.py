@@ -11,6 +11,8 @@ confidence bounds on the true violation probability.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -63,17 +65,21 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
         key=np.array([master_seed, index], dtype=np.uint64)))
 
 
-def trial_streams(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """substream(master_seed, t) for t = start..stop-1, in order: one
-    generator, re-keyed through the state of its Philox for each trial, so
-    no Philox (and no OS-entropy seed sequence that its key overrides) is
-    built per trial. A yielded stream is valid until the next is yielded."""
+def trial_streams(master_seed: int, start: int, stop: int,
+                  rngs: Sequence[np.random.Generator] = ()) -> Iterator[np.random.Generator]:
+    """substream(master_seed, t) for t = start..stop-1, in order: a
+    generator re-keyed through the state of its Philox, so no Philox (and no
+    OS-entropy seed sequence that its key overrides) is built per trial.
+    Trial start + i re-keys rngs[i], a Philox generator valid until it is
+    re-keyed again; without rngs, one generator serves every trial, valid
+    until the next is yielded."""
     rng = substream(master_seed, start)
     fresh = rng.bit_generator.state  # counter 0, empty buffer
-    for t in range(start, stop):
+    for i, t in enumerate(range(start, stop)):
         fresh["state"]["key"][1] = t
-        rng.bit_generator.state = fresh
-        yield rng
+        stream = rngs[i] if rngs else rng
+        stream.bit_generator.state = fresh
+        yield stream
 
 
 def inverse_cdf(space: FiniteDataSpace, u: np.ndarray) -> np.ndarray:
@@ -430,9 +436,25 @@ def check_phi_lemma(grid: Sequence[float] | None = None) -> dict:
 # n + |X| + d for the Gaussian kernel), so each (trials, n), (trials, m) or
 # (trials, |X|) array of a chunk takes at most 8 MB, whatever n and m.
 CHUNK_ELEMENTS = 1 << 20
-# Posterior draws behind one block of posterior-kl estimates: their (draws,
-# |X|) losses take about a MB per 8 points.
+# Trials per block of posterior-kl estimates: at most max(KL_TRIALS,
+# KL_DRAWS // posterior_draws), so that a slab's arrays span several trials
+# at any number of draws, and many when there are few. A worker keeps its
+# block's kl values, 8 x posterior_draws bytes a trial.
+KL_TRIALS = 8
 KL_DRAWS = 1 << 13
+# Floats in a slab of a block's posterior draws: its (trials, slab, |X|)
+# losses and each trial's (n, slab) L_hat gather hold at most KL_SLAB
+# floats (512 KiB) whatever n and posterior_draws, unless one draw alone
+# needs more. A block whose draws fit in one slab takes as many trials as
+# fit, up to the bound above; any other takes KL_TRIALS trials, so that at
+# most KL_TRIALS trial streams stay open from slab to slab. At n = 100 a
+# 2,000-draw block takes 8 trials in slabs of 500 draws.
+KL_SLAB = 1 << 16
+# Threads that share a run's kl blocks, at most: the second thread made
+# gaussian_trials about 1.3 times faster on 2 CPUs (the interpreter lock
+# holds the Python between numpy calls), and each costs memory; more are
+# unmeasured.
+KL_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -562,7 +584,16 @@ class GaussianRun:
         self.loss, self.algorithm, self.posterior_draws = loss, algorithm, posterior_draws
         self.c_A = algorithm.declared_c_A
         self.V = float(algorithm.variance_fn(space, n))
-        self.kl_block = max(1, KL_DRAWS // posterior_draws)  # trials per kl block
+        # trials per kl block, and posterior draws per slab of a block: the
+        # fewest slabs within KL_SLAB, as even as they go
+        self.kl_block = max(KL_TRIALS, KL_DRAWS // posterior_draws)
+        fit = KL_SLAB // (space.size * posterior_draws)  # trials whose draws fit a slab
+        if fit >= KL_TRIALS and n * posterior_draws <= KL_SLAB:
+            self.kl_block, self.kl_slab = min(self.kl_block, fit), posterior_draws
+        else:
+            self.kl_block = KL_TRIALS
+            slabs = -(-posterior_draws // max(1, KL_SLAB // max(KL_TRIALS * space.size, n)))
+            self.kl_slab = -(-posterior_draws // slabs)
         self.width = n + space.size + algorithm.dim_d  # array elements per trial
 
     def draws(self, idx: np.ndarray, center: np.ndarray, normals: np.ndarray) -> Draw:
@@ -578,46 +609,152 @@ class GaussianRun:
         v = np.vecdot((pl - L[:, None]) ** 2, self.space.probs)
         return Draw(idx, h, L_hat, L, v, center=center)
 
-    def expected_kl(self, idx: np.ndarray, center: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Per trial, the posterior average of kl(L_hat, L) over its draws
-        center + sigma z from Q_X, z of shape (trials, posterior_draws, d).
-        Each trial's (draws, |X|) losses give its L by one matrix-vector
+    def kl_buffers(self, trials: int) -> KLBuffers:
+        """A worker's buffers for blocks of up to `trials` trials, with a
+        stream per trial where a block's draws take several slabs."""
+        slab = self.kl_slab
+        rngs = [substream(0, i) for i in range(trials)] if slab < self.posterior_draws else []
+        return KLBuffers(rngs=rngs, kl=np.empty((trials, self.posterior_draws)),
+                         h=np.empty(trials * slab * self.algorithm.dim_d),
+                         plT=np.empty(trials * self.space.size * slab),
+                         gather=np.empty(self.n * slab), L_hat=np.empty(trials * slab))
+
+    def expected_kl(self, idx: np.ndarray, center: np.ndarray, buffers: KLBuffers) -> np.ndarray:
+        """Per trial t, the posterior average of kl(L_hat, L) over its draws
+        center + sigma z from Q_X, whose normals z come a slab of kl_slab
+        draws at a time: the first slab's are in buffers.h, drawn with the
+        trial's other draws, and its stream buffers.rngs[t] gives each later
+        one. Each trial's (slab, |X|) losses give its L by one matrix-vector
         product, as on their own, and its L_hat as the sum of the gathered
-        rows of their (|X|, draws) transpose, which adds the n coordinates
-        left to right, as the mean of the column-major gather
-        pl[:, idx] does."""
-        trials, draws, d = z.shape
-        hs = center[:, None, :] + self.sigma * z
-        pl = self.loss.values(hs.reshape(-1, d)).reshape(trials, draws, -1)
-        L = pl @ self.space.probs
-        plT = np.ascontiguousarray(pl.transpose(0, 2, 1))
-        L_hat = np.stack([losses[row].sum(axis=0) for losses, row in zip(plT, idx)]) / self.n
-        return kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0), L).mean(axis=1)
+        rows of their (|X|, slab) transpose, which adds the n coordinates
+        left to right, as the mean of the column-major gather pl[:, idx]
+        does. The kl values of every slab land in one (trials,
+        posterior_draws) array, averaged once, pairwise over each trial's
+        draws as on their own."""
+        trials, draws, d = len(idx), self.posterior_draws, self.algorithm.dim_d
+        streams, kl = buffers.rngs[:trials], buffers.kl[:trials]
+        for lo in range(0, draws, self.kl_slab):
+            width = min(self.kl_slab, draws - lo)
+            h = buffers.h[:trials * width * d].reshape(trials, width, d)
+            if lo:
+                for rng, z in zip(streams, h):
+                    rng.standard_normal(out=z)
+            h *= self.sigma
+            h += center[:, None, :]
+            pl = self.loss.values(h.reshape(-1, d)).reshape(trials, width, -1)
+            L = pl @ self.space.probs
+            plT = buffers.plT[:pl.size].reshape(trials, -1, width)
+            np.copyto(plT, pl.transpose(0, 2, 1))
+            del pl  # the kl values' temporaries below can take its memory
+            gather = buffers.gather[:self.n * width].reshape(self.n, width)
+            L_hat = buffers.L_hat[:trials * width].reshape(trials, width)
+            for losses, row, total in zip(plT, idx, L_hat):
+                # mode "raise" would buffer out; idx is in range by inverse_cdf
+                losses.take(row, axis=0, out=gather, mode="clip")
+                np.add.reduce(gather, axis=0, out=total)
+            L_hat /= self.n
+            np.clip(L_hat, 0.0, 1.0, out=L_hat)
+            kl[:, lo:lo + width] = kl_bernoulli_vec(L_hat, L)
+        return kl.mean(axis=1)
 
     def trials(self, master_seed: int, start: int, stop: int, posterior_kl: bool) -> Draw:
         """The draws of trials start..stop-1. Each trial's stream fills its
-        rows of the uniforms, the normals and, with posterior_kl, the posterior
-        normals of a block of kl_block trials, whose estimates follow."""
+        rows of the uniforms and the normals and, with posterior_kl, then
+        gives the posterior normals behind its kl estimate, scored with
+        those of the other trials of its block of kl_block trials. The
+        blocks go to kl_workers() threads; every value is the same whichever
+        thread scores a block."""
         count, d = stop - start, self.algorithm.dim_d
         block = self.kl_block if posterior_kl else count
-        uniforms, normals = np.empty((count, self.n)), np.empty((count, d))
         idx = np.empty((count, self.n), dtype=np.intp)
-        center = np.empty((count, d))
-        z = np.empty((block, self.posterior_draws, d)) if posterior_kl else None
+        normals, center = np.empty((count, d)), np.empty((count, d))
         kl = np.empty(count) if posterior_kl else None
-        streams = trial_streams(master_seed, start, stop)
-        for lo in range(0, count, block):
-            hi = min(lo + block, count)
-            for i, rng in zip(range(lo, hi), streams):
-                rng.random(out=uniforms[i])
-                rng.standard_normal(out=normals[i])
+
+        def worker(starts: Iterator[int]) -> None:
+            uniforms = np.empty((min(block, count), self.n))
+            buffers = self.kl_buffers(len(uniforms)) if posterior_kl else None
+            for lo in starts:
+                hi = min(lo + block, count)
+                streams = trial_streams(master_seed, start + lo, start + hi,
+                                        buffers.rngs if posterior_kl else ())
                 if posterior_kl:
-                    rng.standard_normal(out=z[i - lo])
-            idx[lo:hi] = inverse_cdf(self.space, uniforms[lo:hi])
-            center[lo:hi] = self.algorithm(idx[lo:hi])
-            if posterior_kl:
-                kl[lo:hi] = self.expected_kl(idx[lo:hi], center[lo:hi], z[:hi - lo])
+                    z = buffers.h[:(hi - lo) * self.kl_slab * d].reshape(hi - lo, self.kl_slab, d)
+                for i, rng in zip(range(lo, hi), streams):
+                    rng.random(out=uniforms[i - lo])
+                    rng.standard_normal(out=normals[i])
+                    if posterior_kl:
+                        rng.standard_normal(out=z[i - lo])
+                idx[lo:hi] = inverse_cdf(self.space, uniforms[:hi - lo])
+                center[lo:hi] = self.algorithm(idx[lo:hi])
+                if posterior_kl:
+                    kl[lo:hi] = self.expected_kl(idx[lo:hi], center[lo:hi], buffers)
+
+        share_blocks(worker, range(0, count, block), kl_workers())
         return self.draws(idx, center, normals)._replace(kl=kl)
+
+
+class KLBuffers(NamedTuple):
+    """One worker's posterior-kl state, made once and reused for every
+    block it takes: where a block's draws take several slabs, a Philox
+    generator per trial of a block, which trial_streams keys to that trial
+    (else none: one re-keyed generator serves every trial); the block's kl
+    values; and a slab's hypotheses h, transposed losses plT, one trial's
+    L_hat gather and the slab's L_hat. The slab buffers are flat, so that a
+    narrower slab or a part block takes a contiguous prefix."""
+
+    rngs: list
+    kl: np.ndarray
+    h: np.ndarray
+    plT: np.ndarray
+    gather: np.ndarray
+    L_hat: np.ndarray
+
+
+def kl_workers() -> int:
+    """The threads that share a Gaussian-kernel run's blocks: one per CPU
+    this process may run on, at most KL_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(KL_WORKERS, len(os.sched_getaffinity(0)))
+    return min(KL_WORKERS, os.cpu_count() or 1)
+
+
+def share_blocks(worker: Callable[[Iterator[int]], None], starts: range, threads: int) -> None:
+    """Runs worker on min(threads, len(starts)) threads, the caller's among
+    them. Each gets an iterator over one shared queue of the block starts,
+    so each block goes to one thread. Once a thread has raised, or the
+    caller is interrupted, no thread takes a further block; the first
+    exception is raised here once every thread has stopped."""
+    lock, stop = threading.Lock(), threading.Event()
+    pending = iter(starts)
+    errors = []
+
+    def blocks() -> Iterator[int]:
+        while True:
+            with lock:
+                lo = None if stop.is_set() else next(pending, None)
+            if lo is None:
+                return
+            yield lo
+
+    def run() -> None:
+        try:
+            worker(blocks())
+        except BaseException as exc:  # raised in the caller below
+            errors.append(exc)
+            stop.set()
+
+    helpers = [threading.Thread(target=run) for _ in range(min(threads, len(starts)) - 1)]
+    try:
+        for thread in helpers:
+            thread.start()
+        run()
+    finally:
+        stop.set()  # the queue is empty unless the caller was interrupted
+        for thread in helpers:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
 
 
 GAP = "gap"
@@ -754,13 +891,31 @@ def violation_rate_gaussian(space: FiniteDataSpace, loss: ParametricLoss,
     return _violation_rates(run, methods, trials, master_seed)
 
 
+def _interior(x: np.ndarray) -> bool:
+    """Whether x is a nonempty array of values strictly inside (0, 1), NaN
+    not among them."""
+    return x.ndim > 0 and x.size > 0 and 0 < x.min() and x.max() < 1
+
+
 def kl_bernoulli_vec(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Vectorized Bernoulli relative entropy with the 0 ln 0 = 0 convention."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    s, t = np.broadcast_arrays(s, t)
-    interior = (t > 0) & (t < 1)
     with np.errstate(divide="ignore", invalid="ignore"):
+        if _interior(s) and _interior(t):
+            # the operations the general path below takes on interior
+            # values, each log once and no where temporaries: the same bits
+            a = s / t
+            np.log(a, out=a)
+            a *= s
+            b = 1 - s
+            c = b / (1 - t)
+            np.log(c, out=c)
+            c *= b
+            a += c
+            return np.maximum(a, 0.0, out=a)
+        s, t = np.broadcast_arrays(s, t)
+        interior = (t > 0) & (t < 1)
         a = np.where(s > 0, s * np.log(np.where(s > 0, s, 1.0) / np.where(interior, t, 1.0)), 0.0)
         b_ = np.where(s < 1, (1 - s) * np.log(np.where(s < 1, 1 - s, 1.0) / np.where(interior, 1 - t, 1.0)), 0.0)
     out = np.where(interior, np.maximum(a + b_, 0.0), np.where(s == t, 0.0, np.inf))

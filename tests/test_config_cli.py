@@ -625,6 +625,17 @@ class TestCli:
             assert main(argv) == EXIT_OK
         assert list(out.glob("*.csv"))
 
+    def test_import_loads_no_heavy_modules(self):
+        """The set-up time of every command rests on the CLI's imports:
+        scipy is imported only by a run with a violation, and no thread or
+        process pool module is imported at all."""
+        code = ("import sys, gapcert.cli; print(*(m for m in ('scipy', 'concurrent.futures', "
+                "'logging', 'multiprocessing') if m in sys.modules))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == []
+
     def test_closed_stdout_exits_without_traceback(self, tmp_path):
         read_end, write_end = os.pipe()
         os.close(read_end)

@@ -10,6 +10,9 @@ the reports must be equal, float for float.
 """
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -217,6 +220,7 @@ class TestGaussianRuns:
         """Several chunks of 7 trials, of n + |X| + d elements each, and kl
         blocks of 3, neither dividing 20."""
         monkeypatch.setattr(vf, "CHUNK_ELEMENTS", 7 * (100 + 6 + 2))
+        monkeypatch.setattr(vf, "KL_TRIALS", 1)
         monkeypatch.setattr(vf, "KL_DRAWS", 150)
         run, features = gaussian_case(21)
         assert run.kl_block == 3
@@ -230,10 +234,11 @@ class TestGaussianRuns:
         assert_same_draws(run, features, 9, 3, 10, posterior_kl=False)
 
     def test_default_block(self):
-        """At the default KL_DRAWS a block of 2000-draw estimates holds
-        several trials, and 11 trials end in a part block."""
+        """At the default KL_TRIALS and KL_SLAB a block of 2000-draw
+        estimates holds 8 trials in slabs of 500 draws, and 11 trials end in
+        a part block."""
         run, features = gaussian_case(23, draws=2000)
-        assert run.kl_block == 4
+        assert (run.kl_block, run.kl_slab) == (8, 500)
         assert_same_draws(run, features, 4242, 0, 11)
 
     def test_constant_algorithm(self):
@@ -262,6 +267,74 @@ class TestGaussianRuns:
         run, features = gaussian_case(28, d=3, num_points=5)
         monkeypatch.setattr(vf.GaussianRun, "expected_kl", None)
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS[:2], 30, 5)
+
+    @pytest.mark.parametrize("draws, kl_draws, block, slab",
+                             [(1, 1, 3, 1), (45, 1, 3, 8), (2, 10, 5, 2)])
+    def test_worker_count_changes_nothing(self, monkeypatch, draws, kl_draws, block, slab):
+        """1, 2 and 3 workers give the per-trial loop's reports and draws:
+        blocks of 3 or 5 trials, the last a part block, and (at 45 draws)
+        slabs of 8 draws, the last of 5."""
+        monkeypatch.setattr(vf, "KL_TRIALS", 3)
+        monkeypatch.setattr(vf, "KL_DRAWS", kl_draws)
+        monkeypatch.setattr(vf, "KL_SLAB", 8 * 100)
+        run, features = gaussian_case(31, draws=draws)
+        assert (run.kl_block, run.kl_slab) == (block, slab)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(vf, "kl_workers", lambda: workers)
+            assert_same_draws(run, features, 6, 0, 10)
+            assert_same_draws(run, features, 6, 4, 12, posterior_kl=False)
+            assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 20, 6)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000, 100_000])
+    @pytest.mark.parametrize("draws", [1, 10, 100, 2000, 10_000])
+    def test_block_shape(self, n, draws):
+        """A slab keeps within KL_SLAB floats unless one draw needs more. A
+        block whose draws fit in one slab opens no stream per trial, and one
+        that takes several slabs holds KL_TRIALS trials, so a worker keeps at
+        most KL_TRIALS streams open, at any number of draws."""
+        run, _ = gaussian_case(33, n=n, draws=draws, num_points=8)
+        block, slab = run.kl_block, run.kl_slab
+        assert 1 <= slab <= draws and block <= max(vf.KL_TRIALS, vf.KL_DRAWS // draws)
+        assert max(block * 8, n) * slab <= vf.KL_SLAB or slab == 1
+        rngs = run.kl_buffers(block).rngs
+        if slab == draws:
+            assert rngs == []
+        else:
+            assert block == len(rngs) == vf.KL_TRIALS
+
+    def test_workers_capped(self, monkeypatch):
+        """A process that may run on 64 CPUs still starts KL_WORKERS threads."""
+        monkeypatch.setattr(vf.os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        assert vf.kl_workers() == vf.KL_WORKERS == 2
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        """A loss that breaks its contract on the posterior draws of every
+        block fails the run in the caller, and no worker thread outlives it."""
+        monkeypatch.setattr(vf, "kl_workers", lambda: 3)
+        space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
+        loss = ParametricLoss(dim_d=1, bound_b=1.0, batch_evaluator=lambda hs: np.where(
+            np.abs(hs) > 3.0, 1.5, 0.5) * np.ones((1, 2)))
+        before = threading.active_count()
+        with pytest.raises(ContractViolation):
+            vf.violation_rate_gaussian(space, loss, constant_algorithm([0.0]), 1.0, 10, 0.05,
+                                       GAUSSIAN_METHODS, 60, 0, posterior_draws=2000)
+        assert threading.active_count() == before
+
+    def test_kl_memory_bounded(self):
+        """A block's posterior draws go by slabs, so 8 kl trials at n = 1000
+        and 10,000 draws hold a few MiB, not an n x posterior_draws gather
+        per trial (78 MiB)."""
+        run, features = gaussian_case(32, n=1000, draws=10_000)
+        tracemalloc.start()
+        try:
+            vf.violation_rate_gaussian(run.space, run.loss, run.algorithm, run.sigma, run.n,
+                                       run.delta, GAUSSIAN_METHODS, 8, 0,
+                                       posterior_draws=run.posterior_draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 32, 64])
     def test_cosine_loss_rows_alone(self, d):
@@ -320,6 +393,79 @@ class TestTrialStreams:
     def test_seed_past_64_bits_raises(self):
         with pytest.raises(OverflowError):
             next(vf.trial_streams(2**64, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the worker threads
+
+class TestShareBlocks:
+    def test_each_block_once(self):
+        """Eight threads, more than the cores, switching as often as the
+        interpreter lets them: no block is lost or taken twice."""
+        taken = []
+
+        def worker(starts):
+            mine = list(starts)
+            with lock:
+                taken.extend(mine)
+
+        lock = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            vf.share_blocks(worker, range(0, 20_000, 2), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(0, 20_000, 2))
+
+    def test_helper_error_raised_after_all_stop(self):
+        """Three threads each take a block; the two helpers then raise. The
+        caller takes no block once they have failed, and raises a helper's
+        error after both have stopped."""
+        caller = threading.get_ident()
+        barrier = threading.Barrier(3, timeout=10)
+        before = threading.active_count()
+        taken = []
+
+        def worker(starts):
+            taken.append(next(starts))
+            barrier.wait()  # every thread holds a block
+            if threading.get_ident() != caller:
+                raise ValueError("helper")
+            deadline = time.monotonic() + 10
+            while threading.active_count() > before and time.monotonic() < deadline:
+                time.sleep(0.001)
+            taken.extend(starts)
+
+        with pytest.raises(ValueError, match="helper"):
+            vf.share_blocks(worker, range(100), 3)
+        assert threading.active_count() == before
+        assert sorted(taken) == sorted(set(taken)) and len(taken) == 3
+
+    def test_caller_error_stops_helpers(self, monkeypatch):
+        """An error in the caller before it takes a block, here a helper that
+        cannot start, stops the helper already started: it takes no further
+        block, and has stopped when the error reaches the caller."""
+        started = []
+        start = threading.Thread.start
+
+        def start_one(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        taken = []
+
+        def worker(starts):
+            for lo in starts:
+                taken.append(lo)
+                time.sleep(0.001)
+
+        monkeypatch.setattr(threading.Thread, "start", start_one)
+        with pytest.raises(RuntimeError, match="start"):
+            vf.share_blocks(worker, range(1000), 3)
+        assert not started[0].is_alive() and len(taken) < 1000
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,35 @@ class TestKlVec:
         assert got[3] == want[3] == 0.0
         assert got[4] == want[4] == math.inf
 
+    @staticmethod
+    def general(s, t):
+        """The formula of every input, the reference of the interior fast path."""
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+        interior = (t > 0) & (t < 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.where(s > 0, s * np.log(np.where(s > 0, s, 1.0)
+                                           / np.where(interior, t, 1.0)), 0.0)
+            b = np.where(s < 1, (1 - s) * np.log(np.where(s < 1, 1 - s, 1.0)
+                                                 / np.where(interior, 1 - t, 1.0)), 0.0)
+        return np.where(interior, np.maximum(a + b, 0.0), np.where(s == t, 0.0, np.inf))
+
+    def test_interior_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(key=40))
+        s, t = rng.random((2, 3, 4000))
+        tiny = np.array([1e-300, 1e-16, 0.5, 1 - 1e-16, np.nextafter(1.0, 0.0)])
+        for a, b in [(s, t), (s, s), (tiny[:, None], tiny[None, :]), (s[:, :1], t[0]),
+                     (t[0, 0], s[0, 0])]:
+            got, want = kl_bernoulli_vec(a, b), self.general(a, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_edges_bit_for_bit(self):
+        """s or t in {0, 1}, s == t among them, alongside interior values."""
+        values = np.array([0.0, 1.0, 0.3, 0.7, 1e-300])
+        s, t = values[:, None], values[None, :]
+        got, want = kl_bernoulli_vec(s, t), self.general(s, t)
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(got).sum() == 8 and (np.diag(got) == 0.0).all()
+
 
 class TestViolationRates:
     def test_gibbs_rerun_bit_identical(self):
