@@ -26,7 +26,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import acceptance
 from . import bounds as bd
 from . import verify as vf
 from .config import _KEYS, ConfigError, ScenarioConfig, number_in, parse_config
@@ -136,7 +135,8 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
     rows: list[dict] = []
     ok = True
     summary: list[str] = []
-    t0 = time.perf_counter()
+    t0 = t1 = time.perf_counter()
+    phases = ""
 
     if isinstance(config.spec, Gibbs):
         if config.verify_exact != "skip":
@@ -151,6 +151,8 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
             else:
                 summary.append(f"exact oracles: {'ok' if ok else 'MARGIN FAILURE'} "
                                f"({len(rows)} checks)")
+        t1 = time.perf_counter()
+        phases = f"exact oracles {t1 - t0:.2f}s, "
         rep = vf.violation_rate_gibbs(
             config.space, config.loss, config.prior, config.spec.beta, config.n,
             config.delta, config.methods, config.trials, config.master_seed)
@@ -159,6 +161,7 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
             config.space, config.loss, config.spec.algorithm, config.spec.sigma,
             config.n, config.delta, config.methods, config.trials,
             config.master_seed, posterior_draws=config.posterior_draws)
+    trials_s = time.perf_counter() - t1
 
     for m, stats in sorted(rep.per_method.items()):
         ok = ok and stats.passed(config.delta)
@@ -168,7 +171,8 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
                          inputs=f"master_seed={config.master_seed}"))
         summary.append(stats.summary(config.delta))
 
-    summary.append(f"wall-clock: {time.perf_counter() - t0:.2f}s")
+    summary.append(f"wall-clock: {phases}trials {trials_s:.2f}s "
+                   f"({rep.trials / trials_s:.0f} trials/s)")
     text = "\n".join([f"scenario {config.scenario_id}: verify "
                       f"{'passed' if ok else 'FAILED'}"] + [f"  {s}" for s in summary])
     _write_outputs(out_dir, f"{config.scenario_id}_verify", rows, text)
@@ -198,6 +202,7 @@ def cmd_compare(config: ScenarioConfig, out_dir: Path) -> int:
 
 
 def cmd_accept(out_dir: Path, jobs: int = 1) -> int:
+    from . import acceptance  # only accept runs the suite, so no other command loads it
     results = acceptance.run_all(jobs=jobs)
     rows = []
     lines = []

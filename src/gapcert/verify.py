@@ -51,6 +51,7 @@ EXACT_MARGIN_TOL = -1e-9
 MC_RELATIVE_TOL = 0.01
 MC_STDERR_TOL = 4.0
 CP_LEVEL = 0.999
+CDF_COUNT_POINTS = 64  # inverse_cdf counts in uint8 up to here; searchsorted wins past ~96
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
@@ -70,21 +71,32 @@ def trial_streams(master_seed: int, start: int, stop: int,
     """substream(master_seed, t) for t = start..stop-1, in order: a
     generator re-keyed through the state of its Philox, so no Philox (and no
     OS-entropy seed sequence that its key overrides) is built per trial.
-    Trial start + i re-keys rngs[i], a Philox generator valid until it is
+    The state is a fresh Philox's in plain ints, which its setter reads
+    faster than arrays. Trial start + i re-keys rngs[i], valid until it is
     re-keyed again; without rngs, one generator serves every trial, valid
     until the next is yielded."""
-    rng = substream(master_seed, start)
-    fresh = rng.bit_generator.state  # counter 0, empty buffer
+    rng = substream(master_seed, start)  # a seed past 64 bits raises here
+    key = [master_seed, start]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i, t in enumerate(range(start, stop)):
-        fresh["state"]["key"][1] = t
+        key[1] = t
         stream = rngs[i] if rngs else rng
         stream.bit_generator.state = fresh
         yield stream
 
 
 def inverse_cdf(space: FiniteDataSpace, u: np.ndarray) -> np.ndarray:
-    """The point indices of uniforms u, of any shape, by inverse CDF."""
-    return np.searchsorted(np.cumsum(space.probs), u, side="right").clip(0, space.size - 1)
+    """The point indices of uniforms u, of any shape, by inverse CDF: the
+    searchsorted(side="right") of u in cumsum(probs), clipped to the last
+    point, or the same count of thresholds cumsum(probs)[:-1] <= u."""
+    cdf = np.cumsum(space.probs)
+    if space.size > CDF_COUNT_POINTS:
+        return np.searchsorted(cdf, u, side="right").clip(0, space.size - 1)
+    count = np.zeros(u.shape, dtype=np.uint8)
+    for threshold in cdf[:-1]:
+        count += u >= threshold
+    return count.astype(np.intp)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -608,6 +609,17 @@ class TestCli:
         got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:8] for f in want}
         assert got == want
 
+    @pytest.mark.parametrize("name, phases", [
+        ("gibbs_exact", r"exact oracles \d+\.\d\ds, "), ("gaussian_mean_embedding", "")])
+    def test_verify_summary_times_each_phase(self, tmp_path, name, phases):
+        """The summary gives the exact-oracle phase's seconds, where a
+        Gibbs run has one, then the trial phase's seconds and trials/s."""
+        assert main(["verify", "--config", str(CONFIGS / f"{name}.txt"),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        summary = (tmp_path / f"{name}_verify_summary.txt").read_text().splitlines()
+        assert re.fullmatch(rf"  wall-clock: {phases}trials \d+\.\d\ds \(\d+ trials/s\)",
+                            summary[-1])
+
     @pytest.mark.parametrize("command", ["certify", "verify", "compare", "accept"])
     def test_closed_stdout_keeps_exit_code(self, tmp_path, monkeypatch, command):
         """A reader that closes stdout early (`gapcert ... | head -0`) costs the
@@ -627,10 +639,10 @@ class TestCli:
 
     def test_import_loads_no_heavy_modules(self):
         """The set-up time of every command rests on the CLI's imports:
-        scipy is imported only by a run with a violation, and no thread or
-        process pool module is imported at all."""
+        scipy is imported only by a run with a violation, the acceptance
+        suite only by accept, and no thread or process pool module at all."""
         code = ("import sys, gapcert.cli; print(*(m for m in ('scipy', 'concurrent.futures', "
-                "'logging', 'multiprocessing') if m in sys.modules))")
+                "'logging', 'multiprocessing', 'gapcert.acceptance') if m in sys.modules))")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert run.returncode == 0, run.stderr

@@ -132,6 +132,13 @@ class TestGibbsRuns:
         case = gibbs_case(5, 4, 6, 5.0, 9, probs=[0.3, 0.0, 0.5, 0.2])
         assert_same_report(*case, trials=300, master_seed=1)
 
+    def test_hundred_points_zero_probability(self):
+        """Past CDF_COUNT_POINTS the draw takes searchsorted, as the loop does."""
+        probs = np.linspace(1.0, 2.0, 100)
+        probs[37] = 0.0
+        case = gibbs_case(13, 100, 8, 5.0, 50, probs=probs / probs.sum())
+        assert_same_report(*case, trials=300, master_seed=6)
+
     def test_zero_prior_weight(self):
         case = gibbs_case(6, 5, 4, 8.0, 10, weights=[1.0, 0.0, 2.0, 0.0])
         assert_same_report(*case, trials=300, master_seed=2)
@@ -366,6 +373,60 @@ class TestGaussianRuns:
         assert gap.mean_gap == 0.0
         with pytest.raises(ContractViolation):
             vf.violation_rate_gaussian(*args, GAUSSIAN_METHODS, 5, 0, posterior_draws=2000)
+
+
+# ---------------------------------------------------------------------------
+# the inverse CDF
+
+def searchsorted_cdf(probs, u):
+    return np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1)
+
+
+def edge_uniforms(probs):
+    """Each threshold of cumsum(probs) and its two float neighbours, 0, the
+    largest double below 1, and uniforms between."""
+    cdf = np.cumsum(probs)
+    return np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                           [0.0, np.nextafter(1.0, 0.0)],
+                           np.random.default_rng(len(probs)).random(200)])
+
+
+def space_of(probs):
+    return FiniteDataSpace(points=tuple(range(len(probs))), probs=np.asarray(probs, dtype=float))
+
+
+def random_probs(size, zero=None):
+    probs = np.random.default_rng(size).random(size)
+    if zero is not None:
+        probs[zero] = 0.0
+    return probs / probs.sum()
+
+
+class TestInverseCdf:
+    @pytest.mark.parametrize("probs", [
+        random_probs(10), [0.0, 0.3, 0.7], [0.3, 0.0, 0.7], [0.3, 0.7, 0.0],
+        [0.0, 0.5, 0.0, 0.0, 0.5, 0.0], [1.0], [0.1] * 10,
+        [0.25, 0.25, 0.25, 0.25 - 5e-13], [0.25, 0.25, 0.25, 0.25 + 5e-13],
+        random_probs(vf.CDF_COUNT_POINTS, zero=5), random_probs(vf.CDF_COUNT_POINTS + 1, zero=5),
+    ], ids=["ten", "zero_first", "zero_middle", "zero_last", "zeros", "one_point",
+            "tenths", "cdf_below_1", "cdf_above_1", "count_rule_limit", "past_count_rule"])
+    def test_same_as_searchsorted(self, probs):
+        space = space_of(probs)
+        u = edge_uniforms(space.probs)
+        got = vf.inverse_cdf(space, u)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, searchsorted_cdf(space.probs, u))
+
+    @pytest.mark.parametrize("size", [10, vf.CDF_COUNT_POINTS, vf.CDF_COUNT_POINTS + 1])
+    def test_two_d_and_strided(self, size):
+        """The Gibbs draw reads the first n of each row's n + 1 uniforms."""
+        space = space_of(random_probs(size, zero=size // 2))
+        edges = edge_uniforms(space.probs)
+        uniforms = np.resize(edges, (len(edges) // 8, 9))
+        for u in (uniforms, uniforms[:, :-1], uniforms[::2, 1::3]):
+            got = vf.inverse_cdf(space, u)
+            assert got.dtype == np.intp and got.shape == u.shape
+            assert np.array_equal(got, searchsorted_cdf(space.probs, u))
 
 
 # ---------------------------------------------------------------------------
