@@ -6,6 +6,7 @@ complete.
 """
 
 import dataclasses
+import math
 import re
 
 import pytest
@@ -31,18 +32,17 @@ def test_margin_criteria_use_the_oracle_tolerance(monkeypatch):
     """Negative controls: every criterion that judges reports does so by the
     report's own rule, so an unattainable exact tolerance fails criteria 1-4,
     a Clopper-Pearson level of 1 (every bound 1.0) fails criteria 5 and 6,
-    and negative Monte Carlo tolerances fail criterion 8. A wrong kl
-    inverter, inversion rule or inversion lemma fails criterion 9."""
+    and the closed form with lam^2 + lam in place of lam^2 - lam fails
+    criterion 8. A wrong kl inverter, inversion rule or inversion lemma
+    fails criterion 9."""
     instances = acceptance._gibbs_instances
     monkeypatch.setattr(acceptance, "_gibbs_instances",
                         lambda betas, **kw: instances(num_seeds=1, betas=betas[:1], **kw))
-    identity = vf.check_gaussian_identity
-    monkeypatch.setattr(vf, "check_gaussian_identity",
-                        lambda *args, mc_samples, **kw: identity(*args, mc_samples=1000, **kw))
     controls = [
         (vf, {"EXACT_MARGIN_TOL": 1e6}, (1, 2, 3, 4)),
         (vf, {"CP_LEVEL": 1.0}, (5, 6)),
-        (vf, {"MC_RELATIVE_TOL": -1.0, "MC_STDERR_TOL": -1.0}, (8,)),
+        (vf, {"gaussian_shift_moment": lambda r, lam: math.exp((lam * lam + lam) * r * r / 2)},
+         (8,)),
         (bd, {"kl_inverse_upper": lambda p_hat, B: 1.0}, (9,)),
         (bd, {"gap_from_kl": lambda L_hat, B: 0.0}, (9,)),
         (bd, {"inversion_lemma": lambda L_hat, A: L_hat}, (9,)),
@@ -60,7 +60,9 @@ def test_margin_criteria_use_the_oracle_tolerance(monkeypatch):
 
 def test_worst_margins_name_their_instance():
     """Criteria 2-4 name the instance of their worst margin, and criterion 4
-    takes it over the checks with c > 0, counting those with c = 0 apart."""
+    takes it over the checks with c > 0, counting those with c = 0 apart.
+    Criterion 8 names the case of its largest relative error, which is below
+    1e-14 on its 48 cases."""
     assert re.search(r"\(seed\d_beta[\d.]+_\w+\)$",
                      acceptance.criterion_main_proposition().detail)
     assert re.search(r"\(n\d_\w+\)$", acceptance.criterion_martingale_suite().detail)
@@ -68,6 +70,9 @@ def test_worst_margins_name_their_instance():
     assert detail.startswith("40 checks, 0 failures, worst margin ")
     assert "worst margin 0.000e+00" not in detail
     assert "(seed" in detail and detail.endswith(" over the 30 with c > 0; 10 with c = 0")
+    assert re.fullmatch(r"48 checks, 0 failures, worst relative error \d\.\de-(1[5-9]|[2-9]\d) "
+                        r"\(d\d_lam[\d.]+_ratio[\d.]+\)",
+                        acceptance.criterion_gaussian_identity().detail)
 
 
 def test_run_all_in_parallel_matches_serial(monkeypatch):

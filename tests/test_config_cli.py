@@ -640,9 +640,11 @@ class TestCli:
     def test_import_loads_no_heavy_modules(self):
         """The set-up time of every command rests on the CLI's imports:
         scipy is imported only by a run with a violation, the acceptance
-        suite only by accept, and no thread or process pool module at all."""
+        suite only by accept, numpy.polynomial only by the Gaussian identity
+        check, and no thread or process pool module at all."""
         code = ("import sys, gapcert.cli; print(*(m for m in ('scipy', 'concurrent.futures', "
-                "'logging', 'multiprocessing', 'gapcert.acceptance') if m in sys.modules))")
+                "'logging', 'multiprocessing', 'gapcert.acceptance', 'numpy.polynomial') "
+                "if m in sys.modules))")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert run.returncode == 0, run.stderr

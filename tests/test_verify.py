@@ -156,15 +156,17 @@ class TestVerdicts:
     def test_gibbs_check_runs_at_budget(self, check):
         self.GIBBS_EXACT_CHECKS[check](*small_instance(), budget=972)
 
-    def test_monte_carlo_rule(self):
-        def report(lhs, stderr):
-            return MomentCheckReport("mc", lhs=lhs, rhs=2.0, regime="monte_carlo",
-                                     stderr=stderr)
+    def test_quadrature_rule(self):
+        """A quadrature report passes within QUADRATURE_RTOL relative error."""
+        def report(lhs):
+            return MomentCheckReport("quad", lhs=lhs, rhs=2.0, regime="quadrature")
 
-        assert report(2.019, 0.0).passed  # within 1% relative
-        assert report(2.2, 0.06).passed  # within 4 standard errors
-        assert not report(2.2, 0.04).passed
-        assert not report(math.inf, 0.1).passed
+        tol = 2.0 * vf.QUADRATURE_RTOL
+        assert report(2.0).passed
+        assert report(2.0 + tol / 2).passed and report(2.0 - tol / 2).passed
+        assert not report(2.0 + 2 * tol).passed and not report(2.0 - 2 * tol).passed
+        assert not report(math.inf).passed
+        assert not report(math.nan).passed
 
 
 class TestMartingaleAndLogZ:
@@ -201,29 +203,73 @@ class TestMartingaleAndLogZ:
 
 
 class TestGaussianIdentity:
+    @staticmethod
+    def off_axis(d):
+        u = np.arange(1.0, d + 1.0)
+        return u / np.linalg.norm(u)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 2.0])
+    def test_grid_within_tolerance(self, d, lam, ratio):
+        sigma = 0.5
+        w = np.linspace(-0.3, 0.4, d)
+        r = check_gaussian_identity(w, w + ratio * sigma * self.off_axis(d), sigma, lam)
+        assert r.regime == "quadrature" and r.passed
+        assert r.rhs == pytest.approx(math.exp((lam**2 - lam) * ratio**2 / 2), rel=1e-13)
+        assert r.details["dist_over_sigma"] == pytest.approx(ratio, rel=1e-15, abs=1e-15)
+        assert r.details["relative_error"] <= vf.QUADRATURE_RTOL
+
     def test_degenerate_shift_is_exactly_one(self):
-        r = check_gaussian_identity(w=[0.3, -0.1], v=[0.3, -0.1], sigma=0.7, lam=1.3,
-                                    mc_samples=1000, seed=0)
-        assert r.lhs == pytest.approx(1.0)
-        assert r.rhs == 1.0
-        assert not r.low_confidence
+        for d in (1, 2, 5):
+            w = np.linspace(0.3, -0.1, d)
+            r = check_gaussian_identity(w=w, v=w, sigma=0.7, lam=1.3)
+            assert r.rhs == 1.0
+            assert abs(r.lhs - 1.0) <= vf.QUADRATURE_RTOL and r.passed, r
 
     def test_matches_closed_form_at_lambda_one(self):
-        r = check_gaussian_identity(w=[0.0], v=[0.5], sigma=0.5, lam=1.0,
-                                    mc_samples=200_000, seed=1)
+        """At lam = 1 the integrand is a likelihood ratio, of mean 1."""
+        r = check_gaussian_identity(w=[0.0], v=[0.5], sigma=0.5, lam=1.0)
         assert r.rhs == 1.0
-        assert abs(r.lhs - 1.0) <= max(4.0 * r.stderr, 0.01)
+        assert r.passed
 
-    def test_low_confidence_flag(self):
-        r = check_gaussian_identity(w=[0.0], v=[5.0], sigma=1.0, lam=1.5,
-                                    mc_samples=1000, seed=2)
-        assert r.low_confidence
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_off_axis_shift(self, d):
+        """The tensor rule at d = 2 and the rule along v - w at d = 5 agree
+        with the closed form wherever v - w points, and the distance is
+        |v - w|, not its first coordinate."""
+        for direction in (self.off_axis(d), -self.off_axis(d)[::-1], np.eye(d)[-1]):
+            r = check_gaussian_identity(np.zeros(d), 1.5 * direction, sigma=1.0, lam=2.0)
+            assert r.details["dist_over_sigma"] == pytest.approx(1.5, rel=1e-15)
+            assert r.passed, r
+
+    def test_range_of_the_rule(self):
+        """60 nodes meet the identity up to lam |v - w| / sigma = 8.5; past
+        that the report fails rather than passes or raises."""
+        assert check_gaussian_identity([0.0], [8.5 / 3.0], sigma=1.0, lam=3.0).passed
+        assert not check_gaussian_identity([0.0], [10.0 / 3.0], sigma=1.0, lam=3.0).passed
+
+    DOMAIN_REFUSALS = [
+        ([0.0], [1.0], 0.0, 1.0, "sigma"),
+        ([0.0], [1.0], -1.0, 1.0, "sigma"),
+        ([0.0], [1.0], math.nan, 1.0, "sigma"),
+        ([0.0], [1.0], math.inf, 1.0, "sigma"),
+        ([0.0], [1.0], 1.0, 0.5, "lam"),
+        ([0.0], [1.0], 1.0, math.nan, "lam"),
+        ([0.0], [1.0], 1.0, math.inf, "lam"),
+        ([0.0, 0.0], [1.0], 1.0, 1.5, "v"),  # not broadcast to (1, 1)
+        ([0.0], [1.0, 1.0], 1.0, 1.5, "v"),
+        ([0.0], [math.inf], 1.0, 1.5, "v"),
+        ([[0.0, 0.0]], [[1.0, 0.0]], 1.0, 1.5, "w"),
+        (0.0, 1.0, 1.0, 1.5, "w"),
+        ([], [], 1.0, 1.5, "w"),
+        ([math.nan], [1.0], 1.0, 1.5, "w"),
+    ]
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            check_gaussian_identity([0.0], [1.0], sigma=0.0, lam=1.0, mc_samples=10)
-        with pytest.raises(ValueError):
-            check_gaussian_identity([0.0], [1.0], sigma=1.0, lam=0.5, mc_samples=10)
+        for w, v, sigma, lam, name in self.DOMAIN_REFUSALS:
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                check_gaussian_identity(w, v, sigma=sigma, lam=lam)
 
 
 class TestSelfBoundingAndPhi:
