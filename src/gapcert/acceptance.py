@@ -160,7 +160,7 @@ def criterion_gaussian_randomization() -> CriterionResult:
     space, loss, spec = gaussian_kernel_instance(21, 8, 2, n, 0.5, "mean_embedding")
     rep = vf.violation_rate_gaussian(space, loss, spec.algorithm, spec.sigma, n, delta,
                                      ("gaussian_gap", "gaussian_gap_bernstein"),
-                                     trials, master_seed=4242)
+                                     trials, master_seed=4242, posterior_draws=posterior_draws)
     rep_kl = vf.violation_rate_gaussian(space, loss, spec.algorithm, spec.sigma, n, delta,
                                         ("gaussian_kl_expectation",), kl_trials,
                                         master_seed=4243, posterior_draws=posterior_draws)

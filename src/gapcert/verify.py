@@ -69,24 +69,20 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
         key=np.array([master_seed, index], dtype=np.uint64)))
 
 
-def trial_streams(master_seed: int, start: int, stop: int,
-                  rngs: Sequence[np.random.Generator] = ()) -> Iterator[np.random.Generator]:
-    """substream(master_seed, t) for t = start..stop-1, in order: a
+def trial_streams(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """substream(master_seed, t) for t = start..stop-1, in order: one
     generator re-keyed through the state of its Philox, so no Philox (and no
     OS-entropy seed sequence that its key overrides) is built per trial.
     The state is a fresh Philox's in plain ints, which its setter reads
-    faster than arrays. Trial start + i re-keys rngs[i], valid until it is
-    re-keyed again; without rngs, one generator serves every trial, valid
-    until the next is yielded."""
+    faster than arrays. Each stream is valid until the next is yielded."""
     rng = substream(master_seed, start)  # a seed past 64 bits raises here
     key = [master_seed, start]
     fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for i, t in enumerate(range(start, stop)):
+    for t in range(start, stop):
         key[1] = t
-        stream = rngs[i] if rngs else rng
-        stream.bit_generator.state = fresh
-        yield stream
+        rng.bit_generator.state = fresh
+        yield rng
 
 
 def inverse_cdf(space: FiniteDataSpace, u: np.ndarray) -> np.ndarray:
@@ -116,8 +112,9 @@ class MomentCheckReport:
 
     @property
     def passed(self) -> bool:
-        if self.regime == "quadrature":
-            return abs(self.lhs - self.rhs) <= QUADRATURE_RTOL * abs(self.rhs)
+        if self.regime == "quadrature":  # a finite rhs, so a finite lhs to pass
+            return (math.isfinite(self.rhs)
+                    and abs(self.lhs - self.rhs) <= QUADRATURE_RTOL * abs(self.rhs))
         return self.margin >= EXACT_MARGIN_TOL
 
 
@@ -322,8 +319,12 @@ def check_logZ_bounded_differences(spec: HamiltonianSpec, space: FiniteDataSpace
 
 def gaussian_shift_moment(dist_over_sigma: float, lam: float) -> float:
     """E_{x~N(w, s^2 I)} exp(-lam(|x - v|^2 - |x - w|^2)/2s^2) at r = |v - w|/s, the
-    order-lam Renyi moment of N(v, s^2 I) against N(w, s^2 I), in closed form."""
-    return math.exp((lam * lam - lam) * dist_over_sigma**2 / 2.0)
+    order-lam Renyi moment of N(v, s^2 I) against N(w, s^2 I), in closed form;
+    inf past the float range."""
+    try:
+        return math.exp((lam * lam - lam) * dist_over_sigma**2 / 2.0)
+    except OverflowError:
+        return math.inf
 
 
 def check_gaussian_identity(w, v, sigma: float, lam: float) -> MomentCheckReport:
@@ -357,7 +358,8 @@ def check_gaussian_identity(w, v, sigma: float, lam: float) -> MomentCheckReport
     mass = np.array(np.meshgrid(*[weights] * k, indexing="ij")).reshape(k, -1).prod(axis=0)
     x = w + sigma * z.T @ axes
     expo = (-lam / (2.0 * sigma**2)) * (((x - v) ** 2).sum(axis=1) - ((x - w) ** 2).sum(axis=1))
-    lhs = float(mass @ np.exp(expo)) / math.sqrt(2.0 * math.pi) ** k
+    with np.errstate(over="ignore"):  # an integrand past the float range fails as inf
+        lhs = float(mass @ np.exp(expo)) / math.sqrt(2.0 * math.pi) ** k
     closed = gaussian_shift_moment(dist / sigma, lam)
     return MomentCheckReport(name="gaussian_identity", lhs=lhs, rhs=closed, regime="quadrature",
                              details={"relative_error": abs(lhs - closed) / closed,
@@ -448,19 +450,20 @@ def check_phi_lemma(grid: Sequence[float] | None = None) -> dict:
 # n + |X| + d for the Gaussian kernel), so each (trials, n), (trials, m) or
 # (trials, |X|) array of a chunk takes at most 8 MB, whatever n and m.
 CHUNK_ELEMENTS = 1 << 20
-# Trials per block of posterior-kl estimates: at most max(KL_TRIALS,
-# KL_DRAWS // posterior_draws), so that a slab's arrays span several trials
-# at any number of draws, and many when there are few. A worker keeps its
-# block's kl values, 8 x posterior_draws bytes a trial.
+# Trials per block of posterior-kl estimates: max(KL_TRIALS, KL_SLAB //
+# (|X| posterior_draws)), so that a slab's arrays span several trials at any
+# number of draws, and many when there are few. A worker holds its block's
+# posterior normals and kl values, block x posterior_draws x (d + 1) floats
+# (384 KB for 8 trials of 2,000 draws at d = 2), plus O(KL_SLAB) floats for
+# a slab.
 KL_TRIALS = 8
-KL_DRAWS = 1 << 13
 # Floats in a slab of a block's posterior draws: its (trials, slab, |X|)
 # losses and each trial's (n, slab) L_hat gather hold at most KL_SLAB
-# floats (512 KiB) whatever n and posterior_draws, unless one draw alone
-# needs more. A block whose draws fit in one slab takes as many trials as
-# fit, up to the bound above; any other takes KL_TRIALS trials, so that at
-# most KL_TRIALS trial streams stay open from slab to slab. At n = 100 a
-# 2,000-draw block takes 8 trials in slabs of 500 draws.
+# floats (512 KiB) whatever n and posterior_draws, unless two draws alone
+# (three, at an odd count) need more. The draws split into the fewest slabs
+# that fit, as even as they go and none of one draw unless there is one: a
+# one-draw gather is contiguous, and numpy would sum it pairwise, not left to
+# right. At n = 100 a 2,000-draw block takes 8 trials in slabs of 500 draws.
 KL_SLAB = 1 << 16
 # Threads that share a run's kl blocks, at most: a second made gaussian_trials
 # 1.3-1.45 times faster on 2 CPUs, not 2, because the threads hand the
@@ -596,16 +599,11 @@ class GaussianRun:
         self.loss, self.algorithm, self.posterior_draws = loss, algorithm, posterior_draws
         self.c_A = algorithm.declared_c_A
         self.V = float(algorithm.variance_fn(space, n))
-        # trials per kl block, and posterior draws per slab of a block: the
-        # fewest slabs within KL_SLAB, as even as they go
-        self.kl_block = max(KL_TRIALS, KL_DRAWS // posterior_draws)
-        fit = KL_SLAB // (space.size * posterior_draws)  # trials whose draws fit a slab
-        if fit >= KL_TRIALS and n * posterior_draws <= KL_SLAB:
-            self.kl_block, self.kl_slab = min(self.kl_block, fit), posterior_draws
-        else:
-            self.kl_block = KL_TRIALS
-            slabs = -(-posterior_draws // max(1, KL_SLAB // max(KL_TRIALS * space.size, n)))
-            self.kl_slab = -(-posterior_draws // slabs)
+        # trials per kl block, and the edges of the slabs of a block's draws
+        self.kl_block = max(KL_TRIALS, KL_SLAB // (space.size * posterior_draws))
+        fit = max(1, KL_SLAB // max(self.kl_block * space.size, n))  # draws a slab holds
+        slabs = max(1, min(posterior_draws // 2, -(-posterior_draws // fit)))
+        self.kl_edges = [k * posterior_draws // slabs for k in range(slabs + 1)]
         self.width = n + space.size + algorithm.dim_d  # array elements per trial
 
     def draws(self, idx: np.ndarray, center: np.ndarray, normals: np.ndarray) -> Draw:
@@ -622,39 +620,33 @@ class GaussianRun:
         return Draw(idx, h, L_hat, L, v, center=center)
 
     def kl_buffers(self, trials: int) -> KLBuffers:
-        """A worker's buffers for blocks of up to `trials` trials, with a
-        stream per trial where a block's draws take several slabs."""
-        slab = self.kl_slab
-        rngs = [substream(0, i) for i in range(trials)] if slab < self.posterior_draws else []
-        return KLBuffers(rngs=rngs, kl=np.empty((trials, self.posterior_draws)),
-                         h=np.empty(trials * slab * self.algorithm.dim_d),
+        """A worker's buffers for blocks of up to `trials` trials."""
+        draws, slab = self.posterior_draws, max(np.diff(self.kl_edges))
+        return KLBuffers(z=np.empty((trials, draws, self.algorithm.dim_d)),
+                         kl=np.empty((trials, draws)),
                          plT=np.empty(trials * self.space.size * slab),
                          gather=np.empty(self.n * slab), L_hat=np.empty(trials * slab))
 
     def expected_kl(self, idx: np.ndarray, center: np.ndarray, buffers: KLBuffers) -> np.ndarray:
         """Per trial t, the posterior average of kl(L_hat, L) over its draws
-        center + sigma z from Q_X, whose normals z come a slab of kl_slab
-        draws at a time: the first slab's are in buffers.h, drawn with the
-        trial's other draws, and its stream buffers.rngs[t] gives each later
-        one. Each trial's (slab, |X|) losses give its L by one matrix-vector
-        product, as on their own, and its L_hat as the sum of the gathered
-        rows of their (|X|, slab) transpose, which adds the n coordinates
+        center + sigma z from Q_X, whose normals z its stream put in
+        buffers.z. The block's draws are scaled and shifted at once, then
+        scored a slab at a time between kl_edges. Each draw's L is its own
+        dot product, and its L_hat the sum of the gathered rows of the
+        trial's (|X|, slab) transposed losses, which adds the n coordinates
         left to right, as the mean of the column-major gather pl[:, idx]
-        does. The kl values of every slab land in one (trials,
-        posterior_draws) array, averaged once, pairwise over each trial's
-        draws as on their own."""
-        trials, draws, d = len(idx), self.posterior_draws, self.algorithm.dim_d
-        streams, kl = buffers.rngs[:trials], buffers.kl[:trials]
-        for lo in range(0, draws, self.kl_slab):
-            width = min(self.kl_slab, draws - lo)
-            h = buffers.h[:trials * width * d].reshape(trials, width, d)
-            if lo:
-                for rng, z in zip(streams, h):
-                    rng.standard_normal(out=z)
-            h *= self.sigma
-            h += center[:, None, :]
-            pl = self.loss.values(h.reshape(-1, d)).reshape(trials, width, -1)
-            L = pl @ self.space.probs
+        does (a slab of one draw only at one draw, whose gather numpy sums
+        pairwise on both sides); so no value depends on the slab split. The
+        kl values of every slab land in one (trials, posterior_draws) array,
+        averaged once, pairwise over each trial's draws as on their own."""
+        trials, d = len(idx), self.algorithm.dim_d
+        h, kl = buffers.z[:trials], buffers.kl[:trials]
+        h *= self.sigma
+        h += center[:, None, :]
+        for lo, hi in zip(self.kl_edges, self.kl_edges[1:]):
+            width = hi - lo
+            pl = self.loss.values(h[:, lo:hi].reshape(-1, d)).reshape(trials, width, -1)
+            L = np.vecdot(pl, self.space.probs)
             plT = buffers.plT[:pl.size].reshape(trials, -1, width)
             np.copyto(plT, pl.transpose(0, 2, 1))
             del pl  # the kl values' temporaries below can take its memory
@@ -666,14 +658,14 @@ class GaussianRun:
                 np.add.reduce(gather, axis=0, out=total)
             L_hat /= self.n
             np.clip(L_hat, 0.0, 1.0, out=L_hat)
-            kl[:, lo:lo + width] = kl_bernoulli_vec(L_hat, L)
+            kl[:, lo:hi] = kl_bernoulli_vec(L_hat, L)
         return kl.mean(axis=1)
 
     def trials(self, master_seed: int, start: int, stop: int, posterior_kl: bool) -> Draw:
         """The draws of trials start..stop-1. Each trial's stream fills its
         rows of the uniforms and the normals and, with posterior_kl, then
-        gives the posterior normals behind its kl estimate, scored with
-        those of the other trials of its block of kl_block trials. The
+        the posterior normals behind its kl estimate, in one call, scored
+        with those of the other trials of its block of kl_block trials. The
         blocks go to kl_workers() threads; every value is the same whichever
         thread scores a block."""
         count, d = stop - start, self.algorithm.dim_d
@@ -687,15 +679,12 @@ class GaussianRun:
             buffers = self.kl_buffers(len(uniforms)) if posterior_kl else None
             for lo in starts:
                 hi = min(lo + block, count)
-                streams = trial_streams(master_seed, start + lo, start + hi,
-                                        buffers.rngs if posterior_kl else ())
-                if posterior_kl:
-                    z = buffers.h[:(hi - lo) * self.kl_slab * d].reshape(hi - lo, self.kl_slab, d)
+                streams = trial_streams(master_seed, start + lo, start + hi)
                 for i, rng in zip(range(lo, hi), streams):
                     rng.random(out=uniforms[i - lo])
                     rng.standard_normal(out=normals[i])
                     if posterior_kl:
-                        rng.standard_normal(out=z[i - lo])
+                        rng.standard_normal(out=buffers.z[i - lo])
                 idx[lo:hi] = inverse_cdf(self.space, uniforms[:hi - lo])
                 center[lo:hi] = self.algorithm(idx[lo:hi])
                 if posterior_kl:
@@ -707,16 +696,14 @@ class GaussianRun:
 
 class KLBuffers(NamedTuple):
     """One worker's posterior-kl state, made once and reused for every
-    block it takes: where a block's draws take several slabs, a Philox
-    generator per trial of a block, which trial_streams keys to that trial
-    (else none: one re-keyed generator serves every trial); the block's kl
-    values; and a slab's hypotheses h, transposed losses plT, one trial's
-    L_hat gather and the slab's L_hat. The slab buffers are flat, so that a
-    narrower slab or a part block takes a contiguous prefix."""
+    block it takes: the block's (trials, posterior_draws, d) posterior
+    normals z and (trials, posterior_draws) kl values; and a slab's
+    transposed losses plT, one trial's L_hat gather and the slab's L_hat,
+    flat, so that a narrower slab or a part block takes a contiguous
+    prefix."""
 
-    rngs: list
+    z: np.ndarray
     kl: np.ndarray
-    h: np.ndarray
     plT: np.ndarray
     gather: np.ndarray
     L_hat: np.ndarray
@@ -895,7 +882,7 @@ def violation_rate_gibbs(space: FiniteDataSpace, loss: FiniteTable, prior: Prior
 def violation_rate_gaussian(space: FiniteDataSpace, loss: ParametricLoss,
                             algorithm: StableAlgorithm, sigma: float, n: int,
                             delta: float, methods: Sequence[str], trials: int,
-                            master_seed: int, posterior_draws: int = 10_000) -> TrialReport:
+                            master_seed: int, posterior_draws: int) -> TrialReport:
     """Violation rates for the Gaussian-kernel certificates: the gap methods
     against the gap of the single (X, h) draw, kl_expectation against the
     posterior average of kl(L_hat, L) over posterior_draws draws."""

@@ -51,7 +51,8 @@ def ref_gibbs_draw(run, rng):
 def ref_gaussian_draw(run, features, rng, posterior_kl):
     """One Gaussian-kernel trial: n uniforms for X by inverse CDF, A on that
     one row, d normals for h, h's cosine loss at each point on its own, then,
-    with posterior_kl, the posterior draws' losses as one (draws, |X|) batch."""
+    with posterior_kl, the posterior draws' losses as one (draws, |X|) batch,
+    each draw's L its own dot product, as h's is."""
     cdf = np.cumsum(run.space.probs)
     idx = np.searchsorted(cdf, rng.random(run.n), side="right").clip(0, run.space.size - 1)
     center = run.algorithm(idx)
@@ -66,7 +67,7 @@ def ref_gaussian_draw(run, features, rng, posterior_kl):
     pl = run.loss.values(hs)
     L_hat = pl[:, idx].mean(axis=1)
     return draw._replace(kl=float(np.mean(vf.kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0),
-                                                               pl @ run.space.probs))))
+                                                               np.vecdot(pl, run.space.probs)))))
 
 
 def ref_violation_rates(run, methods, trials, master_seed, features=None):
@@ -225,17 +226,19 @@ def assert_same_draws(run, features, master_seed, start, stop, posterior_kl=True
 class TestGaussianRuns:
     def test_matches_loop_across_chunks(self, monkeypatch):
         """Several chunks of 7 trials, of n + |X| + d elements each, and kl
-        blocks of 3, neither dividing 20."""
+        blocks of 3, neither dividing 20, in six slabs of 8 or 9 draws."""
         monkeypatch.setattr(vf, "CHUNK_ELEMENTS", 7 * (100 + 6 + 2))
         monkeypatch.setattr(vf, "KL_TRIALS", 1)
-        monkeypatch.setattr(vf, "KL_DRAWS", 150)
+        monkeypatch.setattr(vf, "KL_SLAB", 900)
         run, features = gaussian_case(21)
         assert run.kl_block == 3
+        assert run.kl_edges == [0, 8, 16, 25, 33, 41, 50]
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 20, 8)
 
     def test_draws_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(vf, "KL_DRAWS", 200)
+        monkeypatch.setattr(vf, "KL_SLAB", 8 * 6 * 40)
         run, features = gaussian_case(22, draws=40)
+        assert run.kl_block == 8 and run.kl_edges == [0, 13, 26, 40]
         assert_same_draws(run, features, 4242, 0, 11)
         assert_same_draws(run, features, 2**64 - 1, 5, 16)
         assert_same_draws(run, features, 9, 3, 10, posterior_kl=False)
@@ -245,8 +248,32 @@ class TestGaussianRuns:
         estimates holds 8 trials in slabs of 500 draws, and 11 trials end in
         a part block."""
         run, features = gaussian_case(23, draws=2000)
-        assert (run.kl_block, run.kl_slab) == (8, 500)
+        assert run.kl_block == 8 and run.kl_edges == [0, 500, 1000, 1500, 2000]
         assert_same_draws(run, features, 4242, 0, 11)
+
+    @pytest.mark.parametrize("num_points, n, draws, slabs", [
+        (8, 1000, 2000, 31), (8, 10_000, 30, 5), (10, 10_000, 30, 5), (8, 3000, 45, 3),
+        (6, 10_000, 31, 6), (6, 100_000, 10, 5),
+    ])
+    def test_many_points_and_narrow_slabs(self, num_points, n, draws, slabs):
+        """At |X| >= 8, where a matrix-vector product's rows depend on the
+        rows that come with them, and in slabs of a few draws, none of them
+        of one draw, each trial's kl is that of the loop."""
+        run, features = gaussian_case(34, n=n, draws=draws, num_points=num_points)
+        assert len(run.kl_edges) == slabs + 1
+        assert_same_draws(run, features, 11, 0, 8)
+
+    def test_kl_independent_of_slab_split(self, monkeypatch):
+        """At |X| = 8, blocks of 8, 34 and 136 trials, in 1 to 20 slabs,
+        give the same kl values."""
+        kls, splits = [], set()
+        for kl_slab in (1 << 8, 1 << 10, 3 * 8 * 80, 1 << 12, 1 << 14, 1 << 16):
+            monkeypatch.setattr(vf, "KL_SLAB", kl_slab)
+            run, _ = gaussian_case(35, n=80, draws=60, num_points=8)
+            splits.add((run.kl_block, tuple(run.kl_edges)))
+            kls.append(run.trials(7, 0, 20, posterior_kl=True).kl)
+        assert len(splits) == 6
+        assert all(np.array_equal(kl, kls[0]) for kl in kls)
 
     def test_constant_algorithm(self):
         run, features = gaussian_case(24, algorithm="constant")
@@ -275,17 +302,18 @@ class TestGaussianRuns:
         monkeypatch.setattr(vf.GaussianRun, "expected_kl", None)
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS[:2], 30, 5)
 
-    @pytest.mark.parametrize("draws, kl_draws, block, slab",
-                             [(1, 1, 3, 1), (45, 1, 3, 8), (2, 10, 5, 2)])
-    def test_worker_count_changes_nothing(self, monkeypatch, draws, kl_draws, block, slab):
+    @pytest.mark.parametrize("draws, kl_slab, block, edges",
+                             [(1, 18, 3, [0, 1]), (45, 800, 3, [0, 7, 15, 22, 30, 37, 45]),
+                              (2, 60, 5, [0, 2])],
+                             ids=["one_draw", "uneven_slabs", "two_draws"])
+    def test_worker_count_changes_nothing(self, monkeypatch, draws, kl_slab, block, edges):
         """1, 2 and 3 workers give the per-trial loop's reports and draws:
         blocks of 3 or 5 trials, the last a part block, and (at 45 draws)
-        slabs of 8 draws, the last of 5."""
+        six slabs of 7 or 8 draws."""
         monkeypatch.setattr(vf, "KL_TRIALS", 3)
-        monkeypatch.setattr(vf, "KL_DRAWS", kl_draws)
-        monkeypatch.setattr(vf, "KL_SLAB", 8 * 100)
+        monkeypatch.setattr(vf, "KL_SLAB", kl_slab)
         run, features = gaussian_case(31, draws=draws)
-        assert (run.kl_block, run.kl_slab) == (block, slab)
+        assert (run.kl_block, run.kl_edges) == (block, edges)
         for workers in (1, 2, 3):
             monkeypatch.setattr(vf, "kl_workers", lambda: workers)
             assert_same_draws(run, features, 6, 0, 10)
@@ -293,21 +321,21 @@ class TestGaussianRuns:
             assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 20, 6)
 
     @pytest.mark.parametrize("n", [10, 100, 1000, 100_000])
-    @pytest.mark.parametrize("draws", [1, 10, 100, 2000, 10_000])
+    @pytest.mark.parametrize("draws", [1, 2, 3, 7, 10, 100, 2000, 10_000])
     def test_block_shape(self, n, draws):
-        """A slab keeps within KL_SLAB floats unless one draw needs more. A
-        block whose draws fit in one slab opens no stream per trial, and one
-        that takes several slabs holds KL_TRIALS trials, so a worker keeps at
-        most KL_TRIALS streams open, at any number of draws."""
+        """A block holds max(KL_TRIALS, KL_SLAB // (|X| posterior_draws))
+        trials. Its draws split into the fewest slabs, as even as they go,
+        that keep within KL_SLAB floats, unless two draws alone (three, at an
+        odd count) need more, and no slab holds one draw unless there is one."""
         run, _ = gaussian_case(33, n=n, draws=draws, num_points=8)
-        block, slab = run.kl_block, run.kl_slab
-        assert 1 <= slab <= draws and block <= max(vf.KL_TRIALS, vf.KL_DRAWS // draws)
-        assert max(block * 8, n) * slab <= vf.KL_SLAB or slab == 1
-        rngs = run.kl_buffers(block).rngs
-        if slab == draws:
-            assert rngs == []
-        else:
-            assert block == len(rngs) == vf.KL_TRIALS
+        block, widths = run.kl_block, np.diff(run.kl_edges)
+        rows = max(block * 8, n)  # the larger of a slab's losses and gather, per draw
+        assert block == max(vf.KL_TRIALS, vf.KL_SLAB // (8 * draws))
+        assert run.kl_edges[0] == 0 and widths.sum() == draws
+        assert widths.min() >= min(2, draws) and widths.max() - widths.min() <= 1
+        assert rows * widths.max() <= vf.KL_SLAB or widths.max() <= 2 + draws % 2
+        fewer = len(widths) - 1  # one slab fewer would not fit
+        assert fewer == 0 or rows * -(-draws // fewer) > vf.KL_SLAB
 
     def test_workers_capped(self, monkeypatch):
         """A process that may run on 64 CPUs still starts KL_WORKERS threads."""
@@ -329,9 +357,10 @@ class TestGaussianRuns:
         assert threading.active_count() == before
 
     def test_kl_memory_bounded(self):
-        """A block's posterior draws go by slabs, so 8 kl trials at n = 1000
-        and 10,000 draws hold a few MiB, not an n x posterior_draws gather
-        per trial (78 MiB)."""
+        """A block's posterior draws are scored by slabs, so 8 kl trials at
+        n = 1000 and 10,000 draws hold their normals and kl values (1.8 MiB)
+        and a few slab buffers, not an n x posterior_draws gather per trial
+        (78 MiB)."""
         run, features = gaussian_case(32, n=1000, draws=10_000)
         tracemalloc.start()
         try:

@@ -167,6 +167,9 @@ class TestVerdicts:
         assert not report(2.0 + 2 * tol).passed and not report(2.0 - 2 * tol).passed
         assert not report(math.inf).passed
         assert not report(math.nan).passed
+        # |1 - inf| <= 1e-12 inf, but an infinite rhs is no moment to meet
+        assert not MomentCheckReport("quad", 1.0, math.inf, regime="quadrature").passed
+        assert not MomentCheckReport("quad", math.inf, math.inf, regime="quadrature").passed
 
 
 class TestMartingaleAndLogZ:
@@ -248,6 +251,15 @@ class TestGaussianIdentity:
         that the report fails rather than passes or raises."""
         assert check_gaussian_identity([0.0], [8.5 / 3.0], sigma=1.0, lam=3.0).passed
         assert not check_gaussian_identity([0.0], [10.0 / 3.0], sigma=1.0, lam=3.0).passed
+
+    @pytest.mark.parametrize("w, v, lam", [([0.0], [20.0], 3.0),
+                                           ([0.0, 0.0, 0.0], [10.0, 1.0, 2.0], 30.0)])
+    def test_past_the_float_range_fails(self, w, v, lam):
+        """A closed form past the float range (exp(1200) at |v - w| = 20,
+        lam = 3), and an integrand past it too, give a failing report with
+        an infinite rhs, not an OverflowError or a RuntimeWarning."""
+        report = check_gaussian_identity(w, v, sigma=1.0, lam=lam)
+        assert report.rhs == math.inf and not report.passed
 
     DOMAIN_REFUSALS = [
         ([0.0], [1.0], 0.0, 1.0, "sigma"),
