@@ -104,8 +104,8 @@ class ParametricLoss:
     def __post_init__(self):
         if self.dim_d < 1:
             raise ValueError("dim_d must be positive")
-        if self.bound_b <= 0:
-            raise ValueError("bound_b must be positive")
+        if not (math.isfinite(self.bound_b) and self.bound_b > 0):
+            raise ValueError("bound_b must be positive and finite")
 
     def values(self, hs: np.ndarray) -> np.ndarray:
         """The (k, num_points) losses of the (k, d) hypotheses hs, checked
@@ -128,8 +128,8 @@ class PriorWeights:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("prior weights must be nonnegative")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValueError("prior weights must be nonnegative and finite")
         if not np.any(w > 0):
             raise ValueError("at least one prior weight must be positive")
         object.__setattr__(self, "weights", w)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -333,8 +334,9 @@ def check_gaussian_identity(w, v, sigma: float, lam: float) -> MomentCheckReport
     while lam |v - w| / sigma <= 8.5; past that, mass lies beyond the nodes."""
     from numpy.polynomial.hermite_e import hermegauss  # only this check needs it
 
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+    # the integrand divides by sigma^2, a normal float, as in config._kernel_sigma
+    if not (sigma > 0 and sys.float_info.min <= float(sigma) * float(sigma) < math.inf):
+        raise ValueError(f"sigma must be positive with a normal float square, got {sigma!r}")
     if not (math.isfinite(lam) and lam >= 1):
         raise ValueError(f"lam must be finite and at least 1, got {lam!r}")
     w = np.asarray(w, dtype=float)
@@ -343,7 +345,11 @@ def check_gaussian_identity(w, v, sigma: float, lam: float) -> MomentCheckReport
         raise ValueError(f"w must be a nonempty finite vector, got shape {w.shape}")
     if v.shape != w.shape or not np.isfinite(v).all():
         raise ValueError(f"v must be a finite vector of w's shape {w.shape}, got {v.shape}")
-    dist = float(np.linalg.norm(v - w))
+    with np.errstate(over="ignore"):
+        diff = v - w
+        if not math.isfinite(float(diff @ diff)):
+            raise ValueError("v - w must have a squared norm within the float range")
+    dist = float(np.linalg.norm(diff))
     # With x = w + s z, |x - v|^2 - |x - w|^2 = |v - w|^2 - 2s<z, v - w>: rotated
     # onto v - w, the integrand is a normal MGF in one coordinate, which gives
     # the closed form, and the others cancel exactly. So the tensor rule runs
@@ -351,14 +357,16 @@ def check_gaussian_identity(w, v, sigma: float, lam: float) -> MomentCheckReport
     if len(w) <= 2:
         axes = np.eye(len(w))
     else:
-        axes = ((v - w) / dist if dist > 0 else np.eye(len(w))[0])[None, :]
+        axes = (diff / dist if dist > 0 else np.eye(len(w))[0])[None, :]
     nodes, weights = hermegauss(60)
     k = len(axes)
     z = np.array(np.meshgrid(*[nodes] * k, indexing="ij")).reshape(k, -1)
     mass = np.array(np.meshgrid(*[weights] * k, indexing="ij")).reshape(k, -1).prod(axis=0)
     x = w + sigma * z.T @ axes
-    expo = (-lam / (2.0 * sigma**2)) * (((x - v) ** 2).sum(axis=1) - ((x - w) ** 2).sum(axis=1))
-    with np.errstate(over="ignore"):  # an integrand past the float range fails as inf
+    # an integrand past the float range fails as inf or NaN, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = (-lam / (2.0 * sigma**2)) * (((x - v) ** 2).sum(axis=1)
+                                            - ((x - w) ** 2).sum(axis=1))
         lhs = float(mass @ np.exp(expo)) / math.sqrt(2.0 * math.pi) ** k
     closed = gaussian_shift_moment(dist / sigma, lam)
     return MomentCheckReport(name="gaussian_identity", lhs=lhs, rhs=closed, regime="quadrature",
@@ -450,25 +458,19 @@ def check_phi_lemma(grid: Sequence[float] | None = None) -> dict:
 # n + |X| + d for the Gaussian kernel), so each (trials, n), (trials, m) or
 # (trials, |X|) array of a chunk takes at most 8 MB, whatever n and m.
 CHUNK_ELEMENTS = 1 << 20
-# Trials per block of posterior-kl estimates: max(KL_TRIALS, KL_SLAB //
-# (|X| posterior_draws)), so that a slab's arrays span several trials at any
-# number of draws, and many when there are few. A worker holds its block's
-# posterior normals and kl values, block x posterior_draws x (d + 1) floats
-# (384 KB for 8 trials of 2,000 draws at d = 2), plus O(KL_SLAB) floats for
-# a slab.
-KL_TRIALS = 8
-# Floats in a slab of a block's posterior draws: its (trials, slab, |X|)
-# losses and each trial's (n, slab) L_hat gather hold at most KL_SLAB
-# floats (512 KiB) whatever n and posterior_draws, unless two draws alone
-# (three, at an odd count) need more. The draws split into the fewest slabs
-# that fit, as even as they go and none of one draw unless there is one: a
-# one-draw gather is contiguous, and numpy would sum it pairwise, not left to
-# right. At n = 100 a 2,000-draw block takes 8 trials in slabs of 500 draws.
+# Floats of a block's posterior losses at a time. A block of posterior-kl
+# estimates takes max(1, KL_SLAB // (|X| posterior_draws)) trials and scores
+# their draws max(1, KL_SLAB // (trials |X|)) at a time, so a step's (trials,
+# step, |X|) losses hold at most KL_SLAB floats (512 KiB) unless one draw
+# alone needs more, and a block of several trials takes one step. A worker
+# holds its block's posterior draws and kl values, block x posterior_draws x
+# (d + 1) floats (192 KB for the 4 trials of 2,000 draws at |X| = 8, d = 2),
+# plus O(KL_SLAB) floats for a step; n does not enter it.
 KL_SLAB = 1 << 16
-# Threads that share a run's kl blocks, at most: a second made gaussian_trials
-# 1.3-1.45 times faster on 2 CPUs, not 2, because the threads hand the
-# interpreter lock over at every numpy call boundary (two processes run at full
-# speed side by side), so a third cannot help, and each costs about 1.5 MB.
+# Threads that share a run's kl blocks, at most: two, the count measured. On 2
+# CPUs a second scores kl estimates 1.8 times faster than one, not 2, as the
+# threads hand the interpreter lock over at every numpy call boundary; each
+# costs about 1.5 MB.
 KL_WORKERS = 2
 
 
@@ -588,7 +590,10 @@ class GaussianRun:
     """Per-run constants of a Gaussian-kernel scenario, and its draw: per
     trial, n uniforms for X, then d normals for h = A(X) + sigma z, then,
     when a method bounds the posterior-expected kl, posterior_draws x d
-    normals for the posterior draws behind its estimate."""
+    normals for the posterior draws behind its estimate. Every L_hat, of h
+    and of each posterior draw, is the dot product of the draw's losses
+    with freq, the sample's point frequencies counts / n: L_hat depends on
+    X only through its type."""
 
     variant = "gaussian_kernel"
 
@@ -599,66 +604,42 @@ class GaussianRun:
         self.loss, self.algorithm, self.posterior_draws = loss, algorithm, posterior_draws
         self.c_A = algorithm.declared_c_A
         self.V = float(algorithm.variance_fn(space, n))
-        # trials per kl block, and the edges of the slabs of a block's draws
-        self.kl_block = max(KL_TRIALS, KL_SLAB // (space.size * posterior_draws))
-        fit = max(1, KL_SLAB // max(self.kl_block * space.size, n))  # draws a slab holds
-        slabs = max(1, min(posterior_draws // 2, -(-posterior_draws // fit)))
-        self.kl_edges = [k * posterior_draws // slabs for k in range(slabs + 1)]
+        self.kl_block = max(1, KL_SLAB // (space.size * posterior_draws))  # trials per kl block
         self.width = n + space.size + algorithm.dim_d  # array elements per trial
 
-    def draws(self, idx: np.ndarray, center: np.ndarray, normals: np.ndarray) -> Draw:
-        """The draws of the trials with sample rows idx, posterior means
-        center = A(idx) and the d normals of h in the rows of normals. Each
-        value equals that of the trial on its own: np.vecdot takes each row's
-        dot as pl @ probs does on that row, and the mean of a contiguous
-        gathered row sums pairwise, as on that row alone."""
+    def draws(self, idx: np.ndarray, freq: np.ndarray, center: np.ndarray,
+              normals: np.ndarray) -> Draw:
+        """The draws of the trials with sample rows idx, point frequencies
+        freq, posterior means center = A(idx) and the d normals of h in the
+        rows of normals. Each value equals that of the trial on its own:
+        np.vecdot takes each row's dot as on that row alone."""
         h = center + self.sigma * normals
         pl = self.loss.values(h)  # (trials, |X|)
         L = np.vecdot(pl, self.space.probs)
-        L_hat = np.take_along_axis(pl, idx, axis=1).mean(axis=1)
         v = np.vecdot((pl - L[:, None]) ** 2, self.space.probs)
-        return Draw(idx, h, L_hat, L, v, center=center)
+        return Draw(idx, h, np.vecdot(pl, freq), L, v, center=center)
 
-    def kl_buffers(self, trials: int) -> KLBuffers:
-        """A worker's buffers for blocks of up to `trials` trials."""
-        draws, slab = self.posterior_draws, max(np.diff(self.kl_edges))
-        return KLBuffers(z=np.empty((trials, draws, self.algorithm.dim_d)),
-                         kl=np.empty((trials, draws)),
-                         plT=np.empty(trials * self.space.size * slab),
-                         gather=np.empty(self.n * slab), L_hat=np.empty(trials * slab))
-
-    def expected_kl(self, idx: np.ndarray, center: np.ndarray, buffers: KLBuffers) -> np.ndarray:
+    def expected_kl(self, freq: np.ndarray, center: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Per trial t, the posterior average of kl(L_hat, L) over its draws
-        center + sigma z from Q_X, whose normals z its stream put in
-        buffers.z. The block's draws are scaled and shifted at once, then
-        scored a slab at a time between kl_edges. Each draw's L is its own
-        dot product, and its L_hat the sum of the gathered rows of the
-        trial's (|X|, slab) transposed losses, which adds the n coordinates
-        left to right, as the mean of the column-major gather pl[:, idx]
-        does (a slab of one draw only at one draw, whose gather numpy sums
-        pairwise on both sides); so no value depends on the slab split. The
-        kl values of every slab land in one (trials, posterior_draws) array,
-        averaged once, pairwise over each trial's draws as on their own."""
-        trials, d = len(idx), self.algorithm.dim_d
-        h, kl = buffers.z[:trials], buffers.kl[:trials]
+        center[t] + sigma z[t] from Q_X, z being (trials, posterior_draws, d)
+        normals, which it scales and shifts into the draws in place. The
+        draws are scored max(1, KL_SLAB // (trials |X|)) at a time; each
+        draw's L and L_hat are its own dot products and its kl elementwise,
+        so no value depends on the step, the block or the worker. The kl
+        values land in one (trials, posterior_draws) array, averaged once,
+        pairwise over each trial's draws as on their own."""
+        trials, draws, d = z.shape
+        h = z  # the draws, in place of their normals
         h *= self.sigma
         h += center[:, None, :]
-        for lo, hi in zip(self.kl_edges, self.kl_edges[1:]):
-            width = hi - lo
-            pl = self.loss.values(h[:, lo:hi].reshape(-1, d)).reshape(trials, width, -1)
+        kl = np.empty((trials, draws))
+        step = max(1, KL_SLAB // (trials * self.space.size))
+        for lo in range(0, draws, step):
+            pl = self.loss.values(h[:, lo:lo + step].reshape(-1, d))
+            pl = pl.reshape(trials, -1, self.space.size)
             L = np.vecdot(pl, self.space.probs)
-            plT = buffers.plT[:pl.size].reshape(trials, -1, width)
-            np.copyto(plT, pl.transpose(0, 2, 1))
-            del pl  # the kl values' temporaries below can take its memory
-            gather = buffers.gather[:self.n * width].reshape(self.n, width)
-            L_hat = buffers.L_hat[:trials * width].reshape(trials, width)
-            for losses, row, total in zip(plT, idx, L_hat):
-                # mode "raise" would buffer out; idx is in range by inverse_cdf
-                losses.take(row, axis=0, out=gather, mode="clip")
-                np.add.reduce(gather, axis=0, out=total)
-            L_hat /= self.n
-            np.clip(L_hat, 0.0, 1.0, out=L_hat)
-            kl[:, lo:hi] = kl_bernoulli_vec(L_hat, L)
+            L_hat = np.clip(np.vecdot(pl, freq[:, None, :]), 0.0, 1.0)
+            kl[:, lo:lo + step] = kl_bernoulli_vec(L_hat, L)
         return kl.mean(axis=1)
 
     def trials(self, master_seed: int, start: int, stop: int, posterior_kl: bool) -> Draw:
@@ -668,15 +649,16 @@ class GaussianRun:
         with those of the other trials of its block of kl_block trials. The
         blocks go to kl_workers() threads; every value is the same whichever
         thread scores a block."""
-        count, d = stop - start, self.algorithm.dim_d
+        count, d, size = stop - start, self.algorithm.dim_d, self.space.size
         block = self.kl_block if posterior_kl else count
         idx = np.empty((count, self.n), dtype=np.intp)
+        freq = np.empty((count, size))
         normals, center = np.empty((count, d)), np.empty((count, d))
         kl = np.empty(count) if posterior_kl else None
 
         def worker(starts: Iterator[int]) -> None:
             uniforms = np.empty((min(block, count), self.n))
-            buffers = self.kl_buffers(len(uniforms)) if posterior_kl else None
+            z = np.empty((len(uniforms), self.posterior_draws, d)) if posterior_kl else None
             for lo in starts:
                 hi = min(lo + block, count)
                 streams = trial_streams(master_seed, start + lo, start + hi)
@@ -684,29 +666,18 @@ class GaussianRun:
                     rng.random(out=uniforms[i - lo])
                     rng.standard_normal(out=normals[i])
                     if posterior_kl:
-                        rng.standard_normal(out=buffers.z[i - lo])
+                        rng.standard_normal(out=z[i - lo])
                 idx[lo:hi] = inverse_cdf(self.space, uniforms[:hi - lo])
+                # each row's point counts, from one bincount over row-offset indices
+                rows = idx[lo:hi] + size * np.arange(hi - lo)[:, None]
+                counts = np.bincount(rows.ravel(), minlength=(hi - lo) * size)
+                np.divide(counts.reshape(hi - lo, size), self.n, out=freq[lo:hi])
                 center[lo:hi] = self.algorithm(idx[lo:hi])
                 if posterior_kl:
-                    kl[lo:hi] = self.expected_kl(idx[lo:hi], center[lo:hi], buffers)
+                    kl[lo:hi] = self.expected_kl(freq[lo:hi], center[lo:hi], z[:hi - lo])
 
         share_blocks(worker, range(0, count, block), kl_workers())
-        return self.draws(idx, center, normals)._replace(kl=kl)
-
-
-class KLBuffers(NamedTuple):
-    """One worker's posterior-kl state, made once and reused for every
-    block it takes: the block's (trials, posterior_draws, d) posterior
-    normals z and (trials, posterior_draws) kl values; and a slab's
-    transposed losses plT, one trial's L_hat gather and the slab's L_hat,
-    flat, so that a narrower slab or a part block takes a contiguous
-    prefix."""
-
-    z: np.ndarray
-    kl: np.ndarray
-    plT: np.ndarray
-    gather: np.ndarray
-    L_hat: np.ndarray
+        return self.draws(idx, freq, center, normals)._replace(kl=kl)
 
 
 def kl_workers() -> int:

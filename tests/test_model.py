@@ -49,8 +49,18 @@ REFUSALS = {
     "parametric_bound_zero": (ValueError, "bound_b must be positive",
                               lambda: ParametricLoss(dim_d=1, batch_evaluator=abs,
                                                      bound_b=0.0)),
+    "parametric_bound_infinite": (ValueError, "bound_b must be positive and finite",
+                                  lambda: ParametricLoss(dim_d=1, batch_evaluator=abs,
+                                                         bound_b=math.inf)),
+    "parametric_bound_nan": (ValueError, "bound_b must be positive and finite",
+                             lambda: ParametricLoss(dim_d=1, batch_evaluator=abs,
+                                                    bound_b=math.nan)),
     "negative_prior_weight": (ValueError, "prior weights must be nonnegative",
                               lambda: PriorWeights(np.array([1.0, -0.5]))),
+    "nan_prior_weight": (ValueError, "prior weights must be nonnegative and finite",
+                         lambda: PriorWeights(np.array([1.0, math.nan]))),
+    "infinite_prior_weight": (ValueError, "prior weights must be nonnegative and finite",
+                              lambda: PriorWeights(np.array([1.0, math.inf]))),
     "negative_beta": (ValueError, "beta must be nonnegative", lambda: ham.Gibbs(beta=-1.0)),
     "zero_sigma": (ValueError, "sigma must be positive",
                    lambda: ham.GaussianKernel(sigma=0.0,

@@ -51,21 +51,23 @@ def ref_gibbs_draw(run, rng):
 def ref_gaussian_draw(run, features, rng, posterior_kl):
     """One Gaussian-kernel trial: n uniforms for X by inverse CDF, A on that
     one row, d normals for h, h's cosine loss at each point on its own, then,
-    with posterior_kl, the posterior draws' losses as one (draws, |X|) batch,
-    each draw's L its own dot product, as h's is."""
+    with posterior_kl, the posterior draws' losses as one (draws, |X|) batch.
+    Each draw's L and L_hat, h's and every posterior draw's, are its own dot
+    products with mu and with the sample's point frequencies."""
     cdf = np.cumsum(run.space.probs)
     idx = np.searchsorted(cdf, rng.random(run.n), side="right").clip(0, run.space.size - 1)
+    freq = np.bincount(idx, minlength=run.space.size) / run.n
     center = run.algorithm(idx)
     h = center + run.sigma * rng.standard_normal(run.algorithm.dim_d)
     pl = np.array([0.5 * (1.0 + math.cos(float(h @ f))) for f in features])
     L = float(pl @ run.space.probs)
-    draw = vf.Draw(idx, h, float(pl[idx].mean()), L,
+    draw = vf.Draw(idx, h, float(np.vecdot(pl, freq)), L,
                    float(run.space.probs @ (pl - L) ** 2), center=center)
     if not posterior_kl:
         return draw
     hs = center + run.sigma * rng.standard_normal((run.posterior_draws, len(center)))
     pl = run.loss.values(hs)
-    L_hat = pl[:, idx].mean(axis=1)
+    L_hat = np.vecdot(pl, freq)
     return draw._replace(kl=float(np.mean(vf.kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0),
                                                                np.vecdot(pl, run.space.probs)))))
 
@@ -226,54 +228,66 @@ def assert_same_draws(run, features, master_seed, start, stop, posterior_kl=True
 class TestGaussianRuns:
     def test_matches_loop_across_chunks(self, monkeypatch):
         """Several chunks of 7 trials, of n + |X| + d elements each, and kl
-        blocks of 3, neither dividing 20, in six slabs of 8 or 9 draws."""
+        blocks of 3, neither dividing 20."""
         monkeypatch.setattr(vf, "CHUNK_ELEMENTS", 7 * (100 + 6 + 2))
-        monkeypatch.setattr(vf, "KL_TRIALS", 1)
         monkeypatch.setattr(vf, "KL_SLAB", 900)
         run, features = gaussian_case(21)
         assert run.kl_block == 3
-        assert run.kl_edges == [0, 8, 16, 25, 33, 41, 50]
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 20, 8)
 
     def test_draws_bit_for_bit(self, monkeypatch):
         monkeypatch.setattr(vf, "KL_SLAB", 8 * 6 * 40)
         run, features = gaussian_case(22, draws=40)
-        assert run.kl_block == 8 and run.kl_edges == [0, 13, 26, 40]
+        assert run.kl_block == 8
         assert_same_draws(run, features, 4242, 0, 11)
         assert_same_draws(run, features, 2**64 - 1, 5, 16)
         assert_same_draws(run, features, 9, 3, 10, posterior_kl=False)
 
     def test_default_block(self):
-        """At the default KL_TRIALS and KL_SLAB a block of 2000-draw
-        estimates holds 8 trials in slabs of 500 draws, and 11 trials end in
-        a part block."""
+        """At the default KL_SLAB a block of 2000-draw estimates at |X| = 6
+        holds 5 trials, and 11 trials end in a part block."""
         run, features = gaussian_case(23, draws=2000)
-        assert run.kl_block == 8 and run.kl_edges == [0, 500, 1000, 1500, 2000]
+        assert run.kl_block == 5
         assert_same_draws(run, features, 4242, 0, 11)
 
     @pytest.mark.parametrize("num_points, n, draws, slabs", [
         (8, 1000, 2000, 31), (8, 10_000, 30, 5), (10, 10_000, 30, 5), (8, 3000, 45, 3),
         (6, 10_000, 31, 6), (6, 100_000, 10, 5),
     ])
-    def test_many_points_and_narrow_slabs(self, num_points, n, draws, slabs):
+    def test_many_points_and_narrow_slabs(self, monkeypatch, num_points, n, draws, slabs):
         """At |X| >= 8, where a matrix-vector product's rows depend on the
-        rows that come with them, and in slabs of a few draws, none of them
-        of one draw, each trial's kl is that of the loop."""
+        rows that come with them, at large n, and with each trial's draws
+        scored in `slabs` steps of a few draws, each trial's kl is that of
+        the loop."""
+        monkeypatch.setattr(vf, "KL_SLAB", num_points * -(-draws // slabs))
         run, features = gaussian_case(34, n=n, draws=draws, num_points=num_points)
-        assert len(run.kl_edges) == slabs + 1
+        assert run.kl_block == 1
         assert_same_draws(run, features, 11, 0, 8)
 
     def test_kl_independent_of_slab_split(self, monkeypatch):
-        """At |X| = 8, blocks of 8, 34 and 136 trials, in 1 to 20 slabs,
-        give the same kl values."""
-        kls, splits = [], set()
+        """At |X| = 8, blocks of 1 to 136 trials, the one-trial blocks in two
+        steps, give the same kl values."""
+        kls, blocks = [], set()
         for kl_slab in (1 << 8, 1 << 10, 3 * 8 * 80, 1 << 12, 1 << 14, 1 << 16):
             monkeypatch.setattr(vf, "KL_SLAB", kl_slab)
             run, _ = gaussian_case(35, n=80, draws=60, num_points=8)
-            splits.add((run.kl_block, tuple(run.kl_edges)))
+            blocks.add(run.kl_block)
             kls.append(run.trials(7, 0, 20, posterior_kl=True).kl)
-        assert len(splits) == 6
+        assert blocks == {1, 2, 4, 8, 34, 136}
         assert all(np.array_equal(kl, kls[0]) for kl in kls)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_frequency_L_hat_is_the_gather_mean(self, n):
+        """The dot product of a draw's losses with the point frequencies, the
+        L_hat of every Gaussian-kernel draw, is within 4 ulp of 1 of the mean
+        of the n gathered losses, the same estimator summed another way."""
+        run, _ = gaussian_case(36, n=n, num_points=8)
+        rng = np.random.Generator(np.random.Philox(key=n))
+        pl = run.loss.values(rng.normal(0.0, 2.0, size=(500, 2)))
+        for row in pl:
+            idx = rng.choice(8, size=n, p=run.space.probs)
+            freq = np.bincount(idx, minlength=8) / n
+            assert abs(np.vecdot(row, freq) - row[idx].mean()) <= 4 * np.finfo(float).eps
 
     def test_constant_algorithm(self):
         run, features = gaussian_case(24, algorithm="constant")
@@ -302,18 +316,16 @@ class TestGaussianRuns:
         monkeypatch.setattr(vf.GaussianRun, "expected_kl", None)
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS[:2], 30, 5)
 
-    @pytest.mark.parametrize("draws, kl_slab, block, edges",
-                             [(1, 18, 3, [0, 1]), (45, 800, 3, [0, 7, 15, 22, 30, 37, 45]),
-                              (2, 60, 5, [0, 2])],
+    @pytest.mark.parametrize("draws, kl_slab, block",
+                             [(1, 18, 3), (45, 42, 1), (2, 60, 5)],
                              ids=["one_draw", "uneven_slabs", "two_draws"])
-    def test_worker_count_changes_nothing(self, monkeypatch, draws, kl_slab, block, edges):
+    def test_worker_count_changes_nothing(self, monkeypatch, draws, kl_slab, block):
         """1, 2 and 3 workers give the per-trial loop's reports and draws:
         blocks of 3 or 5 trials, the last a part block, and (at 45 draws)
-        six slabs of 7 or 8 draws."""
-        monkeypatch.setattr(vf, "KL_TRIALS", 3)
+        one-trial blocks in six steps of 7 draws and one of 3."""
         monkeypatch.setattr(vf, "KL_SLAB", kl_slab)
         run, features = gaussian_case(31, draws=draws)
-        assert (run.kl_block, run.kl_edges) == (block, edges)
+        assert run.kl_block == block
         for workers in (1, 2, 3):
             monkeypatch.setattr(vf, "kl_workers", lambda: workers)
             assert_same_draws(run, features, 6, 0, 10)
@@ -322,20 +334,26 @@ class TestGaussianRuns:
 
     @pytest.mark.parametrize("n", [10, 100, 1000, 100_000])
     @pytest.mark.parametrize("draws", [1, 2, 3, 7, 10, 100, 2000, 10_000])
-    def test_block_shape(self, n, draws):
-        """A block holds max(KL_TRIALS, KL_SLAB // (|X| posterior_draws))
-        trials. Its draws split into the fewest slabs, as even as they go,
-        that keep within KL_SLAB floats, unless two draws alone (three, at an
-        odd count) need more, and no slab holds one draw unless there is one."""
+    def test_block_shape(self, monkeypatch, n, draws):
+        """A block holds max(1, KL_SLAB // (|X| posterior_draws)) trials,
+        whatever n. Its draws are scored in steps of one width, the last
+        maybe narrower, the widest whose (trials, step, |X|) losses keep
+        within KL_SLAB floats, or one draw; a block of several trials takes
+        one step."""
         run, _ = gaussian_case(33, n=n, draws=draws, num_points=8)
-        block, widths = run.kl_block, np.diff(run.kl_edges)
-        rows = max(block * 8, n)  # the larger of a slab's losses and gather, per draw
-        assert block == max(vf.KL_TRIALS, vf.KL_SLAB // (8 * draws))
-        assert run.kl_edges[0] == 0 and widths.sum() == draws
-        assert widths.min() >= min(2, draws) and widths.max() - widths.min() <= 1
-        assert rows * widths.max() <= vf.KL_SLAB or widths.max() <= 2 + draws % 2
-        fewer = len(widths) - 1  # one slab fewer would not fit
-        assert fewer == 0 or rows * -(-draws // fewer) > vf.KL_SLAB
+        block = run.kl_block
+        assert block == max(1, vf.KL_SLAB // (8 * draws))
+        shapes, kl_vec = [], vf.kl_bernoulli_vec
+        monkeypatch.setattr(vf, "kl_bernoulli_vec",
+                            lambda s, t: shapes.append(s.shape) or kl_vec(s, t))
+        z = np.random.Generator(np.random.Philox(key=draws)).standard_normal((block, draws, 2))
+        run.expected_kl(np.full((block, 8), 0.125), np.zeros((block, 2)), z)
+        widths = [width for trials, width in shapes]
+        assert {trials for trials, width in shapes} == {block} and sum(widths) == draws
+        assert set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
+        assert block * 8 * widths[0] <= vf.KL_SLAB or widths[0] == 1
+        assert block * 8 * (widths[0] + 1) > vf.KL_SLAB or len(widths) == 1
+        assert block == 1 or len(widths) == 1
 
     def test_workers_capped(self, monkeypatch):
         """A process that may run on 64 CPUs still starts KL_WORKERS threads."""
@@ -357,20 +375,22 @@ class TestGaussianRuns:
         assert threading.active_count() == before
 
     def test_kl_memory_bounded(self):
-        """A block's posterior draws are scored by slabs, so 8 kl trials at
-        n = 1000 and 10,000 draws hold their normals and kl values (1.8 MiB)
-        and a few slab buffers, not an n x posterior_draws gather per trial
-        (78 MiB)."""
-        run, features = gaussian_case(32, n=1000, draws=10_000)
-        tracemalloc.start()
-        try:
-            vf.violation_rate_gaussian(run.space, run.loss, run.algorithm, run.sigma, run.n,
-                                       run.delta, GAUSSIAN_METHODS, 8, 0,
-                                       posterior_draws=run.posterior_draws)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        """A block's posterior draws are scored a step at a time, so 8 kl
+        trials at n = 1000 and 10,000 draws hold their normals and kl values
+        and a few step arrays, not an n x posterior_draws gather per trial
+        (78 MiB); and at |X| = 500, n = 100, not the (posterior_draws, |X|)
+        losses of a trial (77.6 MiB when unstepped)."""
+        for num_points, n in ((6, 1000), (500, 100)):
+            run, features = gaussian_case(32, n=n, draws=10_000, num_points=num_points)
+            tracemalloc.start()
+            try:
+                vf.violation_rate_gaussian(run.space, run.loss, run.algorithm, run.sigma,
+                                           run.n, run.delta, GAUSSIAN_METHODS, 8, 0,
+                                           posterior_draws=run.posterior_draws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, (num_points, n, peak)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 32, 64])
     def test_cosine_loss_rows_alone(self, d):

@@ -266,6 +266,13 @@ class TestGaussianIdentity:
         ([0.0], [1.0], -1.0, 1.0, "sigma"),
         ([0.0], [1.0], math.nan, 1.0, "sigma"),
         ([0.0], [1.0], math.inf, 1.0, "sigma"),
+        # finite, but sigma^2 or |v - w|^2 leaves the normal floats
+        ([0.0], [1.0], 1e200, 1.0, "sigma"),
+        ([0.0], [1.0], 1.4e154, 1.0, "sigma"),
+        ([0.0], [1.0], 1e-200, 1.0, "sigma"),
+        ([0.0], [1.0], 1.4e-154, 1.0, "sigma"),
+        ([0.0], [1e200], 1.0, 3.0, "v - w"),
+        ([1e308], [-1e308], 1.0, 1.5, "v - w"),
         ([0.0], [1.0], 1.0, 0.5, "lam"),
         ([0.0], [1.0], 1.0, math.nan, "lam"),
         ([0.0], [1.0], 1.0, math.inf, "lam"),
