@@ -286,15 +286,6 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(jobs: int = 1) -> list[CriterionResult]:
-    """Run every criterion at its full budgets. All randomness is seeded per
-    criterion, so jobs > 1 changes nothing but wall-clock time."""
-    if jobs > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # spawned, not forked: a fork copies the locks of numpy's BLAS threads
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = [pool.submit(fn) for fn in ALL_CRITERIA]
-            return [f.result() for f in futures]
+def run_all() -> list[CriterionResult]:
+    """Run every criterion at its full budgets, in this process."""
     return [fn() for fn in ALL_CRITERIA]

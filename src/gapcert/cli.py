@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import bounds as bd
 from . import verify as vf
-from .config import _KEYS, ConfigError, ScenarioConfig, number_in, parse_config
+from .config import _KEYS, ConfigError, ScenarioConfig, parse_config
 from .hamiltonian import Gibbs
 from .model import BudgetExceeded, generalization_gap
 
@@ -201,9 +201,9 @@ def cmd_compare(config: ScenarioConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_accept(out_dir: Path, jobs: int = 1) -> int:
+def cmd_accept(out_dir: Path) -> int:
     from . import acceptance  # only accept runs the suite, so no other command loads it
-    results = acceptance.run_all(jobs=jobs)
+    results = acceptance.run_all()
     rows = []
     lines = []
     for r in results:
@@ -314,7 +314,6 @@ FLAGS = {
     "--budget": dict(type=_flag_type(_KEYS["enumeration_budget"].parse),
                      help="override the enumeration budget of a Gibbs scenario"),
     "--plot-script": dict(help="also emit a plotting script here"),
-    "--jobs": dict(type=_flag_type(number_in(int, 1)), default=1, help="parallel workers"),
 }
 
 # each subcommand accepts only the flags it reads
@@ -324,7 +323,7 @@ SUBCOMMANDS = (
      ("--config", "--seed", "--out", "--budget")),
     ("compare", "tightness grids against the baselines",
      ("--config", "--out", "--plot-script")),
-    ("accept", "run the full acceptance suite", ("--out", "--jobs")),
+    ("accept", "run the full acceptance suite", ("--out",)),
 )
 
 
@@ -378,7 +377,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config, out_dir)
         if args.command == "accept":
-            return cmd_accept(out_dir, jobs=args.jobs)
+            return cmd_accept(out_dir)
         code = cmd_compare(config, out_dir)
         if args.plot_script and code == EXIT_OK:
             emit_plot_script(out_dir / f"{config.scenario_id}_compare.csv", args.plot_script)

@@ -100,14 +100,14 @@ def log_weight_rows(H: np.ndarray, prior: PriorWeights) -> np.ndarray:
 
 
 def logsumexp(a, axis=None, b=None, keepdims=False):
-    """ln sum b e^a over axis (all axes by default), for real a and b.
+    """ln sum b e^a over axis (all axes by default), for real a and weights b >= 0.
 
-    Step for step the algorithm of scipy.special.logsumexp (scipy 1.17), so
-    every value, NaN included, and every shape and dtype is the same: the
-    maxima are summed apart, with their weights, and the rest as
+    Step for step the algorithm of scipy.special.logsumexp (scipy 1.17) on
+    b >= 0, so every value, NaN included, and every shape and dtype is the
+    same: the maxima are summed apart, with their weights, and the rest as
     log1p(sum b e^{a - max} / m); where that is not finite, ln sum b e^a
     taken directly on the unmasked a. Entries with b = 0 add nothing,
-    whatever their a, and a negative sum gives NaN."""
+    whatever their a."""
     a = np.asarray(a)
     if b is not None:
         a, b = np.broadcast_arrays(a, np.asarray(b))
@@ -128,10 +128,7 @@ def logsumexp(a, axis=None, b=None, keepdims=False):
             rest = b * rest
         s = np.sum(rest, axis=axes, keepdims=True, dtype=dtype)
         s = np.where(s == 0, s, s / m)
-        negative = np.sign(s + 1) * np.sign(m) < 0
-        s = np.where(s < -1, -s - 2, s)
-        out = np.log1p(s) + np.log(np.abs(m)) + a_max
-        out = np.where(negative, np.nan, out)
+        out = np.log1p(s) + np.log(m) + a_max
         out = np.where(np.isfinite(out), out, direct)
     if not keepdims:
         out = np.squeeze(out, axis=axes)
@@ -241,8 +238,8 @@ def mean_embedding_algorithm(features: np.ndarray, n: int) -> StableAlgorithm:
                            declared_c_A=diam / n, variance_fn=variance)
 
 
-def builtin_algorithm(name: str, space: FiniteDataSpace, n: int, dim_d: int = 2,
-                      seed: int = 0) -> StableAlgorithm:
+def builtin_algorithm(name: str, space: FiniteDataSpace, n: int, dim_d: int,
+                      seed: int) -> StableAlgorithm:
     """Registry lookup used by scenario configs. Every built-in algorithm
     declares its sensitivity coefficient c_A, on which the Gaussian-kernel
     certificates rest."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -49,10 +48,10 @@ from .model import (
 
 EXACT_MARGIN_TOL = -1e-9
 # A quadrature report passes within this relative error. 60 Gauss-Hermite nodes
-# meet the Gaussian shift identity to 6.6e-15 on the 48 cases of acceptance
-# criterion 8, and to 1.3e-14 there with sigma up to 2 and |w| up to 4, about
-# 100 times below it; lam^2 + lam for lam^2 - lam, the nearest wrong closed
-# form, is off by 28% at lam = 1 and |v - w| / sigma = 0.5.
+# meet the Gaussian shift identity to 3.9e-15 on the 48 cases of acceptance
+# criterion 8, and to 9.5e-15 there with sigma from 0.1 to 2 and |w| up to 4,
+# about 100 times below it; lam^2 + lam for lam^2 - lam, the nearest wrong
+# closed form, is off by 28% at lam = 1 and |v - w| / sigma = 0.5.
 QUADRATURE_RTOL = 1e-12
 CP_LEVEL = 0.999
 CDF_COUNT_POINTS = 64  # inverse_cdf counts in uint8 up to here; searchsorted wins past ~96
@@ -334,9 +333,8 @@ def check_gaussian_identity(w, v, sigma: float, lam: float) -> MomentCheckReport
     while lam |v - w| / sigma <= 8.5; past that, mass lies beyond the nodes."""
     from numpy.polynomial.hermite_e import hermegauss  # only this check needs it
 
-    # the integrand divides by sigma^2, a normal float, as in config._kernel_sigma
-    if not (sigma > 0 and sys.float_info.min <= float(sigma) * float(sigma) < math.inf):
-        raise ValueError(f"sigma must be positive with a normal float square, got {sigma!r}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
     if not (math.isfinite(lam) and lam >= 1):
         raise ValueError(f"lam must be finite and at least 1, got {lam!r}")
     w = np.asarray(w, dtype=float)
@@ -345,33 +343,34 @@ def check_gaussian_identity(w, v, sigma: float, lam: float) -> MomentCheckReport
         raise ValueError(f"w must be a nonempty finite vector, got shape {w.shape}")
     if v.shape != w.shape or not np.isfinite(v).all():
         raise ValueError(f"v must be a finite vector of w's shape {w.shape}, got {v.shape}")
+    # the integrand in units of sigma, so sigma^2 is never formed
     with np.errstate(over="ignore"):
-        diff = v - w
-        if not math.isfinite(float(diff @ diff)):
-            raise ValueError("v - w must have a squared norm within the float range")
-    dist = float(np.linalg.norm(diff))
-    # With x = w + s z, |x - v|^2 - |x - w|^2 = |v - w|^2 - 2s<z, v - w>: rotated
-    # onto v - w, the integrand is a normal MGF in one coordinate, which gives
-    # the closed form, and the others cancel exactly. So the tensor rule runs
-    # on the axes at d <= 2, and the rule along v - w (any axis if v = w) beyond.
+        r = (v - w) / sigma
+        if not math.isfinite(float(r @ r)):
+            raise ValueError("v - w must have a finite squared norm in units of sigma")
+    dist = float(np.linalg.norm(r))
+    # With x = w + sigma u, (|x - v|^2 - |x - w|^2) / sigma^2 = |u - r|^2 - |u|^2
+    # = |r|^2 - 2<u, r>: rotated onto r, the integrand is a normal MGF in one
+    # coordinate, which gives the closed form, and the others cancel exactly.
+    # So the tensor rule runs on the axes at d <= 2, and the rule along r (any
+    # axis if r = 0) beyond.
     if len(w) <= 2:
         axes = np.eye(len(w))
     else:
-        axes = (diff / dist if dist > 0 else np.eye(len(w))[0])[None, :]
+        axes = (r / dist if dist > 0 else np.eye(len(w))[0])[None, :]
     nodes, weights = hermegauss(60)
     k = len(axes)
     z = np.array(np.meshgrid(*[nodes] * k, indexing="ij")).reshape(k, -1)
     mass = np.array(np.meshgrid(*[weights] * k, indexing="ij")).reshape(k, -1).prod(axis=0)
-    x = w + sigma * z.T @ axes
+    u = z.T @ axes
     # an integrand past the float range fails as inf or NaN, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        expo = (-lam / (2.0 * sigma**2)) * (((x - v) ** 2).sum(axis=1)
-                                            - ((x - w) ** 2).sum(axis=1))
+        expo = (-lam / 2.0) * (((u - r) ** 2).sum(axis=1) - (u**2).sum(axis=1))
         lhs = float(mass @ np.exp(expo)) / math.sqrt(2.0 * math.pi) ** k
-    closed = gaussian_shift_moment(dist / sigma, lam)
+    closed = gaussian_shift_moment(dist, lam)
     return MomentCheckReport(name="gaussian_identity", lhs=lhs, rhs=closed, regime="quadrature",
                              details={"relative_error": abs(lhs - closed) / closed,
-                                      "dist_over_sigma": dist / sigma, "lam": lam})
+                                      "dist_over_sigma": dist, "lam": lam})
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +429,9 @@ def phi(t: float) -> float:
     return (math.exp(t) - t - 1.0) / t**2
 
 
-def check_phi_lemma(grid: Sequence[float] | None = None) -> dict:
+def check_phi_lemma() -> dict:
     """phi is nondecreasing on (-10, 2) and phi(t) <= 1/(2 - t) on [0, 2)."""
-    if grid is None:
-        grid = np.linspace(-10.0 + 1e-9, 2.0 - 1e-9, 10_000)
-    grid = np.asarray(sorted(grid), dtype=float)
+    grid = np.linspace(-10.0 + 1e-9, 2.0 - 1e-9, 10_000)
     vals = np.array([phi(t) for t in grid])
     monotone_ok = bool(np.all(np.diff(vals) >= -1e-12))
     mask = grid >= 0.0

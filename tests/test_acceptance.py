@@ -5,7 +5,6 @@ module only runs them and reports. Run with -s to see the lines as they
 complete.
 """
 
-import dataclasses
 import math
 import re
 
@@ -74,14 +73,3 @@ def test_worst_margins_name_their_instance():
                         r"\(d\d_lam[\d.]+_ratio[\d.]+\)",
                         acceptance.criterion_gaussian_identity().detail)
 
-
-def test_run_all_in_parallel_matches_serial(monkeypatch):
-    """jobs > 1 changes nothing but wall-clock time."""
-    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
-                        (acceptance.criterion_tightness,
-                         acceptance.criterion_self_bounding_and_phi))
-    serial = acceptance.run_all(jobs=1)
-    parallel = acceptance.run_all(jobs=2)
-    assert [r.number for r in parallel] == [7, 10]
-    assert ([dataclasses.replace(r, seconds=0.0) for r in parallel]
-            == [dataclasses.replace(r, seconds=0.0) for r in serial])

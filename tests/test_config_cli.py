@@ -323,7 +323,7 @@ class TestCli:
         """The output directory is made before the command runs, so accept
         refuses a bad --out before its suite starts."""
 
-        def suite(jobs=1):
+        def suite():
             raise AssertionError("the acceptance suite ran")
 
         monkeypatch.setattr(acceptance, "run_all", suite)
@@ -366,11 +366,11 @@ class TestCli:
                                       [],
                                       ["certify", "--config", "{cfg}", "--seed", "-1"],
                                       ["verify", "--config", "{cfg}", "--budget", "0"],
-                                      ["accept", "--jobs", "0"],
+                                      ["accept", "--jobs", "2"],
                                       ["verify", "--config", "{cfg}", "--seed", str(2**64)]],
                              ids=["verify_bogus", "certify_jobs", "compare_seed",
                                   "accept_config", "no_subcommand", "negative_seed",
-                                  "zero_budget", "zero_jobs", "seed_past_64_bits"])
+                                  "zero_budget", "accept_jobs", "seed_past_64_bits"])
     def test_usage_error_exits_3(self, tmp_path, capsys, argv):
         """A usage error is a configuration error: argparse's own exit code 2
         would read as an invariant violation."""
@@ -480,7 +480,7 @@ class TestCli:
                 in capsys.readouterr().err)
 
     def test_failed_criterion_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(acceptance, "run_all", lambda jobs=1: [
+        monkeypatch.setattr(acceptance, "run_all", lambda: [
             acceptance.CriterionResult(1, "holds", True, "", 0.0),
             acceptance.CriterionResult(2, "fails", False, "", 0.0)])
         out = tmp_path / "o"
@@ -624,7 +624,7 @@ class TestCli:
     def test_closed_stdout_keeps_exit_code(self, tmp_path, monkeypatch, command):
         """A reader that closes stdout early (`gapcert ... | head -0`) costs the
         summary, not the exit code or the CSV."""
-        monkeypatch.setattr(acceptance, "run_all", lambda jobs=1: [])
+        monkeypatch.setattr(acceptance, "run_all", lambda: [])
         cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)
         out = tmp_path / "out"
         argv = [command, "--out", str(out)]

@@ -266,11 +266,6 @@ class TestGaussianIdentity:
         ([0.0], [1.0], -1.0, 1.0, "sigma"),
         ([0.0], [1.0], math.nan, 1.0, "sigma"),
         ([0.0], [1.0], math.inf, 1.0, "sigma"),
-        # finite, but sigma^2 or |v - w|^2 leaves the normal floats
-        ([0.0], [1.0], 1e200, 1.0, "sigma"),
-        ([0.0], [1.0], 1.4e154, 1.0, "sigma"),
-        ([0.0], [1.0], 1e-200, 1.0, "sigma"),
-        ([0.0], [1.0], 1.4e-154, 1.0, "sigma"),
         ([0.0], [1e200], 1.0, 3.0, "v - w"),
         ([1e308], [-1e308], 1.0, 1.5, "v - w"),
         ([0.0], [1.0], 1.0, 0.5, "lam"),
@@ -289,6 +284,21 @@ class TestGaussianIdentity:
         for w, v, sigma, lam, name in self.DOMAIN_REFUSALS:
             with pytest.raises(ValueError, match=f"^{name} must"):
                 check_gaussian_identity(w, v, sigma=sigma, lam=lam)
+
+    def test_extreme_sigma(self):
+        """The integrand is taken in units of sigma, so sigma^2 is never formed:
+        a huge sigma passes (exactly 1 at lam = 1), a tiny one is refused once
+        |v - w|^2 / sigma^2 overflows, and below that fails as any
+        lam |v - w| / sigma far past 8.5 does."""
+        for w, v, sigma in (([0.0], [1.0], 1e200), ([0.0], [1.0], 1.4e154),
+                            ([0.0], [1.0], 1e154)):
+            report = check_gaussian_identity(w, v, sigma=sigma, lam=1.0)
+            assert report.rhs == 1.0 and report.passed, report
+        for w, v, sigma in (([0.0], [1.0], 1e-200), ([0.0], [1e150], 1.5e-154)):
+            with pytest.raises(ValueError, match="^v - w must"):
+                check_gaussian_identity(w, v, sigma=sigma, lam=1.0)
+        report = check_gaussian_identity([0.0], [1.0], sigma=1.4e-154, lam=1.0)
+        assert report.rhs == 1.0 and not report.passed
 
 
 class TestSelfBoundingAndPhi:
