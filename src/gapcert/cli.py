@@ -169,7 +169,10 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
                          delta=repr(config.delta), violations=str(stats.violations),
                          trials=str(stats.trials), cp_upper=repr(stats.clopper_pearson_upper),
                          inputs=f"master_seed={config.master_seed}"))
-        summary.append(stats.summary(config.delta))
+        line = stats.summary(config.delta)
+        if vf.SCENARIO_METHODS[m].target == vf.POSTERIOR_KL:
+            line += f" ({vf.kl_estimator(config.spec.algorithm.dim_d, config.posterior_draws)})"
+        summary.append(line)
 
     summary.append(f"wall-clock: {phases}trials {trials_s:.2f}s "
                    f"({rep.trials / trials_s:.0f} trials/s)")

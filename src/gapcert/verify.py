@@ -327,6 +327,14 @@ def gaussian_shift_moment(dist_over_sigma: float, lam: float) -> float:
         return math.inf
 
 
+def tensor_rule(nodes: np.ndarray, weights: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d-fold tensor product of a one-dimensional rule: its (K^d, d)
+    nodes, the last axis fastest, and the product of each node's weights."""
+    z = np.array(np.meshgrid(*[nodes] * d, indexing="ij")).reshape(d, -1).T
+    mass = np.array(np.meshgrid(*[weights] * d, indexing="ij")).reshape(d, -1).prod(axis=0)
+    return z, mass
+
+
 def check_gaussian_identity(w, v, sigma: float, lam: float) -> MomentCheckReport:
     """The Gaussian shift identity by 60-node Gauss-Hermite quadrature of its
     d-dimensional integrand, against gaussian_shift_moment. The rule meets it
@@ -358,11 +366,9 @@ def check_gaussian_identity(w, v, sigma: float, lam: float) -> MomentCheckReport
         axes = np.eye(len(w))
     else:
         axes = (r / dist if dist > 0 else np.eye(len(w))[0])[None, :]
-    nodes, weights = hermegauss(60)
     k = len(axes)
-    z = np.array(np.meshgrid(*[nodes] * k, indexing="ij")).reshape(k, -1)
-    mass = np.array(np.meshgrid(*[weights] * k, indexing="ij")).reshape(k, -1).prod(axis=0)
-    u = z.T @ axes
+    z, mass = tensor_rule(*hermegauss(60), k)
+    u = z @ axes
     # an integrand past the float range fails as inf or NaN, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         expo = (-lam / 2.0) * (((u - r) ** 2).sum(axis=1) - (u**2).sum(axis=1))
@@ -455,19 +461,45 @@ def check_phi_lemma() -> dict:
 # n + |X| + d for the Gaussian kernel), so each (trials, n), (trials, m) or
 # (trials, |X|) array of a chunk takes at most 8 MB, whatever n and m.
 CHUNK_ELEMENTS = 1 << 20
-# Floats of a block's posterior losses at a time. A block of posterior-kl
-# estimates takes max(1, KL_SLAB // (|X| posterior_draws)) trials and scores
-# their draws max(1, KL_SLAB // (trials |X|)) at a time, so a step's (trials,
-# step, |X|) losses hold at most KL_SLAB floats (512 KiB) unless one draw
-# alone needs more, and a block of several trials takes one step. A worker
-# holds its block's posterior draws and kl values, block x posterior_draws x
-# (d + 1) floats (192 KB for the 4 trials of 2,000 draws at |X| = 8, d = 2),
-# plus O(KL_SLAB) floats for a step; n does not enter it.
+# Floats of a block's posterior losses at a time. A trial's posterior-expected
+# kl averages kl over its points: the 20^d nodes of the tensor rule at d <= 2
+# (KL_NODES), its posterior_draws draws beyond. A block takes
+# max(1, KL_SLAB // (|X| points)) trials and scores their points
+# max(1, KL_SLAB // (trials |X|)) at a time, so a step's (trials, step, |X|)
+# losses hold at most KL_SLAB floats (512 KiB) unless one point alone needs
+# more, and a block of several trials takes one step. A worker holds its
+# block's points and kl values, block x points x (d + 1) floats (192 KB for
+# the 20 trials of 400 nodes at |X| = 8, d = 2), plus O(KL_SLAB) floats for a
+# step; n does not enter it.
 KL_SLAB = 1 << 16
+# The posterior-expected kl's tensor rule at d <= 2, per axis: the 20
+# probabilists' Gauss-Hermite nodes and weights of numpy's hermegauss(20),
+# written out so that a trial run loads neither numpy.polynomial nor LAPACK's
+# eigensolver, about 0.8 MB of resident memory. Against a 100-node rule, on the
+# trials of configs/gaussian_mean_embedding.txt, of acceptance criterion 6 and
+# of 8 gaussian_trials benchmark rounds, 20 nodes are off by at most 1.6e-5
+# (5.2% relative), and 10,000 Monte Carlo draws by more on every one of those
+# instances, up to 5.9e-5 (7.3%).
+KL_NODES = np.array([
+    -7.619048541679758, -6.510590157013654, -5.5787388058932015, -4.734581334046055,
+    -3.9439673506573163, -3.1890148165533896, -2.458663611172368,
+    -1.7452473208141268, -1.042945348802751, -0.3469641570813559,
+    0.3469641570813559, 1.042945348802751, 1.7452473208141268, 2.458663611172368,
+    3.1890148165533896, 3.9439673506573163, 4.734581334046055, 5.5787388058932015,
+    6.510590157013654, 7.619048541679758])
+KL_WEIGHTS = np.array([
+    3.1528387293827914e-13, 6.221607696776643e-10, 1.5359340338199267e-07,
+    1.103448119312213e-05, 0.00032291959586810135, 0.004587388253857086,
+    0.035087375128591974, 0.15417361128553891, 0.4054203876842811,
+    0.6537112666702904, 0.6537112666702904, 0.4054203876842811, 0.15417361128553891,
+    0.035087375128591974, 0.004587388253857086, 0.00032291959586810135,
+    1.103448119312213e-05, 1.5359340338199267e-07, 6.221607696776643e-10,
+    3.1528387293827914e-13])
 # Threads that share a run's kl blocks, at most: two, the count measured. On 2
-# CPUs a second scores kl estimates 1.8 times faster than one, not 2, as the
-# threads hand the interpreter lock over at every numpy call boundary; each
-# costs about 1.5 MB.
+# CPUs a second thread takes a gaussian_trials benchmark round, 400 trials of
+# the 400-node rule, from 0.0257 s to 0.0200 s (5 of 5 pairs), not to half, as
+# the threads hand the interpreter lock over at every numpy call boundary; it
+# costs about 1.1 MB.
 KL_WORKERS = 2
 
 
@@ -585,12 +617,14 @@ class GibbsRun:
 
 class GaussianRun:
     """Per-run constants of a Gaussian-kernel scenario, and its draw: per
-    trial, n uniforms for X, then d normals for h = A(X) + sigma z, then,
-    when a method bounds the posterior-expected kl, posterior_draws x d
-    normals for the posterior draws behind its estimate. Every L_hat, of h
-    and of each posterior draw, is the dot product of the draw's losses
-    with freq, the sample's point frequencies counts / n: L_hat depends on
-    X only through its type."""
+    trial, n uniforms for X, then d normals for h = A(X) + sigma z. When a
+    method bounds the posterior-expected kl, each trial averages kl over
+    points c + sigma z_j around its posterior mean c = A(X): at d <= 2 the
+    nodes of a fixed tensor Gauss-Hermite rule, weighted, so the trial's
+    stream yields nothing more; beyond, posterior_draws x d further normals
+    of its stream, averaged. Every L_hat, of h and of each point, is the dot
+    product of the point's losses with freq, the sample's point frequencies
+    counts / n: L_hat depends on X only through its type."""
 
     variant = "gaussian_kernel"
 
@@ -601,8 +635,17 @@ class GaussianRun:
         self.loss, self.algorithm, self.posterior_draws = loss, algorithm, posterior_draws
         self.c_A = algorithm.declared_c_A
         self.V = float(algorithm.variance_fn(space, n))
-        self.kl_block = max(1, KL_SLAB // (space.size * posterior_draws))  # trials per kl block
-        self.width = n + space.size + algorithm.dim_d  # array elements per trial
+        d = algorithm.dim_d
+        # each trial's kl points: at d <= 2 the tensor rule's nodes, with its
+        # weights normalized to sum 1; beyond, posterior_draws draws
+        if d <= 2:
+            nodes, mass = tensor_rule(KL_NODES, KL_WEIGHTS, d)
+            self.kl_nodes, self.kl_weights = nodes, mass / mass.sum()
+        else:
+            self.kl_nodes = self.kl_weights = None
+        self.kl_points = posterior_draws if self.kl_nodes is None else len(self.kl_nodes)
+        self.kl_block = max(1, KL_SLAB // (space.size * self.kl_points))  # trials per kl block
+        self.width = n + space.size + d  # array elements per trial
 
     def draws(self, idx: np.ndarray, freq: np.ndarray, center: np.ndarray,
               normals: np.ndarray) -> Draw:
@@ -616,38 +659,42 @@ class GaussianRun:
         v = np.vecdot((pl - L[:, None]) ** 2, self.space.probs)
         return Draw(idx, h, np.vecdot(pl, freq), L, v, center=center)
 
-    def expected_kl(self, freq: np.ndarray, center: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Per trial t, the posterior average of kl(L_hat, L) over its draws
-        center[t] + sigma z[t] from Q_X, z being (trials, posterior_draws, d)
-        normals, which it scales and shifts into the draws in place. The
-        draws are scored max(1, KL_SLAB // (trials |X|)) at a time; each
-        draw's L and L_hat are its own dot products and its kl elementwise,
-        so no value depends on the step, the block or the worker. The kl
-        values land in one (trials, posterior_draws) array, averaged once,
-        pairwise over each trial's draws as on their own."""
-        trials, draws, d = z.shape
-        h = z  # the draws, in place of their normals
+    def expected_kl(self, freq: np.ndarray, center: np.ndarray, z: np.ndarray,
+                    weights: np.ndarray | None = None) -> np.ndarray:
+        """Per trial t, the posterior average of kl(L_hat, L) over its points
+        center[t] + sigma z[t], z being (trials, points, d), which it scales
+        and shifts into the points in place: the mean over Monte Carlo
+        draws, or with weights the rule's weighted sum. The points are
+        scored max(1, KL_SLAB // (trials |X|)) at a time; each point's L and
+        L_hat are its own dot products and its kl elementwise, so no value
+        depends on the step, the block or the worker. The kl values land in
+        one (trials, points) array, reduced once per trial as on its own."""
+        trials, points, d = z.shape
+        h = z  # the points, in place of their normals or nodes
         h *= self.sigma
         h += center[:, None, :]
-        kl = np.empty((trials, draws))
+        kl = np.empty((trials, points))
         step = max(1, KL_SLAB // (trials * self.space.size))
-        for lo in range(0, draws, step):
+        for lo in range(0, points, step):
             pl = self.loss.values(h[:, lo:lo + step].reshape(-1, d))
             pl = pl.reshape(trials, -1, self.space.size)
             L = np.vecdot(pl, self.space.probs)
             L_hat = np.clip(np.vecdot(pl, freq[:, None, :]), 0.0, 1.0)
             kl[:, lo:lo + step] = kl_bernoulli_vec(L_hat, L)
-        return kl.mean(axis=1)
+        # vecdot, not a matrix-vector product, whose rows round by their batch
+        return kl.mean(axis=1) if weights is None else np.vecdot(kl, weights)
 
     def trials(self, master_seed: int, start: int, stop: int, posterior_kl: bool) -> Draw:
         """The draws of trials start..stop-1. Each trial's stream fills its
-        rows of the uniforms and the normals and, with posterior_kl, then
-        the posterior normals behind its kl estimate, in one call, scored
-        with those of the other trials of its block of kl_block trials. The
-        blocks go to kl_workers() threads; every value is the same whichever
-        thread scores a block."""
+        rows of the uniforms and the normals and, with posterior_kl beyond
+        d = 2, then the posterior normals behind its kl estimate, in one
+        call; at d <= 2 the rule's nodes take their place. A trial is scored
+        with the other trials of its block of kl_block trials. The blocks go
+        to kl_workers() threads; every value is the same whichever thread
+        scores a block."""
         count, d, size = stop - start, self.algorithm.dim_d, self.space.size
         block = self.kl_block if posterior_kl else count
+        nodes, weights = self.kl_nodes, self.kl_weights
         idx = np.empty((count, self.n), dtype=np.intp)
         freq = np.empty((count, size))
         normals, center = np.empty((count, d)), np.empty((count, d))
@@ -655,14 +702,14 @@ class GaussianRun:
 
         def worker(starts: Iterator[int]) -> None:
             uniforms = np.empty((min(block, count), self.n))
-            z = np.empty((len(uniforms), self.posterior_draws, d)) if posterior_kl else None
+            z = np.empty((len(uniforms), self.kl_points, d)) if posterior_kl else None
             for lo in starts:
                 hi = min(lo + block, count)
                 streams = trial_streams(master_seed, start + lo, start + hi)
                 for i, rng in zip(range(lo, hi), streams):
                     rng.random(out=uniforms[i - lo])
                     rng.standard_normal(out=normals[i])
-                    if posterior_kl:
+                    if posterior_kl and nodes is None:
                         rng.standard_normal(out=z[i - lo])
                 idx[lo:hi] = inverse_cdf(self.space, uniforms[:hi - lo])
                 # each row's point counts, from one bincount over row-offset indices
@@ -671,10 +718,21 @@ class GaussianRun:
                 np.divide(counts.reshape(hi - lo, size), self.n, out=freq[lo:hi])
                 center[lo:hi] = self.algorithm(idx[lo:hi])
                 if posterior_kl:
-                    kl[lo:hi] = self.expected_kl(freq[lo:hi], center[lo:hi], z[:hi - lo])
+                    if nodes is not None:
+                        z[:hi - lo] = nodes
+                    kl[lo:hi] = self.expected_kl(freq[lo:hi], center[lo:hi], z[:hi - lo],
+                                                 weights)
 
         share_blocks(worker, range(0, count, block), kl_workers())
         return self.draws(idx, freq, center, normals)._replace(kl=kl)
+
+
+def kl_estimator(d: int, posterior_draws: int) -> str:
+    """How a Gaussian-kernel run in dimension d estimates each trial's
+    posterior-expected kl, as the verify summary names it."""
+    if d <= 2:
+        return f"Gauss-Hermite, {len(KL_NODES) ** d} nodes"
+    return f"Monte Carlo, {posterior_draws} draws"
 
 
 def kl_workers() -> int:
@@ -853,7 +911,8 @@ def violation_rate_gaussian(space: FiniteDataSpace, loss: ParametricLoss,
                             master_seed: int, posterior_draws: int) -> TrialReport:
     """Violation rates for the Gaussian-kernel certificates: the gap methods
     against the gap of the single (X, h) draw, kl_expectation against the
-    posterior average of kl(L_hat, L) over posterior_draws draws."""
+    posterior average of kl(L_hat, L): by the Gauss-Hermite rule at d <= 2,
+    over posterior_draws draws beyond."""
     run = GaussianRun(space, loss, algorithm, sigma, n, delta, posterior_draws)
     return _violation_rates(run, methods, trials, master_seed)
 

@@ -620,6 +620,22 @@ class TestCli:
         assert re.fullmatch(rf"  wall-clock: {phases}trials \d+\.\d\ds \(\d+ trials/s\)",
                             summary[-1])
 
+    @pytest.mark.parametrize("dim, estimator", [
+        (1, "Gauss-Hermite, 20 nodes"), (2, "Gauss-Hermite, 400 nodes"),
+        (3, "Monte Carlo, 200 draws")])
+    def test_verify_summary_names_kl_estimator(self, tmp_path, dim, estimator):
+        """The kl method's summary line names its estimator: the tensor rule
+        at d <= 2, where posterior_draws is accepted and not read, and the
+        Monte Carlo draws beyond; the gap methods' lines name none."""
+        text = GAUSSIAN_SMALL.replace("methods = gaussian_gap",
+                                      "methods = gaussian_gap,gaussian_kl_expectation")
+        cfg = write_config(tmp_path, "g.txt", text + f"instance.dim = {dim}\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        summary = (tmp_path / "gdemo_verify_summary.txt").read_text().splitlines()
+        assert summary[1].startswith("  gaussian_gap: ") and summary[1].endswith("delta=0.05")
+        assert summary[2].startswith("  gaussian_kl_expectation: ")
+        assert summary[2].endswith(f"delta=0.05 ({estimator})")
+
     @pytest.mark.parametrize("command", ["certify", "verify", "compare", "accept"])
     def test_closed_stdout_keeps_exit_code(self, tmp_path, monkeypatch, command):
         """A reader that closes stdout early (`gapcert ... | head -0`) costs the

@@ -3,12 +3,14 @@
 The reference below draws and scores one trial at a time, the way the
 violation rates are defined: per trial t, the substream (master_seed, t),
 then for a Gibbs trial n uniforms for X and one for h ~ Q_X, for a
-Gaussian-kernel trial n uniforms for X, d normals for h and the normals of
-the posterior draws; each certificate built from that one draw, and running
-sums in trial order. Its draws share no code with GibbsRun and GaussianRun;
-the reports must be equal, float for float.
+Gaussian-kernel trial n uniforms for X, d normals for h and, beyond d = 2,
+the normals of the posterior draws (at d <= 2 the posterior-expected kl is a
+tensor Gauss-Hermite rule, built here node by node); each certificate built
+from that one draw, and running sums in trial order. Its draws share no code
+with GibbsRun and GaussianRun; the reports must be equal, float for float.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -17,11 +19,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import logsumexp
 
 from gapcert import bounds as bd
 from gapcert import verify as vf
-from gapcert.config import cosine_parametric_loss, random_gibbs_instance
+from gapcert.config import (cosine_parametric_loss, gaussian_kernel_instance,
+                            random_gibbs_instance)
 from gapcert.hamiltonian import constant_algorithm, mean_embedding_algorithm
 from gapcert.model import ContractViolation, FiniteDataSpace, ParametricLoss, PriorWeights
 
@@ -48,12 +52,22 @@ def ref_gibbs_draw(run, rng):
                    rho=float(run.rho[h]))
 
 
+def ref_kl_rule(d):
+    """The tensor rule of the posterior-expected kl at d <= 2, node by node:
+    the rule vf.KL_NODES, vf.KL_WEIGHTS on each axis in itertools.product
+    order, and each node's product of weights, normalized to sum 1."""
+    mass = np.array([math.prod(w) for w in itertools.product(vf.KL_WEIGHTS, repeat=d)])
+    return np.array(list(itertools.product(vf.KL_NODES, repeat=d))), mass / mass.sum()
+
+
 def ref_gaussian_draw(run, features, rng, posterior_kl):
     """One Gaussian-kernel trial: n uniforms for X by inverse CDF, A on that
     one row, d normals for h, h's cosine loss at each point on its own, then,
-    with posterior_kl, the posterior draws' losses as one (draws, |X|) batch.
-    Each draw's L and L_hat, h's and every posterior draw's, are its own dot
-    products with mu and with the sample's point frequencies."""
+    with posterior_kl, the losses at the posterior points as one (points,
+    |X|) batch: the rule's nodes at d <= 2, weighted, else posterior_draws
+    draws from further normals of the stream, averaged. Each point's L and
+    L_hat, h's and every posterior point's, are its own dot products with mu
+    and with the sample's point frequencies."""
     cdf = np.cumsum(run.space.probs)
     idx = np.searchsorted(cdf, rng.random(run.n), side="right").clip(0, run.space.size - 1)
     freq = np.bincount(idx, minlength=run.space.size) / run.n
@@ -65,11 +79,15 @@ def ref_gaussian_draw(run, features, rng, posterior_kl):
                    float(run.space.probs @ (pl - L) ** 2), center=center)
     if not posterior_kl:
         return draw
-    hs = center + run.sigma * rng.standard_normal((run.posterior_draws, len(center)))
-    pl = run.loss.values(hs)
-    L_hat = np.vecdot(pl, freq)
-    return draw._replace(kl=float(np.mean(vf.kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0),
-                                                               np.vecdot(pl, run.space.probs)))))
+    d = len(center)
+    if d <= 2:
+        z, weights = ref_kl_rule(d)
+    else:
+        z, weights = rng.standard_normal((run.posterior_draws, d)), None
+    pl = run.loss.values(center + run.sigma * z)
+    kl = vf.kl_bernoulli_vec(np.clip(np.vecdot(pl, freq), 0.0, 1.0),
+                             np.vecdot(pl, run.space.probs))
+    return draw._replace(kl=float(np.mean(kl) if weights is None else np.vecdot(kl, weights)))
 
 
 def ref_violation_rates(run, methods, trials, master_seed, features=None):
@@ -204,6 +222,13 @@ def gaussian_case(seed, n=100, sigma=0.5, draws=50, num_points=6, d=2, probs=Non
     return run, features
 
 
+def far_out_loss(d):
+    """A loss on two points in dimension d, 0.5 within 3 of the origin in
+    every coordinate and 1.5, outside its bound 1, beyond."""
+    return ParametricLoss(dim_d=d, bound_b=1.0, batch_evaluator=lambda hs: np.where(
+        np.abs(hs).max(axis=1, keepdims=True) > 3.0, 1.5, 0.5) * np.ones((1, 2)))
+
+
 def assert_same_gaussian_report(run, features, methods, trials, master_seed):
     got = vf.violation_rate_gaussian(run.space, run.loss, run.algorithm, run.sigma, run.n,
                                      run.delta, methods, trials, master_seed,
@@ -228,15 +253,15 @@ def assert_same_draws(run, features, master_seed, start, stop, posterior_kl=True
 class TestGaussianRuns:
     def test_matches_loop_across_chunks(self, monkeypatch):
         """Several chunks of 7 trials, of n + |X| + d elements each, and kl
-        blocks of 3, neither dividing 20."""
+        blocks of 3 trials of the 400-node rule, neither dividing 20."""
         monkeypatch.setattr(vf, "CHUNK_ELEMENTS", 7 * (100 + 6 + 2))
-        monkeypatch.setattr(vf, "KL_SLAB", 900)
+        monkeypatch.setattr(vf, "KL_SLAB", 3 * 6 * len(vf.KL_NODES)**2)
         run, features = gaussian_case(21)
         assert run.kl_block == 3
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 20, 8)
 
     def test_draws_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(vf, "KL_SLAB", 8 * 6 * 40)
+        monkeypatch.setattr(vf, "KL_SLAB", 8 * 6 * len(vf.KL_NODES)**2)
         run, features = gaussian_case(22, draws=40)
         assert run.kl_block == 8
         assert_same_draws(run, features, 4242, 0, 11)
@@ -244,9 +269,14 @@ class TestGaussianRuns:
         assert_same_draws(run, features, 9, 3, 10, posterior_kl=False)
 
     def test_default_block(self):
-        """At the default KL_SLAB a block of 2000-draw estimates at |X| = 6
-        holds 5 trials, and 11 trials end in a part block."""
+        """At the default KL_SLAB a block of 400-node estimates at |X| = 6
+        holds 27 trials, and 30 trials end in a part block; one of 2000-draw
+        estimates at d = 3 holds 5 trials, and 11 trials end in a part
+        block."""
         run, features = gaussian_case(23, draws=2000)
+        assert run.kl_block == 27
+        assert_same_draws(run, features, 4242, 0, 30)
+        run, features = gaussian_case(23, draws=2000, d=3)
         assert run.kl_block == 5
         assert_same_draws(run, features, 4242, 0, 11)
 
@@ -257,20 +287,20 @@ class TestGaussianRuns:
     def test_many_points_and_narrow_slabs(self, monkeypatch, num_points, n, draws, slabs):
         """At |X| >= 8, where a matrix-vector product's rows depend on the
         rows that come with them, at large n, and with each trial's draws
-        scored in `slabs` steps of a few draws, each trial's kl is that of
-        the loop."""
+        (d = 3) scored in `slabs` steps of a few draws, each trial's kl is
+        that of the loop."""
         monkeypatch.setattr(vf, "KL_SLAB", num_points * -(-draws // slabs))
-        run, features = gaussian_case(34, n=n, draws=draws, num_points=num_points)
+        run, features = gaussian_case(34, n=n, draws=draws, num_points=num_points, d=3)
         assert run.kl_block == 1
         assert_same_draws(run, features, 11, 0, 8)
 
     def test_kl_independent_of_slab_split(self, monkeypatch):
-        """At |X| = 8, blocks of 1 to 136 trials, the one-trial blocks in two
-        steps, give the same kl values."""
+        """At |X| = 8 and d = 3, blocks of 1 to 136 trials of 60 draws, the
+        one-trial blocks in two steps, give the same kl values."""
         kls, blocks = [], set()
         for kl_slab in (1 << 8, 1 << 10, 3 * 8 * 80, 1 << 12, 1 << 14, 1 << 16):
             monkeypatch.setattr(vf, "KL_SLAB", kl_slab)
-            run, _ = gaussian_case(35, n=80, draws=60, num_points=8)
+            run, _ = gaussian_case(35, n=80, draws=60, num_points=8, d=3)
             blocks.add(run.kl_block)
             kls.append(run.trials(7, 0, 20, posterior_kl=True).kl)
         assert blocks == {1, 2, 4, 8, 34, 136}
@@ -300,7 +330,7 @@ class TestGaussianRuns:
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 30, 2)
 
     def test_one_posterior_draw(self):
-        run, features = gaussian_case(26, draws=1)
+        run, features = gaussian_case(26, draws=1, d=3)
         assert_same_draws(run, features, 3, 0, 9)
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 40, 3)
 
@@ -316,15 +346,94 @@ class TestGaussianRuns:
         monkeypatch.setattr(vf.GaussianRun, "expected_kl", None)
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS[:2], 30, 5)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rule_draws_no_posterior_normals(self, monkeypatch, d):
+        """At d <= 2 a kl trial's stream yields its n uniforms and d normals
+        only, so its X and h are those of the run without the kl method."""
+        run, _ = gaussian_case(29, d=d)
+        calls, streams = [], vf.trial_streams
+
+        class Recorded:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, out):
+                calls.append(("random", out.size))
+                self.rng.random(out=out)
+
+            def standard_normal(self, out):
+                calls.append(("standard_normal", out.size))
+                self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(vf, "trial_streams", lambda *args: map(Recorded, streams(*args)))
+        with_kl = run.trials(3, 0, 12, posterior_kl=True)
+        assert sorted(calls) == sorted([("random", run.n), ("standard_normal", d)] * 12)
+        without = run.trials(3, 0, 12, posterior_kl=False)
+        assert np.array_equal(with_kl.idx, without.idx)
+        assert np.array_equal(with_kl.h, without.h)
+        assert np.array_equal(with_kl.L_hat, without.L_hat)
+
+    @pytest.mark.parametrize("d, num_points, block",
+                             [(1, 8, 409), (2, 8, 20), (2, 6, 27), (2, 200, 1)])
+    def test_rule_block_shape(self, monkeypatch, d, num_points, block):
+        """At d <= 2 a block holds max(1, KL_SLAB // (|X| 20^d)) trials, and
+        its 20^d nodes are scored max(1, KL_SLAB // (trials |X|))
+        at a time: in one step, unless one trial's losses alone pass KL_SLAB
+        floats (at |X| = 200, in steps of 327 nodes and 73)."""
+        run, _ = gaussian_case(37, d=d, num_points=num_points)
+        points = len(vf.KL_NODES)**d
+        assert run.kl_points == points
+        assert run.kl_block == block == max(1, vf.KL_SLAB // (num_points * points))
+        shapes, kl_vec = [], vf.kl_bernoulli_vec
+        monkeypatch.setattr(vf, "kl_bernoulli_vec",
+                            lambda s, t: shapes.append(s.shape) or kl_vec(s, t))
+        monkeypatch.setattr(vf, "kl_workers", lambda: 1)
+        run.trials(5, 0, 2 * block + 1, posterior_kl=True)
+        want = []
+        for trials in (block, block, 1):
+            step = max(1, vf.KL_SLAB // (trials * num_points))
+            want += [(trials, min(step, points - lo)) for lo in range(0, points, step)]
+        assert shapes == want
+        assert len(want) == (6 if num_points == 200 else 3)
+
+    @pytest.mark.parametrize("master_seed, trials", [(4242, 500), (4243, 200)],
+                             ids=["config", "criterion_6"])
+    def test_rule_near_finer_rule(self, monkeypatch, master_seed, trials):
+        """On the instance of configs/gaussian_mean_embedding.txt, over its
+        trials and over those of acceptance criterion 6, the 20-node rule's
+        kl is within 2e-5 of an 80-node rule's on every trial (at most 7.6e-6
+        measured)."""
+        space, loss, spec = gaussian_kernel_instance(21, 8, 2, 100, 0.5, "mean_embedding")
+
+        def kl(nodes, weights):
+            monkeypatch.setattr(vf, "KL_NODES", nodes)
+            monkeypatch.setattr(vf, "KL_WEIGHTS", weights)
+            run = vf.GaussianRun(space, loss, spec.algorithm, spec.sigma, 100, 0.05,
+                                 posterior_draws=1)
+            assert run.kl_points == len(nodes) ** 2
+            return run.trials(master_seed, 0, trials, posterior_kl=True).kl
+
+        assert np.abs(kl(vf.KL_NODES, vf.KL_WEIGHTS) - kl(*hermegauss(80))).max() <= 2e-5
+
+    def test_rule_is_hermegauss(self):
+        """The rule's written-out nodes and weights are numpy's 20-node
+        probabilists' Gauss-Hermite rule, within 2 ulp, and symmetric."""
+        nodes, weights = hermegauss(20)
+        for got, want in ((vf.KL_NODES, nodes), (vf.KL_WEIGHTS, weights)):
+            assert got.shape == (20,)
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        assert np.array_equal(vf.KL_NODES, -vf.KL_NODES[::-1])
+        assert np.array_equal(vf.KL_WEIGHTS, vf.KL_WEIGHTS[::-1])
+
     @pytest.mark.parametrize("draws, kl_slab, block",
                              [(1, 18, 3), (45, 42, 1), (2, 60, 5)],
                              ids=["one_draw", "uneven_slabs", "two_draws"])
     def test_worker_count_changes_nothing(self, monkeypatch, draws, kl_slab, block):
-        """1, 2 and 3 workers give the per-trial loop's reports and draws:
-        blocks of 3 or 5 trials, the last a part block, and (at 45 draws)
+        """1, 2 and 3 workers give the per-trial loop's reports and draws at
+        d = 3: blocks of 3 or 5 trials, the last a part block, and (at 45 draws)
         one-trial blocks in six steps of 7 draws and one of 3."""
         monkeypatch.setattr(vf, "KL_SLAB", kl_slab)
-        run, features = gaussian_case(31, draws=draws)
+        run, features = gaussian_case(31, draws=draws, d=3)
         assert run.kl_block == block
         for workers in (1, 2, 3):
             monkeypatch.setattr(vf, "kl_workers", lambda: workers)
@@ -335,19 +444,19 @@ class TestGaussianRuns:
     @pytest.mark.parametrize("n", [10, 100, 1000, 100_000])
     @pytest.mark.parametrize("draws", [1, 2, 3, 7, 10, 100, 2000, 10_000])
     def test_block_shape(self, monkeypatch, n, draws):
-        """A block holds max(1, KL_SLAB // (|X| posterior_draws)) trials,
-        whatever n. Its draws are scored in steps of one width, the last
+        """Beyond d = 2 a block holds max(1, KL_SLAB // (|X| posterior_draws))
+        trials, whatever n. Its draws are scored in steps of one width, the last
         maybe narrower, the widest whose (trials, step, |X|) losses keep
         within KL_SLAB floats, or one draw; a block of several trials takes
         one step."""
-        run, _ = gaussian_case(33, n=n, draws=draws, num_points=8)
+        run, _ = gaussian_case(33, n=n, draws=draws, num_points=8, d=3)
         block = run.kl_block
         assert block == max(1, vf.KL_SLAB // (8 * draws))
         shapes, kl_vec = [], vf.kl_bernoulli_vec
         monkeypatch.setattr(vf, "kl_bernoulli_vec",
                             lambda s, t: shapes.append(s.shape) or kl_vec(s, t))
-        z = np.random.Generator(np.random.Philox(key=draws)).standard_normal((block, draws, 2))
-        run.expected_kl(np.full((block, 8), 0.125), np.zeros((block, 2)), z)
+        z = np.random.Generator(np.random.Philox(key=draws)).standard_normal((block, draws, 3))
+        run.expected_kl(np.full((block, 8), 0.125), np.zeros((block, 3)), z)
         widths = [width for trials, width in shapes]
         assert {trials for trials, width in shapes} == {block} and sum(widths) == draws
         assert set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
@@ -363,25 +472,26 @@ class TestGaussianRuns:
 
     def test_worker_error_reaches_caller(self, monkeypatch):
         """A loss that breaks its contract on the posterior draws of every
-        block fails the run in the caller, and no worker thread outlives it."""
+        block, 4 blocks of 2000-draw estimates at d = 3, fails the run in the
+        caller, and no worker thread outlives it."""
         monkeypatch.setattr(vf, "kl_workers", lambda: 3)
         space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
-        loss = ParametricLoss(dim_d=1, bound_b=1.0, batch_evaluator=lambda hs: np.where(
-            np.abs(hs) > 3.0, 1.5, 0.5) * np.ones((1, 2)))
+        loss = far_out_loss(3)
         before = threading.active_count()
         with pytest.raises(ContractViolation):
-            vf.violation_rate_gaussian(space, loss, constant_algorithm([0.0]), 1.0, 10, 0.05,
-                                       GAUSSIAN_METHODS, 60, 0, posterior_draws=2000)
+            vf.violation_rate_gaussian(space, loss, constant_algorithm([0.0] * 3), 1.0, 10,
+                                       0.05, GAUSSIAN_METHODS, 60, 0, posterior_draws=2000)
         assert threading.active_count() == before
 
     def test_kl_memory_bounded(self):
         """A block's posterior draws are scored a step at a time, so 8 kl
-        trials at n = 1000 and 10,000 draws hold their normals and kl values
-        and a few step arrays, not an n x posterior_draws gather per trial
-        (78 MiB); and at |X| = 500, n = 100, not the (posterior_draws, |X|)
-        losses of a trial (77.6 MiB when unstepped)."""
+        trials at d = 3, n = 1000 and 10,000 draws hold their normals and kl
+        values and a few step arrays, not an n x posterior_draws gather per
+        trial (78 MiB); and at |X| = 500, n = 100, not the (posterior_draws,
+        |X|) losses of a trial (77.6 MiB when unstepped)."""
         for num_points, n in ((6, 1000), (500, 100)):
-            run, features = gaussian_case(32, n=n, draws=10_000, num_points=num_points)
+            run, features = gaussian_case(32, n=n, sigma=0.6, draws=10_000,
+                                          num_points=num_points, d=3)
             tracemalloc.start()
             try:
                 vf.violation_rate_gaussian(run.space, run.loss, run.algorithm, run.sigma,
@@ -412,16 +522,16 @@ class TestGaussianRuns:
 
     def test_loss_outside_contract_on_posterior_draws(self):
         """A loss that leaves [0, b] only far out, where the trials' own h do
-        not go and their posterior draws do, fails the kl estimate."""
+        not go and their posterior points do, fails the kl estimate: the
+        2000 draws at d = 3, and at d = 1 the rule's outer nodes."""
         space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
-        loss = ParametricLoss(dim_d=1, bound_b=1.0, batch_evaluator=lambda hs: np.where(
-            np.abs(hs) > 3.0, 1.5, 0.5) * np.ones((1, 2)))
-        args = (space, loss, constant_algorithm([0.0]), 1.0, 10, 0.05)
-        gap = vf.violation_rate_gaussian(*args, GAUSSIAN_METHODS[:2], 5, 0,
-                                         posterior_draws=2000)
-        assert gap.mean_gap == 0.0
-        with pytest.raises(ContractViolation):
-            vf.violation_rate_gaussian(*args, GAUSSIAN_METHODS, 5, 0, posterior_draws=2000)
+        for d in (3, 1):
+            args = (space, far_out_loss(d), constant_algorithm([0.0] * d), 1.0, 10, 0.05)
+            gap = vf.violation_rate_gaussian(*args, GAUSSIAN_METHODS[:2], 5, 0,
+                                             posterior_draws=2000)
+            assert gap.mean_gap == 0.0
+            with pytest.raises(ContractViolation):
+                vf.violation_rate_gaussian(*args, GAUSSIAN_METHODS, 5, 0, posterior_draws=2000)
 
 
 # ---------------------------------------------------------------------------
