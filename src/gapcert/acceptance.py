@@ -153,10 +153,10 @@ def criterion_gibbs_violation_rates() -> CriterionResult:
 def criterion_gaussian_randomization() -> CriterionResult:
     """Gaussian-kernel certificates: joint-draw rates plus the posterior
     expected-kl statement checked against a posterior average, at d = 2 the
-    400-node Gauss-Hermite rule."""
+    232-node Gauss-Hermite rule."""
     t0 = time.perf_counter()
     n, delta = 100, 0.05
-    trials, kl_trials, posterior_draws = 5000, 200, 10_000  # draws read only beyond d = 2
+    trials, kl_trials, posterior_draws = 5000, 200, 10_000  # draws read only beyond d = 3
     # the instance of configs/gaussian_mean_embedding.txt
     space, loss, spec = gaussian_kernel_instance(21, 8, 2, n, 0.5, "mean_embedding")
     rep = vf.violation_rate_gaussian(space, loss, spec.algorithm, spec.sigma, n, delta,

@@ -144,7 +144,7 @@ _KEYS = {
     "trials": Key("1000", number_in(int, 1)),
     "master_seed": Key("0", number_in(int, 0, 2**64 - 1)),
     "enumeration_budget": Key(str(DEFAULT_ENUMERATION_BUDGET), number_in(int, 1), GIBBS),
-    # read only where instance.dim > 2: at d <= 2 the posterior-expected kl is
+    # read only where instance.dim > 3: at d <= 3 the posterior-expected kl is
     # a Gauss-Hermite rule with no draws; accepted there, and not read
     "posterior_draws": Key("10000", number_in(int, 1), (GAUSSIAN,)),
     "out": Key("out", str),

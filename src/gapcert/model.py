@@ -93,8 +93,7 @@ class ParametricLoss:
     batch_evaluator maps a (k, d) array of hypotheses to their (k, num_points)
     losses at once. It must be deterministic, and a row's losses must not
     depend on the other rows of the batch; values outside [0, bound_b] are a
-    contract violation and raise. The posterior-kl estimate calls it from
-    several threads at once.
+    contract violation and raise.
     """
 
     dim_d: int

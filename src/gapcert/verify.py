@@ -11,8 +11,6 @@ confidence bounds on the true violation probability.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -462,17 +460,17 @@ def check_phi_lemma() -> dict:
 # (trials, |X|) array of a chunk takes at most 8 MB, whatever n and m.
 CHUNK_ELEMENTS = 1 << 20
 # Floats of a block's posterior losses at a time. A trial's posterior-expected
-# kl averages kl over its points: the 20^d nodes of the tensor rule at d <= 2
-# (KL_NODES), its posterior_draws draws beyond. A block takes
+# kl averages kl over its points: the nodes of the tensor rule at d <= 3
+# (kl_rule), its posterior_draws draws beyond. A block takes
 # max(1, KL_SLAB // (|X| points)) trials and scores their points
 # max(1, KL_SLAB // (trials |X|)) at a time, so a step's (trials, step, |X|)
 # losses hold at most KL_SLAB floats (512 KiB) unless one point alone needs
-# more, and a block of several trials takes one step. A worker holds its
-# block's points and kl values, block x points x (d + 1) floats (192 KB for
-# the 20 trials of 400 nodes at |X| = 8, d = 2), plus O(KL_SLAB) floats for a
+# more, and a block of several trials takes one step. A run holds its
+# block's points and kl values, block x points x (d + 1) floats (195 KB for
+# the 35 trials of 232 nodes at |X| = 8, d = 2), plus O(KL_SLAB) floats for a
 # step; n does not enter it.
 KL_SLAB = 1 << 16
-# The posterior-expected kl's tensor rule at d <= 2, per axis: the 20
+# The posterior-expected kl's tensor rule at d <= 3, per axis: the 20
 # probabilists' Gauss-Hermite nodes and weights of numpy's hermegauss(20),
 # written out so that a trial run loads neither numpy.polynomial nor LAPACK's
 # eigensolver, about 0.8 MB of resident memory. Against a 100-node rule, on the
@@ -495,12 +493,12 @@ KL_WEIGHTS = np.array([
     0.035087375128591974, 0.004587388253857086, 0.00032291959586810135,
     1.103448119312213e-05, 1.5359340338199267e-07, 6.221607696776643e-10,
     3.1528387293827914e-13])
-# Threads that share a run's kl blocks, at most: two, the count measured. On 2
-# CPUs a second thread takes a gaussian_trials benchmark round, 400 trials of
-# the 400-node rule, from 0.0257 s to 0.0200 s (5 of 5 pairs), not to half, as
-# the threads hand the interpreter lock over at every numpy call boundary; it
-# costs about 1.1 MB.
-KL_WORKERS = 2
+# The tensor rule keeps the nodes whose product weight is at least this share
+# of the total: 18 of 20 at d = 1, 232 of 400 at d = 2 and 2,632 of 8,000 at
+# d = 3, dropping 2.5e-13, 1.1e-9 and 1.5e-8 of the mass. On the trials of
+# configs/gaussian_mean_embedding.txt and of criterion 6 that moves kl by at
+# most 2.1e-11, against the rule's own error of up to 1.6e-5.
+KL_NODE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -619,12 +617,12 @@ class GaussianRun:
     """Per-run constants of a Gaussian-kernel scenario, and its draw: per
     trial, n uniforms for X, then d normals for h = A(X) + sigma z. When a
     method bounds the posterior-expected kl, each trial averages kl over
-    points c + sigma z_j around its posterior mean c = A(X): at d <= 2 the
-    nodes of a fixed tensor Gauss-Hermite rule, weighted, so the trial's
-    stream yields nothing more; beyond, posterior_draws x d further normals
-    of its stream, averaged. Every L_hat, of h and of each point, is the dot
-    product of the point's losses with freq, the sample's point frequencies
-    counts / n: L_hat depends on X only through its type."""
+    points c + sigma z_j around its posterior mean c = A(X): at d <= 3 the
+    nodes of kl_rule(d), weighted, so the trial's stream yields nothing
+    more; beyond, posterior_draws x d further normals of its stream,
+    averaged. Every L_hat, of h and of each point, is the dot product of the
+    point's losses with freq, the sample's point frequencies counts / n:
+    L_hat depends on X only through its type."""
 
     variant = "gaussian_kernel"
 
@@ -636,13 +634,7 @@ class GaussianRun:
         self.c_A = algorithm.declared_c_A
         self.V = float(algorithm.variance_fn(space, n))
         d = algorithm.dim_d
-        # each trial's kl points: at d <= 2 the tensor rule's nodes, with its
-        # weights normalized to sum 1; beyond, posterior_draws draws
-        if d <= 2:
-            nodes, mass = tensor_rule(KL_NODES, KL_WEIGHTS, d)
-            self.kl_nodes, self.kl_weights = nodes, mass / mass.sum()
-        else:
-            self.kl_nodes = self.kl_weights = None
+        self.kl_nodes, self.kl_weights = kl_rule(d) or (None, None)
         self.kl_points = posterior_draws if self.kl_nodes is None else len(self.kl_nodes)
         self.kl_block = max(1, KL_SLAB // (space.size * self.kl_points))  # trials per kl block
         self.width = n + space.size + d  # array elements per trial
@@ -667,8 +659,8 @@ class GaussianRun:
         draws, or with weights the rule's weighted sum. The points are
         scored max(1, KL_SLAB // (trials |X|)) at a time; each point's L and
         L_hat are its own dot products and its kl elementwise, so no value
-        depends on the step, the block or the worker. The kl values land in
-        one (trials, points) array, reduced once per trial as on its own."""
+        depends on the step or the block. The kl values land in one
+        (trials, points) array, reduced once per trial as on its own."""
         trials, points, d = z.shape
         h = z  # the points, in place of their normals or nodes
         h *= self.sigma
@@ -687,11 +679,9 @@ class GaussianRun:
     def trials(self, master_seed: int, start: int, stop: int, posterior_kl: bool) -> Draw:
         """The draws of trials start..stop-1. Each trial's stream fills its
         rows of the uniforms and the normals and, with posterior_kl beyond
-        d = 2, then the posterior normals behind its kl estimate, in one
-        call; at d <= 2 the rule's nodes take their place. A trial is scored
-        with the other trials of its block of kl_block trials. The blocks go
-        to kl_workers() threads; every value is the same whichever thread
-        scores a block."""
+        d = 3, then the posterior normals behind its kl estimate, in one
+        call; at d <= 3 the rule's nodes take their place. A trial is scored
+        with the other trials of its block of kl_block trials."""
         count, d, size = stop - start, self.algorithm.dim_d, self.space.size
         block = self.kl_block if posterior_kl else count
         nodes, weights = self.kl_nodes, self.kl_weights
@@ -699,87 +689,48 @@ class GaussianRun:
         freq = np.empty((count, size))
         normals, center = np.empty((count, d)), np.empty((count, d))
         kl = np.empty(count) if posterior_kl else None
-
-        def worker(starts: Iterator[int]) -> None:
-            uniforms = np.empty((min(block, count), self.n))
-            z = np.empty((len(uniforms), self.kl_points, d)) if posterior_kl else None
-            for lo in starts:
-                hi = min(lo + block, count)
-                streams = trial_streams(master_seed, start + lo, start + hi)
-                for i, rng in zip(range(lo, hi), streams):
-                    rng.random(out=uniforms[i - lo])
-                    rng.standard_normal(out=normals[i])
-                    if posterior_kl and nodes is None:
-                        rng.standard_normal(out=z[i - lo])
-                idx[lo:hi] = inverse_cdf(self.space, uniforms[:hi - lo])
-                # each row's point counts, from one bincount over row-offset indices
-                rows = idx[lo:hi] + size * np.arange(hi - lo)[:, None]
-                counts = np.bincount(rows.ravel(), minlength=(hi - lo) * size)
-                np.divide(counts.reshape(hi - lo, size), self.n, out=freq[lo:hi])
-                center[lo:hi] = self.algorithm(idx[lo:hi])
-                if posterior_kl:
-                    if nodes is not None:
-                        z[:hi - lo] = nodes
-                    kl[lo:hi] = self.expected_kl(freq[lo:hi], center[lo:hi], z[:hi - lo],
-                                                 weights)
-
-        share_blocks(worker, range(0, count, block), kl_workers())
+        uniforms = np.empty((min(block, count), self.n))
+        z = np.empty((len(uniforms), self.kl_points, d)) if posterior_kl else None
+        for lo in range(0, count, block):
+            hi = min(lo + block, count)
+            streams = trial_streams(master_seed, start + lo, start + hi)
+            for i, rng in zip(range(lo, hi), streams):
+                rng.random(out=uniforms[i - lo])
+                rng.standard_normal(out=normals[i])
+                if posterior_kl and nodes is None:
+                    rng.standard_normal(out=z[i - lo])
+            idx[lo:hi] = inverse_cdf(self.space, uniforms[:hi - lo])
+            # each row's point counts, from one bincount over row-offset indices
+            rows = idx[lo:hi] + size * np.arange(hi - lo)[:, None]
+            counts = np.bincount(rows.ravel(), minlength=(hi - lo) * size)
+            np.divide(counts.reshape(hi - lo, size), self.n, out=freq[lo:hi])
+            center[lo:hi] = self.algorithm(idx[lo:hi])
+            if posterior_kl:
+                if nodes is not None:
+                    z[:hi - lo] = nodes
+                kl[lo:hi] = self.expected_kl(freq[lo:hi], center[lo:hi], z[:hi - lo], weights)
         return self.draws(idx, freq, center, normals)._replace(kl=kl)
+
+
+def kl_rule(d: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The tensor rule behind a Gaussian-kernel run's posterior-expected kl
+    in dimension d, or None beyond d = 3, where posterior draws take its
+    place: the nodes of the 20-node rule whose product weight is at least
+    KL_NODE_FLOOR of the total, and their weights normalized to sum 1."""
+    if d > 3:
+        return None
+    nodes, mass = tensor_rule(KL_NODES, KL_WEIGHTS, d)
+    keep = mass >= KL_NODE_FLOOR * mass.sum()
+    return nodes[keep], mass[keep] / mass[keep].sum()
 
 
 def kl_estimator(d: int, posterior_draws: int) -> str:
     """How a Gaussian-kernel run in dimension d estimates each trial's
     posterior-expected kl, as the verify summary names it."""
-    if d <= 2:
-        return f"Gauss-Hermite, {len(KL_NODES) ** d} nodes"
-    return f"Monte Carlo, {posterior_draws} draws"
-
-
-def kl_workers() -> int:
-    """The threads that share a Gaussian-kernel run's blocks: one per CPU
-    this process may run on, at most KL_WORKERS."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(KL_WORKERS, len(os.sched_getaffinity(0)))
-    return min(KL_WORKERS, os.cpu_count() or 1)
-
-
-def share_blocks(worker: Callable[[Iterator[int]], None], starts: range, threads: int) -> None:
-    """Runs worker on min(threads, len(starts)) threads, the caller's among
-    them. Each gets an iterator over one shared queue of the block starts,
-    so each block goes to one thread. Once a thread has raised, or the
-    caller is interrupted, no thread takes a further block; the first
-    exception is raised here once every thread has stopped."""
-    lock, stop = threading.Lock(), threading.Event()
-    pending = iter(starts)
-    errors = []
-
-    def blocks() -> Iterator[int]:
-        while True:
-            with lock:
-                lo = None if stop.is_set() else next(pending, None)
-            if lo is None:
-                return
-            yield lo
-
-    def run() -> None:
-        try:
-            worker(blocks())
-        except BaseException as exc:  # raised in the caller below
-            errors.append(exc)
-            stop.set()
-
-    helpers = [threading.Thread(target=run) for _ in range(min(threads, len(starts)) - 1)]
-    try:
-        for thread in helpers:
-            thread.start()
-        run()
-    finally:
-        stop.set()  # the queue is empty unless the caller was interrupted
-        for thread in helpers:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
+    rule = kl_rule(d)
+    if rule is None:
+        return f"Monte Carlo, {posterior_draws} draws"
+    return f"Gauss-Hermite, {len(rule[0])} nodes"
 
 
 GAP = "gap"
@@ -911,7 +862,7 @@ def violation_rate_gaussian(space: FiniteDataSpace, loss: ParametricLoss,
                             master_seed: int, posterior_draws: int) -> TrialReport:
     """Violation rates for the Gaussian-kernel certificates: the gap methods
     against the gap of the single (X, h) draw, kl_expectation against the
-    posterior average of kl(L_hat, L): by the Gauss-Hermite rule at d <= 2,
+    posterior average of kl(L_hat, L): by the Gauss-Hermite rule at d <= 3,
     over posterior_draws draws beyond."""
     run = GaussianRun(space, loss, algorithm, sigma, n, delta, posterior_draws)
     return _violation_rates(run, methods, trials, master_seed)

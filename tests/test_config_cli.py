@@ -621,12 +621,13 @@ class TestCli:
                             summary[-1])
 
     @pytest.mark.parametrize("dim, estimator", [
-        (1, "Gauss-Hermite, 20 nodes"), (2, "Gauss-Hermite, 400 nodes"),
-        (3, "Monte Carlo, 200 draws")])
+        (1, "Gauss-Hermite, 18 nodes"), (2, "Gauss-Hermite, 232 nodes"),
+        (3, "Gauss-Hermite, 2632 nodes"), (4, "Monte Carlo, 200 draws")])
     def test_verify_summary_names_kl_estimator(self, tmp_path, dim, estimator):
         """The kl method's summary line names its estimator: the tensor rule
-        at d <= 2, where posterior_draws is accepted and not read, and the
-        Monte Carlo draws beyond; the gap methods' lines name none."""
+        at d <= 3, with the count of nodes it keeps, where posterior_draws is
+        accepted and not read, and the Monte Carlo draws beyond; the gap
+        methods' lines name none."""
         text = GAUSSIAN_SMALL.replace("methods = gaussian_gap",
                                       "methods = gaussian_gap,gaussian_kl_expectation")
         cfg = write_config(tmp_path, "g.txt", text + f"instance.dim = {dim}\n")

@@ -3,8 +3,8 @@
 The reference below draws and scores one trial at a time, the way the
 violation rates are defined: per trial t, the substream (master_seed, t),
 then for a Gibbs trial n uniforms for X and one for h ~ Q_X, for a
-Gaussian-kernel trial n uniforms for X, d normals for h and, beyond d = 2,
-the normals of the posterior draws (at d <= 2 the posterior-expected kl is a
+Gaussian-kernel trial n uniforms for X, d normals for h and, beyond d = 3,
+the normals of the posterior draws (at d <= 3 the posterior-expected kl is a
 tensor Gauss-Hermite rule, built here node by node); each certificate built
 from that one draw, and running sums in trial order. Its draws share no code
 with GibbsRun and GaussianRun; the reports must be equal, float for float.
@@ -12,9 +12,6 @@ with GibbsRun and GaussianRun; the reports must be equal, float for float.
 
 import itertools
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -32,6 +29,8 @@ from gapcert.model import ContractViolation, FiniteDataSpace, ParametricLoss, Pr
 GIBBS_METHODS = ("bounded_differences", "bernstein", "empirical_bernstein",
                  "subgaussian_sup", "subgaussian_h")
 GAUSSIAN_METHODS = ("gaussian_gap", "gaussian_gap_bernstein", "gaussian_kl_expectation")
+# the nodes the posterior-expected kl's tensor rule keeps, by dimension
+RULE_POINTS = {1: 18, 2: 232, 3: 2632}
 
 
 # ---------------------------------------------------------------------------
@@ -52,19 +51,24 @@ def ref_gibbs_draw(run, rng):
                    rho=float(run.rho[h]))
 
 
-def ref_kl_rule(d):
-    """The tensor rule of the posterior-expected kl at d <= 2, node by node:
+def ref_kl_rule(d, floor=None):
+    """The tensor rule of the posterior-expected kl at d <= 3, node by node:
     the rule vf.KL_NODES, vf.KL_WEIGHTS on each axis in itertools.product
-    order, and each node's product of weights, normalized to sum 1."""
+    order, each node's product of weights, and the nodes that weigh at least
+    floor (by default vf.KL_NODE_FLOOR) of the total, with their weights
+    normalized to sum 1."""
+    floor = vf.KL_NODE_FLOOR if floor is None else floor
+    nodes = np.array(list(itertools.product(vf.KL_NODES, repeat=d)))
     mass = np.array([math.prod(w) for w in itertools.product(vf.KL_WEIGHTS, repeat=d)])
-    return np.array(list(itertools.product(vf.KL_NODES, repeat=d))), mass / mass.sum()
+    keep = mass >= floor * mass.sum()
+    return nodes[keep], mass[keep] / mass[keep].sum()
 
 
 def ref_gaussian_draw(run, features, rng, posterior_kl):
     """One Gaussian-kernel trial: n uniforms for X by inverse CDF, A on that
     one row, d normals for h, h's cosine loss at each point on its own, then,
     with posterior_kl, the losses at the posterior points as one (points,
-    |X|) batch: the rule's nodes at d <= 2, weighted, else posterior_draws
+    |X|) batch: the rule's nodes at d <= 3, weighted, else posterior_draws
     draws from further normals of the stream, averaged. Each point's L and
     L_hat, h's and every posterior point's, are its own dot products with mu
     and with the sample's point frequencies."""
@@ -80,7 +84,7 @@ def ref_gaussian_draw(run, features, rng, posterior_kl):
     if not posterior_kl:
         return draw
     d = len(center)
-    if d <= 2:
+    if d <= 3:
         z, weights = ref_kl_rule(d)
     else:
         z, weights = rng.standard_normal((run.posterior_draws, d)), None
@@ -253,15 +257,15 @@ def assert_same_draws(run, features, master_seed, start, stop, posterior_kl=True
 class TestGaussianRuns:
     def test_matches_loop_across_chunks(self, monkeypatch):
         """Several chunks of 7 trials, of n + |X| + d elements each, and kl
-        blocks of 3 trials of the 400-node rule, neither dividing 20."""
+        blocks of 3 trials of the 232-node rule, neither dividing 20."""
         monkeypatch.setattr(vf, "CHUNK_ELEMENTS", 7 * (100 + 6 + 2))
-        monkeypatch.setattr(vf, "KL_SLAB", 3 * 6 * len(vf.KL_NODES)**2)
+        monkeypatch.setattr(vf, "KL_SLAB", 3 * 6 * RULE_POINTS[2])
         run, features = gaussian_case(21)
         assert run.kl_block == 3
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 20, 8)
 
     def test_draws_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(vf, "KL_SLAB", 8 * 6 * len(vf.KL_NODES)**2)
+        monkeypatch.setattr(vf, "KL_SLAB", 8 * 6 * RULE_POINTS[2])
         run, features = gaussian_case(22, draws=40)
         assert run.kl_block == 8
         assert_same_draws(run, features, 4242, 0, 11)
@@ -269,16 +273,15 @@ class TestGaussianRuns:
         assert_same_draws(run, features, 9, 3, 10, posterior_kl=False)
 
     def test_default_block(self):
-        """At the default KL_SLAB a block of 400-node estimates at |X| = 6
-        holds 27 trials, and 30 trials end in a part block; one of 2000-draw
-        estimates at d = 3 holds 5 trials, and 11 trials end in a part
-        block."""
-        run, features = gaussian_case(23, draws=2000)
-        assert run.kl_block == 27
-        assert_same_draws(run, features, 4242, 0, 30)
-        run, features = gaussian_case(23, draws=2000, d=3)
-        assert run.kl_block == 5
-        assert_same_draws(run, features, 4242, 0, 11)
+        """At the default KL_SLAB a block of 232-node estimates at |X| = 6
+        holds 47 trials, and 50 trials end in a part block; one of 2632-node
+        estimates at d = 3 holds 4 trials, and 9 trials end in a part block;
+        one of 2000-draw estimates at d = 4 holds 5 trials, and 11 trials end
+        in a part block."""
+        for d, block, trials in ((2, 47, 50), (3, 4, 9), (4, 5, 11)):
+            run, features = gaussian_case(23, draws=2000, d=d)
+            assert run.kl_block == block
+            assert_same_draws(run, features, 4242, 0, trials)
 
     @pytest.mark.parametrize("num_points, n, draws, slabs", [
         (8, 1000, 2000, 31), (8, 10_000, 30, 5), (10, 10_000, 30, 5), (8, 3000, 45, 3),
@@ -287,20 +290,20 @@ class TestGaussianRuns:
     def test_many_points_and_narrow_slabs(self, monkeypatch, num_points, n, draws, slabs):
         """At |X| >= 8, where a matrix-vector product's rows depend on the
         rows that come with them, at large n, and with each trial's draws
-        (d = 3) scored in `slabs` steps of a few draws, each trial's kl is
+        (d = 4) scored in `slabs` steps of a few draws, each trial's kl is
         that of the loop."""
         monkeypatch.setattr(vf, "KL_SLAB", num_points * -(-draws // slabs))
-        run, features = gaussian_case(34, n=n, draws=draws, num_points=num_points, d=3)
+        run, features = gaussian_case(34, n=n, draws=draws, num_points=num_points, d=4)
         assert run.kl_block == 1
         assert_same_draws(run, features, 11, 0, 8)
 
     def test_kl_independent_of_slab_split(self, monkeypatch):
-        """At |X| = 8 and d = 3, blocks of 1 to 136 trials of 60 draws, the
+        """At |X| = 8 and d = 4, blocks of 1 to 136 trials of 60 draws, the
         one-trial blocks in two steps, give the same kl values."""
         kls, blocks = [], set()
         for kl_slab in (1 << 8, 1 << 10, 3 * 8 * 80, 1 << 12, 1 << 14, 1 << 16):
             monkeypatch.setattr(vf, "KL_SLAB", kl_slab)
-            run, _ = gaussian_case(35, n=80, draws=60, num_points=8, d=3)
+            run, _ = gaussian_case(35, n=80, draws=60, num_points=8, d=4)
             blocks.add(run.kl_block)
             kls.append(run.trials(7, 0, 20, posterior_kl=True).kl)
         assert blocks == {1, 2, 4, 8, 34, 136}
@@ -330,7 +333,7 @@ class TestGaussianRuns:
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 30, 2)
 
     def test_one_posterior_draw(self):
-        run, features = gaussian_case(26, draws=1, d=3)
+        run, features = gaussian_case(26, draws=1, d=4)
         assert_same_draws(run, features, 3, 0, 9)
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 40, 3)
 
@@ -346,9 +349,9 @@ class TestGaussianRuns:
         monkeypatch.setattr(vf.GaussianRun, "expected_kl", None)
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS[:2], 30, 5)
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rule_draws_no_posterior_normals(self, monkeypatch, d):
-        """At d <= 2 a kl trial's stream yields its n uniforms and d normals
+        """At d <= 3 a kl trial's stream yields its n uniforms and d normals
         only, so its X and h are those of the run without the kl method."""
         run, _ = gaussian_case(29, d=d)
         calls, streams = [], vf.trial_streams
@@ -373,47 +376,95 @@ class TestGaussianRuns:
         assert np.array_equal(with_kl.h, without.h)
         assert np.array_equal(with_kl.L_hat, without.L_hat)
 
-    @pytest.mark.parametrize("d, num_points, block",
-                             [(1, 8, 409), (2, 8, 20), (2, 6, 27), (2, 200, 1)])
+    @pytest.mark.parametrize("d, num_points, block", [
+        (1, 8, 455), (2, 8, 35), (2, 6, 47), (2, 200, 1), (3, 8, 3), (3, 200, 1)])
     def test_rule_block_shape(self, monkeypatch, d, num_points, block):
-        """At d <= 2 a block holds max(1, KL_SLAB // (|X| 20^d)) trials, and
-        its 20^d nodes are scored max(1, KL_SLAB // (trials |X|))
-        at a time: in one step, unless one trial's losses alone pass KL_SLAB
-        floats (at |X| = 200, in steps of 327 nodes and 73)."""
+        """At d <= 3 a block holds max(1, KL_SLAB // (|X| points)) trials,
+        points being the rule's kept nodes, which are scored
+        max(1, KL_SLAB // (trials |X|)) at a time: in one step, unless one
+        trial's losses alone pass KL_SLAB floats (at d = 3 and |X| = 200, in
+        eight steps of 327 nodes and one of 16)."""
         run, _ = gaussian_case(37, d=d, num_points=num_points)
-        points = len(vf.KL_NODES)**d
+        points = RULE_POINTS[d]
         assert run.kl_points == points
         assert run.kl_block == block == max(1, vf.KL_SLAB // (num_points * points))
         shapes, kl_vec = [], vf.kl_bernoulli_vec
         monkeypatch.setattr(vf, "kl_bernoulli_vec",
                             lambda s, t: shapes.append(s.shape) or kl_vec(s, t))
-        monkeypatch.setattr(vf, "kl_workers", lambda: 1)
         run.trials(5, 0, 2 * block + 1, posterior_kl=True)
         want = []
         for trials in (block, block, 1):
             step = max(1, vf.KL_SLAB // (trials * num_points))
             want += [(trials, min(step, points - lo)) for lo in range(0, points, step)]
         assert shapes == want
-        assert len(want) == (6 if num_points == 200 else 3)
+        assert len(want) == (27 if (d, num_points) == (3, 200) else 3)
 
     @pytest.mark.parametrize("master_seed, trials", [(4242, 500), (4243, 200)],
                              ids=["config", "criterion_6"])
     def test_rule_near_finer_rule(self, monkeypatch, master_seed, trials):
         """On the instance of configs/gaussian_mean_embedding.txt, over its
         trials and over those of acceptance criterion 6, the 20-node rule's
-        kl is within 2e-5 of an 80-node rule's on every trial (at most 7.6e-6
-        measured)."""
+        kl is within 2e-5 of an 80-node rule's, both pruned, on every trial
+        (at most 7.6e-6 measured), and its 232 kept nodes are within 1e-10
+        of all 400 (at most 2.1e-11 measured)."""
         space, loss, spec = gaussian_kernel_instance(21, 8, 2, 100, 0.5, "mean_embedding")
 
-        def kl(nodes, weights):
-            monkeypatch.setattr(vf, "KL_NODES", nodes)
-            monkeypatch.setattr(vf, "KL_WEIGHTS", weights)
+        def kl(points):
             run = vf.GaussianRun(space, loss, spec.algorithm, spec.sigma, 100, 0.05,
                                  posterior_draws=1)
-            assert run.kl_points == len(nodes) ** 2
+            assert run.kl_points == points
             return run.trials(master_seed, 0, trials, posterior_kl=True).kl
 
-        assert np.abs(kl(vf.KL_NODES, vf.KL_WEIGHTS) - kl(*hermegauss(80))).max() <= 2e-5
+        rule = kl(RULE_POINTS[2])
+        monkeypatch.setattr(vf, "KL_NODE_FLOOR", 0.0)
+        assert np.abs(rule - kl(400)).max() <= 1e-10
+        monkeypatch.undo()
+        monkeypatch.setattr(vf, "KL_NODES", hermegauss(80)[0])
+        monkeypatch.setattr(vf, "KL_WEIGHTS", hermegauss(80)[1])
+        # the 80-node rule keeps 944 of its 6,400 nodes
+        assert np.abs(rule - kl(944)).max() <= 2e-5
+
+    @pytest.mark.parametrize("d, dropped", [(1, 2.5e-13), (2, 1.1e-9), (3, 1.5e-8)])
+    def test_rule_pruned(self, d, dropped):
+        """The rule keeps the nodes that weigh at least KL_NODE_FLOOR of the
+        total, RULE_POINTS[d] of 20^d, which drop about `dropped` of the mass,
+        and normalizes their weights to sum 1, as ref_kl_rule does node by
+        node."""
+        nodes, weights = vf.kl_rule(d)
+        assert nodes.shape == (RULE_POINTS[d], d)
+        want_nodes, want_weights = ref_kl_rule(d)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        assert abs(weights.sum() - 1.0) <= 1e-15
+        _, full = ref_kl_rule(d, floor=0.0)
+        below = full < vf.KL_NODE_FLOOR
+        assert len(full) == 20**d and np.count_nonzero(~below) == RULE_POINTS[d]
+        assert math.isclose(full[below].sum(), dropped, rel_tol=0.1)
+        assert vf.kl_rule(4) is None
+
+    def test_rule_near_finer_rule_at_d3(self, monkeypatch):
+        """At d = 3, on the instance of configs/gaussian_mean_embedding.txt
+        in three dimensions, 40 trials on each of seeds 0, 1 and 7, the
+        2632-node rule's kl is within 1e-5 of a pruned 36-node rule's on
+        every trial (1.6e-6 measured), and 10,000 Monte Carlo draws are
+        farther off on each seed (up to 3.4e-5 measured)."""
+        space, loss, spec = gaussian_kernel_instance(21, 8, 3, 100, 0.5, "mean_embedding")
+
+        def kl(master_seed, draws=1):
+            run = vf.GaussianRun(space, loss, spec.algorithm, spec.sigma, 100, 0.05,
+                                 posterior_draws=draws)
+            return run.trials(master_seed, 0, 40, posterior_kl=True).kl
+
+        for master_seed in (0, 1, 7):
+            rule = kl(master_seed)
+            monkeypatch.setattr(vf, "kl_rule", lambda d: None)  # Monte Carlo at d = 3
+            draws = kl(master_seed, draws=10_000)
+            monkeypatch.undo()
+            monkeypatch.setattr(vf, "KL_NODES", hermegauss(36)[0])
+            monkeypatch.setattr(vf, "KL_WEIGHTS", hermegauss(36)[1])
+            finer = kl(master_seed)
+            monkeypatch.undo()
+            assert np.abs(rule - finer).max() <= 1e-5
+            assert np.abs(draws - finer).max() > np.abs(rule - finer).max()
 
     def test_rule_is_hermegauss(self):
         """The rule's written-out nodes and weights are numpy's 20-node
@@ -428,35 +479,33 @@ class TestGaussianRuns:
     @pytest.mark.parametrize("draws, kl_slab, block",
                              [(1, 18, 3), (45, 42, 1), (2, 60, 5)],
                              ids=["one_draw", "uneven_slabs", "two_draws"])
-    def test_worker_count_changes_nothing(self, monkeypatch, draws, kl_slab, block):
-        """1, 2 and 3 workers give the per-trial loop's reports and draws at
-        d = 3: blocks of 3 or 5 trials, the last a part block, and (at 45 draws)
-        one-trial blocks in six steps of 7 draws and one of 3."""
+    def test_block_split_changes_nothing(self, monkeypatch, draws, kl_slab, block):
+        """Blocks of 3 or 5 trials, the last a part block, and (at 45 draws)
+        one-trial blocks in six steps of 7 draws and one of 3 give the
+        per-trial loop's reports and draws at d = 4."""
         monkeypatch.setattr(vf, "KL_SLAB", kl_slab)
-        run, features = gaussian_case(31, draws=draws, d=3)
+        run, features = gaussian_case(31, draws=draws, d=4)
         assert run.kl_block == block
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(vf, "kl_workers", lambda: workers)
-            assert_same_draws(run, features, 6, 0, 10)
-            assert_same_draws(run, features, 6, 4, 12, posterior_kl=False)
-            assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 20, 6)
+        assert_same_draws(run, features, 6, 0, 10)
+        assert_same_draws(run, features, 6, 4, 12, posterior_kl=False)
+        assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 20, 6)
 
     @pytest.mark.parametrize("n", [10, 100, 1000, 100_000])
     @pytest.mark.parametrize("draws", [1, 2, 3, 7, 10, 100, 2000, 10_000])
     def test_block_shape(self, monkeypatch, n, draws):
-        """Beyond d = 2 a block holds max(1, KL_SLAB // (|X| posterior_draws))
+        """Beyond d = 3 a block holds max(1, KL_SLAB // (|X| posterior_draws))
         trials, whatever n. Its draws are scored in steps of one width, the last
         maybe narrower, the widest whose (trials, step, |X|) losses keep
         within KL_SLAB floats, or one draw; a block of several trials takes
         one step."""
-        run, _ = gaussian_case(33, n=n, draws=draws, num_points=8, d=3)
+        run, _ = gaussian_case(33, n=n, draws=draws, num_points=8, d=4)
         block = run.kl_block
         assert block == max(1, vf.KL_SLAB // (8 * draws))
         shapes, kl_vec = [], vf.kl_bernoulli_vec
         monkeypatch.setattr(vf, "kl_bernoulli_vec",
                             lambda s, t: shapes.append(s.shape) or kl_vec(s, t))
-        z = np.random.Generator(np.random.Philox(key=draws)).standard_normal((block, draws, 3))
-        run.expected_kl(np.full((block, 8), 0.125), np.zeros((block, 3)), z)
+        z = np.random.Generator(np.random.Philox(key=draws)).standard_normal((block, draws, 4))
+        run.expected_kl(np.full((block, 8), 0.125), np.zeros((block, 4)), z)
         widths = [width for trials, width in shapes]
         assert {trials for trials, width in shapes} == {block} and sum(widths) == draws
         assert set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
@@ -464,34 +513,27 @@ class TestGaussianRuns:
         assert block * 8 * (widths[0] + 1) > vf.KL_SLAB or len(widths) == 1
         assert block == 1 or len(widths) == 1
 
-    def test_workers_capped(self, monkeypatch):
-        """A process that may run on 64 CPUs still starts KL_WORKERS threads."""
-        monkeypatch.setattr(vf.os, "sched_getaffinity", lambda pid: set(range(64)),
-                            raising=False)
-        assert vf.kl_workers() == vf.KL_WORKERS == 2
-
-    def test_worker_error_reaches_caller(self, monkeypatch):
-        """A loss that breaks its contract on the posterior draws of every
-        block, 4 blocks of 2000-draw estimates at d = 3, fails the run in the
-        caller, and no worker thread outlives it."""
-        monkeypatch.setattr(vf, "kl_workers", lambda: 3)
+    def test_worker_error_reaches_caller(self):
+        """A loss that breaks its contract on the posterior points of every
+        block fails the run in the caller: 4 blocks of 2000-draw estimates at
+        d = 4, and at d = 2 one block of the rule, whose outer kept nodes lie
+        5.6 sigma out."""
         space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
-        loss = far_out_loss(3)
-        before = threading.active_count()
-        with pytest.raises(ContractViolation):
-            vf.violation_rate_gaussian(space, loss, constant_algorithm([0.0] * 3), 1.0, 10,
-                                       0.05, GAUSSIAN_METHODS, 60, 0, posterior_draws=2000)
-        assert threading.active_count() == before
+        for d in (4, 2):
+            with pytest.raises(ContractViolation):
+                vf.violation_rate_gaussian(space, far_out_loss(d),
+                                           constant_algorithm([0.0] * d), 1.0, 10, 0.05,
+                                           GAUSSIAN_METHODS, 60, 0, posterior_draws=2000)
 
     def test_kl_memory_bounded(self):
         """A block's posterior draws are scored a step at a time, so 8 kl
-        trials at d = 3, n = 1000 and 10,000 draws hold their normals and kl
+        trials at d = 4, n = 1000 and 10,000 draws hold their normals and kl
         values and a few step arrays, not an n x posterior_draws gather per
         trial (78 MiB); and at |X| = 500, n = 100, not the (posterior_draws,
         |X|) losses of a trial (77.6 MiB when unstepped)."""
         for num_points, n in ((6, 1000), (500, 100)):
             run, features = gaussian_case(32, n=n, sigma=0.6, draws=10_000,
-                                          num_points=num_points, d=3)
+                                          num_points=num_points, d=4)
             tracemalloc.start()
             try:
                 vf.violation_rate_gaussian(run.space, run.loss, run.algorithm, run.sigma,
@@ -523,9 +565,10 @@ class TestGaussianRuns:
     def test_loss_outside_contract_on_posterior_draws(self):
         """A loss that leaves [0, b] only far out, where the trials' own h do
         not go and their posterior points do, fails the kl estimate: the
-        2000 draws at d = 3, and at d = 1 the rule's outer nodes."""
+        2000 draws at d = 4, and at d = 1 the rule's outer kept nodes, 6.5
+        sigma out."""
         space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
-        for d in (3, 1):
+        for d in (4, 1):
             args = (space, far_out_loss(d), constant_algorithm([0.0] * d), 1.0, 10, 0.05)
             gap = vf.violation_rate_gaussian(*args, GAUSSIAN_METHODS[:2], 5, 0,
                                              posterior_draws=2000)
@@ -613,79 +656,6 @@ class TestTrialStreams:
     def test_seed_past_64_bits_raises(self):
         with pytest.raises(OverflowError):
             next(vf.trial_streams(2**64, 0, 1))
-
-
-# ---------------------------------------------------------------------------
-# the worker threads
-
-class TestShareBlocks:
-    def test_each_block_once(self):
-        """Eight threads, more than the cores, switching as often as the
-        interpreter lets them: no block is lost or taken twice."""
-        taken = []
-
-        def worker(starts):
-            mine = list(starts)
-            with lock:
-                taken.extend(mine)
-
-        lock = threading.Lock()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            vf.share_blocks(worker, range(0, 20_000, 2), 8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(taken) == list(range(0, 20_000, 2))
-
-    def test_helper_error_raised_after_all_stop(self):
-        """Three threads each take a block; the two helpers then raise. The
-        caller takes no block once they have failed, and raises a helper's
-        error after both have stopped."""
-        caller = threading.get_ident()
-        barrier = threading.Barrier(3, timeout=10)
-        before = threading.active_count()
-        taken = []
-
-        def worker(starts):
-            taken.append(next(starts))
-            barrier.wait()  # every thread holds a block
-            if threading.get_ident() != caller:
-                raise ValueError("helper")
-            deadline = time.monotonic() + 10
-            while threading.active_count() > before and time.monotonic() < deadline:
-                time.sleep(0.001)
-            taken.extend(starts)
-
-        with pytest.raises(ValueError, match="helper"):
-            vf.share_blocks(worker, range(100), 3)
-        assert threading.active_count() == before
-        assert sorted(taken) == sorted(set(taken)) and len(taken) == 3
-
-    def test_caller_error_stops_helpers(self, monkeypatch):
-        """An error in the caller before it takes a block, here a helper that
-        cannot start, stops the helper already started: it takes no further
-        block, and has stopped when the error reaches the caller."""
-        started = []
-        start = threading.Thread.start
-
-        def start_one(thread):
-            if started:
-                raise RuntimeError("can't start new thread")
-            started.append(thread)
-            start(thread)
-
-        taken = []
-
-        def worker(starts):
-            for lo in starts:
-                taken.append(lo)
-                time.sleep(0.001)
-
-        monkeypatch.setattr(threading.Thread, "start", start_one)
-        with pytest.raises(RuntimeError, match="start"):
-            vf.share_blocks(worker, range(1000), 3)
-        assert not started[0].is_alive() and len(taken) < 1000
 
 
 # ---------------------------------------------------------------------------
