@@ -144,8 +144,9 @@ _KEYS = {
     "trials": Key("1000", number_in(int, 1)),
     "master_seed": Key("0", number_in(int, 0, 2**64 - 1)),
     "enumeration_budget": Key(str(DEFAULT_ENUMERATION_BUDGET), number_in(int, 1), GIBBS),
-    # read only where instance.dim > 3: at d <= 3 the posterior-expected kl is
-    # a Gauss-Hermite rule with no draws; accepted there, and not read
+    # read only where instance.dim > 3, where the posterior-expected kl is a
+    # mean over this many normals drawn once per run; at d <= 3 it is a
+    # Gauss-Hermite rule with no draws, and the key is accepted and not read
     "posterior_draws": Key("10000", number_in(int, 1), (GAUSSIAN,)),
     "out": Key("out", str),
     "verify.exact": Key("auto", _one_of("auto", "require", "skip"), GIBBS),

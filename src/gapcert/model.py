@@ -270,19 +270,24 @@ def load_loss_table(path) -> tuple[FiniteDataSpace, FiniteTable]:
         h0      v01 v02 ... v0m     one row per hypothesis
         ...
 
-    Every number must be finite: probabilities are nonnegative and sum to 1,
-    the bound is positive, and losses lie in [0, bound].
+    The points, #mu and b lines may each come once. Every number must be
+    finite: probabilities are nonnegative and sum to 1, the bound is
+    positive, and losses lie in [0, bound].
     """
     points = None
     probs = None
     bound = 1.0
-    rows = []
+    rows, seen = [], set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or (line.startswith("#") and not line.startswith("#mu")):
                 continue
             key, *texts = line.split()
+            if key in ("points", "#mu", "b"):
+                if key in seen:
+                    raise ValueError(f"{path}:{lineno}: duplicate {key} line")
+                seen.add(key)
             if key == "points":
                 points = tuple(texts)
                 continue

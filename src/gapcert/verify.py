@@ -460,15 +460,15 @@ def check_phi_lemma() -> dict:
 # (trials, |X|) array of a chunk takes at most 8 MB, whatever n and m.
 CHUNK_ELEMENTS = 1 << 20
 # Floats of a block's posterior losses at a time. A trial's posterior-expected
-# kl averages kl over its points: the nodes of the tensor rule at d <= 3
-# (kl_rule), its posterior_draws draws beyond. A block takes
-# max(1, KL_SLAB // (|X| points)) trials and scores their points
-# max(1, KL_SLAB // (trials |X|)) at a time, so a step's (trials, step, |X|)
-# losses hold at most KL_SLAB floats (512 KiB) unless one point alone needs
-# more, and a block of several trials takes one step. A run holds its
-# block's points and kl values, block x points x (d + 1) floats (195 KB for
-# the 35 trials of 232 nodes at |X| = 8, d = 2), plus O(KL_SLAB) floats for a
-# step; n does not enter it.
+# kl is a weighted sum of kl over the points of its run's rule (kl_rule): the
+# nodes of the tensor rule at d <= 3, posterior_draws fixed draws beyond. A
+# block takes max(1, KL_SLAB // (|X| points)) trials and builds and scores their
+# points max(1, KL_SLAB // (trials |X|)) at a time, so a step's (trials, step,
+# |X|) losses hold at most KL_SLAB floats (512 KiB) unless one point alone
+# needs more, and a block of several trials takes one step. A run holds its
+# rule, points x (d + 1) floats, and its block's kl values, block x points
+# floats (65 KB for the 35 trials of 232 nodes at |X| = 8, d = 2), plus
+# O(KL_SLAB) floats for a step; n does not enter it.
 KL_SLAB = 1 << 16
 # The posterior-expected kl's tensor rule at d <= 3, per axis: the 20
 # probabilists' Gauss-Hermite nodes and weights of numpy's hermegauss(20),
@@ -616,12 +616,12 @@ class GibbsRun:
 class GaussianRun:
     """Per-run constants of a Gaussian-kernel scenario, and its draw: per
     trial, n uniforms for X, then d normals for h = A(X) + sigma z. When a
-    method bounds the posterior-expected kl, each trial averages kl over
-    points c + sigma z_j around its posterior mean c = A(X): at d <= 3 the
-    nodes of kl_rule(d), weighted, so the trial's stream yields nothing
-    more; beyond, posterior_draws x d further normals of its stream,
-    averaged. Every L_hat, of h and of each point, is the dot product of the
-    point's losses with freq, the sample's point frequencies counts / n:
+    method bounds the posterior-expected kl, each trial takes the weighted
+    sum of kl over the points c + sigma z_j around its posterior mean
+    c = A(X), the z_j and weights being the run's rule, kl_rule(d,
+    posterior_draws), which every trial shares, so a trial's stream yields
+    nothing more. Every L_hat, of h and of each point, is the dot product of
+    the point's losses with freq, the sample's point frequencies counts / n:
     L_hat depends on X only through its type."""
 
     variant = "gaussian_kernel"
@@ -634,91 +634,71 @@ class GaussianRun:
         self.c_A = algorithm.declared_c_A
         self.V = float(algorithm.variance_fn(space, n))
         d = algorithm.dim_d
-        self.kl_nodes, self.kl_weights = kl_rule(d) or (None, None)
-        self.kl_points = posterior_draws if self.kl_nodes is None else len(self.kl_nodes)
-        self.kl_block = max(1, KL_SLAB // (space.size * self.kl_points))  # trials per kl block
+        self.kl_nodes, self.kl_weights = kl_rule(d, posterior_draws)
+        self.kl_block = max(1, KL_SLAB // (space.size * len(self.kl_nodes)))  # trials per kl block
         self.width = n + space.size + d  # array elements per trial
 
-    def draws(self, idx: np.ndarray, freq: np.ndarray, center: np.ndarray,
-              normals: np.ndarray) -> Draw:
-        """The draws of the trials with sample rows idx, point frequencies
-        freq, posterior means center = A(idx) and the d normals of h in the
-        rows of normals. Each value equals that of the trial on its own:
-        np.vecdot takes each row's dot as on that row alone."""
-        h = center + self.sigma * normals
-        pl = self.loss.values(h)  # (trials, |X|)
-        L = np.vecdot(pl, self.space.probs)
-        v = np.vecdot((pl - L[:, None]) ** 2, self.space.probs)
-        return Draw(idx, h, np.vecdot(pl, freq), L, v, center=center)
-
-    def expected_kl(self, freq: np.ndarray, center: np.ndarray, z: np.ndarray,
-                    weights: np.ndarray | None = None) -> np.ndarray:
-        """Per trial t, the posterior average of kl(L_hat, L) over its points
-        center[t] + sigma z[t], z being (trials, points, d), which it scales
-        and shifts into the points in place: the mean over Monte Carlo
-        draws, or with weights the rule's weighted sum. The points are
-        scored max(1, KL_SLAB // (trials |X|)) at a time; each point's L and
-        L_hat are its own dot products and its kl elementwise, so no value
-        depends on the step or the block. The kl values land in one
-        (trials, points) array, reduced once per trial as on its own."""
-        trials, points, d = z.shape
-        h = z  # the points, in place of their normals or nodes
-        h *= self.sigma
-        h += center[:, None, :]
-        kl = np.empty((trials, points))
+    def expected_kl(self, freq: np.ndarray, center: np.ndarray) -> np.ndarray:
+        """Per trial t, the rule's weighted sum of kl(L_hat, L) over the
+        points center[t] + sigma kl_nodes. The points are built and scored
+        max(1, KL_SLAB // (trials |X|)) at a time; each point's L and L_hat
+        are its own dot products and its kl elementwise, so no value depends
+        on the step or the block. The kl values land in one (trials, points)
+        array, reduced once per trial as on its own."""
+        (trials, d), nodes = center.shape, self.kl_nodes
+        kl = np.empty((trials, len(nodes)))
         step = max(1, KL_SLAB // (trials * self.space.size))
-        for lo in range(0, points, step):
-            pl = self.loss.values(h[:, lo:lo + step].reshape(-1, d))
-            pl = pl.reshape(trials, -1, self.space.size)
+        for lo in range(0, len(nodes), step):
+            h = center[:, None, :] + self.sigma * nodes[lo:lo + step]
+            pl = self.loss.values(h.reshape(-1, d)).reshape(trials, -1, self.space.size)
             L = np.vecdot(pl, self.space.probs)
             L_hat = np.clip(np.vecdot(pl, freq[:, None, :]), 0.0, 1.0)
             kl[:, lo:lo + step] = kl_bernoulli_vec(L_hat, L)
         # vecdot, not a matrix-vector product, whose rows round by their batch
-        return kl.mean(axis=1) if weights is None else np.vecdot(kl, weights)
+        return np.vecdot(kl, self.kl_weights)
 
     def trials(self, master_seed: int, start: int, stop: int, posterior_kl: bool) -> Draw:
         """The draws of trials start..stop-1. Each trial's stream fills its
-        rows of the uniforms and the normals and, with posterior_kl beyond
-        d = 3, then the posterior normals behind its kl estimate, in one
-        call; at d <= 3 the rule's nodes take their place. A trial is scored
-        with the other trials of its block of kl_block trials."""
+        rows of the uniforms and the normals. With posterior_kl a trial's kl
+        is scored with the other trials of its block of kl_block trials. Each
+        value equals that of the trial on its own: np.vecdot takes each row's
+        dot as on that row alone."""
         count, d, size = stop - start, self.algorithm.dim_d, self.space.size
-        block = self.kl_block if posterior_kl else count
-        nodes, weights = self.kl_nodes, self.kl_weights
-        idx = np.empty((count, self.n), dtype=np.intp)
-        freq = np.empty((count, size))
-        normals, center = np.empty((count, d)), np.empty((count, d))
-        kl = np.empty(count) if posterior_kl else None
-        uniforms = np.empty((min(block, count), self.n))
-        z = np.empty((len(uniforms), self.kl_points, d)) if posterior_kl else None
-        for lo in range(0, count, block):
-            hi = min(lo + block, count)
-            streams = trial_streams(master_seed, start + lo, start + hi)
-            for i, rng in zip(range(lo, hi), streams):
-                rng.random(out=uniforms[i - lo])
-                rng.standard_normal(out=normals[i])
-                if posterior_kl and nodes is None:
-                    rng.standard_normal(out=z[i - lo])
-            idx[lo:hi] = inverse_cdf(self.space, uniforms[:hi - lo])
-            # each row's point counts, from one bincount over row-offset indices
-            rows = idx[lo:hi] + size * np.arange(hi - lo)[:, None]
-            counts = np.bincount(rows.ravel(), minlength=(hi - lo) * size)
-            np.divide(counts.reshape(hi - lo, size), self.n, out=freq[lo:hi])
-            center[lo:hi] = self.algorithm(idx[lo:hi])
-            if posterior_kl:
-                if nodes is not None:
-                    z[:hi - lo] = nodes
-                kl[lo:hi] = self.expected_kl(freq[lo:hi], center[lo:hi], z[:hi - lo], weights)
-        return self.draws(idx, freq, center, normals)._replace(kl=kl)
+        uniforms, normals = np.empty((count, self.n)), np.empty((count, d))
+        for u, z, rng in zip(uniforms, normals, trial_streams(master_seed, start, stop)):
+            rng.random(out=u)
+            rng.standard_normal(out=z)
+        idx = inverse_cdf(self.space, uniforms)
+        # each row's point counts, from one bincount over row-offset indices
+        rows = idx + size * np.arange(count)[:, None]
+        freq = np.bincount(rows.ravel(), minlength=count * size).reshape(count, size) / self.n
+        center = self.algorithm(idx)
+        kl = None
+        if posterior_kl:
+            kl = np.concatenate([self.expected_kl(freq[lo:lo + self.kl_block],
+                                                  center[lo:lo + self.kl_block])
+                                 for lo in range(0, count, self.kl_block)])
+        h = center + self.sigma * normals
+        pl = self.loss.values(h)  # (trials, |X|)
+        L = np.vecdot(pl, self.space.probs)
+        v = np.vecdot((pl - L[:, None]) ** 2, self.space.probs)
+        return Draw(idx, h, np.vecdot(pl, freq), L, v, center=center, kl=kl)
 
 
-def kl_rule(d: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The tensor rule behind a Gaussian-kernel run's posterior-expected kl
-    in dimension d, or None beyond d = 3, where posterior draws take its
-    place: the nodes of the 20-node rule whose product weight is at least
-    KL_NODE_FLOOR of the total, and their weights normalized to sum 1."""
+def kl_rule(d: int, posterior_draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule behind a Gaussian-kernel run's posterior-expected kl in
+    dimension d: its (points, d) standard-normal nodes and their weights,
+    which sum to 1. At d <= 3, the nodes of the 20-node tensor rule whose
+    product weight is at least KL_NODE_FLOOR of the total, their weights
+    normalized; beyond, where that rule outgrows the draws (23,936 nodes at
+    d = 4), posterior_draws standard normals of weight 1/posterior_draws
+    each. Those come from np.random.default_rng(0), a PCG64 generator that
+    no trial uses (a trial draws from its Philox substream), so the rule is
+    the same for every trial and run: given it the trials stay independent,
+    and each estimate is unbiased over the draw of the rule."""
     if d > 3:
-        return None
+        return (np.random.default_rng(0).standard_normal((posterior_draws, d)),
+                np.full(posterior_draws, 1.0 / posterior_draws))
     nodes, mass = tensor_rule(KL_NODES, KL_WEIGHTS, d)
     keep = mass >= KL_NODE_FLOOR * mass.sum()
     return nodes[keep], mass[keep] / mass[keep].sum()
@@ -726,11 +706,12 @@ def kl_rule(d: int) -> tuple[np.ndarray, np.ndarray] | None:
 
 def kl_estimator(d: int, posterior_draws: int) -> str:
     """How a Gaussian-kernel run in dimension d estimates each trial's
-    posterior-expected kl, as the verify summary names it."""
-    rule = kl_rule(d)
-    if rule is None:
-        return f"Monte Carlo, {posterior_draws} draws"
-    return f"Gauss-Hermite, {len(rule[0])} nodes"
+    posterior-expected kl, as the verify summary names it: a rule of equal
+    weights is the mean over Monte Carlo draws."""
+    nodes, weights = kl_rule(d, posterior_draws)
+    if np.all(weights == weights[0]):
+        return f"Monte Carlo, {len(nodes)} draws"
+    return f"Gauss-Hermite, {len(nodes)} nodes"
 
 
 GAP = "gap"
@@ -862,8 +843,9 @@ def violation_rate_gaussian(space: FiniteDataSpace, loss: ParametricLoss,
                             master_seed: int, posterior_draws: int) -> TrialReport:
     """Violation rates for the Gaussian-kernel certificates: the gap methods
     against the gap of the single (X, h) draw, kl_expectation against the
-    posterior average of kl(L_hat, L): by the Gauss-Hermite rule at d <= 3,
-    over posterior_draws draws beyond."""
+    posterior average of kl(L_hat, L) by the run's rule: the Gauss-Hermite
+    rule at d <= 3, beyond it posterior_draws normals drawn once per run
+    (kl_rule)."""
     run = GaussianRun(space, loss, algorithm, sigma, n, delta, posterior_draws)
     return _violation_rates(run, methods, trials, master_seed)
 

@@ -80,11 +80,15 @@ BAD_TABLES = {
     "text_mu_table": "points a b\n#mu 0.5 zz\nh0 0.1 0.2\nh1 0.7 0.3\n",
     "repeated_points_table": "points a a\n#mu 0.5 0.5\nh0 0.1 0.2\n",
     "empty_points_table": "points\n#mu\nh0\n",
+    "second_points_table": "points a b\n#mu 0.5 0.5\npoints a c\nh0 0.1 0.2\n",
+    "second_mu_table": "points a b\n#mu 0.5 0.5\n#mu 0.1 0.9\nb 1\nb 2\nh0 0.1 0.2\n",
+    "second_b_table": "points a b\n#mu 0.5 0.5\nb 1\nh0 0.1 0.2\nb 2\n",
 }
 
 # the file line that the error of a rejected loss table names
 BAD_TABLE_LINES = {"bare_b_table": 3, "short_row_table": 4, "text_loss_table": 4,
-                   "text_mu_table": 2}
+                   "text_mu_table": 2, "second_points_table": 3, "second_mu_table": 3,
+                   "second_b_table": 5}
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"

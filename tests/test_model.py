@@ -279,6 +279,20 @@ class TestLossTableFile:
         with pytest.raises(ValueError, match=r"loss.txt:3: a b line holds exactly one number"):
             load_loss_table(path)
 
+    @pytest.mark.parametrize("table, lineno", [
+        ("points a b\n#mu 0.5 0.5\npoints c d\nh0 0.1 0.2\n", 3),
+        ("points a b\n#mu 0.5 0.5\n#mu 0.1 0.9\nb 1\nh0 0.1 0.2\n", 3),
+        ("points a b\n#mu 0.5 0.5\nb 1\nh0 0.1 0.2\nb 2\n", 5),
+    ], ids=["points", "mu", "b"])
+    def test_header_line_once(self, tmp_path, table, lineno):
+        """A second points, #mu or b line is refused by its line number, not
+        read over the first."""
+        path = tmp_path / "loss.txt"
+        path.write_text(table)
+        kind = table.splitlines()[lineno - 1].split()[0]
+        with pytest.raises(ValueError, match=rf"loss.txt:{lineno}: duplicate {kind} line"):
+            load_loss_table(path)
+
     def test_readme_example(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         example = next(block for block in readme.split("```")[1::2]

@@ -3,9 +3,10 @@
 The reference below draws and scores one trial at a time, the way the
 violation rates are defined: per trial t, the substream (master_seed, t),
 then for a Gibbs trial n uniforms for X and one for h ~ Q_X, for a
-Gaussian-kernel trial n uniforms for X, d normals for h and, beyond d = 3,
-the normals of the posterior draws (at d <= 3 the posterior-expected kl is a
-tensor Gauss-Hermite rule, built here node by node); each certificate built
+Gaussian-kernel trial n uniforms for X and d normals for h, and its
+posterior-expected kl by the run's fixed rule (a tensor Gauss-Hermite rule at
+d <= 3, built here node by node, and posterior_draws normals of a PCG64
+generator seeded 0 beyond, built here on their own); each certificate built
 from that one draw, and running sums in trial order. Its draws share no code
 with GibbsRun and GaussianRun; the reports must be equal, float for float.
 """
@@ -64,14 +65,22 @@ def ref_kl_rule(d, floor=None):
     return nodes[keep], mass[keep] / mass[keep].sum()
 
 
+def ref_draws_rule(draws, d):
+    """The posterior-expected kl's rule beyond d = 3: `draws` standard
+    normals, row by row, of a PCG64 generator seeded 0, each of weight
+    1/draws."""
+    z = np.random.Generator(np.random.PCG64(0)).normal(0.0, 1.0, size=(draws, d))
+    return z, np.full(draws, 1.0 / draws)
+
+
 def ref_gaussian_draw(run, features, rng, posterior_kl):
     """One Gaussian-kernel trial: n uniforms for X by inverse CDF, A on that
     one row, d normals for h, h's cosine loss at each point on its own, then,
-    with posterior_kl, the losses at the posterior points as one (points,
-    |X|) batch: the rule's nodes at d <= 3, weighted, else posterior_draws
-    draws from further normals of the stream, averaged. Each point's L and
-    L_hat, h's and every posterior point's, are its own dot products with mu
-    and with the sample's point frequencies."""
+    with posterior_kl, the losses at the posterior points of the rule as one
+    (points, |X|) batch and their weighted kl sum: the tensor rule's nodes at
+    d <= 3, posterior_draws fixed draws beyond. Each point's L and L_hat, h's
+    and every posterior point's, are its own dot products with mu and with
+    the sample's point frequencies."""
     cdf = np.cumsum(run.space.probs)
     idx = np.searchsorted(cdf, rng.random(run.n), side="right").clip(0, run.space.size - 1)
     freq = np.bincount(idx, minlength=run.space.size) / run.n
@@ -84,14 +93,11 @@ def ref_gaussian_draw(run, features, rng, posterior_kl):
     if not posterior_kl:
         return draw
     d = len(center)
-    if d <= 3:
-        z, weights = ref_kl_rule(d)
-    else:
-        z, weights = rng.standard_normal((run.posterior_draws, d)), None
+    z, weights = ref_kl_rule(d) if d <= 3 else ref_draws_rule(run.posterior_draws, d)
     pl = run.loss.values(center + run.sigma * z)
     kl = vf.kl_bernoulli_vec(np.clip(np.vecdot(pl, freq), 0.0, 1.0),
                              np.vecdot(pl, run.space.probs))
-    return draw._replace(kl=float(np.mean(kl) if weights is None else np.vecdot(kl, weights)))
+    return draw._replace(kl=float(np.vecdot(kl, weights)))
 
 
 def ref_violation_rates(run, methods, trials, master_seed, features=None):
@@ -272,16 +278,21 @@ class TestGaussianRuns:
         assert_same_draws(run, features, 2**64 - 1, 5, 16)
         assert_same_draws(run, features, 9, 3, 10, posterior_kl=False)
 
-    def test_default_block(self):
+    def test_default_block(self, monkeypatch):
         """At the default KL_SLAB a block of 232-node estimates at |X| = 6
         holds 47 trials, and 50 trials end in a part block; one of 2632-node
         estimates at d = 3 holds 4 trials, and 9 trials end in a part block;
         one of 2000-draw estimates at d = 4 holds 5 trials, and 11 trials end
         in a part block."""
-        for d, block, trials in ((2, 47, 50), (3, 4, 9), (4, 5, 11)):
+        blocks, expected_kl = [], vf.GaussianRun.expected_kl
+        monkeypatch.setattr(vf.GaussianRun, "expected_kl", lambda run, freq, center: (
+            blocks.append(len(center)) or expected_kl(run, freq, center)))
+        for d, block, trials, part in ((2, 47, 50, 3), (3, 4, 9, 1), (4, 5, 11, 1)):
             run, features = gaussian_case(23, draws=2000, d=d)
             assert run.kl_block == block
+            blocks.clear()
             assert_same_draws(run, features, 4242, 0, trials)
+            assert blocks == [block] * (trials // block) + [part]
 
     @pytest.mark.parametrize("num_points, n, draws, slabs", [
         (8, 1000, 2000, 31), (8, 10_000, 30, 5), (10, 10_000, 30, 5), (8, 3000, 45, 3),
@@ -289,7 +300,7 @@ class TestGaussianRuns:
     ])
     def test_many_points_and_narrow_slabs(self, monkeypatch, num_points, n, draws, slabs):
         """At |X| >= 8, where a matrix-vector product's rows depend on the
-        rows that come with them, at large n, and with each trial's draws
+        rows that come with them, at large n, and with the rule's draws
         (d = 4) scored in `slabs` steps of a few draws, each trial's kl is
         that of the loop."""
         monkeypatch.setattr(vf, "KL_SLAB", num_points * -(-draws // slabs))
@@ -349,9 +360,9 @@ class TestGaussianRuns:
         monkeypatch.setattr(vf.GaussianRun, "expected_kl", None)
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS[:2], 30, 5)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_rule_draws_no_posterior_normals(self, monkeypatch, d):
-        """At d <= 3 a kl trial's stream yields its n uniforms and d normals
+        """At every d a kl trial's stream yields its n uniforms and d normals
         only, so its X and h are those of the run without the kl method."""
         run, _ = gaussian_case(29, d=d)
         calls, streams = [], vf.trial_streams
@@ -376,28 +387,31 @@ class TestGaussianRuns:
         assert np.array_equal(with_kl.h, without.h)
         assert np.array_equal(with_kl.L_hat, without.L_hat)
 
-    @pytest.mark.parametrize("d, num_points, block", [
-        (1, 8, 455), (2, 8, 35), (2, 6, 47), (2, 200, 1), (3, 8, 3), (3, 200, 1)])
-    def test_rule_block_shape(self, monkeypatch, d, num_points, block):
-        """At d <= 3 a block holds max(1, KL_SLAB // (|X| points)) trials,
-        points being the rule's kept nodes, which are scored
-        max(1, KL_SLAB // (trials |X|)) at a time: in one step, unless one
-        trial's losses alone pass KL_SLAB floats (at d = 3 and |X| = 200, in
-        eight steps of 327 nodes and one of 16)."""
-        run, _ = gaussian_case(37, d=d, num_points=num_points)
-        points = RULE_POINTS[d]
-        assert run.kl_points == points
-        assert run.kl_block == block == max(1, vf.KL_SLAB // (num_points * points))
+    @pytest.mark.parametrize("n", [10, 100, 1000, 100_000])
+    @pytest.mark.parametrize("draws", [1, 2, 3, 7, 10, 100, 2000, 10_000])
+    def test_block_shape(self, monkeypatch, n, draws):
+        """At every d a block holds max(1, KL_SLAB // (|X| points)) trials,
+        whatever n, points being the rule's: its kept nodes at d <= 3,
+        whatever posterior_draws, and its posterior_draws draws beyond. The
+        points are scored in steps of one width, the last maybe narrower, the
+        widest whose (trials, step, |X|) losses keep within KL_SLAB floats, or
+        one point; a block of several trials takes one step."""
         shapes, kl_vec = [], vf.kl_bernoulli_vec
         monkeypatch.setattr(vf, "kl_bernoulli_vec",
                             lambda s, t: shapes.append(s.shape) or kl_vec(s, t))
-        run.trials(5, 0, 2 * block + 1, posterior_kl=True)
-        want = []
-        for trials in (block, block, 1):
-            step = max(1, vf.KL_SLAB // (trials * num_points))
-            want += [(trials, min(step, points - lo)) for lo in range(0, points, step)]
-        assert shapes == want
-        assert len(want) == (27 if (d, num_points) == (3, 200) else 3)
+        for d in (1, 2, 3, 4):
+            run, _ = gaussian_case(33, n=n, draws=draws, num_points=8, d=d)
+            points, block = RULE_POINTS.get(d, draws), run.kl_block
+            assert len(run.kl_nodes) == len(run.kl_weights) == points
+            assert block == max(1, vf.KL_SLAB // (8 * points))
+            shapes.clear()
+            run.expected_kl(np.full((block, 8), 0.125), np.zeros((block, d)))
+            widths = [width for trials, width in shapes]
+            assert {trials for trials, width in shapes} == {block} and sum(widths) == points
+            assert set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
+            assert block * 8 * widths[0] <= vf.KL_SLAB or widths[0] == 1
+            assert block * 8 * (widths[0] + 1) > vf.KL_SLAB or len(widths) == 1
+            assert block == 1 or len(widths) == 1
 
     @pytest.mark.parametrize("master_seed, trials", [(4242, 500), (4243, 200)],
                              ids=["config", "criterion_6"])
@@ -412,7 +426,7 @@ class TestGaussianRuns:
         def kl(points):
             run = vf.GaussianRun(space, loss, spec.algorithm, spec.sigma, 100, 0.05,
                                  posterior_draws=1)
-            assert run.kl_points == points
+            assert len(run.kl_nodes) == points
             return run.trials(master_seed, 0, trials, posterior_kl=True).kl
 
         rule = kl(RULE_POINTS[2])
@@ -430,7 +444,7 @@ class TestGaussianRuns:
         total, RULE_POINTS[d] of 20^d, which drop about `dropped` of the mass,
         and normalizes their weights to sum 1, as ref_kl_rule does node by
         node."""
-        nodes, weights = vf.kl_rule(d)
+        nodes, weights = vf.kl_rule(d, 10_000)
         assert nodes.shape == (RULE_POINTS[d], d)
         want_nodes, want_weights = ref_kl_rule(d)
         assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
@@ -439,14 +453,27 @@ class TestGaussianRuns:
         below = full < vf.KL_NODE_FLOOR
         assert len(full) == 20**d and np.count_nonzero(~below) == RULE_POINTS[d]
         assert math.isclose(full[below].sum(), dropped, rel_tol=0.1)
-        assert vf.kl_rule(4) is None
+        # posterior_draws is not read at d <= 3
+        assert all(np.array_equal(a, b) for a, b in zip(vf.kl_rule(d, 1), (nodes, weights)))
+
+    @pytest.mark.parametrize("d, draws", [(4, 1), (4, 2000), (5, 37), (8, 10_000)])
+    def test_draws_rule(self, d, draws):
+        """Beyond d = 3 the rule is `draws` standard normals of a PCG64
+        generator seeded 0, each of weight 1/draws, as ref_draws_rule builds
+        them, and the same on every call."""
+        nodes, weights = vf.kl_rule(d, draws)
+        want_nodes, want_weights = ref_draws_rule(draws, d)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        again = vf.kl_rule(d, draws)
+        assert np.array_equal(again[0], nodes) and np.array_equal(again[1], weights)
 
     def test_rule_near_finer_rule_at_d3(self, monkeypatch):
         """At d = 3, on the instance of configs/gaussian_mean_embedding.txt
         in three dimensions, 40 trials on each of seeds 0, 1 and 7, the
         2632-node rule's kl is within 1e-5 of a pruned 36-node rule's on
-        every trial (1.6e-6 measured), and 10,000 Monte Carlo draws are
-        farther off on each seed (up to 3.4e-5 measured)."""
+        every trial (1.6e-6 measured), and the fixed rule of 10,000 Monte
+        Carlo draws, as used beyond d = 3, is farther off on each seed (up
+        to 2.4e-5 measured)."""
         space, loss, spec = gaussian_kernel_instance(21, 8, 3, 100, 0.5, "mean_embedding")
 
         def kl(master_seed, draws=1):
@@ -456,7 +483,7 @@ class TestGaussianRuns:
 
         for master_seed in (0, 1, 7):
             rule = kl(master_seed)
-            monkeypatch.setattr(vf, "kl_rule", lambda d: None)  # Monte Carlo at d = 3
+            monkeypatch.setattr(vf, "kl_rule", lambda d, draws: ref_draws_rule(draws, d))
             draws = kl(master_seed, draws=10_000)
             monkeypatch.undo()
             monkeypatch.setattr(vf, "KL_NODES", hermegauss(36)[0])
@@ -465,6 +492,27 @@ class TestGaussianRuns:
             monkeypatch.undo()
             assert np.abs(rule - finer).max() <= 1e-5
             assert np.abs(draws - finer).max() > np.abs(rule - finer).max()
+
+    def test_draws_near_tensor_rule_at_d4(self, monkeypatch):
+        """At d = 4, on the instance of configs/gaussian_mean_embedding.txt
+        in four dimensions with sigma = 0.75, which meets the stability
+        precondition, 40 trials on each of seeds 0, 1 and 7, the fixed rule
+        of 10,000 draws is within 1e-4 of the pruned 20-node tensor rule's
+        23,936 nodes on every trial (3.6e-5 measured)."""
+        space, loss, spec = gaussian_kernel_instance(21, 8, 4, 100, 0.75, "mean_embedding")
+
+        def kl(master_seed):
+            run = vf.GaussianRun(space, loss, spec.algorithm, spec.sigma, 100, 0.05,
+                                 posterior_draws=10_000)
+            return len(run.kl_nodes), run.trials(master_seed, 0, 40, posterior_kl=True).kl
+
+        for master_seed in (0, 1, 7):
+            points, fixed = kl(master_seed)
+            monkeypatch.setattr(vf, "kl_rule", lambda d, draws: ref_kl_rule(d))
+            nodes, tensor = kl(master_seed)
+            monkeypatch.undo()
+            assert (points, nodes) == (10_000, 23_936)
+            assert np.abs(fixed - tensor).max() <= 1e-4
 
     def test_rule_is_hermegauss(self):
         """The rule's written-out nodes and weights are numpy's 20-node
@@ -490,29 +538,6 @@ class TestGaussianRuns:
         assert_same_draws(run, features, 6, 4, 12, posterior_kl=False)
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 20, 6)
 
-    @pytest.mark.parametrize("n", [10, 100, 1000, 100_000])
-    @pytest.mark.parametrize("draws", [1, 2, 3, 7, 10, 100, 2000, 10_000])
-    def test_block_shape(self, monkeypatch, n, draws):
-        """Beyond d = 3 a block holds max(1, KL_SLAB // (|X| posterior_draws))
-        trials, whatever n. Its draws are scored in steps of one width, the last
-        maybe narrower, the widest whose (trials, step, |X|) losses keep
-        within KL_SLAB floats, or one draw; a block of several trials takes
-        one step."""
-        run, _ = gaussian_case(33, n=n, draws=draws, num_points=8, d=4)
-        block = run.kl_block
-        assert block == max(1, vf.KL_SLAB // (8 * draws))
-        shapes, kl_vec = [], vf.kl_bernoulli_vec
-        monkeypatch.setattr(vf, "kl_bernoulli_vec",
-                            lambda s, t: shapes.append(s.shape) or kl_vec(s, t))
-        z = np.random.Generator(np.random.Philox(key=draws)).standard_normal((block, draws, 4))
-        run.expected_kl(np.full((block, 8), 0.125), np.zeros((block, 4)), z)
-        widths = [width for trials, width in shapes]
-        assert {trials for trials, width in shapes} == {block} and sum(widths) == draws
-        assert set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
-        assert block * 8 * widths[0] <= vf.KL_SLAB or widths[0] == 1
-        assert block * 8 * (widths[0] + 1) > vf.KL_SLAB or len(widths) == 1
-        assert block == 1 or len(widths) == 1
-
     def test_worker_error_reaches_caller(self):
         """A loss that breaks its contract on the posterior points of every
         block fails the run in the caller: 4 blocks of 2000-draw estimates at
@@ -526,9 +551,9 @@ class TestGaussianRuns:
                                            GAUSSIAN_METHODS, 60, 0, posterior_draws=2000)
 
     def test_kl_memory_bounded(self):
-        """A block's posterior draws are scored a step at a time, so 8 kl
-        trials at d = 4, n = 1000 and 10,000 draws hold their normals and kl
-        values and a few step arrays, not an n x posterior_draws gather per
+        """A block's posterior points are scored a step at a time, so 8 kl
+        trials at d = 4, n = 1000 and 10,000 draws hold the run's rule, their
+        kl values and a few step arrays, not an n x posterior_draws gather per
         trial (78 MiB); and at |X| = 500, n = 100, not the (posterior_draws,
         |X|) losses of a trial (77.6 MiB when unstepped)."""
         for num_points, n in ((6, 1000), (500, 100)):
