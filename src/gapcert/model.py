@@ -93,12 +93,14 @@ class ParametricLoss:
     batch_evaluator maps a (k, d) array of hypotheses to their (k, num_points)
     losses at once. It must be deterministic, and a row's losses must not
     depend on the other rows of the batch; values outside [0, bound_b] are a
-    contract violation and raise.
+    contract violation and raise. sums_around, if given, is a faster body of
+    weighted_sums that keeps its contract.
     """
 
     dim_d: int
     batch_evaluator: Callable[[np.ndarray], np.ndarray]
     bound_b: float = 1.0
+    sums_around: Callable[[np.ndarray], Callable] | None = None
 
     def __post_init__(self):
         if self.dim_d < 1:
@@ -116,6 +118,24 @@ class ParametricLoss:
                 raise ContractViolation(f"parametric loss returned {x} "
                                         f"outside [0, {self.bound_b}]")
         return np.minimum(v, self.bound_b) if hi > self.bound_b else v
+
+    def weighted_sums(self, offsets: np.ndarray) -> Callable:
+        """The weighted loss sums around the (p, d) offsets: a function of
+        (k, d) centers c, the (num_points,) weights mu and (k, num_points)
+        weights freq, whose two (k, p) arrays hold sum_x mu_x loss(c_t + o_j, x)
+        and sum_x freq_tx loss(c_t + o_j, x). Each value depends on its own
+        center, offset and weights only. By default each point's losses come
+        from values(), checked against the contract, and are dotted with the
+        weights."""
+        if self.sums_around is not None:
+            return self.sums_around(offsets)
+
+        def sums(centers: np.ndarray, mu: np.ndarray, freq: np.ndarray):
+            h = centers[:, None, :] + offsets
+            pl = self.values(h.reshape(-1, self.dim_d)).reshape(len(centers), len(offsets), -1)
+            return np.vecdot(pl, mu), np.vecdot(pl, freq[:, None, :])
+
+        return sums
 
 
 @dataclass(frozen=True)

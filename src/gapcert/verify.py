@@ -459,16 +459,19 @@ def check_phi_lemma() -> dict:
 # n + |X| + d for the Gaussian kernel), so each (trials, n), (trials, m) or
 # (trials, |X|) array of a chunk takes at most 8 MB, whatever n and m.
 CHUNK_ELEMENTS = 1 << 20
-# Floats of a block's posterior losses at a time. A trial's posterior-expected
+# Floats of a block's posterior work at a time. A trial's posterior-expected
 # kl is a weighted sum of kl over the points of its run's rule (kl_rule): the
 # nodes of the tensor rule at d <= 3, posterior_draws fixed draws beyond. A
-# block takes max(1, KL_SLAB // (|X| points)) trials and builds and scores their
-# points max(1, KL_SLAB // (trials |X|)) at a time, so a step's (trials, step,
-# |X|) losses hold at most KL_SLAB floats (512 KiB) unless one point alone
-# needs more, and a block of several trials takes one step. A run holds its
-# rule, points x (d + 1) floats, and its block's kl values, block x points
-# floats (65 KB for the 35 trials of 232 nodes at |X| = 8, d = 2), plus
-# O(KL_SLAB) floats for a step; n does not enter it.
+# block takes max(1, KL_SLAB // (|X| points)) trials and scores their points
+# step = max(1, KL_SLAB // (block |X|)) at a time, so a step's (trials, step)
+# sums, the cosine loss's (step, 2|X|) node tables and the point-by-point
+# path's (trials, step, |X|) losses (ParametricLoss.weighted_sums) hold at most
+# 2 KL_SLAB floats (1 MiB) unless one point alone needs more, and a block of
+# several trials takes one step. A run holds its rule, points x (d + 1)
+# floats, the node tables of all its steps where they take at most 4 KL_SLAB
+# floats (the 10,000 draws of d >= 4 up to |X| = 13), and its block's kl
+# values, block x points floats (65 KB for the 35 trials of 232 nodes at
+# |X| = 8, d = 2), plus O(KL_SLAB) floats for a step; n does not enter it.
 KL_SLAB = 1 << 16
 # The posterior-expected kl's tensor rule at d <= 3, per axis: the 20
 # probabilists' Gauss-Hermite nodes and weights of numpy's hermegauss(20),
@@ -620,9 +623,10 @@ class GaussianRun:
     sum of kl over the points c + sigma z_j around its posterior mean
     c = A(X), the z_j and weights being the run's rule, kl_rule(d,
     posterior_draws), which every trial shares, so a trial's stream yields
-    nothing more. Every L_hat, of h and of each point, is the dot product of
-    the point's losses with freq, the sample's point frequencies counts / n:
-    L_hat depends on X only through its type."""
+    nothing more. Every L_hat, of h and of each point, is the sum of the
+    point's losses weighted by freq, the sample's point frequencies
+    counts / n: L_hat depends on X only through its type. The points' sums
+    come from the loss's weighted_sums, built once per step of the rule."""
 
     variant = "gaussian_kernel"
 
@@ -635,25 +639,37 @@ class GaussianRun:
         self.V = float(algorithm.variance_fn(space, n))
         d = algorithm.dim_d
         self.kl_nodes, self.kl_weights = kl_rule(d, posterior_draws)
-        self.kl_block = max(1, KL_SLAB // (space.size * len(self.kl_nodes)))  # trials per kl block
-        self.width = n + space.size + d  # array elements per trial
+        points, size = len(self.kl_nodes), space.size
+        self.kl_block = max(1, KL_SLAB // (size * points))  # trials per kl block
+        self.kl_step = max(1, KL_SLAB // (self.kl_block * size))  # points per kl step
+        # the steps' weighted sums, kept for the run where their node tables fit
+        self.kl_sums = list(self.step_sums()) if 2 * size * points <= 4 * KL_SLAB else None
+        self.width = n + size + d  # array elements per trial
+
+    def step_sums(self):
+        """The loss's weighted sums around the offsets sigma kl_nodes of each
+        step of kl_step nodes, built a step at a time."""
+        for lo in range(0, len(self.kl_nodes), self.kl_step):
+            yield self.loss.weighted_sums(self.sigma * self.kl_nodes[lo:lo + self.kl_step])
 
     def expected_kl(self, freq: np.ndarray, center: np.ndarray) -> np.ndarray:
         """Per trial t, the rule's weighted sum of kl(L_hat, L) over the
-        points center[t] + sigma kl_nodes. The points are built and scored
-        max(1, KL_SLAB // (trials |X|)) at a time; each point's L and L_hat
-        are its own dot products and its kl elementwise, so no value depends
-        on the step or the block. The kl values land in one (trials, points)
-        array, reduced once per trial as on its own."""
-        (trials, d), nodes = center.shape, self.kl_nodes
-        kl = np.empty((trials, len(nodes)))
-        step = max(1, KL_SLAB // (trials * self.space.size))
-        for lo in range(0, len(nodes), step):
-            h = center[:, None, :] + self.sigma * nodes[lo:lo + step]
-            pl = self.loss.values(h.reshape(-1, d)).reshape(trials, -1, self.space.size)
-            L = np.vecdot(pl, self.space.probs)
-            L_hat = np.clip(np.vecdot(pl, freq[:, None, :]), 0.0, 1.0)
-            kl[:, lo:lo + step] = kl_bernoulli_vec(L_hat, L)
+        points center[t] + sigma kl_nodes, scored kl_step points at a time.
+        Each point's L and L_hat depend on that point and trial only, and its
+        kl is elementwise, so no value depends on the step or the block. The
+        kl values land in one (trials, points) array, reduced once per trial
+        as on its own.
+
+        L_hat is clipped to [0, 1] and L to [tiny, 1 - 2^-53], from the
+        smallest normal float to the largest below 1. The sums round, and an L
+        of 0 or 1 beside an L_hat a rounding off it would make kl infinite,
+        where the exact kl is finite: L is 0 or 1 only where every point of
+        mu's support has loss 0 or 1, and then so is L_hat."""
+        kl, step = np.empty((len(center), len(self.kl_nodes))), self.kl_step
+        for lo, sums in zip(range(0, len(self.kl_nodes), step), self.kl_sums or self.step_sums()):
+            L, L_hat = sums(center, self.space.probs, freq)
+            np.clip(L, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=L)
+            kl[:, lo:lo + step] = kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0, out=L_hat), L)
         # vecdot, not a matrix-vector product, whose rows round by their batch
         return np.vecdot(kl, self.kl_weights)
 

@@ -6,11 +6,13 @@ then for a Gibbs trial n uniforms for X and one for h ~ Q_X, for a
 Gaussian-kernel trial n uniforms for X and d normals for h, and its
 posterior-expected kl by the run's fixed rule (a tensor Gauss-Hermite rule at
 d <= 3, built here node by node, and posterior_draws normals of a PCG64
-generator seeded 0 beyond, built here on their own); each certificate built
+generator seeded 0 beyond, built here on their own), the cosine losses of its
+points summed by angle addition on the trial alone; each certificate built
 from that one draw, and running sums in trial order. Its draws share no code
 with GibbsRun and GaussianRun; the reports must be equal, float for float.
 """
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -23,7 +25,7 @@ from scipy.special import logsumexp
 from gapcert import bounds as bd
 from gapcert import verify as vf
 from gapcert.config import (cosine_parametric_loss, gaussian_kernel_instance,
-                            random_gibbs_instance)
+                            random_gibbs_instance, row_products)
 from gapcert.hamiltonian import constant_algorithm, mean_embedding_algorithm
 from gapcert.model import ContractViolation, FiniteDataSpace, ParametricLoss, PriorWeights
 
@@ -75,12 +77,16 @@ def ref_draws_rule(draws, d):
 
 def ref_gaussian_draw(run, features, rng, posterior_kl):
     """One Gaussian-kernel trial: n uniforms for X by inverse CDF, A on that
-    one row, d normals for h, h's cosine loss at each point on its own, then,
-    with posterior_kl, the losses at the posterior points of the rule as one
-    (points, |X|) batch and their weighted kl sum: the tensor rule's nodes at
-    d <= 3, posterior_draws fixed draws beyond. Each point's L and L_hat, h's
-    and every posterior point's, are its own dot products with mu and with
-    the sample's point frequencies."""
+    one row, d normals for h, h's cosine loss at each point on its own, and
+    h's L and L_hat, its losses' dot products with mu and with the sample's
+    point frequencies. Then, with posterior_kl, the weighted kl sum over the
+    posterior points c + sigma z_j of the rule (the tensor rule's nodes at
+    d <= 3, posterior_draws fixed draws beyond), each point's w-weighted
+    loss sum, for w = mu and the frequencies, taken by angle addition:
+    0.5 (sum w + [w cos a, -w sin a] . [cos b_j, sin b_j]) with a = <c, phi_x>
+    and b_j = sigma <z_j, phi_x>, the trial's one row against the rule's
+    (points, 2|X|) table; L_hat clipped to [0, 1] and L to the normal floats
+    below 1."""
     cdf = np.cumsum(run.space.probs)
     idx = np.searchsorted(cdf, rng.random(run.n), side="right").clip(0, run.space.size - 1)
     freq = np.bincount(idx, minlength=run.space.size) / run.n
@@ -94,9 +100,14 @@ def ref_gaussian_draw(run, features, rng, posterior_kl):
         return draw
     d = len(center)
     z, weights = ref_kl_rule(d) if d <= 3 else ref_draws_rule(run.posterior_draws, d)
-    pl = run.loss.values(center + run.sigma * z)
-    kl = vf.kl_bernoulli_vec(np.clip(np.vecdot(pl, freq), 0.0, 1.0),
-                             np.vecdot(pl, run.space.probs))
+    a = row_products(center[None, :], features)[0]
+    b = row_products(run.sigma * z, features)
+    nodes = np.concatenate([np.cos(b), np.sin(b)], axis=1)
+    L, L_hat = (0.5 * (w.sum() + row_products(
+        np.concatenate([w * np.cos(a), -(w * np.sin(a))])[None, :], nodes)[0])
+        for w in (run.space.probs, freq))
+    kl = vf.kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0),
+                             np.clip(L, np.finfo(float).tiny, np.nextafter(1.0, 0.0)))
     return draw._replace(kl=float(np.vecdot(kl, weights)))
 
 
@@ -394,8 +405,8 @@ class TestGaussianRuns:
         whatever n, points being the rule's: its kept nodes at d <= 3,
         whatever posterior_draws, and its posterior_draws draws beyond. The
         points are scored in steps of one width, the last maybe narrower, the
-        widest whose (trials, step, |X|) losses keep within KL_SLAB floats, or
-        one point; a block of several trials takes one step."""
+        widest with trials x step x |X| within KL_SLAB, or one point; a block
+        of several trials takes one step."""
         shapes, kl_vec = [], vf.kl_bernoulli_vec
         monkeypatch.setattr(vf, "kl_bernoulli_vec",
                             lambda s, t: shapes.append(s.shape) or kl_vec(s, t))
@@ -568,6 +579,75 @@ class TestGaussianRuns:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 2**20, (num_points, n, peak)
+
+    @pytest.mark.parametrize("num_points", [8, 20])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_angle_addition_near_point_by_point(self, d, num_points):
+        """The cosine loss's kl, its sums taken by angle addition, is within
+        1e-15 of the kl of the same rule with each point's losses evaluated
+        on their own and dotted with the weights (the same loss without
+        sums_around), at |X| = 20 too, where a product's 2|X| = 40 columns
+        take three 16-column blocks."""
+        run, _ = gaussian_case(38, draws=300, num_points=num_points, d=d)
+        pointwise = vf.GaussianRun(run.space, dataclasses.replace(run.loss, sums_around=None),
+                                   run.algorithm, run.sigma, run.n, run.delta,
+                                   posterior_draws=run.posterior_draws)
+        kl = run.trials(5, 0, 40, posterior_kl=True).kl
+        want = pointwise.trials(5, 0, 40, posterior_kl=True).kl
+        assert np.all(want > 0) and np.abs(kl - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("center", [math.pi, 0.0])
+    def test_kl_finite_at_loss_0_and_1(self, center):
+        """Around a center where every point's cosine loss is 0 (c = pi) or 1
+        (c = 0), at sigma = 1e-9, the sums by angle addition land on 0 or 1
+        and a rounding off it. With L and L_hat both clipped to [0, 1] some
+        kl is infinite (an L of 0 or 1 beside an L_hat off it); with L_hat
+        clipped to [0, 1] and L to the normal floats below 1, every kl is
+        finite and below 1e-14, and that of the loop."""
+        space = FiniteDataSpace(points=tuple("abcd"), probs=np.array([0.1, 0.2, 0.3, 0.4]))
+        features = np.array([[1.0], [3.0], [-5.0], [7.0]])
+        run = vf.GaussianRun(space, cosine_parametric_loss(features),
+                             constant_algorithm([center]), 1e-9, 10, 0.05, posterior_draws=1)
+        draws = run.trials(1, 0, 200, posterior_kl=True)
+        L, L_hat = run.loss.weighted_sums(run.sigma * run.kl_nodes)(
+            draws.center, space.probs, np.array([np.bincount(i, minlength=4) / 10
+                                                 for i in draws.idx]))
+        edge = 0.0 if center else 1.0
+        assert np.any(L == edge) and np.any(L_hat != L)
+        unit = vf.kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0), np.clip(L, 0.0, 1.0))
+        assert not np.all(np.isfinite(unit))
+        assert np.all(np.isfinite(draws.kl)) and draws.kl.max() < 1e-14
+        assert_same_draws(run, features, 1, 0, 200)
+
+    def test_node_tables_kept_or_per_step(self):
+        """A run keeps its steps' node tables where 2 |X| points <= 4 KL_SLAB
+        (the 10,000 draws of d = 4 at |X| = 8, not at |X| = 20) and else
+        builds them for each block, a step at a time; the kl values are the
+        same either way."""
+        for num_points, kept in ((8, True), (20, False)):
+            run, _ = gaussian_case(39, draws=10_000, num_points=num_points, d=4)
+            assert (run.kl_sums is not None) == kept
+        run, features = gaussian_case(39, draws=10_000, num_points=8, d=4)
+        kl = run.trials(2, 0, 6, posterior_kl=True).kl
+        run.kl_sums = None
+        assert np.array_equal(run.trials(2, 0, 6, posterior_kl=True).kl, kl)
+        assert_same_draws(run, features, 2, 0, 6)
+
+    @pytest.mark.parametrize("cols", [1, 2, 15, 16, 17, 40])
+    def test_row_products_entries_alone(self, cols):
+        """Each entry of row_products(a, b), a @ b.T, is bit for bit that of
+        its row of a against its row of b alone, whatever rows come with
+        them: lone rows and lone columns, and contractions past 16 columns."""
+        rng = np.random.Generator(np.random.Philox(key=40 + cols))
+        a, b = rng.normal(size=(9, cols)), rng.normal(size=(13, cols))
+        full = row_products(a, b)
+        assert full.shape == (9, 13)
+        assert np.allclose(full, a @ b.T, rtol=1e-12, atol=1e-12)
+        for i, j in itertools.product(range(9), range(13)):
+            assert row_products(a[i:i + 1], b[j:j + 1])[0, 0] == full[i, j]
+        assert np.array_equal(row_products(a[2:3], b), full[2:3])
+        assert np.array_equal(row_products(a, b[4:5]), full[:, 4:5])
+        assert np.array_equal(row_products(a[3:7], b[5:12]), full[3:7, 5:12])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 32, 64])
     def test_cosine_loss_rows_alone(self, d):
