@@ -25,9 +25,9 @@ from .bounds import StabilityPreconditionError, check_stability
 from .hamiltonian import GaussianKernel, Gibbs, HamiltonianSpec, builtin_algorithm
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
+    CosineLoss,
     FiniteDataSpace,
     FiniteTable,
-    ParametricLoss,
     PriorWeights,
     load_loss_table,
 )
@@ -162,7 +162,7 @@ _KEYS = {
 class ScenarioConfig:
     scenario_id: str
     space: FiniteDataSpace
-    loss: FiniteTable | ParametricLoss
+    loss: FiniteTable | CosineLoss
     prior: PriorWeights | None  # None for the Gaussian kernel, which reads none
     spec: HamiltonianSpec
     n: int
@@ -221,60 +221,6 @@ def random_gibbs_instance(seed: int, num_points: int, num_hypotheses: int):
     return space, FiniteTable(values=values, bound_b=1.0)
 
 
-def row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b.T, each entry independent of the other rows of a and of b.
-    numpy computes a product with one row or one column by gemv, which rounds
-    the dots otherwise than gemm, and gemm's entries depend on their batch
-    past 16 columns of the contraction: a copy of a lone row keeps every
-    batch on gemm, and blocks of 16 columns added left to right keep each
-    entry to its own rows (16 columns or fewer take one product)."""
-    a2 = a if len(a) > 1 else np.concatenate([a, a])
-    b2 = b if len(b) > 1 else np.concatenate([b, b])
-    out = a2[:, :16] @ b2[:, :16].T
-    for k in range(16, a.shape[1], 16):
-        out += a2[:, k:k + 16] @ b2[:, k:k + 16].T
-    return out[:len(a), :len(b)]
-
-
-def cosine_parametric_loss(features: np.ndarray) -> ParametricLoss:
-    """Bounded smooth loss (1 + cos<h, phi(x)>)/2 over per-point features."""
-    phi = np.asarray(features, dtype=float)
-
-    def evaluate(hs: np.ndarray) -> np.ndarray:
-        out = row_products(hs, phi)
-        np.cos(out, out=out)
-        out += 1.0
-        out *= 0.5  # 0.5 * (1 + cos), in place
-        return out
-
-    def sums_around(offsets: np.ndarray):
-        # by angle addition, cos(a + b) = cos a cos b - sin a sin b with
-        # a = <c, phi_x> per center and b = <o, phi_x> per offset, so the
-        # w-weighted sums at c + o are 0.5 (sum w + [w cos a, -w sin a] .
-        # [cos b, sin b]): one product of a (k, 2|X|) table by the offsets'
-        # (2|X|, p) table, with no cosine per (center, offset, point)
-        b = row_products(offsets, phi)
-        table = np.empty((len(b), 2 * b.shape[1]))
-        np.cos(b, out=table[:, :b.shape[1]])
-        np.sin(b, out=table[:, b.shape[1]:])
-
-        def sums(centers: np.ndarray, mu: np.ndarray, freq: np.ndarray):
-            a = row_products(centers, phi)
-            cos_sin = np.concatenate([np.cos(a), -np.sin(a)], axis=1)
-            out = []
-            for w in (mu, freq):
-                s = row_products(cos_sin * np.concatenate([w, w], axis=-1), table)
-                s += w.sum(axis=-1, keepdims=True)
-                s *= 0.5
-                out.append(s)
-            return out
-
-        return sums
-
-    return ParametricLoss(dim_d=phi.shape[1], batch_evaluator=evaluate, bound_b=1.0,
-                          sums_around=sums_around)
-
-
 def gaussian_kernel_instance(seed: int, num_points: int, dim: int, n: int, sigma: float,
                              algorithm: str):
     """(space, loss, spec) of a Gaussian-kernel scenario: a random space,
@@ -285,7 +231,7 @@ def gaussian_kernel_instance(seed: int, num_points: int, dim: int, n: int, sigma
     space = _random_space(rng, num_points)
     stable = builtin_algorithm(algorithm, space, n, dim_d=dim, seed=seed)
     check_stability(stable.declared_c_A, sigma, n)
-    loss = cosine_parametric_loss(rng.uniform(-1.0, 1.0, size=(num_points, dim)))
+    loss = CosineLoss(rng.uniform(-1.0, 1.0, size=(num_points, dim)))
     return space, loss, GaussianKernel(sigma=sigma, algorithm=stable)
 
 

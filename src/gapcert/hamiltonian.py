@@ -223,11 +223,12 @@ def mean_embedding_algorithm(features: np.ndarray, n: int) -> StableAlgorithm:
     phi = np.asarray(features, dtype=float)
     if phi.ndim != 2:
         raise ValueError("feature table must be (num_points, d)")
-    diam = max(
-        (float(np.linalg.norm(phi[i] - phi[j]))
-         for i in range(phi.shape[0]) for j in range(phi.shape[0])),
-        default=0.0,
-    )
+    # a row's distances to every row at once, each the bits of
+    # np.linalg.norm on that pair alone: both dot the difference with itself
+    diam = 0.0
+    for row in phi:
+        diff = phi - row
+        diam = max(diam, float(np.sqrt(np.vecdot(diff, diff).max())))
 
     def variance(space: FiniteDataSpace, n: int) -> float:
         mean = space.probs @ phi

@@ -21,7 +21,7 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 
 
 class ContractViolation(ValueError):
-    """A loss evaluator or declared coefficient broke its stated contract."""
+    """A declared coefficient broke its stated contract."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -86,54 +86,66 @@ class FiniteTable:
         return self.values[h]
 
 
-@dataclass(frozen=True)
-class ParametricLoss:
-    """Loss over hypotheses parametrized by vectors in R^d, bounded in [0, bound_b].
+def row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T, each entry independent of the other rows of a and of b.
+    numpy computes a product with one row or one column by gemv, which rounds
+    the dots otherwise than gemm, and gemm's entries depend on their batch
+    past 16 columns of the contraction: a copy of a lone row keeps every
+    batch on gemm, and blocks of 16 columns added left to right keep each
+    entry to its own rows (16 columns or fewer take one product)."""
+    a2 = a if len(a) > 1 else np.concatenate([a, a])
+    b2 = b if len(b) > 1 else np.concatenate([b, b])
+    out = a2[:, :16] @ b2[:, :16].T
+    for k in range(16, a.shape[1], 16):
+        out += a2[:, k:k + 16] @ b2[:, k:k + 16].T
+    return out[:len(a), :len(b)]
 
-    batch_evaluator maps a (k, d) array of hypotheses to their (k, num_points)
-    losses at once. It must be deterministic, and a row's losses must not
-    depend on the other rows of the batch; values outside [0, bound_b] are a
-    contract violation and raise. sums_around, if given, is a faster body of
-    weighted_sums that keeps its contract.
-    """
 
-    dim_d: int
-    batch_evaluator: Callable[[np.ndarray], np.ndarray]
-    bound_b: float = 1.0
-    sums_around: Callable[[np.ndarray], Callable] | None = None
+class CosineLoss:
+    """The loss (1 + cos<h, phi(x)>)/2 of a hypothesis h in R^d at each point
+    x, phi(x) being the point's row of a (num_points, d) feature table. It is
+    smooth, and lies in [0, 1] by construction."""
 
-    def __post_init__(self):
-        if self.dim_d < 1:
-            raise ValueError("dim_d must be positive")
-        if not (math.isfinite(self.bound_b) and self.bound_b > 0):
-            raise ValueError("bound_b must be positive and finite")
+    def __init__(self, features: np.ndarray):
+        self.features = np.asarray(features, dtype=float)
 
     def values(self, hs: np.ndarray) -> np.ndarray:
-        """The (k, num_points) losses of the (k, d) hypotheses hs, checked
-        against [0, bound_b] and clamped to bound_b."""
-        v = np.asarray(self.batch_evaluator(np.asarray(hs, dtype=float)), dtype=float)
-        lo, hi = v.min(), v.max()  # NaN if any value is NaN
-        for x in (lo, hi):
-            if not 0.0 <= x <= self.bound_b + 1e-12:
-                raise ContractViolation(f"parametric loss returned {x} "
-                                        f"outside [0, {self.bound_b}]")
-        return np.minimum(v, self.bound_b) if hi > self.bound_b else v
+        """The (k, num_points) losses of the (k, d) hypotheses hs; a row's
+        losses do not depend on the other rows of the batch."""
+        out = row_products(hs, self.features)
+        np.cos(out, out=out)
+        out += 1.0
+        out *= 0.5  # 0.5 * (1 + cos), in place
+        return out
 
     def weighted_sums(self, offsets: np.ndarray) -> Callable:
         """The weighted loss sums around the (p, d) offsets: a function of
         (k, d) centers c, the (num_points,) weights mu and (k, num_points)
         weights freq, whose two (k, p) arrays hold sum_x mu_x loss(c_t + o_j, x)
         and sum_x freq_tx loss(c_t + o_j, x). Each value depends on its own
-        center, offset and weights only. By default each point's losses come
-        from values(), checked against the contract, and are dotted with the
-        weights."""
-        if self.sums_around is not None:
-            return self.sums_around(offsets)
+        center, offset and weights only.
+
+        By angle addition, cos(a + b) = cos a cos b - sin a sin b with
+        a = <c, phi_x> per center and b = <o, phi_x> per offset, so the
+        w-weighted sums at c + o are 0.5 (sum w + [w cos a, -w sin a] .
+        [cos b, sin b]): one product of a (k, 2|X|) table by the offsets'
+        (2|X|, p) table, with no cosine per (center, offset, point)."""
+        phi = self.features
+        b = row_products(offsets, phi)
+        table = np.empty((len(b), 2 * b.shape[1]))
+        np.cos(b, out=table[:, :b.shape[1]])
+        np.sin(b, out=table[:, b.shape[1]:])
 
         def sums(centers: np.ndarray, mu: np.ndarray, freq: np.ndarray):
-            h = centers[:, None, :] + offsets
-            pl = self.values(h.reshape(-1, self.dim_d)).reshape(len(centers), len(offsets), -1)
-            return np.vecdot(pl, mu), np.vecdot(pl, freq[:, None, :])
+            a = row_products(centers, phi)
+            cos_sin = np.concatenate([np.cos(a), -np.sin(a)], axis=1)
+            out = []
+            for w in (mu, freq):
+                s = row_products(cos_sin * np.concatenate([w, w], axis=-1), table)
+                s += w.sum(axis=-1, keepdims=True)
+                s *= 0.5
+                out.append(s)
+            return out
 
         return sums
 

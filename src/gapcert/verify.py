@@ -30,9 +30,9 @@ from .hamiltonian import (
 )
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
+    CosineLoss,
     FiniteDataSpace,
     FiniteTable,
-    ParametricLoss,
     PriorWeights,
     enumerate_indices,
     fibres,
@@ -464,8 +464,7 @@ CHUNK_ELEMENTS = 1 << 20
 # nodes of the tensor rule at d <= 3, posterior_draws fixed draws beyond. A
 # block takes max(1, KL_SLAB // (|X| points)) trials and scores their points
 # step = max(1, KL_SLAB // (block |X|)) at a time, so a step's (trials, step)
-# sums, the cosine loss's (step, 2|X|) node tables and the point-by-point
-# path's (trials, step, |X|) losses (ParametricLoss.weighted_sums) hold at most
+# sums and the cosine loss's (step, 2|X|) node tables hold at most
 # 2 KL_SLAB floats (1 MiB) unless one point alone needs more, and a block of
 # several trials takes one step. A run holds its rule, points x (d + 1)
 # floats, the node tables of all its steps where they take at most 4 KL_SLAB
@@ -626,25 +625,41 @@ class GaussianRun:
     nothing more. Every L_hat, of h and of each point, is the sum of the
     point's losses weighted by freq, the sample's point frequencies
     counts / n: L_hat depends on X only through its type. The points' sums
-    come from the loss's weighted_sums, built once per step of the rule."""
+    come from the loss's weighted_sums, built once per step of the rule.
+    The rule, the block and step sizes and the kept sums are built on first
+    use, so a run whose methods bound no posterior kl builds none of them."""
 
     variant = "gaussian_kernel"
 
-    def __init__(self, space: FiniteDataSpace, loss: ParametricLoss,
+    def __init__(self, space: FiniteDataSpace, loss: CosineLoss,
                  algorithm: StableAlgorithm, sigma: float, n: int, delta: float,
                  posterior_draws: int):
         self.space, self.n, self.delta, self.sigma = space, n, delta, sigma
         self.loss, self.algorithm, self.posterior_draws = loss, algorithm, posterior_draws
         self.c_A = algorithm.declared_c_A
         self.V = float(algorithm.variance_fn(space, n))
-        d = algorithm.dim_d
-        self.kl_nodes, self.kl_weights = kl_rule(d, posterior_draws)
-        points, size = len(self.kl_nodes), space.size
-        self.kl_block = max(1, KL_SLAB // (size * points))  # trials per kl block
-        self.kl_step = max(1, KL_SLAB // (self.kl_block * size))  # points per kl step
-        # the steps' weighted sums, kept for the run where their node tables fit
-        self.kl_sums = list(self.step_sums()) if 2 * size * points <= 4 * KL_SLAB else None
-        self.width = n + size + d  # array elements per trial
+        self.width = n + space.size + algorithm.dim_d  # array elements per trial
+
+    @cached_property
+    def rule(self) -> tuple[np.ndarray, np.ndarray]:
+        return kl_rule(self.algorithm.dim_d, self.posterior_draws)
+
+    kl_nodes = property(lambda self: self.rule[0])
+    kl_weights = property(lambda self: self.rule[1])
+
+    @cached_property
+    def kl_block(self) -> int:  # trials per kl block
+        return max(1, KL_SLAB // (self.space.size * len(self.kl_nodes)))
+
+    @cached_property
+    def kl_step(self) -> int:  # points per kl step
+        return max(1, KL_SLAB // (self.kl_block * self.space.size))
+
+    @cached_property
+    def kl_sums(self) -> list | None:
+        """The steps' weighted sums, kept for the run where their node tables fit."""
+        fit = 2 * self.space.size * len(self.kl_nodes) <= 4 * KL_SLAB
+        return list(self.step_sums()) if fit else None
 
     def step_sums(self):
         """The loss's weighted sums around the offsets sigma kl_nodes of each
@@ -701,33 +716,38 @@ class GaussianRun:
         return Draw(idx, h, np.vecdot(pl, freq), L, v, center=center, kl=kl)
 
 
-def kl_rule(d: int, posterior_draws: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rule behind a Gaussian-kernel run's posterior-expected kl in
-    dimension d: its (points, d) standard-normal nodes and their weights,
-    which sum to 1. At d <= 3, the nodes of the 20-node tensor rule whose
-    product weight is at least KL_NODE_FLOOR of the total, their weights
-    normalized; beyond, where that rule outgrows the draws (23,936 nodes at
-    d = 4), posterior_draws standard normals of weight 1/posterior_draws
-    each. Those come from np.random.default_rng(0), a PCG64 generator that
-    no trial uses (a trial draws from its Philox substream), so the rule is
-    the same for every trial and run: given it the trials stay independent,
-    and each estimate is unbiased over the draw of the rule."""
+def _tensor_kl_rule(d: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """At d <= 3, the nodes of the 20-node tensor rule whose product weight
+    is at least KL_NODE_FLOOR of the total, and their weights normalized;
+    None beyond, where that rule outgrows the draws (23,936 nodes at d = 4)."""
     if d > 3:
-        return (np.random.default_rng(0).standard_normal((posterior_draws, d)),
-                np.full(posterior_draws, 1.0 / posterior_draws))
+        return None
     nodes, mass = tensor_rule(KL_NODES, KL_WEIGHTS, d)
     keep = mass >= KL_NODE_FLOOR * mass.sum()
     return nodes[keep], mass[keep] / mass[keep].sum()
 
 
+def kl_rule(d: int, posterior_draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule behind a Gaussian-kernel run's posterior-expected kl in
+    dimension d: its (points, d) standard-normal nodes and their weights,
+    which sum to 1. The kept tensor rule at d <= 3; beyond, posterior_draws
+    standard normals of weight 1/posterior_draws each. Those come from
+    np.random.default_rng(0), a PCG64 generator that no trial uses (a trial
+    draws from its Philox substream), so the rule is the same for every
+    trial and run: given it the trials stay independent, and each estimate
+    is unbiased over the draw of the rule."""
+    return _tensor_kl_rule(d) or (np.random.default_rng(0).standard_normal((posterior_draws, d)),
+                                  np.full(posterior_draws, 1.0 / posterior_draws))
+
+
 def kl_estimator(d: int, posterior_draws: int) -> str:
     """How a Gaussian-kernel run in dimension d estimates each trial's
-    posterior-expected kl, as the verify summary names it: a rule of equal
-    weights is the mean over Monte Carlo draws."""
-    nodes, weights = kl_rule(d, posterior_draws)
-    if np.all(weights == weights[0]):
-        return f"Monte Carlo, {len(nodes)} draws"
-    return f"Gauss-Hermite, {len(nodes)} nodes"
+    posterior-expected kl, as the verify summary names it; the Monte Carlo
+    rule is named, not drawn."""
+    rule = _tensor_kl_rule(d)
+    if rule is None:
+        return f"Monte Carlo, {posterior_draws} draws"
+    return f"Gauss-Hermite, {len(rule[0])} nodes"
 
 
 GAP = "gap"
@@ -853,7 +873,7 @@ def violation_rate_gibbs(space: FiniteDataSpace, loss: FiniteTable, prior: Prior
                             trials, master_seed)
 
 
-def violation_rate_gaussian(space: FiniteDataSpace, loss: ParametricLoss,
+def violation_rate_gaussian(space: FiniteDataSpace, loss: CosineLoss,
                             algorithm: StableAlgorithm, sigma: float, n: int,
                             delta: float, methods: Sequence[str], trials: int,
                             master_seed: int, posterior_draws: int) -> TrialReport:

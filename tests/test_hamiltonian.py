@@ -25,9 +25,9 @@ from gapcert.hamiltonian import (
 from gapcert.model import (
     BudgetExceeded,
     ContractViolation,
+    CosineLoss,
     FiniteDataSpace,
     FiniteTable,
-    ParametricLoss,
     PriorWeights,
     product_rows,
 )
@@ -46,9 +46,9 @@ TWO = table([[0.0, 1.0], [1.0, 0.0]])
 SPACE2 = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
 
 
-def param_loss():
-    return ParametricLoss(dim_d=1, batch_evaluator=lambda hs: np.full((len(hs), 2), 0.5),
-                          bound_b=1.0)
+def cosine_loss():
+    """A cosine loss on the two points of SPACE2 in dimension 2."""
+    return CosineLoss(np.eye(2))
 
 
 def sensitivity(algorithm, space, n):
@@ -77,7 +77,7 @@ class TestHamiltonianValue:
 
     def test_incompatible_spec(self):
         with pytest.raises(IncompatibleSpec):
-            H(Gibbs(1.0), (0,), param_loss())
+            H(Gibbs(1.0), (0,), cosine_loss())
 
 
 class TestLogSumExp:
@@ -183,7 +183,7 @@ class TestSampling:
 
     def test_gaussian_tiny_sigma(self):
         alg = mean_embedding_algorithm(np.array([[3.0, -1.0], [1.0, 1.0]]), 2)
-        run = GaussianRun(SPACE2, param_loss(), alg, 1e-15, 2, 0.05, posterior_draws=1)
+        run = GaussianRun(SPACE2, cosine_loss(), alg, 1e-15, 2, 0.05, posterior_draws=1)
         draws = run.trials(2, 0, 1, posterior_kl=False)
         assert np.allclose(draws.h[0], alg(draws.idx[0]), atol=1e-12)
 
@@ -209,7 +209,7 @@ class TestBoundedDifferenceCoefficient:
     def test_gaussian_kernel_refused(self):
         spec = GaussianKernel(sigma=1.0, algorithm=constant_algorithm([0.0]))
         with pytest.raises(IncompatibleSpec):
-            bounded_difference_coefficient(spec, SPACE2, param_loss(), 10)
+            bounded_difference_coefficient(spec, SPACE2, cosine_loss(), 10)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -253,6 +253,18 @@ class TestStableAlgorithms:
         alg = mean_embedding_algorithm(phi, n)
         got = sensitivity(alg, space3(), n)
         assert got == pytest.approx(5.0 / n)
+
+    @pytest.mark.parametrize("num_points", [1, 2, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 16, 17, 32, 64])
+    def test_mean_embedding_diameter_bits(self, num_points, d):
+        """The declared c_A, recorded in the verify CSVs, is bit for bit the
+        largest np.linalg.norm over every ordered pair of feature rows, over n;
+        0 for one point."""
+        rng = np.random.Generator(np.random.Philox(key=100 * d + num_points))
+        phi = rng.uniform(-0.5, 0.5, size=(num_points, d))
+        diam = max(float(np.linalg.norm(phi[i] - phi[j]))
+                   for i in range(num_points) for j in range(num_points))
+        assert mean_embedding_algorithm(phi, 7).declared_c_A == diam / 7
 
     def test_brute_force_within_declared(self):
         phi = np.array([[0.0, 0.5], [0.25, 0.0]])

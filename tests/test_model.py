@@ -13,10 +13,9 @@ from gapcert import bounds as bd
 from gapcert import hamiltonian as ham
 from gapcert.model import (
     BudgetExceeded,
-    ContractViolation,
+    CosineLoss,
     FiniteDataSpace,
     FiniteTable,
-    ParametricLoss,
     PriorWeights,
     empirical_loss,
     enumerate_samples,
@@ -44,17 +43,6 @@ REFUSALS = {
                                    lambda: FiniteTable(values=[0.1, 0.2])),
     "hypothesis_out_of_range": (IndexError, "hypothesis index 2 out of range",
                                 lambda: table([[0.1, 0.2], [0.3, 0.4]]).row(2)),
-    "parametric_dim_zero": (ValueError, "dim_d must be positive",
-                            lambda: ParametricLoss(dim_d=0, batch_evaluator=abs)),
-    "parametric_bound_zero": (ValueError, "bound_b must be positive",
-                              lambda: ParametricLoss(dim_d=1, batch_evaluator=abs,
-                                                     bound_b=0.0)),
-    "parametric_bound_infinite": (ValueError, "bound_b must be positive and finite",
-                                  lambda: ParametricLoss(dim_d=1, batch_evaluator=abs,
-                                                         bound_b=math.inf)),
-    "parametric_bound_nan": (ValueError, "bound_b must be positive and finite",
-                             lambda: ParametricLoss(dim_d=1, batch_evaluator=abs,
-                                                    bound_b=math.nan)),
     "negative_prior_weight": (ValueError, "prior weights must be nonnegative",
                               lambda: PriorWeights(np.array([1.0, -0.5]))),
     "nan_prior_weight": (ValueError, "prior weights must be nonnegative and finite",
@@ -205,26 +193,44 @@ class TestEnumeration:
         assert samples[0][0].tolist() == [0, 0]
 
 
+COSINE_FEATURES = np.array([[1.0], [-1.0], [3.0], [1e-9]])
+
+
 class TestContracts:
+    def test_cosine_loss_in_unit_interval(self):
+        """(1 + cos)/2 stays in [0, 1] with no runtime check: 500 random
+        angles in [-1e6, 1e6] at each feature."""
+        angles = np.random.default_rng(0).uniform(-1e6, 1e6, size=500)
+        values = CosineLoss(COSINE_FEATURES).values(angles[:, None])
+        assert np.all((0.0 <= values) & (values <= 1.0))
+
     def test_parametric_out_of_range(self):
-        bad = ParametricLoss(dim_d=1, batch_evaluator=lambda hs: np.full((len(hs), 2), 2.0),
-                             bound_b=1.0)
-        with pytest.raises(ContractViolation):
-            bad.values(np.zeros((3, 1)))
+        """No angle takes the parametric (cosine) loss out of [0, 1]: not
+        the multiples of pi up to +-50 pi, nor +-1e3 ... +-1e300."""
+        angles = np.concatenate([math.pi * np.arange(-50, 51), 10.0 ** np.arange(3, 301, 3),
+                                 -(10.0 ** np.arange(3, 301, 3))])
+        values = CosineLoss(COSINE_FEATURES).values(angles[:, None])
+        assert np.all((0.0 <= values) & (values <= 1.0))
 
     @pytest.mark.parametrize("value", [-1e-9, 1.0 + 2e-12, math.nan])
     def test_parametric_outside_or_nan_raises(self, value):
-        bad = ParametricLoss(dim_d=1, bound_b=1.0, batch_evaluator=lambda hs: np.where(
-            hs > 0, value, 0.5) * np.ones((1, 3)))
-        assert bad.values(np.full((2, 1), -1.0)).tolist() == [[0.5] * 3] * 2
-        with pytest.raises(ContractViolation):
-            bad.values(np.array([[-1.0], [1.0]]))
+        """A loss value outside [0, 1], or NaN, has no kl: kl_bernoulli
+        refuses it as either argument, and takes in-range values."""
+        assert bd.kl_bernoulli(0.5, 0.5) == 0.0
+        with pytest.raises(bd.DomainError):
+            bd.kl_bernoulli(value, 0.5)
+        with pytest.raises(bd.DomainError):
+            bd.kl_bernoulli(0.5, value)
 
     def test_parametric_clamped_to_b(self):
-        """A value within float noise above b is clamped to b."""
-        loss = ParametricLoss(dim_d=1, bound_b=1.0,
-                              batch_evaluator=lambda hs: np.array([[0.25, 1.0 + 1e-13]]))
-        assert loss.values(np.zeros((1, 1))).tolist() == [[0.25, 1.0]]
+        """The cosine loss needs no clamp to b = 1: where cos rounds to 1 the
+        loss is 1 exactly, where it rounds to -1 it is 0 exactly, and it
+        passes neither end."""
+        top = np.array([0.0, 1e-300, 1e-9, 2 * math.pi])
+        bottom = np.array([math.pi, -math.pi, np.nextafter(math.pi, 4.0)])
+        loss = CosineLoss(np.array([[1.0]]))
+        assert loss.values(top[:, None]).tolist() == [[1.0]] * 4
+        assert loss.values(bottom[:, None]).tolist() == [[0.0]] * 3
 
     def test_invalid_probs(self):
         with pytest.raises(ValueError):

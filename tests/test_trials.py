@@ -12,7 +12,6 @@ from that one draw, and running sums in trial order. Its draws share no code
 with GibbsRun and GaussianRun; the reports must be equal, float for float.
 """
 
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -24,10 +23,9 @@ from scipy.special import logsumexp
 
 from gapcert import bounds as bd
 from gapcert import verify as vf
-from gapcert.config import (cosine_parametric_loss, gaussian_kernel_instance,
-                            random_gibbs_instance, row_products)
+from gapcert.config import gaussian_kernel_instance, random_gibbs_instance
 from gapcert.hamiltonian import constant_algorithm, mean_embedding_algorithm
-from gapcert.model import ContractViolation, FiniteDataSpace, ParametricLoss, PriorWeights
+from gapcert.model import CosineLoss, FiniteDataSpace, PriorWeights, row_products
 
 GIBBS_METHODS = ("bounded_differences", "bernstein", "empirical_bernstein",
                  "subgaussian_sup", "subgaussian_h")
@@ -238,16 +236,9 @@ def gaussian_case(seed, n=100, sigma=0.5, draws=50, num_points=6, d=2, probs=Non
     phi = rng.uniform(-0.5, 0.5, size=(num_points, d))
     algo = (mean_embedding_algorithm(phi, n) if algorithm == "mean_embedding"
             else constant_algorithm(phi[0]))
-    run = vf.GaussianRun(space, cosine_parametric_loss(features), algo, sigma, n, 0.05,
+    run = vf.GaussianRun(space, CosineLoss(features), algo, sigma, n, 0.05,
                          posterior_draws=draws)
     return run, features
-
-
-def far_out_loss(d):
-    """A loss on two points in dimension d, 0.5 within 3 of the origin in
-    every coordinate and 1.5, outside its bound 1, beyond."""
-    return ParametricLoss(dim_d=d, bound_b=1.0, batch_evaluator=lambda hs: np.where(
-        np.abs(hs).max(axis=1, keepdims=True) > 3.0, 1.5, 0.5) * np.ones((1, 2)))
 
 
 def assert_same_gaussian_report(run, features, methods, trials, master_seed):
@@ -370,6 +361,20 @@ class TestGaussianRuns:
         run, features = gaussian_case(28, d=3, num_points=5)
         monkeypatch.setattr(vf.GaussianRun, "expected_kl", None)
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS[:2], 30, 5)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_gap_methods_build_no_rule(self, monkeypatch, d):
+        """A run builds its kl rule on first use: certify's trial 0 and the
+        gap methods' rates never ask for it."""
+        def refused(d, draws):
+            raise AssertionError("kl rule built")
+
+        monkeypatch.setattr(vf, "kl_rule", refused)
+        run, features = gaussian_case(28, d=d, draws=10_000)
+        assert len(vf.certificates(run, GAUSSIAN_METHODS, 9055)) == 3
+        assert_same_gaussian_report(run, features, GAUSSIAN_METHODS[:2], 30, 5)
+        with pytest.raises(AssertionError, match="kl rule built"):
+            run.trials(5, 0, 1, posterior_kl=True)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_rule_draws_no_posterior_normals(self, monkeypatch, d):
@@ -549,18 +554,6 @@ class TestGaussianRuns:
         assert_same_draws(run, features, 6, 4, 12, posterior_kl=False)
         assert_same_gaussian_report(run, features, GAUSSIAN_METHODS, 20, 6)
 
-    def test_worker_error_reaches_caller(self):
-        """A loss that breaks its contract on the posterior points of every
-        block fails the run in the caller: 4 blocks of 2000-draw estimates at
-        d = 4, and at d = 2 one block of the rule, whose outer kept nodes lie
-        5.6 sigma out."""
-        space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
-        for d in (4, 2):
-            with pytest.raises(ContractViolation):
-                vf.violation_rate_gaussian(space, far_out_loss(d),
-                                           constant_algorithm([0.0] * d), 1.0, 10, 0.05,
-                                           GAUSSIAN_METHODS, 60, 0, posterior_draws=2000)
-
     def test_kl_memory_bounded(self):
         """A block's posterior points are scored a step at a time, so 8 kl
         trials at d = 4, n = 1000 and 10,000 draws hold the run's rule, their
@@ -584,17 +577,22 @@ class TestGaussianRuns:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_angle_addition_near_point_by_point(self, d, num_points):
         """The cosine loss's kl, its sums taken by angle addition, is within
-        1e-15 of the kl of the same rule with each point's losses evaluated
-        on their own and dotted with the weights (the same loss without
-        sums_around), at |X| = 20 too, where a product's 2|X| = 40 columns
-        take three 16-column blocks."""
-        run, _ = gaussian_case(38, draws=300, num_points=num_points, d=d)
-        pointwise = vf.GaussianRun(run.space, dataclasses.replace(run.loss, sums_around=None),
-                                   run.algorithm, run.sigma, run.n, run.delta,
-                                   posterior_draws=run.posterior_draws)
-        kl = run.trials(5, 0, 40, posterior_kl=True).kl
-        want = pointwise.trials(5, 0, 40, posterior_kl=True).kl
-        assert np.all(want > 0) and np.abs(kl - want).max() <= 1e-15
+        1e-15 of the kl of the same rule with each posterior point's loss at
+        each point taken by math.cos on its own and dotted with the weights,
+        at |X| = 20 too, where a product's 2|X| = 40 columns take three
+        16-column blocks."""
+        run, features = gaussian_case(38, draws=300, num_points=num_points, d=d)
+        draws = run.trials(5, 0, 40, posterior_kl=True)
+        cos = np.frompyfunc(math.cos, 1, 1)
+        want = []
+        for idx, center in zip(draws.idx, draws.center):
+            freq = np.bincount(idx, minlength=num_points) / run.n
+            pl = 0.5 * (1.0 + cos((center + run.sigma * run.kl_nodes) @ features.T).astype(float))
+            kl = vf.kl_bernoulli_vec(np.clip(pl @ freq, 0.0, 1.0),
+                                     np.clip(pl @ run.space.probs, np.finfo(float).tiny,
+                                             np.nextafter(1.0, 0.0)))
+            want.append(kl @ run.kl_weights)
+        assert np.all(np.array(want) > 0) and np.abs(draws.kl - want).max() <= 1e-15
 
     @pytest.mark.parametrize("center", [math.pi, 0.0])
     def test_kl_finite_at_loss_0_and_1(self, center):
@@ -606,7 +604,7 @@ class TestGaussianRuns:
         finite and below 1e-14, and that of the loop."""
         space = FiniteDataSpace(points=tuple("abcd"), probs=np.array([0.1, 0.2, 0.3, 0.4]))
         features = np.array([[1.0], [3.0], [-5.0], [7.0]])
-        run = vf.GaussianRun(space, cosine_parametric_loss(features),
+        run = vf.GaussianRun(space, CosineLoss(features),
                              constant_algorithm([center]), 1e-9, 10, 0.05, posterior_draws=1)
         draws = run.trials(1, 0, 200, posterior_kl=True)
         L, L_hat = run.loss.weighted_sums(run.sigma * run.kl_nodes)(
@@ -657,7 +655,7 @@ class TestGaussianRuns:
         rng = np.random.Generator(np.random.Philox(key=30 + d))
         features = rng.uniform(-1.0, 1.0, size=(7, d))
         hs = rng.normal(0.0, 2.0, size=(60, d))
-        loss = cosine_parametric_loss(features)
+        loss = CosineLoss(features)
         batch = loss.values(hs)
         alone = np.array([loss.values(h[None, :])[0] for h in hs])
         assert np.array_equal(batch, alone)
@@ -666,20 +664,6 @@ class TestGaussianRuns:
             points = np.array([[0.5 * (1.0 + math.cos(float(h @ f))) for f in features]
                                for h in hs])
             assert np.array_equal(batch, points)
-
-    def test_loss_outside_contract_on_posterior_draws(self):
-        """A loss that leaves [0, b] only far out, where the trials' own h do
-        not go and their posterior points do, fails the kl estimate: the
-        2000 draws at d = 4, and at d = 1 the rule's outer kept nodes, 6.5
-        sigma out."""
-        space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
-        for d in (4, 1):
-            args = (space, far_out_loss(d), constant_algorithm([0.0] * d), 1.0, 10, 0.05)
-            gap = vf.violation_rate_gaussian(*args, GAUSSIAN_METHODS[:2], 5, 0,
-                                             posterior_draws=2000)
-            assert gap.mean_gap == 0.0
-            with pytest.raises(ContractViolation):
-                vf.violation_rate_gaussian(*args, GAUSSIAN_METHODS, 5, 0, posterior_draws=2000)
 
 
 # ---------------------------------------------------------------------------

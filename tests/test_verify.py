@@ -11,11 +11,12 @@ import pytest
 
 from gapcert import hamiltonian as ham
 from gapcert import verify as vf
-from gapcert.config import cosine_parametric_loss, random_gibbs_instance
+from gapcert.config import random_gibbs_instance
 from gapcert.hamiltonian import Gibbs, constant_algorithm, mean_embedding_algorithm
 from gapcert.model import (
     BLOCK_ROWS,
     BudgetExceeded,
+    CosineLoss,
     FiniteDataSpace,
     FiniteTable,
     PriorWeights,
@@ -423,7 +424,7 @@ class TestViolationRates:
         phi_table = rng.uniform(-0.5, 0.5, size=(num_points, dim))
         space = FiniteDataSpace(points=tuple(f"x{i}" for i in range(num_points)),
                                 probs=np.full(num_points, 1.0 / num_points))
-        loss = cosine_parametric_loss(phi_table)
+        loss = CosineLoss(phi_table)
         algo = mean_embedding_algorithm(phi_table, n)
         r = violation_rate_gaussian(space, loss, algo, sigma=0.5, n=n, delta=0.05,
                                     methods=("gaussian_gap", "gaussian_kl_expectation"),
