@@ -235,8 +235,14 @@ def mean_embedding_algorithm(features: np.ndarray, n: int) -> StableAlgorithm:
         sq = np.einsum("ij,ij->i", phi - mean, phi - mean)
         return float(space.probs @ sq) / n
 
-    return StableAlgorithm(map=lambda s: phi[s].mean(axis=-2), dim_d=phi.shape[1],
-                           declared_c_A=diam / n, variance_fn=variance)
+    def embed(s: np.ndarray) -> np.ndarray:
+        # the gather coordinate-major, (n, ..., d), so that the sum over the
+        # coordinates adds whole contiguous rows; it adds them left to right,
+        # as phi[s].mean(axis=-2) does along its strided axis, bit for bit
+        return np.add.reduce(phi[np.moveaxis(s, -1, 0)], axis=0) / s.shape[-1]
+
+    return StableAlgorithm(map=embed, dim_d=phi.shape[1], declared_c_A=diam / n,
+                           variance_fn=variance)
 
 
 def builtin_algorithm(name: str, space: FiniteDataSpace, n: int, dim_d: int,

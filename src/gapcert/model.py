@@ -118,27 +118,36 @@ class CosineLoss:
         out *= 0.5  # 0.5 * (1 + cos), in place
         return out
 
+    def angles(self, centers: np.ndarray) -> np.ndarray:
+        """The (k, 2 num_points) angle table [cos a, -sin a] of the (k, d)
+        centers c, a = <c, phi_x> at each point x: the centers' side of the
+        angle addition in weighted_sums. A row does not depend on the other
+        rows of the batch, so a slice of the table is the table of its
+        centers."""
+        a = row_products(centers, self.features)
+        table = np.empty((len(a), 2 * a.shape[1]))
+        np.cos(a, out=table[:, :a.shape[1]])
+        np.negative(np.sin(a, out=a), out=table[:, a.shape[1]:])
+        return table
+
     def weighted_sums(self, offsets: np.ndarray) -> Callable:
-        """The weighted loss sums around the (p, d) offsets: a function of
-        (k, d) centers c, the (num_points,) weights mu and (k, num_points)
-        weights freq, whose two (k, p) arrays hold sum_x mu_x loss(c_t + o_j, x)
-        and sum_x freq_tx loss(c_t + o_j, x). Each value depends on its own
-        center, offset and weights only.
+        """The weighted loss sums around the (p, d) offsets: a function of the
+        angles(c) of (k, d) centers c, the (num_points,) weights mu and
+        (k, num_points) weights freq, whose two (k, p) arrays hold
+        sum_x mu_x loss(c_t + o_j, x) and sum_x freq_tx loss(c_t + o_j, x).
+        Each value depends on its own center, offset and weights only.
 
         By angle addition, cos(a + b) = cos a cos b - sin a sin b with
         a = <c, phi_x> per center and b = <o, phi_x> per offset, so the
         w-weighted sums at c + o are 0.5 (sum w + [w cos a, -w sin a] .
         [cos b, sin b]): one product of a (k, 2|X|) table by the offsets'
         (2|X|, p) table, with no cosine per (center, offset, point)."""
-        phi = self.features
-        b = row_products(offsets, phi)
+        b = row_products(offsets, self.features)
         table = np.empty((len(b), 2 * b.shape[1]))
         np.cos(b, out=table[:, :b.shape[1]])
         np.sin(b, out=table[:, b.shape[1]:])
 
-        def sums(centers: np.ndarray, mu: np.ndarray, freq: np.ndarray):
-            a = row_products(centers, phi)
-            cos_sin = np.concatenate([np.cos(a), -np.sin(a)], axis=1)
+        def sums(cos_sin: np.ndarray, mu: np.ndarray, freq: np.ndarray):
             out = []
             for w in (mu, freq):
                 s = row_products(cos_sin * np.concatenate([w, w], axis=-1), table)

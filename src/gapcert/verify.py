@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -457,7 +457,8 @@ def check_phi_lemma() -> dict:
 # Array elements per trial chunk. A chunk holds CHUNK_ELEMENTS // run.width
 # trials, run.width being the elements of one trial (n + 1 + m for Gibbs,
 # n + |X| + d for the Gaussian kernel), so each (trials, n), (trials, m) or
-# (trials, |X|) array of a chunk takes at most 8 MB, whatever n and m.
+# (trials, |X|) array of a chunk takes at most 8 MB, whatever n and m, and the
+# cosine loss's (trials, 2|X|) angle table of a posterior-kl chunk 16 MB.
 CHUNK_ELEMENTS = 1 << 20
 # Floats of a block's posterior work at a time. A trial's posterior-expected
 # kl is a weighted sum of kl over the points of its run's rule (kl_rule): the
@@ -466,11 +467,13 @@ CHUNK_ELEMENTS = 1 << 20
 # step = max(1, KL_SLAB // (block |X|)) at a time, so a step's (trials, step)
 # sums and the cosine loss's (step, 2|X|) node tables hold at most
 # 2 KL_SLAB floats (1 MiB) unless one point alone needs more, and a block of
-# several trials takes one step. A run holds its rule, points x (d + 1)
-# floats, the node tables of all its steps where they take at most 4 KL_SLAB
-# floats (the 10,000 draws of d >= 4 up to |X| = 13), and its block's kl
-# values, block x points floats (65 KB for the 35 trials of 232 nodes at
-# |X| = 8, d = 2), plus O(KL_SLAB) floats for a step; n does not enter it.
+# several trials takes one step. A block reads its trials' rows of the
+# chunk's angle table, built once per chunk. A run holds its rule, points x
+# (d + 1) floats and shared by every run of the process at d <= 3, the node
+# tables of all its steps where they take at most 4 KL_SLAB floats (the
+# 10,000 draws of d >= 4 up to |X| = 13), and its block's kl values, block x
+# points floats (65 KB for the 35 trials of 232 nodes at |X| = 8, d = 2),
+# plus O(KL_SLAB) floats for a step; n does not enter it.
 KL_SLAB = 1 << 16
 # The posterior-expected kl's tensor rule at d <= 3, per axis: the 20
 # probabilists' Gauss-Hermite nodes and weights of numpy's hermegauss(20),
@@ -625,9 +628,11 @@ class GaussianRun:
     nothing more. Every L_hat, of h and of each point, is the sum of the
     point's losses weighted by freq, the sample's point frequencies
     counts / n: L_hat depends on X only through its type. The points' sums
-    come from the loss's weighted_sums, built once per step of the rule.
+    come from the loss's weighted_sums, built once per step of the rule,
+    applied to the rows of the centers' angle table, built once per chunk.
     The rule, the block and step sizes and the kept sums are built on first
-    use, so a run whose methods bound no posterior kl builds none of them."""
+    use, so a run whose methods bound no posterior kl builds none of them;
+    at d <= 3 the rule is built once per process (_tensor_kl_rule)."""
 
     variant = "gaussian_kernel"
 
@@ -667,9 +672,11 @@ class GaussianRun:
         for lo in range(0, len(self.kl_nodes), self.kl_step):
             yield self.loss.weighted_sums(self.sigma * self.kl_nodes[lo:lo + self.kl_step])
 
-    def expected_kl(self, freq: np.ndarray, center: np.ndarray) -> np.ndarray:
+    def expected_kl(self, freq: np.ndarray, angles: np.ndarray) -> np.ndarray:
         """Per trial t, the rule's weighted sum of kl(L_hat, L) over the
-        points center[t] + sigma kl_nodes, scored kl_step points at a time.
+        points c_t + sigma kl_nodes around its posterior mean c_t, given by
+        its row of the loss's angle table, angles, and scored kl_step points
+        at a time.
         Each point's L and L_hat depend on that point and trial only, and its
         kl is elementwise, so no value depends on the step or the block. The
         kl values land in one (trials, points) array, reduced once per trial
@@ -680,9 +687,9 @@ class GaussianRun:
         of 0 or 1 beside an L_hat a rounding off it would make kl infinite,
         where the exact kl is finite: L is 0 or 1 only where every point of
         mu's support has loss 0 or 1, and then so is L_hat."""
-        kl, step = np.empty((len(center), len(self.kl_nodes))), self.kl_step
+        kl, step = np.empty((len(angles), len(self.kl_nodes))), self.kl_step
         for lo, sums in zip(range(0, len(self.kl_nodes), step), self.kl_sums or self.step_sums()):
-            L, L_hat = sums(center, self.space.probs, freq)
+            L, L_hat = sums(angles, self.space.probs, freq)
             np.clip(L, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=L)
             kl[:, lo:lo + step] = kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0, out=L_hat), L)
         # vecdot, not a matrix-vector product, whose rows round by their batch
@@ -690,10 +697,11 @@ class GaussianRun:
 
     def trials(self, master_seed: int, start: int, stop: int, posterior_kl: bool) -> Draw:
         """The draws of trials start..stop-1. Each trial's stream fills its
-        rows of the uniforms and the normals. With posterior_kl a trial's kl
-        is scored with the other trials of its block of kl_block trials. Each
-        value equals that of the trial on its own: np.vecdot takes each row's
-        dot as on that row alone."""
+        rows of the uniforms and the normals. With posterior_kl the angle
+        table of the chunk's centers is built once, and a trial's kl is
+        scored from its row with the other trials of its block of kl_block
+        trials. Each value equals that of the trial on its own: the table's
+        rows and np.vecdot's dots are each taken as on that row alone."""
         count, d, size = stop - start, self.algorithm.dim_d, self.space.size
         uniforms, normals = np.empty((count, self.n)), np.empty((count, d))
         for u, z, rng in zip(uniforms, normals, trial_streams(master_seed, start, stop)):
@@ -706,8 +714,9 @@ class GaussianRun:
         center = self.algorithm(idx)
         kl = None
         if posterior_kl:
+            angles = self.loss.angles(center)
             kl = np.concatenate([self.expected_kl(freq[lo:lo + self.kl_block],
-                                                  center[lo:lo + self.kl_block])
+                                                  angles[lo:lo + self.kl_block])
                                  for lo in range(0, count, self.kl_block)])
         h = center + self.sigma * normals
         pl = self.loss.values(h)  # (trials, |X|)
@@ -716,15 +725,21 @@ class GaussianRun:
         return Draw(idx, h, np.vecdot(pl, freq), L, v, center=center, kl=kl)
 
 
+@cache
 def _tensor_kl_rule(d: int) -> tuple[np.ndarray, np.ndarray] | None:
     """At d <= 3, the nodes of the 20-node tensor rule whose product weight
-    is at least KL_NODE_FLOOR of the total, and their weights normalized;
-    None beyond, where that rule outgrows the draws (23,936 nodes at d = 4)."""
+    is at least KL_NODE_FLOOR of the total, and their weights normalized,
+    read-only; None beyond, where that rule outgrows the draws (23,936 nodes
+    at d = 4). It depends on d and the module's constants only, so a process
+    builds it once per d, for every run and for kl_estimator."""
     if d > 3:
         return None
     nodes, mass = tensor_rule(KL_NODES, KL_WEIGHTS, d)
     keep = mass >= KL_NODE_FLOOR * mass.sum()
-    return nodes[keep], mass[keep] / mass[keep].sum()
+    rule = nodes[keep], mass[keep] / mass[keep].sum()
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def kl_rule(d: int, posterior_draws: int) -> tuple[np.ndarray, np.ndarray]:

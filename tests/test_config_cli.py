@@ -613,6 +613,18 @@ class TestCli:
         got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:8] for f in want}
         assert got == want
 
+    def test_verify_twice_in_one_process_byte_identical(self, tmp_path):
+        """Two verify runs of configs/gaussian_mean_embedding.txt in one
+        process write the same CSV bytes: the first builds the posterior-kl
+        rule (cold cache), the second takes the process's (warm cache)."""
+        vf._tensor_kl_rule.cache_clear()
+        for out in ("cold", "warm"):
+            assert main(["verify", "--config", str(CONFIGS / "gaussian_mean_embedding.txt"),
+                         "--out", str(tmp_path / out)]) == EXIT_OK
+        assert vf._tensor_kl_rule.cache_info().misses == 1
+        name = "gaussian_mean_embedding_verify.csv"
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
     @pytest.mark.parametrize("name, phases", [
         ("gibbs_exact", r"exact oracles \d+\.\d\ds, "), ("gaussian_mean_embedding", "")])
     def test_verify_summary_times_each_phase(self, tmp_path, name, phases):

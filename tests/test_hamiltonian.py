@@ -296,6 +296,21 @@ class TestStableAlgorithms:
             assert np.array_equal(got, want)
             assert np.array_equal(alg(rows[0, 0]), want[0, 0])
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+    def test_mean_embedding_bits_of_mean(self, d):
+        """The mean embedding's A, summed coordinate-major, is bit for bit
+        phi[s].mean(axis=-2), the mean of the gather along its strided axis,
+        on samples of shape (n,), (3, n), (2, 5, n) and (400, n), at n past
+        8, where a sum over contiguous values may go pairwise, up to 5000,
+        d = 1 included (the (400, n) gather kept within 16 MB)."""
+        rng = np.random.Generator(np.random.Philox(key=70 + d))
+        phi = rng.uniform(-0.5, 0.5, size=(8, d))
+        for n in (1, 2, 5, 8, 9, 16, 17, 100, 129, 1000, 5000):
+            alg = mean_embedding_algorithm(phi, n)
+            for shape in [(n,), (3, n), (2, 5, n)] + [(400, n)] * (n * d <= 5000):
+                s = rng.integers(0, 8, size=shape)
+                assert np.array_equal(alg(s), phi[s].mean(axis=-2)), (n, shape)
+
     def test_constant_variance_zero(self):
         assert constant_algorithm([0.0]).variance_fn(SPACE2, 4) == 0.0
 

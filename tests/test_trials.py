@@ -65,6 +65,16 @@ def ref_kl_rule(d, floor=None):
     return nodes[keep], mass[keep] / mass[keep].sum()
 
 
+def patch_rule(monkeypatch, **constants):
+    """Set the tensor rule's module constants (KL_NODES, KL_WEIGHTS,
+    KL_NODE_FLOOR) until monkeypatch.undo(), the rule being built from them
+    at each call, not taken from the process's cache of the rule of the
+    module's own constants."""
+    for name, value in constants.items():
+        monkeypatch.setattr(vf, name, value)
+    monkeypatch.setattr(vf, "_tensor_kl_rule", vf._tensor_kl_rule.__wrapped__)
+
+
 def ref_draws_rule(draws, d):
     """The posterior-expected kl's rule beyond d = 3: `draws` standard
     normals, row by row, of a PCG64 generator seeded 0, each of weight
@@ -287,8 +297,8 @@ class TestGaussianRuns:
         one of 2000-draw estimates at d = 4 holds 5 trials, and 11 trials end
         in a part block."""
         blocks, expected_kl = [], vf.GaussianRun.expected_kl
-        monkeypatch.setattr(vf.GaussianRun, "expected_kl", lambda run, freq, center: (
-            blocks.append(len(center)) or expected_kl(run, freq, center)))
+        monkeypatch.setattr(vf.GaussianRun, "expected_kl", lambda run, freq, angles: (
+            blocks.append(len(angles)) or expected_kl(run, freq, angles)))
         for d, block, trials, part in ((2, 47, 50, 3), (3, 4, 9, 1), (4, 5, 11, 1)):
             run, features = gaussian_case(23, draws=2000, d=d)
             assert run.kl_block == block
@@ -421,7 +431,7 @@ class TestGaussianRuns:
             assert len(run.kl_nodes) == len(run.kl_weights) == points
             assert block == max(1, vf.KL_SLAB // (8 * points))
             shapes.clear()
-            run.expected_kl(np.full((block, 8), 0.125), np.zeros((block, d)))
+            run.expected_kl(np.full((block, 8), 0.125), run.loss.angles(np.zeros((block, d))))
             widths = [width for trials, width in shapes]
             assert {trials for trials, width in shapes} == {block} and sum(widths) == points
             assert set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
@@ -446,11 +456,10 @@ class TestGaussianRuns:
             return run.trials(master_seed, 0, trials, posterior_kl=True).kl
 
         rule = kl(RULE_POINTS[2])
-        monkeypatch.setattr(vf, "KL_NODE_FLOOR", 0.0)
+        patch_rule(monkeypatch, KL_NODE_FLOOR=0.0)
         assert np.abs(rule - kl(400)).max() <= 1e-10
         monkeypatch.undo()
-        monkeypatch.setattr(vf, "KL_NODES", hermegauss(80)[0])
-        monkeypatch.setattr(vf, "KL_WEIGHTS", hermegauss(80)[1])
+        patch_rule(monkeypatch, KL_NODES=hermegauss(80)[0], KL_WEIGHTS=hermegauss(80)[1])
         # the 80-node rule keeps 944 of its 6,400 nodes
         assert np.abs(rule - kl(944)).max() <= 2e-5
 
@@ -502,8 +511,7 @@ class TestGaussianRuns:
             monkeypatch.setattr(vf, "kl_rule", lambda d, draws: ref_draws_rule(draws, d))
             draws = kl(master_seed, draws=10_000)
             monkeypatch.undo()
-            monkeypatch.setattr(vf, "KL_NODES", hermegauss(36)[0])
-            monkeypatch.setattr(vf, "KL_WEIGHTS", hermegauss(36)[1])
+            patch_rule(monkeypatch, KL_NODES=hermegauss(36)[0], KL_WEIGHTS=hermegauss(36)[1])
             finer = kl(master_seed)
             monkeypatch.undo()
             assert np.abs(rule - finer).max() <= 1e-5
@@ -529,6 +537,29 @@ class TestGaussianRuns:
             monkeypatch.undo()
             assert (points, nodes) == (10_000, 23_936)
             assert np.abs(fixed - tensor).max() <= 1e-4
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rule_read_only(self, d):
+        """The tensor rule, which every run of the process shares, is
+        read-only: writing to its nodes or its weights raises."""
+        nodes, weights = vf.kl_rule(d, 10_000)
+        for a in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_rule_built_once_per_d(self, monkeypatch):
+        """At d <= 3 a process builds the tensor rule once per d: two runs
+        and kl_estimator take the same arrays and build it no second time."""
+        built, tensor = [], vf.tensor_rule
+        monkeypatch.setattr(vf, "tensor_rule",
+                            lambda nodes, weights, d: built.append(d) or tensor(nodes, weights, d))
+        vf._tensor_kl_rule.cache_clear()
+        for d in (1, 2, 3):
+            first, second = (gaussian_case(seed, d=d)[0] for seed in (60, 61))
+            assert first.kl_nodes is second.kl_nodes and first.kl_weights is second.kl_weights
+            assert vf.kl_estimator(d, 10_000) == f"Gauss-Hermite, {RULE_POINTS[d]} nodes"
+            assert vf.kl_rule(d, 1)[0] is first.kl_nodes
+        assert built == [1, 2, 3]
 
     def test_rule_is_hermegauss(self):
         """The rule's written-out nodes and weights are numpy's 20-node
@@ -608,8 +639,8 @@ class TestGaussianRuns:
                              constant_algorithm([center]), 1e-9, 10, 0.05, posterior_draws=1)
         draws = run.trials(1, 0, 200, posterior_kl=True)
         L, L_hat = run.loss.weighted_sums(run.sigma * run.kl_nodes)(
-            draws.center, space.probs, np.array([np.bincount(i, minlength=4) / 10
-                                                 for i in draws.idx]))
+            run.loss.angles(draws.center), space.probs,
+            np.array([np.bincount(i, minlength=4) / 10 for i in draws.idx]))
         edge = 0.0 if center else 1.0
         assert np.any(L == edge) and np.any(L_hat != L)
         unit = vf.kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0), np.clip(L, 0.0, 1.0))
@@ -664,6 +695,30 @@ class TestGaussianRuns:
             points = np.array([[0.5 * (1.0 + math.cos(float(h @ f))) for f in features]
                                for h in hs])
             assert np.array_equal(batch, points)
+
+    @pytest.mark.parametrize("num_points", [8, 20])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_angle_table_slices_equal_trials_alone(self, d, num_points):
+        """The weighted sums from one chunk-wide angle table, sliced into
+        blocks of 3 trials (the last a part block), are bit for bit each
+        trial's sums from the angle table of its center alone, and a slice
+        of the table is the table of its centers."""
+        rng = np.random.Generator(np.random.Philox(key=50 + 10 * d + num_points))
+        loss = CosineLoss(rng.uniform(-0.5, 0.5, size=(num_points, d)))
+        centers = rng.uniform(-0.5, 0.5, size=(11, d))
+        mu = rng.dirichlet(np.ones(num_points))
+        freq = rng.multinomial(100, mu, size=11) / 100
+        sums = loss.weighted_sums(0.5 * rng.normal(size=(37, d)))
+        table = loss.angles(centers)
+        assert table.shape == (11, 2 * num_points)
+        blocks = [sums(table[lo:lo + 3], mu, freq[lo:lo + 3]) for lo in range(0, 11, 3)]
+        L, L_hat = (np.concatenate(parts) for parts in zip(*blocks))
+        for t in range(11):
+            alone = loss.angles(centers[t:t + 1])
+            assert np.array_equal(alone[0], table[t])
+            L_t, L_hat_t = sums(alone, mu, freq[t:t + 1])
+            assert np.array_equal(L_t[0], L[t]) and np.array_equal(L_hat_t[0], L_hat[t])
+        assert np.array_equal(loss.angles(centers[4:9]), table[4:9])
 
 
 # ---------------------------------------------------------------------------
