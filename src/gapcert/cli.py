@@ -174,6 +174,7 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
             line += f" ({vf.kl_estimator(config.spec.algorithm.dim_d, config.posterior_draws)})"
         summary.append(line)
 
+    summary.append(f"mean gap over {rep.trials} trials: {rep.mean_gap:.4g}")
     summary.append(f"wall-clock: {phases}trials {trials_s:.2f}s "
                    f"({rep.trials / trials_s:.0f} trials/s)")
     text = "\n".join([f"scenario {config.scenario_id}: verify "
@@ -395,6 +396,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:  # an output path under a file, or in a missing directory
         print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's, for a trial's array, (trials, n) for one
+        print(f"config error: the scenario is too large to run: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

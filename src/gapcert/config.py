@@ -188,7 +188,7 @@ def _read_kv(path) -> dict:
     kv = {}
     errors = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a BOM is not a key
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"]) from None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -292,6 +292,10 @@ def parse_config(path) -> ScenarioConfig:
             space, loss, prior, spec = _instance(kind, values)
         except ValueError as exc:
             errors.append(str(exc))
+        except MemoryError:  # numpy's, for a table too large to allocate
+            sizes = [k for k in ("instance.num_points", "instance.num_hypotheses", "instance.dim")
+                     if kind in _KEYS[k].kinds]
+            errors.append(f"{', '.join(sizes)}: the instance is too large to allocate")
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(

@@ -99,46 +99,42 @@ def log_weight_rows(H: np.ndarray, prior: PriorWeights) -> np.ndarray:
     return np.ascontiguousarray(H.T) + log_prior(prior)
 
 
-def logsumexp(a, axis=None, b=None, keepdims=False):
-    """ln sum b e^a over axis (all axes by default), for real a and weights b >= 0.
+def logsumexp(a: np.ndarray, b: np.ndarray | None = None, keepdims: bool = False):
+    """ln sum b e^a over the last axis, for float64 a and weights b >= 0.
 
-    Step for step the algorithm of scipy.special.logsumexp (scipy 1.17) on
-    b >= 0, so every value, NaN included, and every shape and dtype is the
-    same: the maxima are summed apart, with their weights, and the rest as
-    log1p(sum b e^{a - max} / m); where that is not finite, ln sum b e^a
-    taken directly on the unmasked a. Entries with b = 0 add nothing,
-    whatever their a."""
-    a = np.asarray(a)
+    Step for step the algorithm of scipy.special.logsumexp (scipy 1.17) with
+    axis=-1 on these inputs, so every value, NaN included, and every shape
+    and dtype is the same: the maxima are summed apart, with their weights,
+    and the rest as log1p(sum b e^{a - max} / m); where that is not finite,
+    ln sum b e^a taken directly on the unmasked a. Entries with b = 0 add
+    nothing, whatever their a."""
     if b is not None:
-        a, b = np.broadcast_arrays(a, np.asarray(b))
-    dtype = np.result_type(a, 1.0) if b is None else np.result_type(a, b, 1.0)
-    a = np.atleast_1d(a.astype(dtype, copy=False))
-    b = None if b is None else np.atleast_1d(b.astype(dtype, copy=False))
-    axes = tuple(range(a.ndim)) if axis is None else axis
+        a, b = np.broadcast_arrays(a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a),
-                               axis=axes, keepdims=True))
+        masked = a if b is None else np.where(b == 0, -np.inf, a)
+        a_max = np.max(masked, axis=-1, keepdims=True)
+        at_max = masked == a_max
+        m = np.sum(at_max if b is None else b * at_max, axis=-1, keepdims=True, dtype=float)
+        rest = np.exp(np.where(at_max, -np.inf, masked) - a_max)
         if b is not None:
-            a = np.where(b == 0, -np.inf, a)
-        a_max = np.max(a, axis=axes, keepdims=True)
-        at_max = a == a_max
-        m = np.sum(at_max if b is None else b * at_max, axis=axes, keepdims=True, dtype=dtype)
-        rest = np.exp(np.where(at_max, -np.inf, a) - a_max)
-        if b is not None:
-            rest = b * rest
-        s = np.sum(rest, axis=axes, keepdims=True, dtype=dtype)
+            rest *= b
+        s = np.sum(rest, axis=-1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
-        out = np.where(np.isfinite(out), out, direct)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            direct = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a),
+                                   axis=-1, keepdims=True))
+            np.copyto(out, direct, where=bad)
     if not keepdims:
-        out = np.squeeze(out, axis=axes)
+        out = out[..., 0]
     return out[()] if out.ndim == 0 else out
 
 
 def gibbs_posterior(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Q_x and ln Z(x) of each row of posterior log weights log_w (..., m):
     Q_x(h) = e^{log_w(h) - ln Z(x)}, renormalized to sum to 1 along the row."""
-    log_z = logsumexp(log_w, axis=-1, keepdims=True)
+    log_z = logsumexp(log_w, keepdims=True)
     q = log_w - log_z
     np.exp(q, out=q)
     q /= q.sum(axis=-1, keepdims=True)

@@ -240,7 +240,10 @@ def product_rows(space: FiniteDataSpace, n: int, budget: int = DEFAULT_ENUMERATI
     row. This is the one place that compares a state count with the
     enumeration budget.
     """
-    states = space.size**n * hypotheses
+    # with two or more points the count is at least 2^n, so past n = 40 and the
+    # budget's bits it exceeds 10^12 and the budget: skip the slow exact power
+    beyond = space.size >= 2 and hypotheses >= 1 and n > max(40, budget.bit_length())
+    states = math.inf if beyond else space.size**n * hypotheses
     if states > budget:
         # a count of thousands of digits is unreadable, and str() refuses it
         count = f" = {states}" if states < 10**12 else ""
@@ -319,7 +322,7 @@ def load_loss_table(path) -> tuple[FiniteDataSpace, FiniteTable]:
     probs = None
     bound = 1.0
     rows, seen = [], set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a BOM is not a key
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or (line.startswith("#") and not line.startswith("#mu")):

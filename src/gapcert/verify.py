@@ -160,7 +160,7 @@ def _psi_values(F: np.ndarray, H: np.ndarray, log_z: np.ndarray, w: np.ndarray) 
     """psi_F(h) = ln E[e^{F + H_Q - E H_Q}] for every hypothesis, exactly."""
     hq = H - log_z
     mean_hq = np.array([w @ row for row in hq])
-    return logsumexp(F + hq - mean_hq[:, None], axis=-1, b=w)
+    return logsumexp(F + hq - mean_hq[:, None], b=w)
 
 
 def bernstein_f_factory(space: FiniteDataSpace, loss: FiniteTable, n: int, c: float,
@@ -208,7 +208,7 @@ def check_bernstein_unit_mgf(space: FiniteDataSpace, loss: FiniteTable, n: int, 
     """E[e^{2 F_lam(h, X)}] <= 1 for every hypothesis, by enumeration."""
     idx, w = enumerate_indices(space, n, budget, loss.num_hypotheses)
     F = row_table(bernstein_f_factory(space, loss, n, c, delta), loss.num_hypotheses, idx)
-    lhs = logsumexp(2.0 * F, axis=-1, b=w)  # log E e^{2F}
+    lhs = logsumexp(2.0 * F, b=w)  # log E e^{2F}
     return [MomentCheckReport(name=f"bernstein_unit_mgf_h{h}", lhs=float(v), rhs=0.0,
                               regime="exact_enumeration") for h, v in enumerate(lhs)]
 
@@ -287,7 +287,7 @@ def _coordinate_variances(space, n, table) -> list[float]:
 
 
 def _subgaussian_step_constant(space, n, table) -> float:
-    return max(0.0, *(float(logsumexp(dev, axis=-1, b=space.probs).max())
+    return max(0.0, *(float(logsumexp(dev, b=space.probs).max())
                       for dev in _deviations(space, n, table)))
 
 
@@ -301,7 +301,7 @@ def check_logZ_bounded_differences(spec: HamiltonianSpec, space: FiniteDataSpace
     """|D ln Z| <= c and |D H_Q| <= 2c for the brute-force c of H."""
     H = hamiltonian_matrix(spec, product_rows(space, n, budget, loss.num_hypotheses), loss)
     c = max_fibre_range(space, n, H)  # bounded_difference_coefficient's c, from this H
-    log_z = logsumexp(log_weight_rows(H, prior), axis=-1)
+    log_z = logsumexp(log_weight_rows(H, prior))
     max_dlnz = max_fibre_range(space, n, log_z)
     max_dhq = max_fibre_range(space, n, H - log_z)
     return [
@@ -462,18 +462,19 @@ def check_phi_lemma() -> dict:
 CHUNK_ELEMENTS = 1 << 20
 # Floats of a block's posterior work at a time. A trial's posterior-expected
 # kl is a weighted sum of kl over the points of its run's rule (kl_rule): the
-# nodes of the tensor rule at d <= 3, posterior_draws fixed draws beyond. A
-# block takes max(1, KL_SLAB // (|X| points)) trials and scores their points
-# step = max(1, KL_SLAB // (block |X|)) at a time, so a step's (trials, step)
-# sums and the cosine loss's (step, 2|X|) node tables hold at most
-# 2 KL_SLAB floats (1 MiB) unless one point alone needs more, and a block of
-# several trials takes one step. A block reads its trials' rows of the
-# chunk's angle table, built once per chunk. A run holds its rule, points x
-# (d + 1) floats and shared by every run of the process at d <= 3, the node
-# tables of all its steps where they take at most 4 KL_SLAB floats (the
-# 10,000 draws of d >= 4 up to |X| = 13), and its block's kl values, block x
-# points floats (65 KB for the 35 trials of 232 nodes at |X| = 8, d = 2),
-# plus O(KL_SLAB) floats for a step; n does not enter it.
+# nodes of the tensor rule at d <= 3, posterior_draws fixed draws beyond.
+# Block rule: a block takes max(1, KL_SLAB // (|X| points)) trials. Step
+# rule: it scores its points max(1, KL_SLAB // |X|) at a time, so a block of
+# several trials, at most KL_SLAB // |X| points in all, takes one step. A
+# step's (trials, step) sums and the cosine loss's (step, 2|X|) node tables
+# hold at most 2 KL_SLAB floats (1 MiB) unless one point alone needs more.
+# A block reads its trials' rows of the chunk's angle table, built once per
+# chunk. A run holds its rule, points x (d + 1) floats and shared by every
+# run of the process at d <= 3, the node tables of all its steps where they
+# take at most 4 KL_SLAB floats (the 10,000 draws of d >= 4 up to |X| = 13),
+# and its block's kl values, block x points floats (65 KB for the 35 trials
+# of 232 nodes at |X| = 8, d = 2), plus O(KL_SLAB) floats for a step; n does
+# not enter it.
 KL_SLAB = 1 << 16
 # The posterior-expected kl's tensor rule at d <= 3, per axis: the 20
 # probabilists' Gauss-Hermite nodes and weights of numpy's hermegauss(20),
@@ -535,6 +536,7 @@ class MethodStats:
     def summary(self, delta: float) -> str:
         verdict = "<=" if self.passed(delta) else "EXCEEDS"
         return (f"{self.method}: {self.violations}/{self.trials} violations, "
+                f"mean slack {self.mean_slack:.4g}, "
                 f"cp{100 * CP_LEVEL:g}={self.clopper_pearson_upper:.4f} {verdict} "
                 f"delta={delta}")
 
@@ -630,8 +632,8 @@ class GaussianRun:
     counts / n: L_hat depends on X only through its type. The points' sums
     come from the loss's weighted_sums, built once per step of the rule,
     applied to the rows of the centers' angle table, built once per chunk.
-    The rule, the block and step sizes and the kept sums are built on first
-    use, so a run whose methods bound no posterior kl builds none of them;
+    The rule, the block size and the kept sums are built on first use, so
+    a run whose methods bound no posterior kl builds none of them;
     at d <= 3 the rule is built once per process (_tensor_kl_rule)."""
 
     variant = "gaussian_kernel"
@@ -644,6 +646,7 @@ class GaussianRun:
         self.c_A = algorithm.declared_c_A
         self.V = float(algorithm.variance_fn(space, n))
         self.width = n + space.size + algorithm.dim_d  # array elements per trial
+        self.kl_step = max(1, KL_SLAB // space.size)  # points per kl step, whatever the block
 
     @cached_property
     def rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -655,10 +658,6 @@ class GaussianRun:
     @cached_property
     def kl_block(self) -> int:  # trials per kl block
         return max(1, KL_SLAB // (self.space.size * len(self.kl_nodes)))
-
-    @cached_property
-    def kl_step(self) -> int:  # points per kl step
-        return max(1, KL_SLAB // (self.kl_block * self.space.size))
 
     @cached_property
     def kl_sums(self) -> list | None:
@@ -901,35 +900,28 @@ def violation_rate_gaussian(space: FiniteDataSpace, loss: CosineLoss,
     return _violation_rates(run, methods, trials, master_seed)
 
 
-def _interior(x: np.ndarray) -> bool:
-    """Whether x is a nonempty array of values strictly inside (0, 1), NaN
-    not among them."""
-    return x.ndim > 0 and x.size > 0 and 0 < x.min() and x.max() < 1
-
-
 def kl_bernoulli_vec(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorized Bernoulli relative entropy with the 0 ln 0 = 0 convention."""
+    """Bernoulli relative entropy kl(s, t), elementwise over s and t
+    broadcast together, for s in [0, 1] and t in (0, 1): the domain of
+    GaussianRun.expected_kl, whose clipped L is never 0 or 1. Where s is 0
+    or 1 its term 0 ln 0 is 0. bounds.kl_bernoulli is the kl of every input."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
+    # out arrays, so that a 0-d call also takes the in-place steps
+    shape = np.broadcast_shapes(s.shape, t.shape)
+    a, c = np.empty(shape), np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if _interior(s) and _interior(t):
-            # the operations the general path below takes on interior
-            # values, each log once and no where temporaries: the same bits
-            a = s / t
-            np.log(a, out=a)
-            a *= s
-            b = 1 - s
-            c = b / (1 - t)
-            np.log(c, out=c)
-            c *= b
-            a += c
-            return np.maximum(a, 0.0, out=a)
-        s, t = np.broadcast_arrays(s, t)
-        interior = (t > 0) & (t < 1)
-        a = np.where(s > 0, s * np.log(np.where(s > 0, s, 1.0) / np.where(interior, t, 1.0)), 0.0)
-        b_ = np.where(s < 1, (1 - s) * np.log(np.where(s < 1, 1 - s, 1.0) / np.where(interior, 1 - t, 1.0)), 0.0)
-    out = np.where(interior, np.maximum(a + b_, 0.0), np.where(s == t, 0.0, np.inf))
-    return out
+        np.divide(s, t, out=a)
+        np.log(a, out=a)
+        a *= s
+        np.copyto(a, 0.0, where=s == 0)
+        b = 1 - s
+        np.divide(b, 1 - t, out=c)
+        np.log(c, out=c)
+        c *= b
+        np.copyto(c, 0.0, where=s == 1)
+    a += c
+    return np.maximum(a, 0.0, out=a)
 
 
 # ---------------------------------------------------------------------------

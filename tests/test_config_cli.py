@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -309,6 +310,57 @@ class TestCli:
         cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL + f"{key} = {value}\n")
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    @pytest.mark.parametrize("command, text, old, new, message", [
+        ("certify", GIBBS_SMALL, "num_points = 3", f"num_points = {10**17}",
+         "config error: instance.num_points, instance.num_hypotheses: the instance is too large"),
+        ("certify", GIBBS_SMALL, "num_hypotheses = 4", f"num_hypotheses = {10**17 // 3}",
+         "config error: instance.num_points, instance.num_hypotheses: the instance is too large"),
+        ("certify", GAUSSIAN_SMALL, "num_points = 6", f"num_points = {10**17}",
+         "config error: instance.num_points, instance.dim: the instance is too large"),
+        ("certify", GIBBS_SMALL, "n = 4", f"n = {10**17}",
+         "config error: the scenario is too large to run: "),
+        ("certify", GAUSSIAN_SMALL, "n = 100", f"n = {10**17}",
+         "config error: the scenario is too large to run: "),
+        ("verify", GAUSSIAN_SMALL, "n = 100", f"n = {10**17}",
+         "config error: the scenario is too large to run: "),
+    ], ids=["gibbs_points", "gibbs_hypotheses", "gaussian_points", "gibbs_n", "gaussian_n",
+            "gaussian_n_verify"])
+    def test_too_large_to_allocate_exits_3(self, tmp_path, capsys, command, text, old, new,
+                                           message):
+        """An instance or a trial whose arrays take about 8e17 bytes, which
+        no allocation grants, so that no page is touched, is refused with one
+        line: while parsing under the instance's size keys, in the trials as
+        the scenario. A Gibbs verify at such an n is left out: the Gibbs
+        certify case covers its trials, and test_model its exact oracles'
+        refusal, which product_rows gives without the power |X|^n."""
+        cfg = write_config(tmp_path, "c.txt", text.replace(old, new))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["certify", "verify"])
+    def test_byte_order_mark_ignored(self, tmp_path, command):
+        """A scenario file and its loss table saved with a UTF-8 byte-order
+        mark, as some editors write them, and configs/gibbs_small.txt, which
+        opens with a comment, parse to the same scenario and give the same
+        CSV bytes as without the mark."""
+        table = GIBBS_FILE.format(good_table="table.txt")
+        small = (CONFIGS / "gibbs_small.txt").read_text()
+        pickles, csvs = {}, {}
+        for mark in ("", "\ufeff"):
+            d = tmp_path / f"mark{len(mark)}"
+            d.mkdir()
+            (d / "table.txt").write_bytes((mark + GOOD_TABLE).encode())
+            for name, text in (("fdemo", table), ("gibbs_small", small)):
+                cfg = d / f"{name}.txt"
+                cfg.write_bytes((mark + text).encode())
+                pickles[mark, name] = pickle.dumps(parse_config(cfg))
+                assert main([command, "--config", str(cfg), "--out", str(d / "o")]) == EXIT_OK
+                csvs[mark, name] = (d / "o" / f"{name}_{command}.csv").read_bytes()
+        for name in ("fdemo", "gibbs_small"):
+            assert pickles["", name] == pickles["\ufeff", name]
+            assert csvs["", name] == csvs["\ufeff", name]
 
     @pytest.mark.parametrize("command", ["certify", "verify"])
     @pytest.mark.parametrize("case", sorted(UNSQUARABLE_SCENARIOS))
@@ -635,6 +687,21 @@ class TestCli:
         summary = (tmp_path / f"{name}_verify_summary.txt").read_text().splitlines()
         assert re.fullmatch(rf"  wall-clock: {phases}trials \d+\.\d\ds \(\d+ trials/s\)",
                             summary[-1])
+
+    def test_verify_summary_shows_means(self, tmp_path):
+        """The summary gives each method's mean slack and the mean gap, which
+        no CSV holds."""
+        cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        c = parse_config(cfg)
+        rep = vf.violation_rate_gibbs(c.space, c.loss, c.prior, c.spec.beta, c.n, c.delta,
+                                      c.methods, c.trials, c.master_seed)
+        summary = (tmp_path / "demo_verify_summary.txt").read_text().splitlines()
+        for m, stats in rep.per_method.items():
+            assert (f"  {m}: {stats.violations}/200 violations, "
+                    f"mean slack {stats.mean_slack:.4g}, cp99.9=") in "\n".join(summary)
+        assert summary[-2] == f"  mean gap over 200 trials: {rep.mean_gap:.4g}"
+        assert "slack" not in (tmp_path / "demo_verify.csv").read_text()
 
     @pytest.mark.parametrize("dim, estimator", [
         (1, "Gauss-Hermite, 18 nodes"), (2, "Gauss-Hermite, 232 nodes"),

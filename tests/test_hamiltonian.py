@@ -83,9 +83,10 @@ class TestHamiltonianValue:
 class TestLogSumExp:
     @staticmethod
     def cases(rng, count):
-        """Seeded (a, b, axis, keepdims): -inf and +inf entries, all -inf
-        arrays, tied maxima, zero weights at a whose e^a overflows, and b of
-        a's shape or of its last axis only."""
+        """Seeded (a, b, keepdims) over a's last axis, a of one to three
+        dimensions: -inf and +inf entries, all -inf arrays, tied maxima, zero
+        weights at a whose e^a overflows, and b of a's shape or of its last
+        axis only."""
         special = np.array([-np.inf, np.inf, 800.0, -800.0, 0.0, 1.0])
         for _ in range(count):
             shape = tuple(int(k) for k in rng.integers(1, 5, size=rng.integers(1, 4)))
@@ -100,29 +101,29 @@ class TestLogSumExp:
             if rng.random() < 0.6:
                 b = rng.random(shape if rng.random() < 0.7 else shape[-1:])
                 b[rng.random(b.shape) < 0.3] = 0.0
-            yield a, b, (None, -1, 0)[rng.integers(3)], bool(rng.integers(2))
+            yield a, b, bool(rng.integers(2))
 
     def test_equals_scipy(self):
-        """Value (NaN included), shape and dtype of scipy.special.logsumexp,
-        with no RuntimeWarning escaping."""
+        """Value (NaN included), shape and dtype of scipy.special.logsumexp
+        over the last axis, with no RuntimeWarning escaping."""
         from scipy.special import logsumexp as reference
 
         fixed = [
-            (np.array([1.0, 3.0, 3.0, -np.inf]), None, None, False),
-            (np.array([[-np.inf, -np.inf], [0.0, np.inf]]), None, -1, True),
-            (np.array([900.0, 0.0]), np.array([0.0, 1.0]), None, False),
-            (np.array([900.0, 0.0]), np.array([0.0, 0.0]), None, False),  # 0 * inf: NaN
-            (np.array([[800.0, 2.0], [1.0, 1.0]]), np.array([0.0, 0.5]), 0, False),
+            (np.array([1.0, 3.0, 3.0, -np.inf]), None, False),
+            (np.array([[-np.inf, -np.inf], [0.0, np.inf]]), None, True),
+            (np.array([900.0, 0.0]), np.array([0.0, 1.0]), False),
+            (np.array([900.0, 0.0]), np.array([0.0, 0.0]), False),  # 0 * inf: NaN
+            (np.array([[800.0, 1.0], [2.0, 1.0]]), np.array([[0.0], [0.5]]), False),
         ]
         rng = np.random.default_rng(16)
-        for a, b, axis, keepdims in fixed + list(self.cases(rng, 3000)):
+        for a, b, keepdims in fixed + list(self.cases(rng, 3000)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                want = reference(a, axis=axis, b=b, keepdims=keepdims)
+                want = reference(a, axis=-1, b=b, keepdims=keepdims)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a RuntimeWarning fails the test
-                got = logsumexp(a, axis=axis, b=b, keepdims=keepdims)
-            assert np.array_equal(got, want, equal_nan=True), (a, b, axis, keepdims)
+                got = logsumexp(a, b=b, keepdims=keepdims)
+            assert np.array_equal(got, want, equal_nan=True), (a, b, keepdims)
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).dtype == np.asarray(want).dtype
         assert math.isnan(logsumexp(np.array([900.0, 0.0]), b=np.array([0.0, 0.0])))

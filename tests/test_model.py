@@ -22,6 +22,7 @@ from gapcert.model import (
     generalization_gap,
     load_loss_table,
     loss_variance,
+    product_rows,
     true_loss,
 )
 from gapcert.verify import GibbsRun
@@ -185,6 +186,22 @@ class TestEnumeration:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             list(enumerate_samples(space2(), 30, budget=1000))
+
+    @pytest.mark.parametrize("size, n, hypotheses, budget", [
+        (3, 5, 4, 971), (2, 39, 1, 10), (2, 40, 1, 10), (2, 41, 1, 10), (1, 10**6, 2, 1),
+        (2, 41, 1, 2**40), (2, 42, 3, 2**41 - 1), (3, 100, 4, 10**30), (10, 10**6, 16, 10**6),
+    ])
+    def test_budget_refusal_message(self, size, n, hypotheses, budget):
+        """The refusal gives the count |X|^n x hypotheses below 10^12 and
+        none from there, also where product_rows does not take the power:
+        on two or more points past n = 40 and the budget's bits."""
+        space = FiniteDataSpace(points=tuple(range(size)), probs=np.full(size, 1.0 / size))
+        states = size**n * hypotheses
+        count = f" = {states}" if states < 10**12 else ""
+        with pytest.raises(BudgetExceeded) as exc:
+            product_rows(space, n, budget, hypotheses)
+        assert str(exc.value) == (f"enumeration of {size}^{n} x {hypotheses}{count} "
+                                  f"states exceeds budget {budget}")
 
     def test_zero_probability_points_skipped(self):
         space = FiniteDataSpace(points=("a", "b"), probs=np.array([1.0, 0.0]))

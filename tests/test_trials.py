@@ -332,6 +332,26 @@ class TestGaussianRuns:
         assert blocks == {1, 2, 4, 8, 34, 136}
         assert all(np.array_equal(kl, kls[0]) for kl in kls)
 
+    @pytest.mark.parametrize("num_points", [1, 2, 3, 6, 8, 13, 20, 100, 1000, 2**16, 2**16 + 1])
+    def test_step_slices_equal_block_coupled_step(self, num_points):
+        """The step rule max(1, KL_SLAB // |X|) cuts every rule into the
+        slices of the block-coupled max(1, KL_SLAB // (block |X|)): a block
+        of several trials takes one step, a one-trial block the same steps."""
+        run, _ = gaussian_case(42, num_points=num_points, d=1, algorithm="constant")
+        size = run.space.size
+
+        def slices(points, step):
+            return [(lo, min(lo + step, points)) for lo in range(0, points, step)]
+
+        for points in (1, 2, 18, 232, 2000, 2632, 3277, 8192, 10_000, 2**16 + 3):
+            fresh = vf.GaussianRun(run.space, run.loss, run.algorithm, run.sigma, run.n,
+                                   run.delta, points)
+            fresh.rule = np.zeros((points, 1)), np.full(points, 1.0 / points)
+            block = max(1, vf.KL_SLAB // (size * points))
+            assert fresh.kl_block == block
+            assert (slices(points, fresh.kl_step)
+                    == slices(points, max(1, vf.KL_SLAB // (block * size)))), points
+
     @pytest.mark.parametrize("n", [10, 100, 1000])
     def test_frequency_L_hat_is_the_gather_mean(self, n):
         """The dot product of a draw's losses with the point frequencies, the
@@ -643,7 +663,8 @@ class TestGaussianRuns:
             np.array([np.bincount(i, minlength=4) / 10 for i in draws.idx]))
         edge = 0.0 if center else 1.0
         assert np.any(L == edge) and np.any(L_hat != L)
-        unit = vf.kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0), np.clip(L, 0.0, 1.0))
+        unit = [bd.kl_bernoulli(s, t) for s, t in zip(np.clip(L_hat, 0.0, 1.0).ravel(),
+                                                      np.clip(L, 0.0, 1.0).ravel())]
         assert not np.all(np.isfinite(unit))
         assert np.all(np.isfinite(draws.kl)) and draws.kl.max() < 1e-14
         assert_same_draws(run, features, 1, 0, 200)
