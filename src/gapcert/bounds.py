@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import log  # the one name through which every kl evaluation takes its logs
 
 import numpy as np
 
@@ -92,9 +93,9 @@ def _kl_bernoulli(s: float, t: float) -> float:
         return 0.0 if s == t else math.inf
     out = 0.0
     if s > 0.0:
-        out += s * math.log(s / t)
+        out += s * log(s / t)
     if s < 1.0:
-        out += (1.0 - s) * math.log((1.0 - s) / (1.0 - t))
+        out += (1.0 - s) * log((1.0 - s) / (1.0 - t))
     return 0.0 if out < 0.0 else out
 
 
@@ -122,38 +123,59 @@ def _kl_certified_bracket(p_hat: float, B: float) -> tuple[float, float]:
 
     Newton's method on w = ln(1 - q), where kl(p_hat, .) is convex and
     decreasing with slope -(q - p_hat) / q, walks left from a point right of
-    the root towards the residual +1.5 margin. Within 3 margins of it, a
-    tangent step gives a left end certified by convexity, or else steps aim
-    at -2 margin for an evaluated one. Only certified points are kept, so a
-    step that goes astray costs evaluations, never a different bisection.
-    Without a certified point the bound stays outside [0, 1].
+    the root towards the residual +1.5 margin. At an evaluated point q right
+    of the root, kl's tangent at q gives both ends without evaluating kl:
+    - the left end, where the tangent reaches -1.25 margin, where convexity
+      certifies it: kl's slope there is at most the chord's to q;
+    - with it, the right end, where the tangent reaches +1.25 margin: the
+      tangent lies below the convex kl(p_hat, .). Else the right end is q.
+    Each certificate asks its computed bound, with the slope term scaled by
+    1 +- 1e-12 against its six roundings, to clear the margin tol + 1e-12,
+    against a computed kl within about 1e-13 of the exact one (see
+    _KL_CERTIFY_EPS): an end's exact residual then clears tol by 1e-13, and
+    so does every point beyond it, as at an evaluated point.
+    Near the root without a certified left end, steps aim at -2 margin for an
+    evaluated one. Only certified points are kept, so a step that goes astray
+    costs evaluations, never a different bisection. Without a certified point
+    the bound stays outside [0, 1].
     """
     margin = KL_INVERSE_RESIDUAL_TOL + _KL_CERTIFY_EPS
     right = 2.0
-    # the smallest of the roots of kl = B + 2 margin implied by the lower
-    # bounds 2 (q - p)^2 (Pinsker's), (q - p)^2 / 2 (1 - p) and (q - p)^2 / 2q
-    # on kl(p, q) for q >= p: each lies right of the root
+    c = 1.0 - p_hat
+    # The walk starts right of the root, at the root of kl = B + 2 margin
+    # implied by Jensen's bound kl(p, q) >= (q - p)^2 / 2 m (1 - m), q >= p:
+    # kl(p, q) integrates (t - p) / t (1 - t) over [p, q], 1 / t (1 - t) is
+    # convex and m = p + 2 (q - p) / 3 is the mean of the weight t - p. As
+    # m (1 - m) <= min(1/4, 1 - p, q), the bound exceeds Pinsker's and the
+    # bounds (q - p)^2 / 2 (1 - p) and / 2q. In d = q - p the root solves
+    # a d^2 - 2 h d - g = 0, taken in the form that does not cancel.
     b = B + 2.0 * margin
-    q = min(p_hat + math.sqrt(0.5 * b), p_hat + math.sqrt(2.0 * (1.0 - p_hat) * b),
-            p_hat + b + math.sqrt(b * b + 2.0 * p_hat * b), KL_INVERSE_TOP)
-    # every step moves q left, so p_hat < q <= KL_INVERSE_TOP holds throughout
+    h = b * (1.0 - 2.0 * p_hat) / 1.5
+    a = 1.0 + b / 1.125
+    g = 2.0 * b * p_hat * c
+    root = math.sqrt(h * h + a * g)
+    q = min(p_hat + ((h + root) / a if h > 0.0 else g / (root - h)), KL_INVERSE_TOP)
+    # every step moves q left, so p_hat < q <= KL_INVERSE_TOP holds throughout,
+    # where _kl_bernoulli(p_hat, q) takes the operations of kl below: its
+    # 0.0 + first term differs only in the sign of a zero, which r drops
     for _ in range(_KL_NEWTON_MAX_ITER):
-        r = _kl_bernoulli(p_hat, q) - B
+        kl = (p_hat * log(p_hat / q) if p_hat > 0.0 else 0.0) + c * log(c / (1.0 - q))
+        r = (0.0 if kl < 0.0 else kl) - B
         if r < -margin:
             return q, right
         near = r <= 3.0 * margin
         if r > margin:
             right = q
-            if near:
-                # kl(p_hat, .) is convex with slope s(t) = (t - p_hat) / (t (1 - t)),
-                # so t's exact residual is at most q's, below r + 1e-13, minus
-                # s(t) (q - t). Where the computed s(t) (q - t), six roundings
-                # off, clears r + margin by the factor 1 - 1e-12, that is below
-                # -margin + 1e-13, as at an evaluated point below -margin.
-                t = q - (r + 1.5 * margin) * (q * (1.0 - q)) / (q - p_hat)
-                if t > p_hat and ((t - p_hat) / (t * (1.0 - t)) * (q - t) * (1.0 - 1e-12)
-                                  > r + margin):
-                    return t, right
+            slope = (q - p_hat) / (q * (1.0 - q))
+            # left end, with kl's slope s(t) = (t - p_hat) / (t (1 - t)) at t:
+            # t's exact residual <= r + 1e-13 - s(t) (q - t) < -tol - 1e-13
+            t = q - (r + 1.25 * margin) / slope
+            if t > p_hat and (t - p_hat) / (t * (1.0 - t)) * (q - t) * (1.0 - 1e-12) > r + margin:
+                # right end: u's exact residual >= r - 1e-13 - slope (q - u) > tol + 1e-13
+                u = q - (r - 1.25 * margin) / slope
+                if p_hat < u < q and r - slope * (q - u) * (1.0 + 1e-12) > margin:
+                    right = u
+                return t, right
         # the Newton step in w and its second-order (Chebyshev) correction, by
         # the curvature p_hat (1 - q) / q^2; the third derivative is positive
         # too, so neither step overshoots
@@ -173,9 +195,13 @@ def kl_inverse_upper(p_hat: float, B: float) -> float:
     """The q in [p_hat, 1) with kl(p_hat, q) = B, or 1 if no root below 1.
 
     Bisection on [p_hat, KL_INVERSE_TOP] to residual 1e-10. The kl formula
-    is evaluated only at midpoints inside a certified bracket around the
-    root; outside it the bisection's decision is known without it, so the
-    returned midpoint is the plain bisection's, bit for bit.
+    is evaluated only at midpoints inside a bracket around the root whose
+    ends kl's tangents certify (_kl_certified_bracket); outside it the
+    bisection's decision is known without it, so the returned midpoint is the
+    plain bisection's, bit for bit. Whether kl(p_hat, KL_INVERSE_TOP) exceeds
+    B is certified without evaluating it where a lower bound at the top
+    clears B by 1e-12. kl is evaluated in line, with _kl_bernoulli's
+    operations on p_hat < q < 1, so each residual keeps its bits.
     """
     if not (0.0 <= p_hat <= 1.0):
         raise DomainError(f"p_hat must be in [0,1], got {p_hat}")
@@ -186,30 +212,33 @@ def kl_inverse_upper(p_hat: float, B: float) -> float:
     hi = KL_INVERSE_TOP
     if p_hat >= hi:
         return 1.0
-    # kl(p, q) >= (q - p)^2 / 2 min(1/4, 1 - p) for q >= p (Pinsker's bound
-    # and its refinement near 1): where that bound at hi exceeds B + eps, the
-    # computed kl(p_hat, hi) exceeds B, and the test needs no evaluation
-    if (not (hi - p_hat) ** 2 > 2.0 * min(0.25, 1.0 - p_hat) * (B + _KL_CERTIFY_EPS)
+    # For q >= p, kl(p, q) >= (q - p)^2 / 2 min(1/4, 1 - p) (Pinsker's bound and
+    # its refinement near 1) and kl(p, q) >= (1 - p) ln(1 / (1 - q)) - ln 2, as
+    # p ln(1 / q) >= 0 and the entropy of p is at most ln 2; at hi
+    # ln(1 / (1 - hi)) > 34.5 and ln 2 < 0.7. Where either bound at hi
+    # exceeds B + eps, the computed kl(p_hat, hi) exceeds B.
+    if (not ((hi - p_hat) ** 2 > 2.0 * min(0.25, 1.0 - p_hat) * (B + _KL_CERTIFY_EPS)
+             or (1.0 - p_hat) * 34.5 - 0.7 > B + _KL_CERTIFY_EPS)
             and _kl_bernoulli(p_hat, hi) <= B):
         return 1.0
     below, right = _kl_certified_bracket(p_hat, B)
     lo = p_hat
-    # mid == lo or mid == hi only where lo and hi are adjacent floats: every
-    # later step repeats this one or stops at the next, returning mid
+    c = 1.0 - p_hat
+    # mid == lo or mid == hi only where lo and hi are adjacent floats, and then
+    # every later step repeats this one: where the bracket decides it, the
+    # steps run out and return 0.5 (lo + hi), which is mid, and where kl would
+    # decide it, mid is returned at once
     for _ in range(_KL_INVERSE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= below:
-            if mid == lo:
-                return mid
             lo = mid
         elif mid >= right:
-            if mid == hi:
-                return mid
             hi = mid
         elif mid == lo or mid == hi:
             return mid
         else:
-            r = _kl_bernoulli(p_hat, mid) - B
+            kl = (p_hat * log(p_hat / mid) if p_hat > 0.0 else 0.0) + c * log(c / (1.0 - mid))
+            r = (0.0 if kl < 0.0 else kl) - B
             if abs(r) <= KL_INVERSE_RESIDUAL_TOL:
                 return mid
             if r < 0:

@@ -138,7 +138,9 @@ _KEYS = {
     "hamiltonian.sigma": Key("0.5", _kernel_sigma, (GAUSSIAN,)),
     # a name hamiltonian.builtin_algorithm knows, checked as the instance is built
     "hamiltonian.algorithm": Key("mean_embedding", str, (GAUSSIAN,)),
-    "n": Key(None, number_in(int, 1)),  # required
+    # required; a trial's n + 1 uniforms must lie within numpy's index range
+    # in bytes, so that a trial too large to run fails to allocate (MemoryError)
+    "n": Key(None, number_in(int, 1, np.iinfo(np.intp).max // 8 - 1)),
     "delta": Key("0.05", number_in(float, 0.0, 1.0, strict=True)),
     "methods": Key(None, _methods),  # default: the variant's first method
     "trials": Key("1000", number_in(int, 1)),
@@ -236,16 +238,17 @@ def gaussian_kernel_instance(seed: int, num_points: int, dim: int, n: int, sigma
 
 
 def _instance(kind: str, v: dict):
-    """(space, loss, prior, spec) of a scenario whose keys all parsed; the
-    ValueError names the key at fault."""
+    """(space, loss, prior, spec) of a scenario whose keys all parsed. A
+    ConfigError names the key at fault; any other ValueError is numpy's, for
+    an array past its index range, as a MemoryError is for one past memory."""
     if kind != GAUSSIAN:
         space, loss = v["instance.file"] if kind == FILE else random_gibbs_instance(
             v["instance.seed"], v["instance.num_points"], v["instance.num_hypotheses"])
         # the Bernstein bounds and the ln Z oracle square c = beta b / n
         c = v["hamiltonian.beta"] * loss.bound_b / v["n"]
         if _square(c) == math.inf:
-            raise ValueError(f"hamiltonian.beta: the coefficient beta b / n = {c!r} "
-                             f"squares past the largest float")
+            raise ConfigError([f"hamiltonian.beta: the coefficient beta b / n = {c!r} "
+                               f"squares past the largest float"])
         return space, loss, PriorWeights.uniform(loss.num_hypotheses), Gibbs(
             beta=v["hamiltonian.beta"])
     try:
@@ -253,9 +256,9 @@ def _instance(kind: str, v: dict):
             "instance.seed", "instance.num_points", "instance.dim", "n", "hamiltonian.sigma",
             "hamiltonian.algorithm")))
     except KeyError as exc:
-        raise ValueError(f"hamiltonian.algorithm: {exc.args[0]}") from None
+        raise ConfigError([f"hamiltonian.algorithm: {exc.args[0]}"]) from None
     except StabilityPreconditionError as exc:
-        raise ValueError(f"hamiltonian.sigma: {exc}") from None
+        raise ConfigError([f"hamiltonian.sigma: {exc}"]) from None
     return space, loss, None, spec
 
 
@@ -290,9 +293,9 @@ def parse_config(path) -> ScenarioConfig:
     if not errors:
         try:
             space, loss, prior, spec = _instance(kind, values)
-        except ValueError as exc:
-            errors.append(str(exc))
-        except MemoryError:  # numpy's, for a table too large to allocate
+        except ConfigError as exc:
+            errors += exc.errors
+        except (MemoryError, ValueError):  # numpy's, for a table past memory or index range
             sizes = [k for k in ("instance.num_points", "instance.num_hypotheses", "instance.dim")
                      if kind in _KEYS[k].kinds]
             errors.append(f"{', '.join(sizes)}: the instance is too large to allocate")

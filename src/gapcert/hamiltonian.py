@@ -107,24 +107,27 @@ def logsumexp(a: np.ndarray, b: np.ndarray | None = None, keepdims: bool = False
     and dtype is the same: the maxima are summed apart, with their weights,
     and the rest as log1p(sum b e^{a - max} / m); where that is not finite,
     ln sum b e^a taken directly on the unmasked a. Entries with b = 0 add
-    nothing, whatever their a."""
-    if b is not None:
+    nothing, whatever their a. The reductions are the ufuncs' own, which
+    np.max and np.sum call, and b broadcasts against a only where its shape
+    differs."""
+    if b is not None and b.shape != a.shape:
         a, b = np.broadcast_arrays(a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         masked = a if b is None else np.where(b == 0, -np.inf, a)
-        a_max = np.max(masked, axis=-1, keepdims=True)
+        a_max = np.maximum.reduce(masked, axis=-1, keepdims=True)
         at_max = masked == a_max
-        m = np.sum(at_max if b is None else b * at_max, axis=-1, keepdims=True, dtype=float)
+        m = np.add.reduce(at_max if b is None else b * at_max, axis=-1, keepdims=True,
+                          dtype=float)
         rest = np.exp(np.where(at_max, -np.inf, masked) - a_max)
         if b is not None:
             rest *= b
-        s = np.sum(rest, axis=-1, keepdims=True)
+        s = np.add.reduce(rest, axis=-1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
         bad = ~np.isfinite(out)
         if bad.any():
-            direct = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a),
-                                   axis=-1, keepdims=True))
+            direct = np.log(np.add.reduce(np.exp(a) if b is None else b * np.exp(a),
+                                          axis=-1, keepdims=True))
             np.copyto(out, direct, where=bad)
     if not keepdims:
         out = out[..., 0]

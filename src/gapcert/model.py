@@ -191,8 +191,10 @@ def true_loss(h, space: FiniteDataSpace, loss: FiniteTable) -> float:
 
 
 def empirical_loss(h, sample: np.ndarray, loss: FiniteTable) -> np.ndarray:
-    """Mean loss of h over each sample row of point indices, (..., n) -> (...)."""
-    return _losses_at(loss, h, sample).mean(axis=-1)
+    """Mean loss of h over each sample row of point indices, (..., n) -> (...):
+    the sum that .mean(axis=-1) takes, divided by n as it divides."""
+    losses = _losses_at(loss, h, sample)
+    return np.add.reduce(losses, axis=-1) / losses.shape[-1]
 
 
 def generalization_gap(h, sample: np.ndarray, space: FiniteDataSpace,
@@ -281,14 +283,21 @@ def fibres(space: FiniteDataSpace, n: int, values: np.ndarray) -> Iterator[np.nd
     """Per coordinate k, the values along k at every base sample in the
     support. values holds one entry per row of product_rows on its last axis;
     each yielded array keeps any leading axes, has one axis per other
-    coordinate (its support points) and the point y, over all of X, last."""
+    coordinate (its support points) and the point y, over all of X, last.
+    Where every point is in the support, each is a view of values, to be read
+    only. Its strides are those of the copy it replaces only for 1-D values,
+    so with leading axes only reductions whose order does not matter (max,
+    min, elementwise steps) are sure to keep their bits."""
     grid = values.reshape(values.shape[:-1] + (space.size,) * n)
     lead = values.ndim - 1
     support = np.flatnonzero(space.probs > 0)
     every = np.arange(space.size)
     for k in range(n):
-        axes = np.ix_(*[every if j == k else support for j in range(n)])
-        yield np.moveaxis(grid[(..., *axes)], lead + k, -1)
+        if len(support) < space.size:
+            grid_k = grid[(..., *np.ix_(*[every if j == k else support for j in range(n)]))]
+        else:
+            grid_k = grid
+        yield np.moveaxis(grid_k, lead + k, -1)
 
 
 def max_fibre_range(space: FiniteDataSpace, n: int, values: np.ndarray) -> float:

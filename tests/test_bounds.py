@@ -158,38 +158,58 @@ class TestKlInverse:
                                         _adversarial_points(), BENCHMARK_DOMAIN],
                              ids=["residual_grid", "domination_grid", "random", "adversarial",
                                   "benchmark_domain"])
-    def test_certified_bracket(self, points):
+    def test_certified_bracket(self, points, monkeypatch):
         """The bisection's decision is known at and beyond each end of the
-        bracket, and every root it finds lies strictly inside."""
+        bracket, here at the end and the four floats past it, and every root
+        it finds lies strictly inside. Each set has right ends that are not
+        evaluated points but kl's tangents certify, found by recording the
+        points the bracket's in-line kl evaluates."""
         tol = bd.KL_INVERSE_RESIDUAL_TOL
-        broken = []
+        args = []
+        log = bd.log
+        monkeypatch.setattr(bd, "log", lambda x: args.append(x) or log(x))
+        broken, tangent_ends = [], 0
         for p, B in points:
             q = kl_inverse_upper(p, B)
             if B == 0.0 or q == 1.0:
                 continue  # answered before any bracket is sought
+            args.clear()
             below, right = bd._kl_certified_bracket(p, B)
-            if below >= p and not kl_bernoulli(p, below) - B < -tol:
-                broken.append((p, B, "below", below))
-            if right <= bd.KL_INVERSE_TOP and not kl_bernoulli(p, right) - B > tol:
-                broken.append((p, B, "right", right))
+            # each evaluation takes ln(p / q) first where p > 0, else only
+            # ln(1 / (1 - q)): q to a few roundings
+            evaluated = [p / x for x in args[::2]] if p > 0.0 else [1.0 - 1.0 / x for x in args]
+            if right <= bd.KL_INVERSE_TOP and all(abs(right - e) > 8.0 * np.spacing(right)
+                                                  for e in evaluated):
+                tangent_ends += 1
+            t = below
+            for _ in range(5):
+                if t >= p and not kl_bernoulli(p, t) - B < -tol:
+                    broken.append((p, B, "below", below, t))
+                t = np.nextafter(t, -1.0)
+            t = right
+            for _ in range(5):
+                if t <= bd.KL_INVERSE_TOP and not kl_bernoulli(p, t) - B > tol:
+                    broken.append((p, B, "right", right, t))
+                t = np.nextafter(t, 2.0)
             if abs(kl_bernoulli(p, q) - B) <= tol and not below < q < right:
                 broken.append((p, B, "root", below, q, right))
         assert broken == []
+        assert tangent_ends > 0
 
     def test_few_kl_evaluations_on_benchmark_domain(self, monkeypatch):
-        # the plain bisection evaluates kl about 32 times a call here, and an
-        # evaluated left end of the bracket about 7
-        core = bd._kl_bernoulli
-        calls = []
-
-        def counting(s, t):
-            calls.append(t)
-            return core(s, t)
-
-        monkeypatch.setattr(bd, "_kl_bernoulli", counting)
+        """kl evaluations a call, in line or through _kl_bernoulli, counted by
+        the module's log, which each takes once where p_hat = 0 and twice
+        elsewhere. The plain bisection evaluates kl about 32 times a call here,
+        an evaluated left end of the bracket about 7, a convex one 5.08."""
+        logs = []
+        log = bd.log
+        monkeypatch.setattr(bd, "log", lambda x: logs.append(x) or log(x))
+        evaluations = 0.0
         for p, B in BENCHMARK_DOMAIN:
+            logs.clear()
             kl_inverse_upper(p, B)
-        assert len(calls) / len(BENCHMARK_DOMAIN) <= 5.5
+            evaluations += len(logs) / (2 if p > 0.0 else 1)
+        assert evaluations / len(BENCHMARK_DOMAIN) <= 4.0
 
 
 class TestInversionRules:

@@ -324,8 +324,16 @@ class TestCli:
          "config error: the scenario is too large to run: "),
         ("verify", GAUSSIAN_SMALL, "n = 100", f"n = {10**17}",
          "config error: the scenario is too large to run: "),
+        ("certify", GIBBS_SMALL, "num_points = 3", f"num_points = {10**19}",
+         "config error: instance.num_points, instance.num_hypotheses: the instance is too large"),
+        ("certify", GAUSSIAN_SMALL, "num_points = 6", f"num_points = {10**19}",
+         "config error: instance.num_points, instance.dim: the instance is too large"),
+        ("certify", GIBBS_SMALL, "n = 4", f"n = {10**19}", "config error: n: "),
+        ("certify", GIBBS_SMALL, "n = 4", f"n = {2 * 10**18}", "config error: n: "),
     ], ids=["gibbs_points", "gibbs_hypotheses", "gaussian_points", "gibbs_n", "gaussian_n",
-            "gaussian_n_verify"])
+            "gaussian_n_verify", "gibbs_points_past_index_range",
+            "gaussian_points_past_index_range", "gibbs_n_past_index_range",
+            "gibbs_n_bytes_past_index_range"])
     def test_too_large_to_allocate_exits_3(self, tmp_path, capsys, command, text, old, new,
                                            message):
         """An instance or a trial whose arrays take about 8e17 bytes, which
@@ -333,7 +341,10 @@ class TestCli:
         line: while parsing under the instance's size keys, in the trials as
         the scenario. A Gibbs verify at such an n is left out: the Gibbs
         certify case covers its trials, and test_model its exact oracles'
-        refusal, which product_rows gives without the power |X|^n."""
+        refusal, which product_rows gives without the power |X|^n. Sizes past
+        numpy's index range, where it raises ValueError, not MemoryError, are
+        refused under their keys too: the instance's as it is drawn, and n
+        while parsing, where a trial's n + 1 floats would pass it in bytes."""
         cfg = write_config(tmp_path, "c.txt", text.replace(old, new))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err

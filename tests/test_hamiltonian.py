@@ -80,6 +80,32 @@ class TestHamiltonianValue:
             H(Gibbs(1.0), (0,), cosine_loss())
 
 
+def reference_logsumexp(a, b=None, keepdims=False):
+    """logsumexp as written before its reductions called the ufuncs directly:
+    np.broadcast_arrays whenever b is given, np.max and np.sum."""
+    if b is not None:
+        a, b = np.broadcast_arrays(a, b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        masked = a if b is None else np.where(b == 0, -np.inf, a)
+        a_max = np.max(masked, axis=-1, keepdims=True)
+        at_max = masked == a_max
+        m = np.sum(at_max if b is None else b * at_max, axis=-1, keepdims=True, dtype=float)
+        rest = np.exp(np.where(at_max, -np.inf, masked) - a_max)
+        if b is not None:
+            rest *= b
+        s = np.sum(rest, axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            direct = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a),
+                                   axis=-1, keepdims=True))
+            np.copyto(out, direct, where=bad)
+    if not keepdims:
+        out = out[..., 0]
+    return out[()] if out.ndim == 0 else out
+
+
 class TestLogSumExp:
     @staticmethod
     def cases(rng, count):
@@ -127,6 +153,30 @@ class TestLogSumExp:
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).dtype == np.asarray(want).dtype
         assert math.isnan(logsumexp(np.array([900.0, 0.0]), b=np.array([0.0, 0.0])))
+
+    @pytest.mark.parametrize("b_shape", ["none", "same", "last_axis", "column"])
+    def test_equals_reference(self, b_shape):
+        """Bit for bit the formulation with np.broadcast_arrays, np.max and
+        np.sum, with b of a's shape (no broadcast), of its last axis or a
+        column (broadcast), or absent."""
+        rng = np.random.default_rng(34)
+        special = np.array([-np.inf, np.inf, 800.0, -800.0, 0.0])
+        for _ in range(300):
+            shape = tuple(int(k) for k in rng.integers(1, 6, size=rng.integers(1, 4)))
+            a = rng.normal(size=shape) * rng.choice([1.0, 10.0, 400.0])
+            mask = rng.random(shape) < 0.15
+            a[mask] = rng.choice(special, size=int(mask.sum()))
+            b = {"none": None, "same": shape, "last_axis": shape[-1:],
+                 "column": shape[:-1] + (1,)}[b_shape]
+            if b is not None:
+                b = rng.random(b)
+                b[rng.random(b.shape) < 0.2] = 0.0
+            for keepdims in (False, True):
+                got = logsumexp(a, b=b, keepdims=keepdims)
+                want = reference_logsumexp(a, b=b, keepdims=keepdims)
+                assert np.array_equal(got, want, equal_nan=True), (a, b, keepdims)
+                assert np.shape(got) == np.shape(want)
+                assert type(got) is type(want)
 
 
 class TestLogPartition:

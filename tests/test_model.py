@@ -19,9 +19,11 @@ from gapcert.model import (
     PriorWeights,
     empirical_loss,
     enumerate_samples,
+    fibres,
     generalization_gap,
     load_loss_table,
     loss_variance,
+    max_fibre_range,
     product_rows,
     true_loss,
 )
@@ -139,6 +141,54 @@ class TestLosses:
             total = sum(w * generalization_gap(h, s, space, loss)
                         for s, w in enumerate_samples(space, n))
             assert abs(total) < 1e-10
+
+
+def reference_fibres(space, n, values):
+    """fibres as the np.ix_ copy of the support grid, for every space."""
+    grid = values.reshape(values.shape[:-1] + (space.size,) * n)
+    lead = values.ndim - 1
+    support = np.flatnonzero(space.probs > 0)
+    every = np.arange(space.size)
+    for k in range(n):
+        axes = np.ix_(*[every if j == k else support for j in range(n)])
+        yield np.moveaxis(grid[(..., *axes)], lead + k, -1)
+
+
+class TestTrimmedReductions:
+    """The oracles' reductions equal the formulations they replace, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 5, 9, 17])
+    def test_empirical_loss_is_the_mean(self, n):
+        """np.add.reduce / n against .mean(axis=-1), past numpy's 8-wide
+        unrolled blocks at n = 9 and 17, on rows and on one sample."""
+        rng = np.random.default_rng(n)
+        loss = FiniteTable(values=rng.random((3, 7)))
+        samples = rng.integers(0, 7, size=(11, n))
+        for h in range(3):
+            want = loss.row(h)[samples].mean(axis=-1)
+            assert np.array_equal(empirical_loss(h, samples, loss), want)
+            got, want = empirical_loss(h, samples[0], loss), loss.row(h)[samples[0]].mean()
+            assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.3, 0.2], [0.5, 0.0, 0.5]],
+                             ids=["full_support", "zero_probability_point"])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["flat", "leading_axis"])
+    def test_fibres_equal_the_copies(self, probs, lead):
+        """Each fibre holds the copy's values in its shape; on flat values it
+        also has the copy's strides, so a dot over y sums in the same order."""
+        space = FiniteDataSpace(points=("a", "b", "c"), probs=np.array(probs))
+        n = 3
+        values = np.random.default_rng(7).normal(size=lead + (space.size**n,))
+        pairs = list(zip(fibres(space, n, values), reference_fibres(space, n, values)))
+        assert len(pairs) == n
+        for got, want in pairs:
+            assert got.shape == want.shape and np.array_equal(got, want)
+            if not lead:
+                assert got.strides == want.strides
+                assert np.array_equal(got @ space.probs, want @ space.probs)
+        want = max(0.0, *(float((g.max(-1) - g.min(-1)).max())
+                          for g in reference_fibres(space, n, values)))
+        assert max_fibre_range(space, n, values) == want
 
 
 class TestVariance:
