@@ -11,16 +11,15 @@ Exit codes: 0 success, 2 invariant violation (a failed exact-regime margin or
 a violation rate above the configured confidence), 3 configuration or usage
 error (an unwritable output path included), 4 enumeration-budget refusal.
 
-All output is deterministic in (config, seed): the CSV files are
-byte-identical across reruns. Wall-clock timings therefore live in the
-human-readable summary, never in the CSV.
+All output is deterministic in the scenario file alone, which holds the
+master seed: the CSV files are byte-identical across reruns. Wall-clock
+timings therefore live in the human-readable summary, never in the CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
 import time
@@ -28,7 +27,7 @@ from pathlib import Path
 
 from . import bounds as bd
 from . import verify as vf
-from .config import _KEYS, ConfigError, ScenarioConfig, parse_config
+from .config import ConfigError, ScenarioConfig, parse_config
 from .hamiltonian import Gibbs
 from .model import BudgetExceeded, generalization_gap
 
@@ -139,18 +138,17 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
     phases = ""
 
     if isinstance(config.spec, Gibbs):
-        if config.verify_exact != "skip":
-            # the oracles refuse a state space over the budget: no exact rows
-            # under `auto`, exit 4 from main under `require`
-            try:
-                rows, ok = _exact_oracles(config)
-            except BudgetExceeded as exc:
-                if config.verify_exact == "require":
-                    raise
-                summary.append(f"exact oracles: none, {exc}")
-            else:
-                summary.append(f"exact oracles: {'ok' if ok else 'MARGIN FAILURE'} "
-                               f"({len(rows)} checks)")
+        # the oracles refuse a state space over the budget: no exact rows
+        # under `auto`, exit 4 from main under `require`
+        try:
+            rows, ok = _exact_oracles(config)
+        except BudgetExceeded as exc:
+            if config.verify_exact == "require":
+                raise
+            summary.append(f"exact oracles: none, {exc}")
+        else:
+            summary.append(f"exact oracles: {'ok' if ok else 'MARGIN FAILURE'} "
+                           f"({len(rows)} checks)")
         t1 = time.perf_counter()
         phases = f"exact oracles {t1 - t0:.2f}s, "
         rep = vf.violation_rate_gibbs(
@@ -185,8 +183,7 @@ def cmd_verify(config: ScenarioConfig, out_dir: Path) -> int:
 
 def cmd_compare(config: ScenarioConfig, out_dir: Path) -> int:
     rows = []
-    table = vf.tightness_report(config.compare_ns, config.beta_grid,
-                                config.compare_deltas, config.compare_l_hats)
+    table = vf.tightness_report()
     improved = 0
     for r in table:
         inputs = f"n={r.n};beta={r.beta!r};delta={r.delta!r}"
@@ -295,36 +292,16 @@ def emit_plot_script(results_path, output_path) -> None:
     Path(output_path).write_text(PLOT_SCRIPT_TEMPLATE.format(results_path=results_path))
 
 
-def _flag_type(parse):
-    """An argparse type from a parser of config.py. argparse reports a
-    ValueError only as "invalid ... value"; this keeps the parser's message."""
-
-    def flag_type(text: str):
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return flag_type
-
-
-# --seed and --budget take the domain of the scenario key they override
 FLAGS = {
     "--config": dict(required=True, help="scenario file"),
-    "--seed": dict(type=_flag_type(_KEYS["master_seed"].parse),
-                   help="override the master seed"),
-    "--out": dict(help="output directory (overrides config and the GAPCERT_OUT "
-                       "environment variable)"),
-    "--budget": dict(type=_flag_type(_KEYS["enumeration_budget"].parse),
-                     help="override the enumeration budget of a Gibbs scenario"),
+    "--out": dict(default="out", help="output directory (default: out)"),
     "--plot-script": dict(help="also emit a plotting script here"),
 }
 
 # each subcommand accepts only the flags it reads
 SUBCOMMANDS = (
-    ("certify", "compute certificates only", ("--config", "--seed", "--out")),
-    ("verify", "enumeration oracles and violation-rate trials",
-     ("--config", "--seed", "--out", "--budget")),
+    ("certify", "compute certificates only", ("--config", "--out")),
+    ("verify", "enumeration oracles and violation-rate trials", ("--config", "--out")),
     ("compare", "tightness grids against the baselines",
      ("--config", "--out", "--plot-script")),
     ("accept", "run the full acceptance suite", ("--out",)),
@@ -347,14 +324,11 @@ def main(argv=None) -> int:
         # argparse has printed the usage; its exit code 2 for a usage error
         # would read as an invariant violation here
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    opts = vars(args)
 
     config = None
     if args.command != "accept":
         try:
             config = parse_config(args.config)
-            if opts.get("budget") is not None and config.enumeration_budget is None:
-                raise ConfigError(["--budget: not read by gaussian_kernel scenarios"])
         except OSError as exc:  # a missing or unreadable scenario file, or a directory
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -362,13 +336,8 @@ def main(argv=None) -> int:
             for e in exc.errors:
                 print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
-        changes = {field: opts[flag]
-                   for flag, field in (("seed", "master_seed"), ("budget", "enumeration_budget"))
-                   if opts.get(flag) is not None}
-        config = dataclasses.replace(config, **changes)
 
-    out_dir = Path(args.out or os.environ.get("GAPCERT_OUT")
-                   or (config.out_dir if config else "out"))
+    out_dir = Path(args.out)
 
     try:
         # a file in the way fails before the command (not after accept's suite);
@@ -397,8 +366,13 @@ def main(argv=None) -> int:
     except OSError as exc:  # an output path under a file, or in a missing directory
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MemoryError as exc:  # numpy's, for a trial's array, (trials, n) for one
-        print(f"config error: the scenario is too large to run: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # numpy's, for a run's arrays: a trial's, (trials, n) for one, and past
+        # d = 3 the kl rule's posterior_draws x d normals
+        sizes = "n, posterior_draws" if (config and config.posterior_draws
+                                         and config.spec.algorithm.dim_d > 3) else "n"
+        print(f"config error: {sizes}: the scenario is too large to run: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -74,16 +74,6 @@ def _one_of(*choices: str):
     return choice
 
 
-def _list_of(parse):
-    """A parser: a comma-separated list of items that `parse` accepts."""
-    return lambda text: tuple(parse(item.strip()) for item in text.split(","))
-
-
-def _beta_tag(text: str) -> str | float:
-    """A compare.betas entry: the tag sqrt_n or n_over_10, or a beta >= 0."""
-    return text if text in ("sqrt_n", "n_over_10") else number_in(float, 0.0)(text)
-
-
 def _square(x: float) -> float:
     """x**2 as the bounds compute it, or inf where that overflows."""
     try:
@@ -147,16 +137,12 @@ _KEYS = {
     "master_seed": Key("0", number_in(int, 0, 2**64 - 1)),
     "enumeration_budget": Key(str(DEFAULT_ENUMERATION_BUDGET), number_in(int, 1), GIBBS),
     # read only where instance.dim > 3, where the posterior-expected kl is a
-    # mean over this many normals drawn once per run; at d <= 3 it is a
-    # Gauss-Hermite rule with no draws, and the key is accepted and not read
+    # mean over this many normals drawn once per run, whose posterior_draws x d
+    # floats must lie within numpy's index range in bytes, as n's do; at
+    # d <= 3 it is a Gauss-Hermite rule with no draws, and the key is
+    # accepted and not read
     "posterior_draws": Key("10000", number_in(int, 1), (GAUSSIAN,)),
-    "out": Key("out", str),
-    "verify.exact": Key("auto", _one_of("auto", "require", "skip"), GIBBS),
-    "compare.ns": Key("100,1000,10000", _list_of(number_in(int, 1))),
-    "compare.betas": Key("0,sqrt_n,n_over_10", _list_of(_beta_tag)),
-    "compare.deltas": Key("0.5,0.05,0.01", _list_of(number_in(float, 0.0, 1.0, strict=True))),
-    # the tightness grid takes the loss bound b = 1
-    "compare.l_hats": Key("0,0.1,0.3", _list_of(number_in(float, 0.0, 1.0))),
+    "verify.exact": Key("auto", _one_of("auto", "require"), GIBBS),
 }
 
 
@@ -174,16 +160,7 @@ class ScenarioConfig:
     master_seed: int
     enumeration_budget: int | None  # None for the Gaussian kernel, which reads none
     posterior_draws: int | None  # None for Gibbs scenarios, which read none
-    out_dir: str
     verify_exact: str | None  # None for the Gaussian kernel, which has no exact regime
-    compare_ns: tuple[int, ...]
-    compare_betas: tuple[str | float, ...]
-    compare_deltas: tuple[float, ...]
-    compare_l_hats: tuple[float, ...]
-
-    def beta_grid(self, n: int) -> list[float]:
-        tags = {"sqrt_n": math.sqrt(n), "n_over_10": n / 10.0}
-        return [tags.get(beta, beta) for beta in self.compare_betas]
 
 
 def _read_kv(path) -> dict:
@@ -283,6 +260,10 @@ def parse_config(path) -> ScenarioConfig:
                 values[key] = parse(text)
             except (OSError, ValueError) as exc:  # OSError: an unreadable instance.file
                 errors.append(f"{key}: {exc}")
+    dim, draws = values["instance.dim"], values["posterior_draws"]
+    if dim and draws and dim > 3 and 8 * draws * dim > np.iinfo(np.intp).max:
+        errors.append(f"posterior_draws: {draws} normals of dimension {dim} pass numpy's "
+                      f"index range in bytes")
 
     variant = "gaussian_kernel" if kind == GAUSSIAN else "gibbs"
     methods = values["methods"] or tuple(
@@ -305,7 +286,4 @@ def parse_config(path) -> ScenarioConfig:
         scenario_id=values["scenario_id"], space=space, loss=loss, prior=prior, spec=spec,
         n=values["n"], delta=values["delta"], methods=methods, trials=values["trials"],
         master_seed=values["master_seed"], enumeration_budget=values["enumeration_budget"],
-        posterior_draws=values["posterior_draws"], out_dir=values["out"],
-        verify_exact=values["verify.exact"], compare_ns=values["compare.ns"],
-        compare_betas=values["compare.betas"], compare_deltas=values["compare.deltas"],
-        compare_l_hats=values["compare.l_hats"])
+        posterior_draws=values["posterior_draws"], verify_exact=values["verify.exact"])

@@ -168,7 +168,10 @@ def bounded_difference_coefficient(spec: HamiltonianSpec, space: FiniteDataSpace
                                    budget: int = DEFAULT_ENUMERATION_BUDGET):
     """Coefficient c with sup D^k_{y,y'} H <= c, by brute force: the largest
     partial difference of H over hypotheses, coordinates and point pairs,
-    with the base sample ranging over all of X^n. Returns (c, "exhaustive").
+    with the base sample ranging over the support of mu^n (max_fibre_range).
+    For H = -beta L_hat that is the supremum over all of X^n: a
+    one-coordinate difference of L_hat does not depend on the other
+    coordinates. Returns (c, "exhaustive").
     A search beyond the budget (|X|^n x m states) raises BudgetExceeded: a
     maximum over part of X^n only bounds the supremum from below. The only
     mode is "brute_force".

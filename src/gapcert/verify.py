@@ -939,14 +939,17 @@ class TightnessRow:
     kl_chain: dict = field(default_factory=dict)
 
 
-def tightness_report(ns: Sequence[int], betas_of_n, deltas: Sequence[float],
+def tightness_report(ns: Sequence[int] = (100, 1000, 10_000),
+                     betas_of_n=lambda n: [0.0, math.sqrt(n), n / 10.0],
+                     deltas: Sequence[float] = (0.5, 0.05, 0.01),
                      L_hats: Sequence[float] = (0.0, 0.1, 0.3)) -> list[TightnessRow]:
     """Grid comparison of the simple Gibbs bound and its empirical-error form
-    against the quoted baselines.
+    against the quoted baselines; the defaults are the grid of `gapcert
+    compare` and acceptance criterion 7.
 
     betas_of_n maps n to the beta grid (so beta can scale with n). For each
     grid point the empirical-error chain is also compared against the
-    inverted kl baseline chain at each L_hat.
+    inverted kl baseline chain at each L_hat, which takes the loss bound b = 1.
     """
     rows = []
     for n in ns:

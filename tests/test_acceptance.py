@@ -5,6 +5,8 @@ module only runs them and reports. Run with -s to see the lines as they
 complete.
 """
 
+import functools
+import inspect
 import math
 import re
 
@@ -14,6 +16,8 @@ from gapcert import acceptance
 from gapcert import bounds as bd
 from gapcert import verify as vf
 from gapcert.acceptance import ALL_CRITERIA
+from gapcert.config import gaussian_kernel_instance, random_gibbs_instance
+from gapcert.model import PriorWeights
 
 
 @pytest.mark.parametrize(
@@ -73,3 +77,81 @@ def test_worst_margins_name_their_instance():
                         r"\(d\d_lam[\d.]+_ratio[\d.]+\)",
                         acceptance.criterion_gaussian_identity().detail)
 
+
+
+# ROADMAP direction 5's ledger: what runs each public function of `bounds`.
+# A path is "method <name>", an entry of verify.SCENARIO_METHODS, which
+# `certify` and `verify` run; "criterion <number>", an acceptance criterion;
+# or "compare", the grid of `gapcert compare`. A function with no path is
+# "unreached", with the ROADMAP direction that would reach it. Each variant
+# of bound_gaussian_randomization has a line of its own.
+LEDGER = {
+    "kl_bernoulli": ("criterion 9",),
+    "kl_inverse_upper": ("criterion 9",),
+    "gap_from_kl": ("compare", "criterion 7", "criterion 9"),
+    "inversion_lemma": ("criterion 9",),
+    "bound_bounded_differences": ("method bounded_differences", "compare", "criterion 7"),
+    "bound_mgf_bounded_differences": ("criterion 1",),
+    "bound_bernstein": ("method bernstein",),
+    "bound_empirical_bernstein": ("method empirical_bernstein", "compare", "criterion 7"),
+    "bound_subgaussian": ("method subgaussian_sup", "method subgaussian_h"),
+    "check_stability": ("method gaussian_gap", "method gaussian_gap_bernstein",
+                        "method gaussian_kl_expectation"),
+    "bound_gaussian_randomization variant=gap_joint": ("method gaussian_gap",),
+    "bound_gaussian_randomization variant=gap_bernstein": ("method gaussian_gap_bernstein",),
+    "bound_gaussian_randomization variant=kl_expectation": ("method gaussian_kl_expectation",),
+    "bound_gaussian_randomization variant=mgf": ("unreached: direction 4",),
+    "pac_bayes_transfer": ("unreached: direction 5",),
+    "pac_bayes_gaussian_kl": ("unreached: direction 5",),
+    "pac_bayes_model_selection": ("unreached: direction 5",),
+    "baselines": ("compare", "criterion 7"),
+}
+
+
+def _bounds_functions() -> dict:
+    return {name: fn for name, fn in vars(bd).items() if not name.startswith("_")
+            and inspect.isfunction(fn) and fn.__module__ == bd.__name__}
+
+
+def _run_path(path: str) -> None:
+    kind, _, name = path.partition(" ")
+    if kind == "criterion":
+        assert ALL_CRITERIA[int(name) - 1]().passed
+    elif kind == "compare":
+        vf.tightness_report()
+    elif vf.SCENARIO_METHODS[name].variant == "gibbs":
+        space, loss = random_gibbs_instance(0, 3, 4)
+        vf.certificates(vf.GibbsRun(space, loss, PriorWeights.uniform(4), 5.0, 20, 0.05),
+                        (name,), 0)
+    else:
+        space, loss, spec = gaussian_kernel_instance(0, 6, 2, 100, 0.5, "mean_embedding")
+        vf.certificates(vf.GaussianRun(space, loss, spec.algorithm, spec.sigma, 100, 0.05, 10),
+                        (name,), 0)
+
+
+def test_bounds_ledger(monkeypatch):
+    """Every public function of `bounds` has a ledger line and every line a
+    function; every registry method and registry bound is on a line; and each
+    path calls exactly the lines that name it, so no unreached line."""
+    functions = _bounds_functions()
+    assert {line.split(" ")[0] for line in LEDGER} == set(functions)
+    paths = {path for line in LEDGER.values() for path in line}
+    assert {f"method {m}" for m in vf.SCENARIO_METHODS} <= paths
+    assert {method.bound for method in vf.SCENARIO_METHODS.values()} <= set(functions)
+    called = set()
+
+    def recording(name, fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            called.add(name)
+            if "variant" in kwargs:
+                called.add(f"{name} variant={kwargs['variant']}")
+            return fn(*args, **kwargs)
+        return call
+
+    for name, fn in functions.items():
+        monkeypatch.setattr(bd, name, recording(name, fn))
+    for path in sorted(p for p in paths if not p.startswith("unreached")):
+        called.clear()
+        _run_path(path)
+        assert called & set(LEDGER) == {line for line, on in LEDGER.items() if path in on}, path

@@ -21,6 +21,7 @@ from gapcert.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
+    SUBCOMMANDS,
     cmd_certify,
     cmd_verify,
     emit_plot_script,
@@ -58,6 +59,10 @@ methods = gaussian_gap
 trials = 200
 posterior_draws = 200
 """
+
+# the posterior-expected kl past d = 3, where it averages posterior_draws normals
+GAUSSIAN_KL_D4 = GAUSSIAN_SMALL.replace("methods = gaussian_gap",
+                                        "methods = gaussian_kl_expectation") + "instance.dim = 4\n"
 
 # a Gibbs scenario on a loss-table file; {good_table} is a valid one
 GIBBS_FILE = """\
@@ -129,8 +134,6 @@ UNSQUARABLE_SCENARIOS = {
 # scenario files that parse_config must reject; {table} is a loss-table file
 # in the README's old, unparsable `# mu =` form
 BAD_SCENARIOS = {
-    "malformed_compare_list": GIBBS_SMALL + "compare.ns = 10,abc\n",
-    "malformed_beta_tag": GIBBS_SMALL + "compare.betas = 0,sqrtn\n",
     "rejected_loss_table": GIBBS_FILE.replace("{good_table}", "{table}"),
     "unknown_algorithm": GAUSSIAN_SMALL + "hamiltonian.algorithm = foo\n",
     "ridge_declares_no_c_A": GAUSSIAN_SMALL + "hamiltonian.algorithm = ridge\n",
@@ -143,11 +146,13 @@ BAD_SCENARIOS = {
     "gaussian_with_num_hypotheses": GAUSSIAN_SMALL + "instance.num_hypotheses = 99\n",
     "gaussian_with_enumeration_budget": GAUSSIAN_SMALL + "enumeration_budget = 1000\n",
     # a continuous hypothesis space has no exact regime
-    "gaussian_with_verify_exact": GAUSSIAN_SMALL + "verify.exact = skip\n",
+    "gaussian_with_verify_exact": GAUSSIAN_SMALL + "verify.exact = auto\n",
     "gibbs_with_posterior_draws": GIBBS_SMALL + "posterior_draws = 100\n",
     # an unknown key: a random Gibbs instance needs no generator name
     "gaussian_with_generator": GAUSSIAN_SMALL + "instance.generator = gibbs_random\n",
     "file_with_generator": GIBBS_FILE + "instance.generator = gibbs_random\n",
+    # the tightness grid is verify.tightness_report's, set by no key
+    "malformed_compare_list": GIBBS_SMALL + "compare.ns = 10,abc\n",
     # random-instance keys next to instance.file
     "file_with_seed": GIBBS_FILE + "instance.seed = 3\n",
     "file_with_num_points": GIBBS_FILE + "instance.num_points = 2\n",
@@ -160,11 +165,6 @@ BAD_SCENARIOS = {
     "inf_beta": GIBBS_SMALL.replace("beta = 5.0", "beta = inf"),
     "inf_sigma": GAUSSIAN_SMALL.replace("sigma = 0.5", "sigma = inf"),
     "nan_sigma": GAUSSIAN_SMALL.replace("sigma = 0.5", "sigma = nan"),
-    "zero_compare_n": GIBBS_SMALL + "compare.ns = 0\n",
-    "negative_compare_n": GIBBS_SMALL + "compare.ns = 100,-5\n",
-    "compare_delta_above_1": GIBBS_SMALL + "compare.deltas = 0.05,1.5\n",
-    "compare_l_hat_above_b": GIBBS_SMALL + "compare.l_hats = 2\n",
-    "negative_compare_beta": GIBBS_SMALL + "compare.betas = sqrt_n,-1\n",
     "line_without_equals": GIBBS_SMALL + "trials 200\n",
     "scenario_id_with_separator": GIBBS_SMALL.replace("scenario_id = demo", "scenario_id = a/b"),
     "empty_scenario_id": GIBBS_SMALL.replace("scenario_id = demo", "scenario_id ="),
@@ -177,6 +177,7 @@ BAD_SCENARIO_MESSAGES = {
     "repeated_points_table": "instance.file: points must be distinct",
     "empty_points_table": "instance.file: data space needs at least one point",
     "line_without_equals": "line 9: expected 'key = value'",
+    "malformed_compare_list": "line 9: unknown key 'compare.ns'",
 }
 
 
@@ -188,7 +189,6 @@ class TestParse:
         assert cfg.methods == ("bounded_differences",)
         assert cfg.delta == 0.05
         assert cfg.verify_exact == "auto"
-        assert cfg.beta_grid(100) == [0.0, 10.0, 10.0]
 
     @pytest.mark.parametrize("name", sorted(BAD_TABLES))
     def test_bad_loss_table_is_a_parse_error(self, tmp_path, name):
@@ -277,6 +277,23 @@ class TestParse:
         assert {k: v for k, v in table.items() if _KEYS[k].default is not None} == {
             k: f"`{key.default}`" for k, key in _KEYS.items() if key.default is not None}
 
+    def test_posterior_draws_unread_at_low_dim(self, tmp_path):
+        """At d <= 3 the posterior-expected kl is a Gauss-Hermite rule with no
+        draws, so a posterior_draws past numpy's index range is accepted."""
+        cfg = parse_config(write_config(tmp_path, "g.txt", GAUSSIAN_KL_D4.replace(
+            "dim = 4", "dim = 3").replace("draws = 200", f"draws = {10**19}")))
+        assert cfg.posterior_draws == 10**19
+
+    def test_readme_flag_table_matches_subcommands(self):
+        """README's subcommand table names each subcommand once, with the
+        flags cli.SUBCOMMANDS gives it."""
+        section = (ROOT / "README.md").read_text().split("## CLI")[1].split("\n### ")[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+        table = {name.strip().strip("`"): tuple(f.strip().strip("`") for f in flags.split(","))
+                 for name, flags in rows}
+        assert len(rows) == len(table)
+        assert table == {name: flags for name, _, flags in SUBCOMMANDS}
+
     def test_stability_precondition_checked_at_parse(self, tmp_path):
         text = GAUSSIAN_SMALL.replace("hamiltonian.sigma = 0.5",
                                       "hamiltonian.sigma = 0.01")
@@ -319,32 +336,41 @@ class TestCli:
         ("certify", GAUSSIAN_SMALL, "num_points = 6", f"num_points = {10**17}",
          "config error: instance.num_points, instance.dim: the instance is too large"),
         ("certify", GIBBS_SMALL, "n = 4", f"n = {10**17}",
-         "config error: the scenario is too large to run: "),
+         "config error: n: the scenario is too large to run: "),
         ("certify", GAUSSIAN_SMALL, "n = 100", f"n = {10**17}",
-         "config error: the scenario is too large to run: "),
+         "config error: n: the scenario is too large to run: "),
         ("verify", GAUSSIAN_SMALL, "n = 100", f"n = {10**17}",
-         "config error: the scenario is too large to run: "),
+         "config error: n: the scenario is too large to run: "),
+        ("verify", GAUSSIAN_KL_D4, "draws = 200", f"draws = {10**17}",
+         "config error: n, posterior_draws: the scenario is too large to run: "),
         ("certify", GIBBS_SMALL, "num_points = 3", f"num_points = {10**19}",
          "config error: instance.num_points, instance.num_hypotheses: the instance is too large"),
         ("certify", GAUSSIAN_SMALL, "num_points = 6", f"num_points = {10**19}",
          "config error: instance.num_points, instance.dim: the instance is too large"),
         ("certify", GIBBS_SMALL, "n = 4", f"n = {10**19}", "config error: n: "),
         ("certify", GIBBS_SMALL, "n = 4", f"n = {2 * 10**18}", "config error: n: "),
+        ("verify", GAUSSIAN_KL_D4, "draws = 200", f"draws = {10**19}",
+         "config error: posterior_draws: "),
+        ("verify", GAUSSIAN_KL_D4, "draws = 200", f"draws = {2**58}",
+         "config error: posterior_draws: "),
     ], ids=["gibbs_points", "gibbs_hypotheses", "gaussian_points", "gibbs_n", "gaussian_n",
-            "gaussian_n_verify", "gibbs_points_past_index_range",
+            "gaussian_n_verify", "gaussian_draws_verify", "gibbs_points_past_index_range",
             "gaussian_points_past_index_range", "gibbs_n_past_index_range",
-            "gibbs_n_bytes_past_index_range"])
+            "gibbs_n_bytes_past_index_range", "gaussian_draws_past_index_range",
+            "gaussian_draws_bytes_past_index_range"])
     def test_too_large_to_allocate_exits_3(self, tmp_path, capsys, command, text, old, new,
                                            message):
         """An instance or a trial whose arrays take about 8e17 bytes, which
         no allocation grants, so that no page is touched, is refused with one
-        line: while parsing under the instance's size keys, in the trials as
-        the scenario. A Gibbs verify at such an n is left out: the Gibbs
-        certify case covers its trials, and test_model its exact oracles'
-        refusal, which product_rows gives without the power |X|^n. Sizes past
-        numpy's index range, where it raises ValueError, not MemoryError, are
-        refused under their keys too: the instance's as it is drawn, and n
-        while parsing, where a trial's n + 1 floats would pass it in bytes."""
+        line: while parsing under the instance's size keys, in the trials
+        under n, and past d = 3 also posterior_draws. A Gibbs verify at such
+        an n is left out: the Gibbs certify case covers its trials, and
+        test_model its exact oracles' refusal, which product_rows gives
+        without the power |X|^n. Sizes past numpy's index range, where it
+        raises ValueError, not MemoryError, are refused under their keys too:
+        the instance's as it is drawn, and while parsing n, where a trial's
+        n + 1 floats would pass it in bytes, and posterior_draws past d = 3,
+        where its posterior_draws x d normals would (2**58 x 4 x 8 = 2**63)."""
         cfg = write_config(tmp_path, "c.txt", text.replace(old, new))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -451,13 +477,14 @@ class TestCli:
         cfg = parse_config(CONFIGS / f"{name}.txt")
         variant = "gibbs" if isinstance(cfg.spec, Gibbs) else "gaussian_kernel"
         methods = tuple(m for m, s in SCENARIO_METHODS.items() if s.variant == variant)
-        cfg = dataclasses.replace(cfg, methods=methods, trials=1, verify_exact="skip")
+        cfg = dataclasses.replace(cfg, methods=methods, trials=1)
         cmd_certify(cfg, tmp_path)
         cmd_verify(cfg, tmp_path)
 
         def values(command):
             with open(tmp_path / f"{cfg.scenario_id}_{command}.csv") as fh:
-                return {row["method"]: row["value"] for row in csv.DictReader(fh)}
+                return {row["method"]: row["value"] for row in csv.DictReader(fh)
+                        if row["phase"] != "verify_oracle"}
 
         # values are repr() floats, so equal strings are bit-identical values
         assert sorted(values("certify")) == sorted(methods)
@@ -491,13 +518,6 @@ class TestCli:
         main(["certify", "--config", str(cfg), "--out", str(a)])
         main(["certify", "--config", str(cfg), "--out", str(b)])
         assert (a / "demo_certify.csv").read_bytes() == (b / "demo_certify.csv").read_bytes()
-
-    def test_seed_override_changes_empirical_row(self, tmp_path):
-        cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["certify", "--config", str(cfg), "--out", str(a), "--seed", "1"])
-        main(["certify", "--config", str(cfg), "--out", str(b), "--seed", "2"])
-        assert (a / "demo_certify.csv").read_bytes() != (b / "demo_certify.csv").read_bytes()
 
     def test_bad_config_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, "bad.txt", "n = 10\ndelta = 2\n")
@@ -583,14 +603,6 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error: verify.exact" in capsys.readouterr().err
 
-    def test_budget_flag_refused_for_gaussian(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "g.txt", GAUSSIAN_SMALL)
-        assert main(["verify", "--config", str(cfg), "--budget", "5",
-                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error: --budget" in err and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize("budget, exact, code", [("971", "auto", EXIT_OK),
                                                      ("971", "require", EXIT_BUDGET),
                                                      ("972", "require", EXIT_OK)])
@@ -598,11 +610,10 @@ class TestCli:
         """gibbs_exact has 3^5 x 4 = 972 states: one under budget refuses the
         exact oracles, which `auto` drops and `require` turns into exit 4."""
         text = (CONFIGS / "gibbs_exact.txt").read_text()
-        cfg = write_config(tmp_path, "gibbs_exact.txt",
-                           text.replace("verify.exact = require", f"verify.exact = {exact}"))
+        cfg = write_config(tmp_path, "gibbs_exact.txt", text.replace(
+            "verify.exact = require", f"verify.exact = {exact}\nenumeration_budget = {budget}"))
         out = tmp_path / "o"
-        assert main(["verify", "--config", str(cfg), "--budget", budget,
-                     "--out", str(out)]) == code
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == code
         if code == EXIT_BUDGET:
             assert "budget refused: enumeration of 3^5 x 4 = 972 states exceeds budget 971" \
                 in capsys.readouterr().err
@@ -632,17 +643,15 @@ class TestCli:
         assert "gaussian_gap" in (out / "gdemo_verify.csv").read_text()
 
     def test_compare_and_plot_script(self, tmp_path):
-        cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL + (
-            "compare.ns = 100,1000\ncompare.betas = 0,sqrt_n\n"
-            "compare.deltas = 0.05\ncompare.l_hats = 0,0.1\n"))
+        cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)
         out = tmp_path / "out"
         script = tmp_path / "plot.py"
         assert main(["compare", "--config", str(cfg), "--out", str(out),
                      "--plot-script", str(script)]) == EXIT_OK
         csv_path = out / "demo_compare.csv"
-        # 2 ns x 2 betas x 1 delta rows for the simple bound, plus kl-chain rows
+        # 3 ns x 3 betas x 3 deltas rows for the simple bound, plus 3 kl-chain rows each
         lines = csv_path.read_text().splitlines()
-        assert len(lines) == 1 + 4 * (1 + 2)
+        assert len(lines) == 1 + 27 * (1 + 3)
         # the emitted script is valid python and renders from the CSV
         compile(script.read_text(), str(script), "exec")
         run = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
@@ -657,13 +666,38 @@ class TestCli:
         with pytest.raises(ValueError, match="bad header"):
             emit_plot_script(bad, tmp_path / "plot.py")
 
-    def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv, text, refusal", [
+        (["certify", "--seed", "1"], "", "unrecognized arguments: --seed 1"),
+        (["verify", "--seed", "1"], "", "unrecognized arguments: --seed 1"),
+        (["verify", "--budget", "5"], "", "unrecognized arguments: --budget 5"),
+        (["verify"], "out = x\n", "unknown key 'out'"),
+        (["compare"], "compare.ns = 100\n", "unknown key 'compare.ns'"),
+        (["compare"], "compare.betas = 0\n", "unknown key 'compare.betas'"),
+        (["compare"], "compare.deltas = 0.05\n", "unknown key 'compare.deltas'"),
+        (["compare"], "compare.l_hats = 0\n", "unknown key 'compare.l_hats'"),
+        (["verify"], "verify.exact = skip\n", "verify.exact: must be one of auto, require"),
+    ], ids=["certify_seed", "verify_seed", "verify_budget", "out_key", "compare_ns",
+            "compare_betas", "compare_deltas", "compare_l_hats", "verify_exact_skip"])
+    def test_removed_setting_exits_3(self, tmp_path, capsys, monkeypatch, argv, text, refusal):
+        """The flags and keys that set a run a second way are gone: each one
+        exits 3 with a line that names it, and none is silently ignored. The
+        master seed and the budget are the scenario's keys, the output
+        directory is --out, and the tightness grid is tightness_report's.
+        GAPCERT_OUT is not read."""
+        cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL + text)
+        monkeypatch.setenv("GAPCERT_OUT", str(tmp_path / "env"))
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert refusal in capsys.readouterr().err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "env").exists()
+
+    def test_out_defaults_to_out(self, tmp_path, monkeypatch):
+        """Without --out a command writes under ./out, whatever GAPCERT_OUT holds."""
         cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)
-        env_out = tmp_path / "env_out"
-        monkeypatch.setenv("GAPCERT_OUT", str(env_out))
+        monkeypatch.setenv("GAPCERT_OUT", str(tmp_path / "env"))
         monkeypatch.chdir(tmp_path)
         assert main(["certify", "--config", str(cfg)]) == EXIT_OK
-        assert (env_out / "demo_certify.csv").exists()
+        assert (tmp_path / "out" / "demo_certify.csv").exists()
+        assert not (tmp_path / "env").exists()
 
     def test_config_csvs_byte_identical(self, tmp_path):
         runs = [(command, name) for name in ("gibbs_exact", "gibbs_small",
