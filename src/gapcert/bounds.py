@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import log  # the one name through which every kl evaluation takes its logs
+# log is the one name through which every kl evaluation takes its logs
+from math import expm1, isfinite, log, log1p, nextafter, sqrt
 
 import numpy as np
 
@@ -79,16 +80,12 @@ class Certificate:
 # kl utilities
 
 def kl_bernoulli(s: float, t: float) -> float:
-    """Relative entropy of Bernoulli(s) from Bernoulli(t); 0 ln 0 = 0."""
+    """Relative entropy of Bernoulli(s) from Bernoulli(t); 0 ln 0 = 0. The one
+    kl formula: kl_inverse_upper takes its operations in line."""
     if not (0.0 <= s <= 1.0):
         raise DomainError(f"s must be in [0,1], got {s}")
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"t must be in [0,1], got {t}")
-    return _kl_bernoulli(s, t)
-
-
-def _kl_bernoulli(s: float, t: float) -> float:
-    """kl_bernoulli without its domain checks: the one kl formula."""
     if t == 0.0 or t == 1.0:
         return 0.0 if s == t else math.inf
     out = 0.0
@@ -102,7 +99,6 @@ def _kl_bernoulli(s: float, t: float) -> float:
 KL_INVERSE_RESIDUAL_TOL = 1e-10
 # the right end of the bisection: the largest q it searches below 1
 KL_INVERSE_TOP = 1.0 - 1e-15
-_KL_INVERSE_MAX_ITER = 200
 # Margin by which a computed residual must clear the tolerance to certify its
 # point. On [p_hat, KL_INVERSE_TOP] each term of the kl formula is at most
 # ln(1e15) < 35 in size and carries a few roundings relative to that size, so
@@ -117,9 +113,10 @@ _KL_CERTIFY_EPS = 1e-12
 _KL_NEWTON_MAX_ITER = 12
 
 
-def _kl_certified_bracket(p_hat: float, B: float) -> tuple[float, float]:
+def _kl_certified_bracket(p_hat: float, c: float, B: float) -> tuple[float, float]:
     """Points (below, right) where the bisection's decision is known: at every
     q <= below its computed residual is < -tol, at every q >= right it is > tol.
+    c is 1 - p_hat.
 
     Newton's method on w = ln(1 - q), where kl(p_hat, .) is convex and
     decreasing with slope -(q - p_hat) / q, walks left from a point right of
@@ -141,7 +138,6 @@ def _kl_certified_bracket(p_hat: float, B: float) -> tuple[float, float]:
     """
     margin = KL_INVERSE_RESIDUAL_TOL + _KL_CERTIFY_EPS
     right = 2.0
-    c = 1.0 - p_hat
     # The walk starts right of the root, at the root of kl = B + 2 margin
     # implied by Jensen's bound kl(p, q) >= (q - p)^2 / 2 m (1 - m), q >= p:
     # kl(p, q) integrates (t - p) / t (1 - t) over [p, q], 1 / t (1 - t) is
@@ -153,10 +149,12 @@ def _kl_certified_bracket(p_hat: float, B: float) -> tuple[float, float]:
     h = b * (1.0 - 2.0 * p_hat) / 1.5
     a = 1.0 + b / 1.125
     g = 2.0 * b * p_hat * c
-    root = math.sqrt(h * h + a * g)
-    q = min(p_hat + ((h + root) / a if h > 0.0 else g / (root - h)), KL_INVERSE_TOP)
+    root = sqrt(h * h + a * g)
+    q = p_hat + ((h + root) / a if h > 0.0 else g / (root - h))
+    if q > KL_INVERSE_TOP:
+        q = KL_INVERSE_TOP
     # every step moves q left, so p_hat < q <= KL_INVERSE_TOP holds throughout,
-    # where _kl_bernoulli(p_hat, q) takes the operations of kl below: its
+    # where kl_bernoulli(p_hat, q) takes the operations of kl below: its
     # 0.0 + first term differs only in the sign of a zero, which r drops
     for _ in range(_KL_NEWTON_MAX_ITER):
         kl = (p_hat * log(p_hat / q) if p_hat > 0.0 else 0.0) + c * log(c / (1.0 - q))
@@ -183,9 +181,9 @@ def _kl_certified_bracket(p_hat: float, B: float) -> tuple[float, float]:
         step *= 1.0 + 0.5 * step * (1.0 - q) * (p_hat / q) / (q - p_hat)
         # w <= 0 keeps expm1 finite when the slope is tiny, and a step moves
         # at least one float where the floats are too coarse to aim
-        w = math.log1p(-q) + step
-        left = -math.expm1(0.0 if w > 0.0 else w)
-        q = left if left < q else math.nextafter(q, 0.0)
+        w = log1p(-q) + step
+        left = -expm1(0.0 if w > 0.0 else w)
+        q = left if left < q else nextafter(q, 0.0)
         if not q > p_hat:
             break
     return -1.0, right
@@ -200,39 +198,48 @@ def kl_inverse_upper(p_hat: float, B: float) -> float:
     bisection's decision is known without it, so the returned midpoint is the
     plain bisection's, bit for bit. Whether kl(p_hat, KL_INVERSE_TOP) exceeds
     B is certified without evaluating it where a lower bound at the top
-    clears B by 1e-12. kl is evaluated in line, with _kl_bernoulli's
+    clears B by 1e-12. kl is evaluated in line, with kl_bernoulli's
     operations on p_hat < q < 1, so each residual keeps its bits.
     """
     if not (0.0 <= p_hat <= 1.0):
         raise DomainError(f"p_hat must be in [0,1], got {p_hat}")
-    if B < 0 or not math.isfinite(B):
+    if B < 0 or not isfinite(B):
         raise DomainError(f"B must be finite and nonnegative, got {B}")
     if B == 0.0:
         return p_hat
+    # The loop below ends only in float64: a float32 p_hat leaves bracket ends
+    # between adjacent lo and hi, and a float32 B rounds residuals past what
+    # the bracket certifies.
+    p_hat, B = float(p_hat), float(B)
     hi = KL_INVERSE_TOP
     if p_hat >= hi:
         return 1.0
+    c = 1.0 - p_hat
     # For q >= p, kl(p, q) >= (q - p)^2 / 2 min(1/4, 1 - p) (Pinsker's bound and
     # its refinement near 1) and kl(p, q) >= (1 - p) ln(1 / (1 - q)) - ln 2, as
     # p ln(1 / q) >= 0 and the entropy of p is at most ln 2; at hi
     # ln(1 / (1 - hi)) > 34.5 and ln 2 < 0.7. Where either bound at hi
     # exceeds B + eps, the computed kl(p_hat, hi) exceeds B.
-    if (not ((hi - p_hat) ** 2 > 2.0 * min(0.25, 1.0 - p_hat) * (B + _KL_CERTIFY_EPS)
-             or (1.0 - p_hat) * 34.5 - 0.7 > B + _KL_CERTIFY_EPS)
-            and _kl_bernoulli(p_hat, hi) <= B):
+    if (not ((hi - p_hat) ** 2 > 2.0 * (c if c < 0.25 else 0.25) * (B + _KL_CERTIFY_EPS)
+             or c * 34.5 - 0.7 > B + _KL_CERTIFY_EPS)
+            and kl_bernoulli(p_hat, hi) <= B):
         return 1.0
-    below, right = _kl_certified_bracket(p_hat, B)
+    below, right = _kl_certified_bracket(p_hat, c, B)
     lo = p_hat
-    c = 1.0 - p_hat
-    # mid == lo or mid == hi only where lo and hi are adjacent floats, and then
-    # every later step repeats this one: where the bracket decides it, the
-    # steps run out and return 0.5 (lo + hi), which is mid, and where kl would
-    # decide it, mid is returned at once
-    for _ in range(_KL_INVERSE_MAX_ITER):
+    # The loop needs no cap. lo < root < hi holds throughout: lo is p_hat,
+    # whose residual is -B < 0, or computes a residual < -tol, and hi is the
+    # top, whose kl exceeds B, or computes a residual > tol. With
+    # below < root < right, a midpoint the bracket decides (mid < below or
+    # mid > right) lies strictly between lo and hi, so each step narrows them
+    # until they are adjacent floats; there mid is lo or hi and is returned,
+    # as the plain bisection's remaining steps would return 0.5 (lo + hi). A
+    # midpoint at a bracket end is evaluated, and kl decides it as the
+    # bracket would.
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= below:
+        if mid < below:
             lo = mid
-        elif mid >= right:
+        elif mid > right:
             hi = mid
         elif mid == lo or mid == hi:
             return mid
@@ -245,7 +252,6 @@ def kl_inverse_upper(p_hat: float, B: float) -> float:
                 lo = mid
             else:
                 hi = mid
-    return 0.5 * (lo + hi)
 
 
 def gap_from_kl(L_hat: float, B: float) -> float:
@@ -288,10 +294,11 @@ def bound_bounded_differences(b: float, c: float, n: int, delta: float) -> Certi
 
 def bound_mgf_bounded_differences(b: float, c: float, n: int, lam: float) -> float:
     """(n/8)(lambda b / n + 2c)^2, bounding the mixed log-MGF at lambda."""
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
-    if b <= 0 or c < 0 or n < 1:
-        raise DomainError("need b > 0, c >= 0, n >= 1")
+    # written so that a NaN, which fails every comparison, is rejected
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lambda must be positive and finite, got {lam}")
+    if not (0.0 < b < math.inf and 0.0 <= c < math.inf and n >= 1):
+        raise DomainError(f"need b > 0, c >= 0, n >= 1 with b and c finite, got {b}, {c}, {n}")
     return (n / 8.0) * (lam * b / n + 2.0 * c) ** 2
 
 

@@ -108,10 +108,7 @@ def logsumexp(a: np.ndarray, b: np.ndarray | None = None, keepdims: bool = False
     and the rest as log1p(sum b e^{a - max} / m); where that is not finite,
     ln sum b e^a taken directly on the unmasked a. Entries with b = 0 add
     nothing, whatever their a. The reductions are the ufuncs' own, which
-    np.max and np.sum call, and b broadcasts against a only where its shape
-    differs."""
-    if b is not None and b.shape != a.shape:
-        a, b = np.broadcast_arrays(a, b)
+    np.max and np.sum call, and the ufuncs that take a and b broadcast them."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         masked = a if b is None else np.where(b == 0, -np.inf, a)
         a_max = np.maximum.reduce(masked, axis=-1, keepdims=True)

@@ -242,8 +242,7 @@ def check_martingale_mgf(space: FiniteDataSpace, n: int, case: str, num_trials: 
     reports = []
     idx, w = enumerate_indices(space, n, budget)
     flat = np.ravel_multi_index(idx.T, (space.size,) * n)
-    for t in range(num_trials):
-        rng = substream(seed, t)
+    for t, rng in enumerate(trial_streams(seed, 0, num_trials)):
         table = rng.uniform(-1.0, 1.0, size=space.size**n)
         # a target scale is drawn after the table, even when its raw scale is 0
         if case == "i":

@@ -6,6 +6,7 @@ complete.
 """
 
 import functools
+import hashlib
 import inspect
 import math
 import re
@@ -29,6 +30,30 @@ def test_criterion(criterion):
     print(f"[{status}] criterion {result.number}: {result.name} "
           f"({result.seconds:.1f}s) -- {result.detail}")
     assert result.passed, f"criterion {result.number} ({result.name}): {result.detail}"
+
+
+# sha256 prefixes of the repr of the (name, lhs, rhs) triples of the exact
+# reports that criteria 1-4 judge, as CSV_SHA256 pins the CSVs; no change may
+# move a bit of them
+EXACT_REPORTS_SHA256 = {1: "ac36df6f", 2: "0540ee7a", 3: "74d57382", 4: "28ae039d"}
+
+
+def test_exact_reports_bit_identical(monkeypatch):
+    """Every bit of the exact reports behind criteria 1-4, captured as each
+    criterion judges them: the engine's tests compare the mixed MGF, the
+    Bernstein unit MGF and the martingale constants only to within 1e-12."""
+    judged, judge = {}, acceptance._judge_reports
+
+    def capture(number, name, reports, *args, **kwargs):
+        judged[number] = [(rep.name, float(rep.lhs), float(rep.rhs)) for rep in reports]
+        return judge(number, name, reports, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "_judge_reports", capture)
+    for criterion in ALL_CRITERIA[:4]:
+        criterion()
+    got = {number: hashlib.sha256(repr(triples).encode()).hexdigest()[:8]
+           for number, triples in judged.items()}
+    assert got == EXACT_REPORTS_SHA256
 
 
 def test_margin_criteria_use_the_oracle_tolerance(monkeypatch):

@@ -145,6 +145,15 @@ class TestKlInverse:
         mismatches = [(p, B, g, w) for (p, B), g, w in zip(points, got, want) if g != w]
         assert mismatches == []
 
+    def test_numpy_scalars_bisect_in_float64(self):
+        """numpy float32 and float64 scalars give the value of their Python
+        floats, and the call ends: the loop ends on adjacent float64 ends, and
+        a float32 lo and hi could be adjacent around a float64 bracket end."""
+        for p, B in _random_points(200):
+            for cast in (np.float32, np.float64):
+                want = kl_inverse_upper(float(cast(p)), float(cast(B)))
+                assert kl_inverse_upper(cast(p), cast(B)) == want
+
     @pytest.mark.parametrize("p_hat, B", [(math.nan, 0.1), (0.1, math.nan), (0.1, -1e-300),
                                           (0.1, math.inf), (-0.1, 0.1), (1.1, 0.1),
                                           (math.inf, 0.1)])
@@ -174,7 +183,7 @@ class TestKlInverse:
             if B == 0.0 or q == 1.0:
                 continue  # answered before any bracket is sought
             args.clear()
-            below, right = bd._kl_certified_bracket(p, B)
+            below, right = bd._kl_certified_bracket(p, 1.0 - p, B)
             # each evaluation takes ln(p / q) first where p > 0, else only
             # ln(1 / (1 - q)): q to a few roundings
             evaluated = [p / x for x in args[::2]] if p > 0.0 else [1.0 - 1.0 / x for x in args]
@@ -197,10 +206,11 @@ class TestKlInverse:
         assert tangent_ends > 0
 
     def test_few_kl_evaluations_on_benchmark_domain(self, monkeypatch):
-        """kl evaluations a call, in line or through _kl_bernoulli, counted by
+        """kl evaluations a call, in line or through kl_bernoulli, counted by
         the module's log, which each takes once where p_hat = 0 and twice
         elsewhere. The plain bisection evaluates kl about 32 times a call here,
-        an evaluated left end of the bracket about 7, a convex one 5.08."""
+        an evaluated left end of the bracket about 7, a convex one 5.08, and
+        the tangent-certified bracket 3.6444."""
         logs = []
         log = bd.log
         monkeypatch.setattr(bd, "log", lambda x: logs.append(x) or log(x))
@@ -209,7 +219,7 @@ class TestKlInverse:
             logs.clear()
             kl_inverse_upper(p, B)
             evaluations += len(logs) / (2 if p > 0.0 else 1)
-        assert evaluations / len(BENCHMARK_DOMAIN) <= 4.0
+        assert evaluations / len(BENCHMARK_DOMAIN) <= 3.7
 
 
 class TestInversionRules:
@@ -272,8 +282,15 @@ class TestBoundedDifferences:
         assert bound_mgf_bounded_differences(1.0, 0.0, n, float(n)) == pytest.approx(n / 8.0)
 
     def test_mgf_domain(self):
-        with pytest.raises(DomainError):
-            bound_mgf_bounded_differences(1.0, 0.0, 10, 0.0)
+        """Every parameter outside its domain raises, NaN and infinities
+        included, as for the certificates."""
+        for b, c, n, lam in [(1.0, 0.0, 10, 0.0), (1.0, 0.0, 10, -1.0), (1.0, 0.0, 10, math.nan),
+                             (1.0, 0.0, 10, math.inf), (math.nan, 0.1, 10, 1.0),
+                             (1.0, math.nan, 10, 1.0), (math.inf, 0.1, 10, 1.0),
+                             (1.0, math.inf, 10, 1.0), (0.0, 0.1, 10, 1.0), (1.0, -0.1, 10, 1.0),
+                             (1.0, 0.1, 0, 1.0)]:
+            with pytest.raises(DomainError):
+                bound_mgf_bounded_differences(b, c, n, lam)
 
 
 class TestBernstein:
