@@ -24,10 +24,6 @@ import numpy as np
 JOINT_DRAW = "joint_draw"
 POSTERIOR_EXPECTATION = "posterior_expectation"
 
-# floor applied to the KL term inside ln(2 KL / delta) of the model-selection
-# gap bound, which is otherwise undefined at KL = 0
-KL_FLOOR = 0.5
-
 
 class DomainError(ValueError):
     """A certificate parameter is outside its stated domain."""
@@ -353,7 +349,8 @@ def bound_subgaussian(rho_sup: float, rho_h: float, sigma: float, n: int,
 def check_stability(c_A: float, sigma: float, n: int) -> None:
     """Raise StabilityPreconditionError unless 12 n c_A^2 <= sigma^2, the
     precondition of every Gaussian-kernel certificate."""
-    if _outside(12.0 * n * c_A**2 > sigma**2):
+    # written so that a NaN, which fails every comparison, is rejected
+    if not np.all(12.0 * n * c_A**2 <= sigma**2):
         raise StabilityPreconditionError(
             f"stability precondition 12 n c_A^2 <= sigma^2 fails: "
             f"12 * {n} * {c_A}^2 = {12 * n * c_A**2} > {sigma**2}"
@@ -371,8 +368,11 @@ def bound_gaussian_randomization(V: float, sigma: float, n: int, delta: float,
     variant 'gap_bernstein': single-draw gap bound using the drawn
     hypothesis' variance v_h.
     """
-    if _outside(V < 0, sigma <= 0, n < 1, c_A < 0):
-        raise DomainError("need V >= 0, sigma > 0, n >= 1, c_A >= 0")
+    # written so that a NaN, which fails every comparison, is rejected: c_A
+    # does not enter the value and an infinite sigma gives a finite one, so
+    # the value's finiteness check catches neither
+    if _outside(V < 0, n < 1) or not np.all((0 < sigma) & (sigma < math.inf) & (c_A >= 0)):
+        raise DomainError("need V >= 0, finite sigma > 0, n >= 1, c_A >= 0")
     check_stability(c_A, sigma, n)
     base = 3.0 / sigma**2 * V
     inputs = {"V": V, "sigma": sigma, "n": n, "delta": delta, "variant": variant,
@@ -406,80 +406,6 @@ def bound_gaussian_randomization(V: float, sigma: float, n: int, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# PAC-Bayes with the algorithm's posterior as data-dependent prior
-
-def pac_bayes_transfer(kl_PQ: float, log_moment: float, delta: float) -> Certificate:
-    """KL(P,Q) + log moment + ln(1/delta): the generic transfer to any P."""
-    if kl_PQ < 0:
-        raise DomainError("KL divergence must be nonnegative")
-    ld = _check_delta(delta)
-    value = kl_PQ + log_moment + ld
-    return Certificate("pac_bayes_transfer", value, delta, POSTERIOR_EXPECTATION,
-                       {"kl_PQ": kl_PQ, "log_moment": log_moment, "delta": delta},
-                       notes="bounds E_P[F]; F and its scaling are the caller's")
-
-
-def pac_bayes_gaussian_kl(kl_PQ: float, V: float, sigma: float, n: int, delta: float,
-                          c_A: float) -> Certificate:
-    """Expected-kl PAC-Bayes bound for the Gaussian-kernel prior."""
-    if kl_PQ < 0:
-        raise DomainError("KL divergence must be nonnegative")
-    if V < 0 or sigma <= 0 or c_A < 0:
-        raise DomainError("need V >= 0, sigma > 0, c_A >= 0")
-    if n <= 8:
-        raise DomainError("requires n > 8")
-    check_stability(c_A, sigma, n)
-    ld = _check_delta(delta)
-    value = (2.0 * kl_PQ + 6.0 / sigma**2 * V + math.log(2.0 * math.sqrt(n)) + 2.0 * ld) / n
-    return Certificate("pac_bayes_gaussian_kl", value, delta, POSTERIOR_EXPECTATION,
-                       {"kl_PQ": kl_PQ, "V": V, "sigma": sigma, "n": n,
-                        "delta": delta, "c_A": c_A},
-                       notes="bound is on E_P[kl(L_hat, L)]")
-
-
-def pac_bayes_model_selection(kl_PQ: float, V: float, sigma: float, n: int, delta: float,
-                              variant: str, c_A: float,
-                              E_P_v: float | None = None) -> Certificate:
-    """Model-selection PAC-Bayes bounds valid simultaneously for all P.
-
-    gap variant: sqrt(((3/sigma^2)V + 2 KL + ln(2 max(KL, 1/2)/delta)) / n).
-    The KL floor of 1/2 keeps the log argument at least 1/delta and is
-    recorded in the notes.
-
-    variance variant: the Bernstein-flavored form with
-    C = 2 KL + 1 + ln(2(KL+1) * 2(n E_P[v] + 1) / delta).
-    """
-    if kl_PQ < 0:
-        raise DomainError("KL divergence must be nonnegative")
-    if V < 0 or sigma <= 0 or n < 1 or c_A < 0:
-        raise DomainError("need V >= 0, sigma > 0, n >= 1, c_A >= 0")
-    check_stability(c_A, sigma, n)
-    ld = _check_delta(delta)
-    base = 3.0 / sigma**2 * V
-    inputs = {"kl_PQ": kl_PQ, "V": V, "sigma": sigma, "n": n, "delta": delta,
-              "variant": variant, "c_A": c_A}
-    if variant == "gap":
-        value = math.sqrt(
-            (base + 2.0 * kl_PQ + math.log(2.0 * max(kl_PQ, KL_FLOOR) / delta)) / n
-        )
-        return Certificate("pac_bayes_selection_gap", value, delta,
-                           POSTERIOR_EXPECTATION, inputs,
-                           notes=f"KL floored at {KL_FLOOR} inside the logarithm")
-    if variant == "variance":
-        if E_P_v is None or E_P_v < 0:
-            raise DomainError("variance variant needs E_P_v >= 0")
-        C = 2.0 * kl_PQ + 1.0 + math.log(
-            2.0 * (kl_PQ + 1.0) * 2.0 * (n * E_P_v + 1.0) / delta
-        )
-        t = (base + C) / n
-        value = 2.0 * math.sqrt((2.0 * E_P_v + 1.0 / n) * t) + t
-        inputs = dict(inputs, E_P_v=E_P_v)
-        return Certificate("pac_bayes_selection_variance", value, delta,
-                           POSTERIOR_EXPECTATION, inputs)
-    raise DomainError(f"unknown model-selection variant {variant!r}")
-
-
-# ---------------------------------------------------------------------------
 # published baselines quoted for comparison
 
 @dataclass(frozen=True)
@@ -490,8 +416,9 @@ class BaselineSet:
 
 def baselines(beta: float, n: int, delta: float) -> BaselineSet:
     """The comparison bounds from the literature, evaluated in closed form."""
-    if beta < 0 or n < 1:
-        raise DomainError("need beta >= 0 and n >= 1")
+    # written so that a NaN, which fails every comparison, is rejected
+    if not (0.0 <= beta < math.inf and n >= 1):
+        raise DomainError(f"need beta >= 0 and n >= 1 with beta finite, got {beta}, {n}")
     _check_delta(delta)
     gibbs = 4.0 * beta / n + (2.0 + math.log((1.0 + math.sqrt(math.e)) / delta)) / math.sqrt(n)
     kl_gibbs = (2.0 * beta**2 / n**2

@@ -104,7 +104,7 @@ def test_worst_margins_name_their_instance():
 
 
 
-# ROADMAP direction 5's ledger: what runs each public function of `bounds`.
+# The ledger of `bounds`: what runs each public function.
 # A path is "method <name>", an entry of verify.SCENARIO_METHODS, which
 # `certify` and `verify` run; "criterion <number>", an acceptance criterion;
 # or "compare", the grid of `gapcert compare`. A function with no path is
@@ -125,10 +125,7 @@ LEDGER = {
     "bound_gaussian_randomization variant=gap_joint": ("method gaussian_gap",),
     "bound_gaussian_randomization variant=gap_bernstein": ("method gaussian_gap_bernstein",),
     "bound_gaussian_randomization variant=kl_expectation": ("method gaussian_kl_expectation",),
-    "bound_gaussian_randomization variant=mgf": ("unreached: direction 4",),
-    "pac_bayes_transfer": ("unreached: direction 5",),
-    "pac_bayes_gaussian_kl": ("unreached: direction 5",),
-    "pac_bayes_model_selection": ("unreached: direction 5",),
+    "bound_gaussian_randomization variant=mgf": ("unreached: direction 2",),
     "baselines": ("compare", "criterion 7"),
 }
 

@@ -23,9 +23,6 @@ from gapcert.bounds import (
     inversion_lemma,
     kl_bernoulli,
     kl_inverse_upper,
-    pac_bayes_gaussian_kl,
-    pac_bayes_model_selection,
-    pac_bayes_transfer,
 )
 
 deltas = st.floats(1e-6, 1.0 - 1e-6)
@@ -345,6 +342,50 @@ class TestGaussianRandomization:
                                            c_A=0.0)
         assert got.value == pytest.approx(0.1)
 
+    def test_kl_expectation_reference(self):
+        """Over seeded inputs inside the stability precondition, the expected-kl
+        certificate is (6V/sigma^2 + ln 2 sqrt(n) + 2 ln(1/delta)) / n and the
+        single-draw gap sqrt((3V/sigma^2 + ln(1/delta)) / n), bit for bit."""
+        rng = np.random.Generator(np.random.Philox(key=18))
+        for _ in range(2000):
+            V = float(10.0 ** rng.uniform(-6.0, 2.0))
+            sigma = float(10.0 ** rng.uniform(-2.0, 1.0))
+            n = int(rng.integers(9, 100_000))
+            delta = float(rng.uniform(1e-6, 1.0 - 1e-6))
+            c_A = float(rng.uniform(0.0, 1.0)) * sigma / math.sqrt(12.0 * n)
+            kl = bound_gaussian_randomization(V, sigma, n, delta, "kl_expectation", c_A)
+            gap = bound_gaussian_randomization(V, sigma, n, delta, "gap_joint", c_A)
+            ld = math.log(1.0 / delta)
+            assert kl.value == (6.0 / sigma**2 * V + math.log(2.0 * math.sqrt(n)) + 2.0 * ld) / n
+            assert gap.value == math.sqrt((3.0 / sigma**2 * V + ld) / n)
+
+    def test_kl_expectation_log_term_only(self):
+        n = 400
+        got = bound_gaussian_randomization(0.0, 1.0, n, 1.0 - 1e-12, "kl_expectation",
+                                           c_A=0.0)
+        assert got.value == pytest.approx(math.log(2 * math.sqrt(n)) / n, abs=1e-9)
+
+    def test_kl_expectation_inverted_gap_decreasing_in_n(self):
+        prev = math.inf
+        for n in (50, 100, 400, 1600, 6400):
+            cert = bound_gaussian_randomization(0.1, 1.0, n, 0.05, "kl_expectation", c_A=0.0)
+            gap = kl_inverse_upper(0.1, cert.value) - 0.1
+            assert gap < prev
+            prev = gap
+
+    def test_nan_c_A_and_nonfinite_sigma_rejected(self):
+        """c_A does not enter the value and an infinite sigma gives a finite
+        one, so only the checks can refuse them."""
+        for variant in ("mgf", "kl_expectation", "gap_joint", "gap_bernstein"):
+            for sigma, c_A in ((1.0, math.nan), (math.nan, 0.0), (math.inf, 0.0)):
+                with pytest.raises(DomainError, match="c_A >= 0"):
+                    bound_gaussian_randomization(0.1, sigma, 100, 0.05, variant, c_A, v_h=0.01)
+        for sigma, c_A in ((1.0, math.nan), (math.nan, 0.0)):
+            with pytest.raises(StabilityPreconditionError):
+                bd.check_stability(c_A, sigma, 100)
+        # at the edge 12 n c_A^2 = sigma^2, exactly in floats, the precondition holds
+        bd.check_stability(1.0, 12.0, 12)
+
     def test_gap_bernstein_zero_variance(self):
         got = bound_gaussian_randomization(0.2, 1.0, 100, 0.05,
                                            variant="gap_bernstein", c_A=0.0, v_h=0.0)
@@ -377,74 +418,6 @@ class TestGaussianRandomization:
                                            c_A=0.0)
         assert kl.scope == bd.POSTERIOR_EXPECTATION
         assert gap.scope == bd.JOINT_DRAW
-
-
-class TestPacBayes:
-    def test_transfer_sum(self):
-        got = pac_bayes_transfer(1.0, 2.0, math.exp(-1.0))
-        assert got.value == pytest.approx(4.0)
-
-    def test_gaussian_kl_consistency_at_zero_kl(self):
-        a = pac_bayes_gaussian_kl(0.0, 0.3, 1.0, 100, 0.05, c_A=0.0)
-        b = bound_gaussian_randomization(0.3, 1.0, 100, 0.05,
-                                         variant="kl_expectation", c_A=0.0)
-        assert a.value == b.value
-
-    def test_zero_kl_is_the_gaussian_kernel_certificate(self):
-        """At P = Q_X (KL = 0) the PAC-Bayes bounds are the Gaussian-kernel
-        certificates, bit for bit, over seeded inputs inside the stability
-        precondition."""
-        rng = np.random.Generator(np.random.Philox(key=18))
-        for _ in range(2000):
-            V = float(10.0 ** rng.uniform(-6.0, 2.0))
-            sigma = float(10.0 ** rng.uniform(-2.0, 1.0))
-            n = int(rng.integers(9, 100_000))
-            delta = float(rng.uniform(1e-6, 1.0 - 1e-6))
-            c_A = float(rng.uniform(0.0, 1.0)) * sigma / math.sqrt(12.0 * n)
-            kl = bound_gaussian_randomization(V, sigma, n, delta, "kl_expectation", c_A)
-            gap = bound_gaussian_randomization(V, sigma, n, delta, "gap_joint", c_A)
-            assert kl.value == pac_bayes_gaussian_kl(0.0, V, sigma, n, delta, c_A).value
-            assert gap.value == pac_bayes_model_selection(0.0, V, sigma, n, delta, "gap",
-                                                          c_A).value
-
-    def test_gaussian_kl_log_term_only(self):
-        n = 400
-        got = pac_bayes_gaussian_kl(0.0, 0.0, 1.0, n, 1.0 - 1e-12, c_A=0.0)
-        assert got.value == pytest.approx(math.log(2 * math.sqrt(n)) / n, abs=1e-9)
-
-    def test_inverted_chain_decreasing_in_n(self):
-        prev = math.inf
-        for n in (50, 100, 400, 1600, 6400):
-            cert = pac_bayes_gaussian_kl(0.5, 0.1, 1.0, n, 0.05, c_A=0.0)
-            gap = kl_inverse_upper(0.1, cert.value) - 0.1
-            assert gap < prev
-            prev = gap
-
-    def test_selection_gap_reference(self):
-        delta = 2.0 / math.e
-        got = pac_bayes_model_selection(1.0, 0.0, 1.0, 300, delta, variant="gap", c_A=0.0)
-        assert got.value == pytest.approx(0.1)
-
-    def test_selection_variance_reduction(self):
-        n, delta = 200, 0.05
-        got = pac_bayes_model_selection(0.0, 0.1, 1.0, n, delta, variant="variance",
-                                        c_A=0.0, E_P_v=0.0)
-        C = 1.0 + math.log(4.0 / delta)
-        t = (3.0 * 0.1 + C) / n
-        assert got.value == pytest.approx(2.0 * math.sqrt(t / n) + t)
-
-    def test_both_variants_decreasing_in_n(self):
-        for variant, extra in (("gap", {}), ("variance", {"E_P_v": 0.04})):
-            prev = math.inf
-            for n in (100, 400, 1600):
-                got = pac_bayes_model_selection(0.7, 0.2, 1.0, n, 0.05,
-                                                variant=variant, c_A=0.0, **extra)
-                assert got.value < prev
-                prev = got.value
-
-    def test_kl_floor_in_notes(self):
-        got = pac_bayes_model_selection(0.0, 0.0, 1.0, 100, 0.05, variant="gap", c_A=0.0)
-        assert "0.5" in got.notes
 
 
 class TestBaselines:
@@ -520,13 +493,19 @@ CERT_PAIRS = [
     (bound_gaussian_randomization,
      lambda d: bound_gaussian_randomization(0.1, 1.0, 200, d,
                                             variant="kl_expectation", c_A=0.0)),
-    (pac_bayes_transfer, lambda d: pac_bayes_transfer(0.5, 1.0, d)),
-    (pac_bayes_gaussian_kl, lambda d: pac_bayes_gaussian_kl(0.5, 0.1, 1.0, 200, d, c_A=0.0)),
-    (pac_bayes_model_selection,
-     lambda d: pac_bayes_model_selection(0.5, 0.1, 1.0, 200, d, variant="gap", c_A=0.0)),
-    (pac_bayes_model_selection,
-     lambda d: pac_bayes_model_selection(0.5, 0.1, 1.0, 200, d, variant="variance",
-                                         c_A=0.0, E_P_v=0.02)),
+    # the Gaussian-kernel certificates at c_A > 0, as a stable algorithm's run
+    # gives them, the last at the precondition's edge 12 n c_A^2 = sigma^2
+    (bound_gaussian_randomization,
+     lambda d: bound_gaussian_randomization(0.1, 1.0, 200, d, variant="gap_joint", c_A=0.02)),
+    (bound_gaussian_randomization,
+     lambda d: bound_gaussian_randomization(0.1, 1.0, 200, d, variant="gap_bernstein",
+                                            c_A=0.02, v_h=0.01)),
+    (bound_gaussian_randomization,
+     lambda d: bound_gaussian_randomization(0.1, 1.0, 200, d,
+                                            variant="kl_expectation", c_A=0.02)),
+    (bound_gaussian_randomization,
+     lambda d: bound_gaussian_randomization(0.1, 12.0, 12, d,
+                                            variant="kl_expectation", c_A=1.0)),
 ]
 CERT_CASES = [make for _, make in CERT_PAIRS]
 BOUND_OF_CASE = {make: bound for bound, make in CERT_PAIRS}

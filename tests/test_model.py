@@ -72,6 +72,10 @@ REFUSALS = {
                                    lambda: bd.bound_empirical_bernstein(0.1, 0.0, 0.1, 5, 0.05)),
     "baselines_negative_beta": (bd.DomainError, "need beta >= 0 and n >= 1",
                                 lambda: bd.baselines(-1.0, 10, 0.05)),
+    "baselines_nan_beta": (bd.DomainError, "need beta >= 0 and n >= 1",
+                           lambda: bd.baselines(math.nan, 10, 0.05)),
+    "baselines_infinite_beta": (bd.DomainError, "need beta >= 0 and n >= 1",
+                                lambda: bd.baselines(math.inf, 10, 0.05)),
 }
 
 
