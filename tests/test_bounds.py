@@ -359,6 +359,12 @@ class TestGaussianRandomization:
             assert kl.value == (6.0 / sigma**2 * V + math.log(2.0 * math.sqrt(n)) + 2.0 * ld) / n
             assert gap.value == math.sqrt((3.0 / sigma**2 * V + ld) / n)
 
+    def test_kl_expectation_spot_value(self):
+        got = bound_gaussian_randomization(0.3, 1.0, 100, 0.05, "kl_expectation", c_A=0.0)
+        want = (6.0 * 0.3 + math.log(2.0 * math.sqrt(100)) + 2.0 * math.log(1.0 / 0.05)) / 100
+        assert got.value == want
+        assert got.value == pytest.approx(0.1078720, abs=1e-7)
+
     def test_kl_expectation_log_term_only(self):
         n = 400
         got = bound_gaussian_randomization(0.0, 1.0, n, 1.0 - 1e-12, "kl_expectation",
