@@ -15,6 +15,7 @@ the sample size n stay scalars, so ln(1/delta) is math.log's.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 # log is the one name through which every kl evaluation takes its logs
 from math import expm1, isfinite, log, log1p, nextafter, sqrt
@@ -36,6 +37,14 @@ class StabilityPreconditionError(ValueError):
 def _outside(*conditions) -> bool:
     """Whether any element of any condition holds."""
     return any(np.any(c) for c in conditions)
+
+
+def _square(x: float) -> float:
+    """x**2, or inf where that overflows a float."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def _check_delta(delta: float) -> float:
@@ -295,7 +304,10 @@ def bound_mgf_bounded_differences(b: float, c: float, n: int, lam: float) -> flo
         raise DomainError(f"lambda must be positive and finite, got {lam}")
     if not (0.0 < b < math.inf and 0.0 <= c < math.inf and n >= 1):
         raise DomainError(f"need b > 0, c >= 0, n >= 1 with b and c finite, got {b}, {c}, {n}")
-    return (n / 8.0) * (lam * b / n + 2.0 * c) ** 2
+    value = (n / 8.0) * _square(lam * b / n + 2.0 * c)
+    if value == math.inf:
+        raise DomainError(f"the bound at b={b}, c={c}, n={n}, lambda={lam} overflows")
+    return value
 
 
 def bound_bernstein(v: float, b: float, c: float, n: int, delta: float) -> Certificate:
@@ -303,7 +315,7 @@ def bound_bernstein(v: float, b: float, c: float, n: int, delta: float) -> Certi
     if _outside(v < 0, b <= 0, c < 0, n < 1):
         raise DomainError("need v >= 0, b > 0, c >= 0, n >= 1")
     ld = _check_delta(delta)
-    t = c**2 + ld / n
+    t = _square(c) + ld / n
     value = 2.0 * np.sqrt(v * t) + b * t
     return Certificate("bernstein", value, delta, JOINT_DRAW,
                        {"v": v, "b": b, "c": c, "n": n, "delta": delta})
@@ -317,7 +329,7 @@ def bound_empirical_bernstein(L_hat: float, b: float, c: float, n: int, delta: f
     if not np.all((0.0 <= L_hat) & (L_hat <= b + 1e-12)):
         raise DomainError(f"L_hat must be in [0, b], got {L_hat}")
     ld = _check_delta(delta)
-    t = c**2 + ld / n
+    t = _square(c) + ld / n
     value = 2.0 * np.sqrt(L_hat * b * t) + 5.0 * b * t
     return Certificate("empirical_bernstein", value, delta, JOINT_DRAW,
                        {"L_hat": L_hat, "b": b, "c": c, "n": n, "delta": delta})
@@ -348,13 +360,17 @@ def bound_subgaussian(rho_sup: float, rho_h: float, sigma: float, n: int,
 
 def check_stability(c_A: float, sigma: float, n: int) -> None:
     """Raise StabilityPreconditionError unless 12 n c_A^2 <= sigma^2, the
-    precondition of every Gaussian-kernel certificate."""
+    precondition of every Gaussian-kernel certificate, and DomainError unless
+    sigma^2, which they divide by, is a normal float."""
+    lhs, sigma2 = 12.0 * n * _square(c_A), _square(sigma)
     # written so that a NaN, which fails every comparison, is rejected
-    if not np.all(12.0 * n * c_A**2 <= sigma**2):
+    if not np.all(lhs <= sigma2):
         raise StabilityPreconditionError(
             f"stability precondition 12 n c_A^2 <= sigma^2 fails: "
-            f"12 * {n} * {c_A}^2 = {12 * n * c_A**2} > {sigma**2}"
+            f"12 * {n} * {c_A}^2 = {lhs} > {sigma2}"
         )
+    if not np.all((sys.float_info.min <= sigma2) & (sigma2 < math.inf)):
+        raise DomainError(f"sigma^2 = {sigma2} at sigma = {sigma} is not a normal float")
 
 
 def bound_gaussian_randomization(V: float, sigma: float, n: int, delta: float,

@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import StabilityPreconditionError, check_stability
+from .bounds import StabilityPreconditionError, _square, check_stability
 from .hamiltonian import GaussianKernel, Gibbs, HamiltonianSpec, builtin_algorithm
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -72,14 +72,6 @@ def _one_of(*choices: str):
             raise ValueError(f"must be one of {', '.join(choices)}, got {text!r}")
         return text
     return choice
-
-
-def _square(x: float) -> float:
-    """x**2 as the bounds compute it, or inf where that overflows."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
 
 
 def _kernel_sigma(text: str) -> float:
@@ -205,7 +197,8 @@ def gaussian_kernel_instance(seed: int, num_points: int, dim: int, n: int, sigma
     """(space, loss, spec) of a Gaussian-kernel scenario: a random space,
     the built-in stable algorithm of that name and a cosine loss, drawn in
     that order from one Philox keyed on the seed. Raises KeyError for an
-    unknown algorithm and StabilityPreconditionError if sigma is too small."""
+    unknown algorithm, StabilityPreconditionError if sigma is too small and
+    DomainError if its square is not a normal float."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     space = _random_space(rng, num_points)
     stable = builtin_algorithm(algorithm, space, n, dim_d=dim, seed=seed)

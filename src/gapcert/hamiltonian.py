@@ -58,8 +58,9 @@ class Gibbs:
     beta: float
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        # written so that a NaN, which fails every comparison, is rejected
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,9 @@ class GaussianKernel:
     algorithm: StableAlgorithm
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # written so that a NaN, which fails every comparison, is rejected
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 HamiltonianSpec = Gibbs | GaussianKernel
@@ -89,14 +91,6 @@ def hamiltonian_matrix(spec: HamiltonianSpec, idx: np.ndarray, loss: FiniteTable
 def log_prior(prior: PriorWeights) -> np.ndarray:
     """ln pi(h) of every hypothesis, by math.log, -inf where pi(h) = 0."""
     return np.array([math.log(w) if w > 0 else -math.inf for w in prior.weights])
-
-
-def log_weight_rows(H: np.ndarray, prior: PriorWeights) -> np.ndarray:
-    """The unnormalized posterior log weights H(h, x) + ln pi(h) of an (m, S)
-    Hamiltonian matrix as (S, m): one C-contiguous row per sample, so a
-    reduction over a row's hypotheses sums in the same order as on that
-    sample's own weight vector."""
-    return np.ascontiguousarray(H.T) + log_prior(prior)
 
 
 def logsumexp(a: np.ndarray, b: np.ndarray | None = None, keepdims: bool = False):
@@ -141,23 +135,27 @@ def gibbs_posterior(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, log_z[..., 0]
 
 
-def _finite_log_weights(spec: HamiltonianSpec, sample: np.ndarray, loss: FiniteTable,
-                        prior: PriorWeights) -> np.ndarray:
-    H = hamiltonian_matrix(spec, np.asarray(sample)[None, :], loss)
-    return log_weight_rows(H, prior)[0]
+def gibbs_table(spec: HamiltonianSpec, rows: np.ndarray, loss: FiniteTable,
+                prior: PriorWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gibbs algorithm on the (S, n) sample rows: H over (m, S), the
+    posterior Q_x per row (S, m) and ln Z per row (S,). Each row's log weights
+    H(h, x) + ln pi(h) are one C-contiguous row, so a reduction over its
+    hypotheses sums in the same order as on that sample's own weight vector."""
+    H = hamiltonian_matrix(spec, rows, loss)
+    return (H,) + gibbs_posterior(np.ascontiguousarray(H.T) + log_prior(prior))
 
 
 def log_partition(spec: HamiltonianSpec, sample: np.ndarray, loss: FiniteTable,
                   prior: PriorWeights) -> float:
-    """ln Z(sample) of a finite class, by log-sum-exp."""
-    return float(logsumexp(_finite_log_weights(spec, sample, loss, prior)))
+    """ln Z(sample) of a finite class: the one-row gibbs_table."""
+    return float(gibbs_table(spec, np.asarray(sample)[None, :], loss, prior)[2][0])
 
 
 def posterior(spec: HamiltonianSpec, sample: np.ndarray, loss: FiniteTable,
               prior: PriorWeights) -> np.ndarray:
     """The weights of a finite class proportional to e^{H(h, sample)} pi(h),
-    normalized to sum to 1."""
-    return gibbs_posterior(_finite_log_weights(spec, sample, loss, prior))[0]
+    normalized to sum to 1: the one-row gibbs_table."""
+    return gibbs_table(spec, np.asarray(sample)[None, :], loss, prior)[1][0]
 
 
 def bounded_difference_coefficient(spec: HamiltonianSpec, space: FiniteDataSpace,

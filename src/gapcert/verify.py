@@ -22,9 +22,8 @@ from .hamiltonian import (
     HamiltonianSpec,
     StableAlgorithm,
     gibbs_posterior,
-    hamiltonian_matrix,
+    gibbs_table,
     log_prior,
-    log_weight_rows,
     logsumexp,
     output_sensitivity,
 )
@@ -131,8 +130,7 @@ def _enumerate_posteriors(spec: HamiltonianSpec, space: FiniteDataSpace, loss: F
     """Sample rows (S, n), their mu^n weights (S,), H over (m, S), the
     posterior Q_x per row (S, m) and ln Z per row (S,)."""
     idx, w = enumerate_indices(space, n, budget, loss.num_hypotheses)
-    H = hamiltonian_matrix(spec, idx, loss)
-    return (idx, w, H) + gibbs_posterior(log_weight_rows(H, prior))
+    return (idx, w) + gibbs_table(spec, idx, loss, prior)
 
 
 def _log_mixed_mgf(w: np.ndarray, q: np.ndarray, F: np.ndarray) -> float:
@@ -298,9 +296,9 @@ def check_logZ_bounded_differences(spec: HamiltonianSpec, space: FiniteDataSpace
                                    budget: int = DEFAULT_ENUMERATION_BUDGET
                                    ) -> list[MomentCheckReport]:
     """|D ln Z| <= c and |D H_Q| <= 2c for the brute-force c of H."""
-    H = hamiltonian_matrix(spec, product_rows(space, n, budget, loss.num_hypotheses), loss)
+    H, _, log_z = gibbs_table(spec, product_rows(space, n, budget, loss.num_hypotheses),
+                              loss, prior)
     c = max_fibre_range(space, n, H)  # bounded_difference_coefficient's c, from this H
-    log_z = logsumexp(log_weight_rows(H, prior))
     max_dlnz = max_fibre_range(space, n, log_z)
     max_dhq = max_fibre_range(space, n, H - log_z)
     return [
@@ -380,14 +378,13 @@ def check_gaussian_identity(w, v, sigma: float, lam: float) -> MomentCheckReport
 # self-bounding concentration and the phi function
 
 def check_self_bounding(space: FiniteDataSpace, n: int, algorithm: StableAlgorithm,
-                        lam_fractions: Sequence[float] = (0.1, 0.25, 0.5, 0.9),
                         budget: int = DEFAULT_ENUMERATION_BUDGET) -> list[MomentCheckReport]:
     """Exact check of the self-bounding MGF bound for f = ||A(x) - E A||^2.
 
     The squared distance of a mean-embedding output to its expectation
     satisfies D^2 f <= 4 n c_A^2 f; an internal guard re-verifies this on the
-    enumerated instance before asserting the MGF inequality on a lambda grid
-    in (0, 2/a).
+    enumerated instance before asserting the MGF inequality at lambda = 0.05,
+    0.1, 0.25, 0.5 and 0.9 times 2/a.
     """
     support = space.probs > 0
     rows = product_rows(space, n, budget)
@@ -415,7 +412,7 @@ def check_self_bounding(space: FiniteDataSpace, n: int, algorithm: StableAlgorit
     if a == 0.0:
         return [MomentCheckReport(name="self_bounding_degenerate", lhs=0.0, rhs=0.0,
                                   regime="exact_enumeration")]
-    for frac in lam_fractions:
+    for frac in (0.05, 0.1, 0.25, 0.5, 0.9):
         lam = frac * 2.0 / a
         lhs = float(logsumexp(lam * (f_vals - mean_f), b=wts))
         rhs = lam**2 * a * mean_f / (2.0 - a * lam)

@@ -1,8 +1,9 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
-Each criterion function pins its own tolerances, seeds, and budgets; this
-module only runs them and reports. Run with -s to see the lines as they
-complete.
+Each criterion's check pins its own tolerances, seeds, and budgets and
+returns (passed, detail); its number is its place in ALL_CRITERIA. This
+module runs them through acceptance.run_criterion and reports. Run with -s to
+see the lines as they complete.
 """
 
 import functools
@@ -16,20 +17,43 @@ import pytest
 from gapcert import acceptance
 from gapcert import bounds as bd
 from gapcert import verify as vf
-from gapcert.acceptance import ALL_CRITERIA
+from gapcert.acceptance import ALL_CRITERIA, run_criterion
 from gapcert.config import gaussian_kernel_instance, random_gibbs_instance
 from gapcert.model import PriorWeights
 
 
-@pytest.mark.parametrize(
-    "criterion", ALL_CRITERIA,
-    ids=[f"criterion_{i}" for i in range(1, len(ALL_CRITERIA) + 1)])
-def test_criterion(criterion):
-    result = criterion()
+NUMBERS = range(1, len(ALL_CRITERIA) + 1)
+
+
+@pytest.mark.parametrize("number", NUMBERS, ids=[f"criterion_{i}" for i in NUMBERS])
+def test_criterion(number):
+    result = run_criterion(number)
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {result.number}: {result.name} "
           f"({result.seconds:.1f}s) -- {result.detail}")
     assert result.passed, f"criterion {result.number} ({result.name}): {result.detail}"
+
+
+# the (number, name) of every criterion, as `gapcert accept` writes them in
+# the criterion_<number> rows of acceptance.csv
+CRITERIA = (
+    (1, "mixed MGF vs bounded-difference MGF bound"),
+    (2, "main proposition and Bernstein unit-MGF oracle"),
+    (3, "martingale MGF oracle suite"),
+    (4, "log-partition bounded differences"),
+    (5, "Gibbs certificate violation rates"),
+    (6, "Gaussian randomization certificates"),
+    (7, "tightness vs quoted baselines"),
+    (8, "Gaussian moment identity (quadrature)"),
+    (9, "kl utilities"),
+    (10, "self-bounding and phi-function checks"),
+)
+
+
+def test_criteria_table():
+    """The criteria table gives each criterion its number, by its place, and
+    its name; read without running a check."""
+    assert tuple((number, name) for number, (name, _) in enumerate(ALL_CRITERIA, 1)) == CRITERIA
 
 
 # sha256 prefixes of the repr of the (name, lhs, rhs) triples of the exact
@@ -42,17 +66,17 @@ def test_exact_reports_bit_identical(monkeypatch):
     """Every bit of the exact reports behind criteria 1-4, captured as each
     criterion judges them: the engine's tests compare the mixed MGF, the
     Bernstein unit MGF and the martingale constants only to within 1e-12."""
-    judged, judge = {}, acceptance._judge_reports
+    judged, judge = [], acceptance._judge_reports
 
-    def capture(number, name, reports, *args, **kwargs):
-        judged[number] = [(rep.name, float(rep.lhs), float(rep.rhs)) for rep in reports]
-        return judge(number, name, reports, *args, **kwargs)
+    def capture(reports, *args, **kwargs):
+        judged.append([(rep.name, float(rep.lhs), float(rep.rhs)) for rep in reports])
+        return judge(reports, *args, **kwargs)
 
     monkeypatch.setattr(acceptance, "_judge_reports", capture)
-    for criterion in ALL_CRITERIA[:4]:
-        criterion()
+    for number in (1, 2, 3, 4):
+        run_criterion(number)
     got = {number: hashlib.sha256(repr(triples).encode()).hexdigest()[:8]
-           for number, triples in judged.items()}
+           for number, triples in enumerate(judged, 1)}
     assert got == EXACT_REPORTS_SHA256
 
 
@@ -80,10 +104,10 @@ def test_margin_criteria_use_the_oracle_tolerance(monkeypatch):
             for name, value in patch.items():
                 mp.setattr(module, name, value)
             for number in numbers:
-                result = ALL_CRITERIA[number - 1]()
+                result = run_criterion(number)
                 assert not result.passed, (patch, number, result.detail)
     # the controls leave the rules as they were
-    assert ALL_CRITERIA[0]().passed
+    assert run_criterion(1).passed
 
 
 def test_worst_margins_name_their_instance():
@@ -91,16 +115,15 @@ def test_worst_margins_name_their_instance():
     takes it over the checks with c > 0, counting those with c = 0 apart.
     Criterion 8 names the case of its largest relative error, which is below
     1e-14 on its 48 cases."""
-    assert re.search(r"\(seed\d_beta[\d.]+_\w+\)$",
-                     acceptance.criterion_main_proposition().detail)
-    assert re.search(r"\(n\d_\w+\)$", acceptance.criterion_martingale_suite().detail)
-    detail = acceptance.criterion_log_partition_differences().detail
+    assert re.search(r"\(seed\d_beta[\d.]+_\w+\)$", run_criterion(2).detail)
+    assert re.search(r"\(n\d_\w+\)$", run_criterion(3).detail)
+    detail = run_criterion(4).detail
     assert detail.startswith("40 checks, 0 failures, worst margin ")
     assert "worst margin 0.000e+00" not in detail
     assert "(seed" in detail and detail.endswith(" over the 30 with c > 0; 10 with c = 0")
     assert re.fullmatch(r"48 checks, 0 failures, worst relative error \d\.\de-(1[5-9]|[2-9]\d) "
                         r"\(d\d_lam[\d.]+_ratio[\d.]+\)",
-                        acceptance.criterion_gaussian_identity().detail)
+                        run_criterion(8).detail)
 
 
 
@@ -138,7 +161,7 @@ def _bounds_functions() -> dict:
 def _run_path(path: str) -> None:
     kind, _, name = path.partition(" ")
     if kind == "criterion":
-        assert ALL_CRITERIA[int(name) - 1]().passed
+        assert run_criterion(int(name)).passed
     elif kind == "compare":
         vf.tightness_report()
     elif vf.SCENARIO_METHODS[name].variant == "gibbs":

@@ -53,9 +53,19 @@ REFUSALS = {
     "infinite_prior_weight": (ValueError, "prior weights must be nonnegative and finite",
                               lambda: PriorWeights(np.array([1.0, math.inf]))),
     "negative_beta": (ValueError, "beta must be nonnegative", lambda: ham.Gibbs(beta=-1.0)),
+    "nan_beta": (ValueError, "beta must be nonnegative and finite",
+                 lambda: ham.Gibbs(beta=math.nan)),
+    "infinite_beta": (ValueError, "beta must be nonnegative and finite",
+                      lambda: ham.Gibbs(beta=math.inf)),
     "zero_sigma": (ValueError, "sigma must be positive",
                    lambda: ham.GaussianKernel(sigma=0.0,
                                               algorithm=ham.constant_algorithm([0.0]))),
+    "nan_sigma": (ValueError, "sigma must be positive and finite",
+                  lambda: ham.GaussianKernel(sigma=math.nan,
+                                             algorithm=ham.constant_algorithm([0.0]))),
+    "infinite_sigma": (ValueError, "sigma must be positive and finite",
+                       lambda: ham.GaussianKernel(sigma=math.inf,
+                                                  algorithm=ham.constant_algorithm([0.0]))),
     "unknown_coefficient_mode": (ValueError, "unknown mode 'sampled'",
                                  lambda: ham.bounded_difference_coefficient(
                                      ham.Gibbs(beta=1.0), space2(), table([[0.1, 0.2]]), 2,
@@ -76,6 +86,24 @@ REFUSALS = {
                            lambda: bd.baselines(math.nan, 10, 0.05)),
     "baselines_infinite_beta": (bd.DomainError, "need beta >= 0 and n >= 1",
                                 lambda: bd.baselines(math.inf, 10, 0.05)),
+    # squares past the float range or rounding to 0, refused by the condition
+    # they fail rather than by an OverflowError or a ZeroDivisionError
+    "stability_c_A_squares_past_max": (bd.StabilityPreconditionError,
+                                       r"12 \* 10 \* 1e\+300\^2 = inf > 1.0",
+                                       lambda: bd.check_stability(1e300, 1.0, 10)),
+    "gaussian_sigma_squares_past_max": (
+        bd.DomainError, r"sigma\^2 = inf at sigma = 1e\+200 is not a normal float",
+        lambda: bd.bound_gaussian_randomization(0.1, 1e200, 100, 0.05, "gap_joint", 0.0)),
+    "gaussian_sigma_squares_to_zero": (
+        bd.DomainError, r"sigma\^2 = 0.0 at sigma = 1e-200 is not a normal float",
+        lambda: bd.bound_gaussian_randomization(0.1, 1e-200, 100, 0.05, "gap_joint", 0.0)),
+    "bernstein_c_squares_past_max": (bd.DomainError, "certificate value must be finite",
+                                     lambda: bd.bound_bernstein(0.1, 1.0, 1e200, 10, 0.05)),
+    "empirical_bernstein_c_squares_past_max": (
+        bd.DomainError, "certificate value must be finite",
+        lambda: bd.bound_empirical_bernstein(0.1, 1.0, 1e200, 10, 0.05)),
+    "mgf_bound_c_squares_past_max": (
+        bd.DomainError, "overflows", lambda: bd.bound_mgf_bounded_differences(1.0, 1e200, 10, 1.0)),
 }
 
 

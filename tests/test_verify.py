@@ -307,7 +307,7 @@ class TestSelfBoundingAndPhi:
         space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.4, 0.6]))
         algo = mean_embedding_algorithm(np.array([[0.0, 0.0], [1.0, 0.25]]), n=4)
         reports = check_self_bounding(space, n=4, algorithm=algo)
-        assert len(reports) == 4
+        assert len(reports) == 5
         assert all(r.passed for r in reports)
 
     def test_zero_probability_point(self):
