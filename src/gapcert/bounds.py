@@ -71,14 +71,15 @@ class Certificate:
         if np.ndim(self.value) == 0:
             object.__setattr__(self, "value", float(self.value))
 
+    def input_pairs(self) -> list[str]:
+        """The key=value text of each input, sorted by key."""
+        return [f"{k}={self.inputs[k]!r}" for k in sorted(self.inputs)]
+
     def serialize(self) -> str:
         """One line: method, value, delta, scope, then key=value input pairs."""
-        parts = [self.method, repr(self.value), repr(self.delta), self.scope]
-        for k in sorted(self.inputs):
-            parts.append(f"{k}={self.inputs[k]!r}")
-        if self.notes:
-            parts.append(f"notes={self.notes!r}")
-        return " ".join(parts)
+        notes = [f"notes={self.notes!r}"] if self.notes else []
+        return " ".join([self.method, repr(self.value), repr(self.delta), self.scope,
+                         *self.input_pairs(), *notes])
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +438,9 @@ def baselines(beta: float, n: int, delta: float) -> BaselineSet:
         raise DomainError(f"need beta >= 0 and n >= 1 with beta finite, got {beta}, {n}")
     _check_delta(delta)
     gibbs = 4.0 * beta / n + (2.0 + math.log((1.0 + math.sqrt(math.e)) / delta)) / math.sqrt(n)
-    kl_gibbs = (2.0 * beta**2 / n**2
+    kl_gibbs = (2.0 * _square(beta) / n**2
                 + math.sqrt(2.0 * math.log(3.0)) * beta / n**1.5
                 + math.log(4.0 * math.sqrt(n) / delta) / n)
+    if kl_gibbs == math.inf:
+        raise DomainError(f"the kl baseline at beta={beta}, n={n} overflows")
     return BaselineSet(rivasplata_gibbs=gibbs, rivasplata_kl_gibbs=kl_gibbs)

@@ -66,16 +66,10 @@ def _write_outputs(out_dir: Path, stem: str, rows: list[dict], summary: str) -> 
         os.close(devnull)
 
 
-def _row(cfg_id: str, phase: str, method: str, value, delta="", violations="",
-         trials="", cp_upper="", baseline="", inputs="") -> dict:
-    return {"scenario_id": cfg_id, "phase": phase, "method": method,
-            "value": repr(value) if isinstance(value, float) else value,
-            "delta": delta, "violations": violations, "trials": trials,
-            "cp_upper": cp_upper, "baseline": baseline, "inputs": inputs}
-
-
-def _cert_inputs_str(cert: bd.Certificate) -> str:
-    return ";".join(f"{k}={cert.inputs[k]!r}" for k in sorted(cert.inputs))
+def _row(cfg_id: str, phase: str, method: str, value, **columns) -> dict:
+    """A CSV row; a column of CSV_COLUMNS not given is written empty."""
+    return dict(columns, scenario_id=cfg_id, phase=phase, method=method,
+                value=repr(value) if isinstance(value, float) else value)
 
 
 def _scenario_run(config: ScenarioConfig) -> vf.GibbsRun | vf.GaussianRun:
@@ -101,7 +95,7 @@ def cmd_certify(config: ScenarioConfig, out_dir: Path) -> int:
             return EXIT_INVARIANT
         lines.append(cert.serialize())
         rows.append(_row(config.scenario_id, "certify", cert.method, cert.value,
-                         delta=repr(cert.delta), inputs=_cert_inputs_str(cert)))
+                         delta=repr(cert.delta), inputs=";".join(cert.input_pairs())))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{config.scenario_id}_certificates.txt").write_text(
         "\n".join(lines) + ("\n" if lines else ""))
@@ -367,10 +361,10 @@ def main(argv=None) -> int:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
-        # numpy's, for a run's arrays: a trial's, (trials, n) for one, and past
-        # d = 3 the kl rule's posterior_draws x d normals
+        # numpy's, for a run's arrays: a trial's, (trials, n) for one, and
+        # where the kl rule draws, its posterior_draws x d normals
         sizes = "n, posterior_draws" if (config and config.posterior_draws
-                                         and config.spec.algorithm.dim_d > 3) else "n"
+                                         and vf.kl_draws(config.spec.algorithm.dim_d)) else "n"
         print(f"config error: {sizes}: the scenario is too large to run: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG

@@ -14,14 +14,13 @@ an error (no silent ignoring); validation reports every problem at once.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import StabilityPreconditionError, _square, check_stability
+from .bounds import DomainError, StabilityPreconditionError, _square, check_stability
 from .hamiltonian import GaussianKernel, Gibbs, HamiltonianSpec, builtin_algorithm
 from .model import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -31,7 +30,7 @@ from .model import (
     PriorWeights,
     load_loss_table,
 )
-from .verify import SCENARIO_METHODS
+from .verify import SCENARIO_METHODS, kl_draws
 
 
 class ConfigError(ValueError):
@@ -74,15 +73,6 @@ def _one_of(*choices: str):
     return choice
 
 
-def _kernel_sigma(text: str) -> float:
-    """A sigma > 0 whose square, which the Gaussian-kernel bounds divide by,
-    is a normal float: neither 0 nor past the float range."""
-    sigma = number_in(float, 0.0, strict=True)(text)
-    if not sys.float_info.min <= _square(sigma) < math.inf:
-        raise ValueError(f"{text!r} squares to 0, to a subnormal or past the largest float")
-    return sigma
-
-
 def _file_stem(text: str) -> str:
     """A scenario_id, which names the output files."""
     if not text or "/" in text or "\\" in text:
@@ -117,7 +107,8 @@ _KEYS = {
     "instance.dim": Key("2", number_in(int, 1), (GAUSSIAN,)),
     "hamiltonian.variant": Key("gibbs", _one_of("gibbs", "gaussian_kernel")),
     "hamiltonian.beta": Key("5.0", number_in(float, 0.0), GIBBS),
-    "hamiltonian.sigma": Key("0.5", _kernel_sigma, (GAUSSIAN,)),
+    # its square, which the bounds divide by, is checked as the instance is built
+    "hamiltonian.sigma": Key("0.5", number_in(float, 0.0, strict=True), (GAUSSIAN,)),
     # a name hamiltonian.builtin_algorithm knows, checked as the instance is built
     "hamiltonian.algorithm": Key("mean_embedding", str, (GAUSSIAN,)),
     # required; a trial's n + 1 uniforms must lie within numpy's index range
@@ -128,11 +119,11 @@ _KEYS = {
     "trials": Key("1000", number_in(int, 1)),
     "master_seed": Key("0", number_in(int, 0, 2**64 - 1)),
     "enumeration_budget": Key(str(DEFAULT_ENUMERATION_BUDGET), number_in(int, 1), GIBBS),
-    # read only where instance.dim > 3, where the posterior-expected kl is a
-    # mean over this many normals drawn once per run, whose posterior_draws x d
-    # floats must lie within numpy's index range in bytes, as n's do; at
-    # d <= 3 it is a Gauss-Hermite rule with no draws, and the key is
-    # accepted and not read
+    # read only where verify.kl_draws(instance.dim), where the posterior-expected
+    # kl is a mean over this many normals drawn once per run, whose
+    # posterior_draws x d floats must lie within numpy's index range in bytes,
+    # as n's do; elsewhere it is a Gauss-Hermite rule with no draws, and the
+    # key is accepted and not read
     "posterior_draws": Key("10000", number_in(int, 1), (GAUSSIAN,)),
     "verify.exact": Key("auto", _one_of("auto", "require"), GIBBS),
 }
@@ -195,9 +186,12 @@ def random_gibbs_instance(seed: int, num_points: int, num_hypotheses: int):
 def gaussian_kernel_instance(seed: int, num_points: int, dim: int, n: int, sigma: float,
                              algorithm: str):
     """(space, loss, spec) of a Gaussian-kernel scenario: a random space,
-    the built-in stable algorithm of that name and a cosine loss, drawn in
-    that order from one Philox keyed on the seed. Raises KeyError for an
-    unknown algorithm, StabilityPreconditionError if sigma is too small and
+    the built-in stable algorithm of that name and a cosine loss. The space
+    and then the loss's features are drawn from one Philox keyed on the seed;
+    the algorithm draws its own from a second Philox on the same key
+    (hamiltonian.builtin_algorithm), so the mean embedding's features reuse
+    the words of the space's Dirichlet draw. Raises KeyError for an unknown
+    algorithm, StabilityPreconditionError if sigma is too small and
     DomainError if its square is not a normal float."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     space = _random_space(rng, num_points)
@@ -227,7 +221,7 @@ def _instance(kind: str, v: dict):
             "hamiltonian.algorithm")))
     except KeyError as exc:
         raise ConfigError([f"hamiltonian.algorithm: {exc.args[0]}"]) from None
-    except StabilityPreconditionError as exc:
+    except (StabilityPreconditionError, DomainError) as exc:
         raise ConfigError([f"hamiltonian.sigma: {exc}"]) from None
     return space, loss, None, spec
 
@@ -254,7 +248,7 @@ def parse_config(path) -> ScenarioConfig:
             except (OSError, ValueError) as exc:  # OSError: an unreadable instance.file
                 errors.append(f"{key}: {exc}")
     dim, draws = values["instance.dim"], values["posterior_draws"]
-    if dim and draws and dim > 3 and 8 * draws * dim > np.iinfo(np.intp).max:
+    if dim and draws and kl_draws(dim) and 8 * draws * dim > np.iinfo(np.intp).max:
         errors.append(f"posterior_draws: {draws} normals of dimension {dim} pass numpy's "
                       f"index range in bytes")
 

@@ -256,27 +256,30 @@ def product_rows(space: FiniteDataSpace, n: int, budget: int = DEFAULT_ENUMERATI
 
 def enumerate_indices(space: FiniteDataSpace, n: int,
                       budget: int = DEFAULT_ENUMERATION_BUDGET,
-                      hypotheses: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of product_rows that hold no zero-probability point, (S, n),
-    with their mu^n weight vector (S,)."""
-    idx = product_rows(space, n, budget, hypotheses)
+                      hypotheses: int = 1) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
+    """The support of mu^n from one enumeration: the grid product_rows,
+    (|X|^n, n), which of its rows hold no zero-probability point (a boolean
+    mask, or slice(None) for all of them), and the mu^n weights (S,) of
+    those S rows. grid[keep] are the rows, and table[keep] the values of a
+    table with one entry per row of the grid."""
+    grid = product_rows(space, n, budget, hypotheses)
     support = space.probs > 0
-    if not support.all():
-        idx = idx[support[idx].all(axis=1)]
+    keep = slice(None) if support.all() else support[grid].all(axis=1)
+    idx = grid[keep]
     log_probs = np.log(np.where(support, space.probs, 1.0))
     # left-to-right sums and math.exp keep every weight bit-identical to the
     # per-sample definition exp(sum_k ln mu(x_k))
     log_w = log_probs[idx[:, 0]]
     for k in range(1, n):
         log_w = log_w + log_probs[idx[:, k]]
-    return idx, math_map(math.exp, log_w)
+    return grid, keep, math_map(math.exp, log_w)
 
 
 def enumerate_samples(space: FiniteDataSpace, n: int,
                       budget: int = DEFAULT_ENUMERATION_BUDGET) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield every row of enumerate_indices with its weight."""
-    idx, w = enumerate_indices(space, n, budget)
-    yield from zip(idx, w.tolist())
+    """Yield every kept row of enumerate_indices with its weight."""
+    grid, keep, w = enumerate_indices(space, n, budget)
+    yield from zip(grid[keep], w.tolist())
 
 
 def fibres(space: FiniteDataSpace, n: int, values: np.ndarray) -> Iterator[np.ndarray]:

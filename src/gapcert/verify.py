@@ -129,7 +129,8 @@ def _enumerate_posteriors(spec: HamiltonianSpec, space: FiniteDataSpace, loss: F
                           prior: PriorWeights, n: int, budget: int):
     """Sample rows (S, n), their mu^n weights (S,), H over (m, S), the
     posterior Q_x per row (S, m) and ln Z per row (S,)."""
-    idx, w = enumerate_indices(space, n, budget, loss.num_hypotheses)
+    grid, keep, w = enumerate_indices(space, n, budget, loss.num_hypotheses)
+    idx = grid[keep]
     return (idx, w) + gibbs_table(spec, idx, loss, prior)
 
 
@@ -169,9 +170,14 @@ def bernstein_f_factory(space: FiniteDataSpace, loss: FiniteTable, n: int, c: fl
     lam(h) = sqrt(n c^2 + ln(1/delta)) /
              ((b/n) sqrt(n c^2 + ln(1/delta)) + sqrt(v(h)/n))
     F(h, x) = lam(h) gap(h, x) - lam(h)^2 / (1 - b lam(h)/n) * v(h)/n
+
+    Raises DomainError where n c^2 + ln(1/delta) is not finite.
     """
     b = loss.bound_b
-    root = math.sqrt(n * c**2 + math.log(1.0 / delta))
+    t = n * bd._square(c) + math.log(1.0 / delta)
+    if not math.isfinite(t):
+        raise bd.DomainError(f"n c^2 + ln(1/delta) = {t} at c={c}, n={n} is not finite")
+    root = math.sqrt(t)
 
     def F(h: int, rows: np.ndarray) -> np.ndarray:
         v = loss_variance(h, space, loss)
@@ -204,8 +210,8 @@ def check_bernstein_unit_mgf(space: FiniteDataSpace, loss: FiniteTable, n: int, 
                              delta: float,
                              budget: int = DEFAULT_ENUMERATION_BUDGET) -> list[MomentCheckReport]:
     """E[e^{2 F_lam(h, X)}] <= 1 for every hypothesis, by enumeration."""
-    idx, w = enumerate_indices(space, n, budget, loss.num_hypotheses)
-    F = row_table(bernstein_f_factory(space, loss, n, c, delta), loss.num_hypotheses, idx)
+    grid, keep, w = enumerate_indices(space, n, budget, loss.num_hypotheses)
+    F = row_table(bernstein_f_factory(space, loss, n, c, delta), loss.num_hypotheses, grid[keep])
     lhs = logsumexp(2.0 * F, b=w)  # log E e^{2F}
     return [MomentCheckReport(name=f"bernstein_unit_mgf_h{h}", lhs=float(v), rhs=0.0,
                               regime="exact_enumeration") for h, v in enumerate(lhs)]
@@ -218,8 +224,8 @@ def check_bernstein_unit_mgf(space: FiniteDataSpace, loss: FiniteTable, n: int, 
 # product_rows, so every one-coordinate quantity below is a reduction along
 # the last axis of model.fibres.
 
-def _exact_centered_mgf(table: np.ndarray, flat: np.ndarray, w: np.ndarray) -> float:
-    vals = table[flat]
+def _exact_centered_mgf(vals: np.ndarray, w: np.ndarray) -> float:
+    """ln E e^{f - E f} from f's values on the kept rows and their weights."""
     mean = float(w @ vals)
     return float(logsumexp(vals - mean, b=w))
 
@@ -238,8 +244,7 @@ def check_martingale_mgf(space: FiniteDataSpace, n: int, case: str, num_trials: 
     if case not in ("i", "ii", "iii"):
         raise ValueError(f"unknown case {case!r}")
     reports = []
-    idx, w = enumerate_indices(space, n, budget)
-    flat = np.ravel_multi_index(idx.T, (space.size,) * n)
+    _, keep, w = enumerate_indices(space, n, budget)
     for t, rng in enumerate(trial_streams(seed, 0, num_trials)):
         table = rng.uniform(-1.0, 1.0, size=space.size**n)
         # a target scale is drawn after the table, even when its raw scale is 0
@@ -263,7 +268,7 @@ def check_martingale_mgf(space: FiniteDataSpace, n: int, case: str, num_trials: 
             vks = _coordinate_variances(space, n, table)
             rhs, details = sum(vks) / (2.0 - b), {"b": b, "v_k": vks}
         reports.append(MomentCheckReport(name=f"martingale_{case}_{t}",
-                                         lhs=_exact_centered_mgf(table, flat, w), rhs=rhs,
+                                         lhs=_exact_centered_mgf(table[keep], w), rhs=rhs,
                                          regime="exact_enumeration", details=details))
     return reports
 
@@ -386,20 +391,17 @@ def check_self_bounding(space: FiniteDataSpace, n: int, algorithm: StableAlgorit
     enumerated instance before asserting the MGF inequality at lambda = 0.05,
     0.1, 0.25, 0.5 and 0.9 times 2/a.
     """
-    support = space.probs > 0
-    rows = product_rows(space, n, budget)
-    in_support = support[rows].all(axis=1)
-    outs = algorithm(rows)
-    _, wts = enumerate_indices(space, n, budget)
-    mean_out = wts @ outs[in_support]
+    grid, keep, wts = enumerate_indices(space, n, budget)
+    outs = algorithm(grid)
+    mean_out = wts @ outs[keep]
     f_all = np.einsum("ij,ij->i", outs - mean_out, outs - mean_out)
-    f_vals = f_all[in_support]
+    f_vals = f_all[keep]
     c_A = output_sensitivity(algorithm, space, n, outs)
     a = 4.0 * n * c_A**2
     # guard: D^2 f <= a f on every enumerated sample, with the infimum of f
     # over each coordinate set to every point of X; each term is laid out over
     # the support grid, whose C order is that of f_vals
-    terms = [np.moveaxis((g[..., support] - g.min(-1, keepdims=True)) ** 2, -1, k)
+    terms = [np.moveaxis((g[..., space.probs > 0] - g.min(-1, keepdims=True)) ** 2, -1, k)
              for k, g in enumerate(fibres(space, n, f_all))]
     d2 = np.stack(terms, axis=-1).sum(axis=-1).ravel()
     worst = int(np.argmax(d2 - a * f_vals))
@@ -540,7 +542,6 @@ class MethodStats:
 @dataclass(frozen=True)
 class TrialReport:
     trials: int
-    seed: int
     mean_gap: float
     per_method: dict  # method tag -> MethodStats
 
@@ -645,33 +646,31 @@ class GaussianRun:
         self.kl_step = max(1, KL_SLAB // space.size)  # points per kl step, whatever the block
 
     @cached_property
-    def rule(self) -> tuple[np.ndarray, np.ndarray]:
+    def rule(self) -> tuple[np.ndarray, np.ndarray]:  # (nodes, weights)
         return kl_rule(self.algorithm.dim_d, self.posterior_draws)
-
-    kl_nodes = property(lambda self: self.rule[0])
-    kl_weights = property(lambda self: self.rule[1])
 
     @cached_property
     def kl_block(self) -> int:  # trials per kl block
-        return max(1, KL_SLAB // (self.space.size * len(self.kl_nodes)))
+        return max(1, KL_SLAB // (self.space.size * len(self.rule[0])))
 
     @cached_property
     def kl_sums(self) -> list | None:
         """The steps' weighted sums, kept for the run where their node tables fit."""
-        fit = 2 * self.space.size * len(self.kl_nodes) <= 4 * KL_SLAB
+        fit = 2 * self.space.size * len(self.rule[0]) <= 4 * KL_SLAB
         return list(self.step_sums()) if fit else None
 
     def step_sums(self):
-        """The loss's weighted sums around the offsets sigma kl_nodes of each
-        step of kl_step nodes, built a step at a time."""
-        for lo in range(0, len(self.kl_nodes), self.kl_step):
-            yield self.loss.weighted_sums(self.sigma * self.kl_nodes[lo:lo + self.kl_step])
+        """The loss's weighted sums around the offsets sigma z of the rule's
+        nodes z, a step of kl_step nodes at a time."""
+        nodes, _ = self.rule
+        for lo in range(0, len(nodes), self.kl_step):
+            yield self.loss.weighted_sums(self.sigma * nodes[lo:lo + self.kl_step])
 
     def expected_kl(self, freq: np.ndarray, angles: np.ndarray) -> np.ndarray:
         """Per trial t, the rule's weighted sum of kl(L_hat, L) over the
-        points c_t + sigma kl_nodes around its posterior mean c_t, given by
-        its row of the loss's angle table, angles, and scored kl_step points
-        at a time.
+        points c_t + sigma z, z the rule's nodes, around its posterior mean
+        c_t, given by its row of the loss's angle table, angles, and scored
+        kl_step points at a time.
         Each point's L and L_hat depend on that point and trial only, and its
         kl is elementwise, so no value depends on the step or the block. The
         kl values land in one (trials, points) array, reduced once per trial
@@ -682,13 +681,14 @@ class GaussianRun:
         of 0 or 1 beside an L_hat a rounding off it would make kl infinite,
         where the exact kl is finite: L is 0 or 1 only where every point of
         mu's support has loss 0 or 1, and then so is L_hat."""
-        kl, step = np.empty((len(angles), len(self.kl_nodes))), self.kl_step
-        for lo, sums in zip(range(0, len(self.kl_nodes), step), self.kl_sums or self.step_sums()):
+        (nodes, weights), step = self.rule, self.kl_step
+        kl = np.empty((len(angles), len(nodes)))
+        for lo, sums in zip(range(0, len(nodes), step), self.kl_sums or self.step_sums()):
             L, L_hat = sums(angles, self.space.probs, freq)
             np.clip(L, np.finfo(float).tiny, np.nextafter(1.0, 0.0), out=L)
             kl[:, lo:lo + step] = kl_bernoulli_vec(np.clip(L_hat, 0.0, 1.0, out=L_hat), L)
         # vecdot, not a matrix-vector product, whose rows round by their batch
-        return np.vecdot(kl, self.kl_weights)
+        return np.vecdot(kl, weights)
 
     def trials(self, master_seed: int, start: int, stop: int, posterior_kl: bool) -> Draw:
         """The draws of trials start..stop-1. Each trial's stream fills its
@@ -720,14 +720,21 @@ class GaussianRun:
         return Draw(idx, h, np.vecdot(pl, freq), L, v, center=center, kl=kl)
 
 
+def kl_draws(d: int) -> bool:
+    """Whether a run in dimension d takes its posterior-expected kl over
+    posterior_draws normal draws, past d = 3, where the tensor rule outgrows
+    the draws (23,936 nodes at d = 4); the one test of that cut."""
+    return d > 3
+
+
 @cache
 def _tensor_kl_rule(d: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """At d <= 3, the nodes of the 20-node tensor rule whose product weight
-    is at least KL_NODE_FLOOR of the total, and their weights normalized,
-    read-only; None beyond, where that rule outgrows the draws (23,936 nodes
-    at d = 4). It depends on d and the module's constants only, so a process
-    builds it once per d, for every run and for kl_estimator."""
-    if d > 3:
+    """Unless kl_draws(d), the nodes of the 20-node tensor rule whose product
+    weight is at least KL_NODE_FLOOR of the total, and their weights
+    normalized, read-only; else None. It depends on d and the module's
+    constants only, so a process builds it once per d, for every run and for
+    kl_estimator."""
+    if kl_draws(d):
         return None
     nodes, mass = tensor_rule(KL_NODES, KL_WEIGHTS, d)
     keep = mass >= KL_NODE_FLOOR * mass.sum()
@@ -870,8 +877,7 @@ def _violation_rates(run: GibbsRun | GaussianRun, methods: Sequence[str], trials
             counts[m] += int(np.count_nonzero(target > value))
     per_method = {m: MethodStats(m, counts[m], trials, bound_sums[m] / trials,
                                  slack_sums[m] / trials) for m in methods}
-    return TrialReport(trials=trials, seed=master_seed, mean_gap=gap_sum / trials,
-                       per_method=per_method)
+    return TrialReport(trials=trials, mean_gap=gap_sum / trials, per_method=per_method)
 
 
 def violation_rate_gibbs(space: FiniteDataSpace, loss: FiniteTable, prior: PriorWeights,
@@ -930,7 +936,6 @@ class TightnessRow:
     delta: float
     eq_simple: float
     baseline_gibbs: float
-    ratio: float
     improvement_holds: bool
     kl_chain: dict = field(default_factory=dict)
 
@@ -964,7 +969,6 @@ def tightness_report(ns: Sequence[int] = (100, 1000, 10_000),
                 rows.append(TightnessRow(
                     n=n, beta=beta, delta=delta, eq_simple=eq2,
                     baseline_gibbs=base.rivasplata_gibbs,
-                    ratio=eq2 / base.rivasplata_gibbs,
                     improvement_holds=eq2 < base.rivasplata_gibbs,
                     kl_chain=kl_chain))
     return rows

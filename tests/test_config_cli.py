@@ -125,6 +125,9 @@ UNSQUARABLE_SCENARIOS = {
     "sigma_squares_to_zero": (
         "hamiltonian.sigma", GAUSSIAN_SMALL.replace("sigma = 0.5", "sigma = 1e-200")
         + "hamiltonian.algorithm = constant\n"),
+    "sigma_squares_to_subnormal": (
+        "hamiltonian.sigma", GAUSSIAN_SMALL.replace("sigma = 0.5", "sigma = 1e-160")
+        + "hamiltonian.algorithm = constant\n"),
     "beta_coefficient_squares_past_max": (
         "hamiltonian.beta", GIBBS_SMALL.replace("n = 4", "n = 1")
         .replace("beta = 5.0", "beta = 1e200")

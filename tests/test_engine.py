@@ -214,9 +214,10 @@ class TestEnumerateIndices:
     @pytest.mark.parametrize("probs", [[0.2, 0.5, 0.3], [0.4, 0.0, 0.6]])
     def test_matches_itertools_product_and_math_exp(self, probs):
         space = FiniteDataSpace(points=("a", "b", "c"), probs=np.array(probs))
-        idx, w = enumerate_indices(space, 4)
+        grid, keep, w = enumerate_indices(space, 4)
         ref = ref_enumeration(space, 4)
-        assert idx.tolist() == [s.tolist() for s, _ in ref]
+        assert grid.tolist() == [list(c) for c in itertools.product(range(3), repeat=4)]
+        assert grid[keep].tolist() == [s.tolist() for s, _ in ref]
         assert w.tolist() == [p for _, p in ref]
 
 
@@ -295,8 +296,7 @@ class TestOraclesMatchLoops:
                                          ([0.3, 0.3, 0.4], 2)])
     def test_martingale_helpers(self, probs, n):
         space = FiniteDataSpace(points=tuple(range(len(probs))), probs=np.array(probs))
-        idx, w = enumerate_indices(space, n)
-        flat = np.ravel_multi_index(idx.T, (space.size,) * n)
+        _, keep, w = enumerate_indices(space, n)
         for t in range(3):
             table = vf.substream(11, t).uniform(-1.0, 1.0, size=space.size**n)
             c, b, vks, r2 = ref_martingale_constants(space, n, table)
@@ -304,7 +304,7 @@ class TestOraclesMatchLoops:
             assert vf._max_one_sided_excess(space, n, table) == pytest.approx(b, abs=1e-12)
             assert vf._coordinate_variances(space, n, table) == pytest.approx(vks, abs=1e-12)
             assert vf._subgaussian_step_constant(space, n, table) == pytest.approx(r2, abs=1e-12)
-            assert vf._exact_centered_mgf(table, flat, w) == pytest.approx(
+            assert vf._exact_centered_mgf(table[keep], w) == pytest.approx(
                 ref_centered_mgf(space, n, table), abs=1e-12)
 
 

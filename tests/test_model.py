@@ -11,6 +11,7 @@ from pathlib import Path
 
 from gapcert import bounds as bd
 from gapcert import hamiltonian as ham
+from gapcert.config import random_gibbs_instance
 from gapcert.model import (
     BudgetExceeded,
     CosineLoss,
@@ -27,7 +28,7 @@ from gapcert.model import (
     product_rows,
     true_loss,
 )
-from gapcert.verify import GibbsRun
+from gapcert.verify import GibbsRun, bernstein_f_factory
 
 
 def space2(p=0.5):
@@ -102,6 +103,11 @@ REFUSALS = {
     "empirical_bernstein_c_squares_past_max": (
         bd.DomainError, "certificate value must be finite",
         lambda: bd.bound_empirical_bernstein(0.1, 1.0, 1e200, 10, 0.05)),
+    "baselines_beta_squares_past_max": (bd.DomainError, "overflows",
+                                        lambda: bd.baselines(1e200, 10, 0.05)),
+    "bernstein_f_c_squares_past_max": (
+        bd.DomainError, r"n c\^2 \+ ln\(1/delta\) = inf",
+        lambda: bernstein_f_factory(*random_gibbs_instance(0, 3, 4), 3, 1e200, 0.05)),
     "mgf_bound_c_squares_past_max": (
         bd.DomainError, "overflows", lambda: bd.bound_mgf_bounded_differences(1.0, 1e200, 10, 1.0)),
 }

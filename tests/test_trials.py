@@ -141,8 +141,7 @@ def ref_violation_rates(run, methods, trials, master_seed, features=None):
                 counts[m] += 1
     per_method = {m: vf.MethodStats(m, counts[m], trials, bound_sums[m] / trials,
                                     slack_sums[m] / trials) for m in methods}
-    return vf.TrialReport(trials=trials, seed=master_seed, mean_gap=gap_sum / trials,
-                          per_method=per_method)
+    return vf.TrialReport(trials=trials, mean_gap=gap_sum / trials, per_method=per_method)
 
 
 def row(draws, t):
@@ -448,7 +447,8 @@ class TestGaussianRuns:
         for d in (1, 2, 3, 4):
             run, _ = gaussian_case(33, n=n, draws=draws, num_points=8, d=d)
             points, block = RULE_POINTS.get(d, draws), run.kl_block
-            assert len(run.kl_nodes) == len(run.kl_weights) == points
+            nodes, weights = run.rule
+            assert len(nodes) == len(weights) == points
             assert block == max(1, vf.KL_SLAB // (8 * points))
             shapes.clear()
             run.expected_kl(np.full((block, 8), 0.125), run.loss.angles(np.zeros((block, d))))
@@ -472,7 +472,7 @@ class TestGaussianRuns:
         def kl(points):
             run = vf.GaussianRun(space, loss, spec.algorithm, spec.sigma, 100, 0.05,
                                  posterior_draws=1)
-            assert len(run.kl_nodes) == points
+            assert len(run.rule[0]) == points
             return run.trials(master_seed, 0, trials, posterior_kl=True).kl
 
         rule = kl(RULE_POINTS[2])
@@ -548,7 +548,7 @@ class TestGaussianRuns:
         def kl(master_seed):
             run = vf.GaussianRun(space, loss, spec.algorithm, spec.sigma, 100, 0.05,
                                  posterior_draws=10_000)
-            return len(run.kl_nodes), run.trials(master_seed, 0, 40, posterior_kl=True).kl
+            return len(run.rule[0]), run.trials(master_seed, 0, 40, posterior_kl=True).kl
 
         for master_seed in (0, 1, 7):
             points, fixed = kl(master_seed)
@@ -576,9 +576,10 @@ class TestGaussianRuns:
         vf._tensor_kl_rule.cache_clear()
         for d in (1, 2, 3):
             first, second = (gaussian_case(seed, d=d)[0] for seed in (60, 61))
-            assert first.kl_nodes is second.kl_nodes and first.kl_weights is second.kl_weights
+            (nodes, weights), (nodes2, weights2) = first.rule, second.rule
+            assert nodes is nodes2 and weights is weights2
             assert vf.kl_estimator(d, 10_000) == f"Gauss-Hermite, {RULE_POINTS[d]} nodes"
-            assert vf.kl_rule(d, 1)[0] is first.kl_nodes
+            assert vf.kl_rule(d, 1)[0] is nodes
         assert built == [1, 2, 3]
 
     def test_rule_is_hermegauss(self):
@@ -635,14 +636,14 @@ class TestGaussianRuns:
         run, features = gaussian_case(38, draws=300, num_points=num_points, d=d)
         draws = run.trials(5, 0, 40, posterior_kl=True)
         cos = np.frompyfunc(math.cos, 1, 1)
-        want = []
+        want, (nodes, weights) = [], run.rule
         for idx, center in zip(draws.idx, draws.center):
             freq = np.bincount(idx, minlength=num_points) / run.n
-            pl = 0.5 * (1.0 + cos((center + run.sigma * run.kl_nodes) @ features.T).astype(float))
+            pl = 0.5 * (1.0 + cos((center + run.sigma * nodes) @ features.T).astype(float))
             kl = vf.kl_bernoulli_vec(np.clip(pl @ freq, 0.0, 1.0),
                                      np.clip(pl @ run.space.probs, np.finfo(float).tiny,
                                              np.nextafter(1.0, 0.0)))
-            want.append(kl @ run.kl_weights)
+            want.append(kl @ weights)
         assert np.all(np.array(want) > 0) and np.abs(draws.kl - want).max() <= 1e-15
 
     @pytest.mark.parametrize("center", [math.pi, 0.0])
@@ -658,7 +659,7 @@ class TestGaussianRuns:
         run = vf.GaussianRun(space, CosineLoss(features),
                              constant_algorithm([center]), 1e-9, 10, 0.05, posterior_draws=1)
         draws = run.trials(1, 0, 200, posterior_kl=True)
-        L, L_hat = run.loss.weighted_sums(run.sigma * run.kl_nodes)(
+        L, L_hat = run.loss.weighted_sums(run.sigma * run.rule[0])(
             run.loss.angles(draws.center), space.probs,
             np.array([np.bincount(i, minlength=4) / 10 for i in draws.idx]))
         edge = 0.0 if center else 1.0

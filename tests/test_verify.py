@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gapcert import hamiltonian as ham
+from gapcert import model
 from gapcert import verify as vf
 from gapcert.config import random_gibbs_instance
 from gapcert.hamiltonian import Gibbs, constant_algorithm, mean_embedding_algorithm
@@ -332,6 +333,23 @@ class TestSelfBoundingAndPhi:
             check_self_bounding(space, n=4, algorithm=algo)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("probs", [[0.2, 0.3, 0.5], [0.4, 0.0, 0.6]])
+    def test_samples_enumerated_once(self, monkeypatch, probs):
+        """X^n is enumerated once, by model.enumerate_indices, whose grid
+        both the algorithm and the support's weights are read from."""
+        space = FiniteDataSpace(points=("a", "b", "c"), probs=np.array(probs))
+        algo = mean_embedding_algorithm(np.array([[0.0, 0.0], [1.0, 0.25], [0.5, 0.5]]), n=3)
+        calls, rows = [], model.product_rows
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return rows(*args, **kwargs)
+
+        monkeypatch.setattr(model, "product_rows", counting)
+        monkeypatch.setattr(vf, "product_rows", counting)
+        assert check_self_bounding(space, n=3, algorithm=algo)
+        assert len(calls) == 1
+
     def test_constant_algorithm_degenerate(self):
         space = FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5]))
         reports = check_self_bounding(space, n=3, algorithm=constant_algorithm([1.0, 2.0]))
@@ -518,7 +536,6 @@ class TestTightness:
         assert len(rows) == 4
         for row in rows:
             assert row.improvement_holds
-            assert row.ratio == pytest.approx(row.eq_simple / row.baseline_gibbs)
             assert set(row.kl_chain) == {0.0, 0.1, 0.3}
             for entry in row.kl_chain.values():
                 # the kl-chain comparison is regime-dependent; it is recorded
