@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .hamiltonian import Gibbs, mean_embedding_algorithm
 from .model import FiniteDataSpace, PriorWeights, generalization_gap
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool
@@ -55,7 +54,7 @@ def _judge_reports(reports, worst_of=None) -> tuple[bool, str]:
 
 def _named(prefix, reports):
     """The reports, each name prefixed with the instance it was checked on."""
-    return [replace(rep, name=prefix + rep.name) for rep in reports]
+    return [rep._replace(name=prefix + rep.name) for rep in reports]
 
 
 def _judge_rates(delta, labelled_stats) -> tuple[bool, str]:
@@ -186,7 +185,7 @@ def criterion_gaussian_identity() -> tuple[bool, str]:
         for lam in (1.0, 1.5, 2.0, 3.0):
             for ratio in (0.0, 0.5, 1.0, 2.0):
                 rep = vf.check_gaussian_identity(w, w + ratio * sigma * direction, sigma, lam)
-                reports.append(replace(rep, name=f"d{d}_lam{lam:g}_ratio{ratio:g}"))
+                reports.append(rep._replace(name=f"d{d}_lam{lam:g}_ratio{ratio:g}"))
     failures = sum(not rep.passed for rep in reports)
     worst = max(reports, key=lambda rep: rep.details["relative_error"])
     return failures == 0, (f"{len(reports)} checks, {failures} failures, worst relative "

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 # log is the one name through which every kl evaluation takes its logs
 from math import expm1, isfinite, log, log1p, nextafter, sqrt
 
@@ -53,23 +54,19 @@ def _check_delta(delta: float) -> float:
     return math.log(1.0 / delta)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "method value delta scope inputs notes")):
     """A certificate, or one per trial when its inputs hold arrays over trials:
     then value is the array of their values. A scalar value is a float."""
 
-    method: str
-    value: float | np.ndarray
-    delta: float
-    scope: str
-    inputs: dict
-    notes: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.value)):
-            raise DomainError(f"certificate value must be finite, got {self.value}")
-        if np.ndim(self.value) == 0:
-            object.__setattr__(self, "value", float(self.value))
+    def __new__(cls, method: str, value: float | np.ndarray, delta: float, scope: str,
+                inputs: dict, notes: str = ""):
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"certificate value must be finite, got {value}")
+        if np.ndim(value) == 0:
+            value = float(value)
+        return super().__new__(cls, method, value, delta, scope, inputs, notes)
 
     def input_pairs(self) -> list[str]:
         """The key=value text of each input, sorted by key."""
@@ -425,8 +422,7 @@ def bound_gaussian_randomization(V: float, sigma: float, n: int, delta: float,
 # ---------------------------------------------------------------------------
 # published baselines quoted for comparison
 
-@dataclass(frozen=True)
-class BaselineSet:
+class BaselineSet(NamedTuple):
     rivasplata_gibbs: float
     rivasplata_kl_gibbs: float
 

@@ -14,7 +14,6 @@ an error (no silent ignoring); validation reports every problem at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -129,8 +128,7 @@ _KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     scenario_id: str
     space: FiniteDataSpace
     loss: FiniteTable | CosineLoss

@@ -9,8 +9,8 @@ stable deterministic algorithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ class IncompatibleSpec(ValueError):
     """Hamiltonian variant does not fit the given loss model or operation."""
 
 
-@dataclass(frozen=True)
-class StableAlgorithm:
+class StableAlgorithm(NamedTuple):
     """Deterministic map from samples to parameter vectors in R^d, with the
     two constants the Gaussian-kernel certificates rest on. map takes a
     (..., n) array of sample point indices, one sample per row, to the
@@ -53,25 +52,24 @@ class StableAlgorithm:
         return np.asarray(self.map(np.asarray(sample)), dtype=float)
 
 
-@dataclass(frozen=True)
-class Gibbs:
-    beta: float
+class Gibbs(namedtuple("Gibbs", "beta")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, beta: float):
         # written so that a NaN, which fails every comparison, is rejected
-        if not 0 <= self.beta < math.inf:
-            raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
+        if not 0 <= beta < math.inf:
+            raise ValueError(f"beta must be nonnegative and finite, got {beta}")
+        return super().__new__(cls, beta)
 
 
-@dataclass(frozen=True)
-class GaussianKernel:
-    sigma: float
-    algorithm: StableAlgorithm
+class GaussianKernel(namedtuple("GaussianKernel", "sigma algorithm")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, sigma: float, algorithm: StableAlgorithm):
         # written so that a NaN, which fails every comparison, is rejected
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        return super().__new__(cls, sigma, algorithm)
 
 
 HamiltonianSpec = Gibbs | GaussianKernel

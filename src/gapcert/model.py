@@ -11,7 +11,7 @@ and reduces a one-coordinate quantity along one axis of the X^n grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterator
 
 import numpy as np
@@ -28,53 +28,52 @@ class BudgetExceeded(RuntimeError):
     """An exact enumeration was requested beyond the configured state budget."""
 
 
-@dataclass(frozen=True)
-class FiniteDataSpace:
+class FiniteDataSpace(namedtuple("FiniteDataSpace", "points probs")):
     """A finite data domain with an explicit probability vector.
 
     points are opaque identifiers (their order defines the index space);
-    probs is the probability of each point.
+    probs is the probability of each point, a read-only copy of the caller's.
     """
 
-    points: tuple
-    probs: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if len(self.points) < 1:
+    def __new__(cls, points: tuple, probs: np.ndarray):
+        probs = np.array(probs, dtype=float)
+        if len(points) < 1:
             raise ValueError("data space needs at least one point")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise ValueError("points must be distinct")
-        if len(self.points) != len(self.probs):
+        if len(points) != len(probs):
             raise ValueError("points/probs length mismatch")
-        if not np.all(np.isfinite(self.probs)) or np.any(self.probs < 0):
+        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
             raise ValueError("probabilities must be finite and nonnegative")
-        if abs(float(self.probs.sum()) - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {self.probs.sum()!r}, not 1")
-        self.probs.setflags(write=False)
+        if abs(float(probs.sum()) - 1.0) > PROB_TOL:
+            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+        probs.setflags(write=False)
+        return super().__new__(cls, points, probs)
 
     @property
     def size(self) -> int:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class FiniteTable:
-    """Loss table over (hypothesis index, point index), values in [0, bound_b]."""
+class FiniteTable(namedtuple("FiniteTable", "values bound_b")):
+    """Loss table over (hypothesis index, point index), values in [0, bound_b],
+    a read-only copy of the caller's."""
 
-    values: np.ndarray
-    bound_b: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 2:
+    def __new__(cls, values: np.ndarray, bound_b: float = 1.0):
+        values = np.array(values, dtype=float)
+        if values.ndim != 2:
             raise ValueError("loss table must be 2-dimensional")
-        if not (math.isfinite(self.bound_b) and self.bound_b > 0):
+        if not (math.isfinite(bound_b) and bound_b > 0):
             raise ValueError("bound_b must be finite and positive")
         # written so that a NaN, which fails every comparison, is rejected
-        if not np.all((self.values >= 0) & (self.values <= self.bound_b)):
+        if not np.all((values >= 0) & (values <= bound_b)):
             raise ValueError("loss values must lie in [0, bound_b]")
-        self.values.setflags(write=False)
+        values.setflags(write=False)
+        return super().__new__(cls, values, bound_b)
 
     @property
     def num_hypotheses(self) -> int:
@@ -159,21 +158,20 @@ class CosineLoss:
         return sums
 
 
-@dataclass(frozen=True)
-class PriorWeights:
-    """Nonnegative a-priori weights over a finite hypothesis class; no
-    normalization is required."""
+class PriorWeights(namedtuple("PriorWeights", "weights")):
+    """Nonnegative a-priori weights over a finite hypothesis class, a read-only
+    copy of the caller's; no normalization is required."""
 
-    weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __new__(cls, weights: np.ndarray):
+        w = np.array(weights, dtype=float)
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("prior weights must be nonnegative and finite")
         if not np.any(w > 0):
             raise ValueError("at least one prior weight must be positive")
-        object.__setattr__(self, "weights", w)
         w.setflags(write=False)
+        return super().__new__(cls, w)
 
     @classmethod
     def uniform(cls, m: int) -> "PriorWeights":

@@ -11,7 +11,7 @@ confidence bounds on the true violation probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -95,13 +95,14 @@ def inverse_cdf(space: FiniteDataSpace, u: np.ndarray) -> np.ndarray:
     return count.astype(np.intp)
 
 
-@dataclass(frozen=True)
-class MomentCheckReport:
-    name: str
-    lhs: float
-    rhs: float
-    regime: str  # exact_enumeration | quadrature
-    details: dict = field(default_factory=dict)
+class MomentCheckReport(namedtuple("MomentCheckReport", "name lhs rhs regime details")):
+    """regime is exact_enumeration or quadrature; details is a fresh dict
+    unless given."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, lhs: float, rhs: float, regime: str, details: dict | None = None):
+        return super().__new__(cls, name, lhs, rhs, regime, {} if details is None else details)
 
     @property
     def margin(self) -> float:
@@ -505,26 +506,29 @@ KL_WEIGHTS = np.array([
 KL_NODE_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class MethodStats:
+@cache
+def _clopper_pearson_upper(violations: int, trials: int, level: float) -> float:
+    """The level quantile of Beta(violations + 1, trials - violations), once
+    per argument triple; that of Beta(1, T) is 1 - (1 - level)^{1/T}, equal bit
+    for bit to scipy's inversion, which only a run with a violation imports."""
+    if violations >= trials or level == 1.0:  # log1p(-1) raises
+        return 1.0
+    if violations == 0:
+        return -math.expm1(math.log1p(-level) / trials)
+    from scipy.special import betaincinv
+    return float(betaincinv(violations + 1, trials - violations, level))
+
+
+class MethodStats(NamedTuple):
     method: str
     violations: int
     trials: int
     mean_bound: float
     mean_slack: float
 
-    @cached_property
+    @property
     def clopper_pearson_upper(self) -> float:
-        if self.violations >= self.trials or CP_LEVEL == 1.0:  # log1p(-1) raises
-            return 1.0
-        # the CP_LEVEL quantile of Beta(violations + 1, trials - violations),
-        # cached; that of Beta(1, T) is 1 - (1 - CP_LEVEL)^{1/T}, equal bit for
-        # bit to scipy's inversion, which only a run with a violation imports
-        if self.violations == 0:
-            return -math.expm1(math.log1p(-CP_LEVEL) / self.trials)
-        from scipy.special import betaincinv
-        return float(betaincinv(self.violations + 1, self.trials - self.violations,
-                                CP_LEVEL))
+        return _clopper_pearson_upper(self.violations, self.trials, CP_LEVEL)
 
     def passed(self, delta: float) -> bool:
         """The Monte Carlo gate: the CP_LEVEL Clopper-Pearson upper bound on
@@ -539,8 +543,7 @@ class MethodStats:
                 f"delta={delta}")
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(NamedTuple):
     trials: int
     mean_gap: float
     per_method: dict  # method tag -> MethodStats
@@ -929,15 +932,16 @@ def kl_bernoulli_vec(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # tightness comparison against the quoted baselines
 
-@dataclass(frozen=True)
-class TightnessRow:
-    n: int
-    beta: float
-    delta: float
-    eq_simple: float
-    baseline_gibbs: float
-    improvement_holds: bool
-    kl_chain: dict = field(default_factory=dict)
+class TightnessRow(namedtuple("TightnessRow",
+                              "n beta delta eq_simple baseline_gibbs improvement_holds kl_chain")):
+    """kl_chain is a fresh dict unless given."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, beta: float, delta: float, eq_simple: float, baseline_gibbs: float,
+                improvement_holds: bool, kl_chain: dict | None = None):
+        return super().__new__(cls, n, beta, delta, eq_simple, baseline_gibbs, improvement_holds,
+                               {} if kl_chain is None else kl_chain)
 
 
 def tightness_report(ns: Sequence[int] = (100, 1000, 10_000),

@@ -1,7 +1,6 @@
 """Scenario-file parsing, validation, and the command-line front end."""
 
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import math
@@ -303,6 +302,19 @@ class TestParse:
         with pytest.raises(ConfigError, match="stability precondition"):
             parse_config(write_config(tmp_path, "c.txt", text))
 
+    def test_parsed_gibbs_config_survives_pickle(self):
+        """Its records unpickle through their checks, to equal fields and
+        read-only arrays."""
+        cfg = parse_config(CONFIGS / "gibbs_small.txt")
+        back = pickle.loads(pickle.dumps(cfg))
+        assert type(back) is type(cfg) and isinstance(back.spec, Gibbs)
+        for old, new in zip(cfg, back):
+            for a, b in zip(old, new) if hasattr(old, "_fields") else [(old, new)]:
+                if hasattr(a, "flags"):
+                    assert a.tolist() == b.tolist() and not b.flags.writeable
+                else:
+                    assert a == b
+
 
 class TestCli:
     @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
@@ -480,7 +492,7 @@ class TestCli:
         cfg = parse_config(CONFIGS / f"{name}.txt")
         variant = "gibbs" if isinstance(cfg.spec, Gibbs) else "gaussian_kernel"
         methods = tuple(m for m, s in SCENARIO_METHODS.items() if s.variant == variant)
-        cfg = dataclasses.replace(cfg, methods=methods, trials=1)
+        cfg = cfg._replace(methods=methods, trials=1)
         cmd_certify(cfg, tmp_path)
         cmd_verify(cfg, tmp_path)
 
@@ -562,7 +574,7 @@ class TestCli:
 
     def test_unrecomputable_certificate_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(vf, "recompute",
-                            lambda cert: dataclasses.replace(cert, value=cert.value + 1.0))
+                            lambda cert: cert._replace(value=cert.value + 1.0))
         cfg = write_config(tmp_path, "demo.txt", GIBBS_SMALL)
         assert main(["certify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_INVARIANT

@@ -1,6 +1,5 @@
 """Hamiltonian specs, partition functions, posteriors, coefficients."""
 
-import dataclasses
 import math
 import warnings
 
@@ -327,7 +326,7 @@ class TestStableAlgorithms:
         """A declared c_A below the brute-force sensitivity breaks the
         algorithm's contract, on which the Gaussian certificates rest."""
         alg = mean_embedding_algorithm(np.array([[0.0, 0.5], [0.25, 0.0]]), 3)
-        understated = dataclasses.replace(alg, declared_c_A=alg.declared_c_A / 2)
+        understated = alg._replace(declared_c_A=alg.declared_c_A / 2)
         with pytest.raises(ContractViolation, match="exceeds declared"):
             sensitivity(understated, SPACE2, 3)
 

@@ -365,6 +365,17 @@ class TestContracts:
         with pytest.raises(ValueError):
             PriorWeights(weights=np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("make, field, array", [
+        (lambda a: FiniteDataSpace(points=("a", "b"), probs=a), "probs", [0.5, 0.5]),
+        (lambda a: FiniteTable(values=a), "values", [[0.25, 0.5]]),
+        (lambda a: PriorWeights(weights=a), "weights", [1.0, 2.0])],
+        ids=["space", "table", "prior"])
+    def test_record_freezes_a_copy_not_the_callers_array(self, make, field, array):
+        mine = np.array(array)
+        held = getattr(make(mine), field)
+        assert mine.flags.writeable and not held.flags.writeable
+        assert held is not mine and np.array_equal(held, mine)
+
 
 class TestLossTableFile:
     def test_round_trip(self, tmp_path):

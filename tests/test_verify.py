@@ -510,6 +510,52 @@ def test_cli_import_leaves_out_scipy():
     assert _scipy_modules_after("import sys, gapcert.cli") == "[]"
 
 
+def test_cli_import_leaves_out_dataclasses():
+    """Every record is a namedtuple, whose class costs one eval, not the
+    generated methods of a dataclass."""
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, gapcert.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert run.stdout.strip() == "False"
+
+
+def test_records_are_namedtuples_with_fields_that_cannot_be_rebound():
+    from gapcert import acceptance, bounds, config
+
+    alg = constant_algorithm([0.5])
+    records = {
+        "probs": FiniteDataSpace(points=("a", "b"), probs=np.array([0.5, 0.5])),
+        "values": FiniteTable(values=np.array([[0.5]])),
+        "weights": PriorWeights.uniform(2),
+        "dim_d": alg,
+        "beta": Gibbs(beta=1.0),
+        "sigma": ham.GaussianKernel(sigma=0.5, algorithm=alg),
+        "value": bounds.Certificate("x", 0.5, 0.05, bounds.JOINT_DRAW, {}),
+        "rivasplata_gibbs": bounds.baselines(1.0, 10, 0.05),
+        "details": MomentCheckReport("r", 1.0, 2.0, "exact_enumeration"),
+        "violations": MethodStats("x", 0, 10, 0.0, 0.0),
+        "per_method": vf.TrialReport(trials=1, mean_gap=0.0, per_method={}),
+        "kl_chain": tightness_report(ns=[100], betas_of_n=lambda n: [1.0], deltas=[0.05],
+                                     L_hats=[0.1])[0],
+        "n": config.parse_config(Path(__file__).resolve().parents[1] / "configs"
+                                 / "gibbs_exact.txt"),
+        "passed": acceptance.CriterionResult(1, "x", True, "", 0.0),
+    }
+    assert len({type(r) for r in records.values()}) == 14
+    for field, record in records.items():
+        assert isinstance(record, tuple) and field in record._fields
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def test_default_dicts_are_fresh_per_record():
+    a, b = (MomentCheckReport("r", 1.0, 2.0, "exact_enumeration") for _ in range(2))
+    assert a.details == b.details == {} and a.details is not b.details
+    c, d = (vf.TightnessRow(100, 1.0, 0.05, 0.1, 0.2, True) for _ in range(2))
+    assert c.kl_chain == d.kl_chain == {} and c.kl_chain is not d.kl_chain
+
+
 def test_verify_without_violations_leaves_out_scipy(tmp_path):
     """A verify run whose trials see no violation imports numpy only."""
     config = Path(__file__).resolve().parents[1] / "configs" / "gibbs_exact.txt"
